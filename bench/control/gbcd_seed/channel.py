@@ -1,0 +1,215 @@
+"""Channel, noise, and transmission generation for the uplink model y = H s + n.
+
+Two synthetic propagation conditions are provided:
+
+* ``nonlos`` -- i.i.d. circularly-symmetric complex Gaussian entries.
+* ``los``    -- per-UE planar-wavefront steering vectors over a uniform
+  linear array, mixed with a scattered Rayleigh component through a
+  configurable Rician K-factor.
+
+Receive-power control clips every UE's column energy into a +/-3 dB band
+around the mean, mirroring a basestation power-control loop.
+
+SNR definition used throughout the package: the per-receive-antenna SNR is
+``Es * ||H||_F^2 / (B * N0)``, i.e. total received signal power per antenna
+over noise power per antenna, evaluated on the realized channel.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+from .constellation import Constellation, draw_symbols
+
+CONDITIONS = ("nonlos", "los")
+
+_MAGIC = b"CPLXMAT\x00"
+
+
+@dataclass
+class ChannelRealization:
+    H: np.ndarray            # (B, U) complex128
+    condition: str
+    power_db: np.ndarray     # per-UE receive power relative to the mean, dB
+
+    @property
+    def B(self) -> int:
+        return self.H.shape[0]
+
+    @property
+    def U(self) -> int:
+        return self.H.shape[1]
+
+
+@dataclass
+class TransmissionBatch:
+    S: np.ndarray            # (U, T) transmitted symbols
+    bits: np.ndarray         # (U, T, log2 Q) bit labels of S
+    Y: np.ndarray            # (B, T) receive vectors
+    N0: float
+    T: int
+    noise: np.ndarray        # (B, T), retained so Y == H S + noise is checkable
+    symbol_indices: np.ndarray  # (U, T)
+
+
+def _power_control(H: np.ndarray, band_db: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+    p = np.sum(np.abs(H) ** 2, axis=0)
+    if np.any(p == 0.0):
+        raise ValueError("channel has an all-zero column")
+    mean_p = float(np.mean(p))
+    lo = mean_p * 10.0 ** (-band_db / 10.0)
+    hi = mean_p * 10.0 ** (band_db / 10.0)
+    clipped = np.clip(p, lo, hi)
+    H = H * np.sqrt(clipped / p)
+    power_db = 10.0 * np.log10(clipped / np.mean(clipped))
+    assert clipped.max() / clipped.min() <= 10 ** (2 * band_db / 10.0) * (1 + 1e-12)
+    return H, power_db
+
+
+def steering_vector(B: int, theta_rad: float | np.ndarray) -> np.ndarray:
+    """Half-wavelength uniform linear array response, one column per angle."""
+    theta = np.atleast_1d(np.asarray(theta_rad, dtype=np.float64))
+    n = np.arange(B)[:, None]
+    return np.exp(1j * np.pi * n * np.sin(theta)[None, :])
+
+
+def _draw_angles(U: int, rng: np.random.Generator, min_sep_deg: float,
+                 span_deg: float = 120.0) -> np.ndarray:
+    if U * min_sep_deg >= span_deg:
+        raise ValueError("cannot place UEs with the requested angular separation")
+    half = span_deg / 2.0
+    for _ in range(1000):
+        deg = rng.uniform(-half, half, size=U)
+        if U == 1:
+            return np.deg2rad(deg)
+        d = np.abs(deg[:, None] - deg[None, :])
+        np.fill_diagonal(d, np.inf)
+        if d.min() >= min_sep_deg:
+            return np.deg2rad(deg)
+    raise RuntimeError("angle sampling failed to satisfy minimum separation")
+
+
+def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
+                k_factor: float = 10.0, min_sep_deg: float = 1.0,
+                angles_rad: np.ndarray | None = None,
+                power_band_db: float = 3.0) -> ChannelRealization:
+    """Generate one channel realization with receive-power control applied."""
+    if U < 2 or B < U:
+        raise ValueError(f"invalid dimensions B={B}, U={U} (need B >= U >= 2)")
+    condition = condition.lower()
+    if condition not in CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}; use one of {CONDITIONS}")
+
+    if condition == "nonlos":
+        H = (rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))) / np.sqrt(2.0)
+    else:
+        if angles_rad is None:
+            angles_rad = _draw_angles(U, rng, min_sep_deg)
+        A = steering_vector(B, angles_rad)
+        W = (rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))) / np.sqrt(2.0)
+        if np.isinf(k_factor):
+            H = A
+        else:
+            H = (np.sqrt(k_factor / (k_factor + 1.0)) * A
+                 + np.sqrt(1.0 / (k_factor + 1.0)) * W)
+
+    H, power_db = _power_control(H, power_band_db)
+    if not np.all(np.isfinite(H)):
+        raise ValueError("channel contains non-finite entries")
+    return ChannelRealization(H, condition, power_db)
+
+
+def noise_variance_for_snr(H: np.ndarray, snr_db: float, Es: float = 1.0) -> float:
+    """N0 such that the per-antenna receive SNR matches snr_db (see module doc)."""
+    if np.isinf(snr_db):
+        return 0.0
+    B = H.shape[0]
+    sig = Es * float(np.sum(np.abs(H) ** 2)) / B
+    return sig / (10.0 ** (snr_db / 10.0))
+
+
+def apply_channel(H: np.ndarray, S: np.ndarray, N0: float,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Return (Y, noise) with Y = H S + noise, noise ~ CN(0, N0) per entry.
+
+    The returned noise is the exact residual Y - H S, so the reconstruction
+    identity holds bitwise for anyone recomputing the product.
+    """
+    B = H.shape[0]
+    T = S.shape[1]
+    if N0 == 0.0:
+        noise = np.zeros((B, T), dtype=np.complex128)
+    else:
+        noise = np.sqrt(N0 / 2.0) * (rng.standard_normal((B, T))
+                                     + 1j * rng.standard_normal((B, T)))
+    hs = H @ S
+    y = hs + noise
+    return y, y - hs
+
+
+def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
+             rng: np.random.Generator, *, all_zero: bool = False) -> TransmissionBatch:
+    """Draw i.i.d. uniform symbols and push them through the channel.
+
+    ``all_zero`` replaces the symbols with zeros (noise-only debug mode);
+    N0 is still derived from the nominal unit symbol energy.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if not np.isfinite(snr_db) and not np.isinf(snr_db):
+        raise ValueError("snr_db must be finite (or +inf for the noiseless case)")
+    U = H.shape[1]
+    N0 = noise_variance_for_snr(H, snr_db, Es=1.0)
+    if all_zero:
+        idx = np.zeros((U, T), dtype=np.int64)
+        S = np.zeros((U, T), dtype=np.complex128)
+    else:
+        idx, S = draw_symbols(const, (U, T), rng)
+    Y, noise = apply_channel(H, S, N0, rng)
+    bits = const.bit_labels[idx]
+    return TransmissionBatch(S, bits, Y, float(N0), T, noise, idx)
+
+
+def estimate_channel(H: np.ndarray, N0: float, Es: float, U: int | None,
+                     rng: np.random.Generator) -> ChannelRealization:
+    """Least-squares channel estimate model: H + E, E i.i.d. CN(0, N0/(Es U))."""
+    if N0 < 0:
+        raise ValueError("N0 must be >= 0")
+    if U is None:
+        U = H.shape[1]
+    var = N0 / (Es * U)
+    E = np.sqrt(var / 2.0) * (rng.standard_normal(H.shape)
+                              + 1j * rng.standard_normal(H.shape))
+    Hh = H + E
+    p = np.sum(np.abs(Hh) ** 2, axis=0)
+    power_db = 10.0 * np.log10(p / np.mean(p))
+    return ChannelRealization(Hh, "estimated", power_db)
+
+
+def dump_matrix(path, M: np.ndarray) -> None:
+    """Write a complex matrix as little-endian interleaved float64 (re, im)
+    behind a 16-byte header (8-byte magic, uint32 rows, uint32 cols)."""
+    M = np.ascontiguousarray(M, dtype=np.complex128)
+    if M.ndim != 2:
+        raise ValueError("dump_matrix expects a 2-D array")
+    rows, cols = M.shape
+    with open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<II", rows, cols))
+        inter = np.empty((rows, cols, 2), dtype="<f8")
+        inter[..., 0] = M.real
+        inter[..., 1] = M.imag
+        f.write(inter.tobytes())
+
+
+def load_matrix(path) -> np.ndarray:
+    with open(path, "rb") as f:
+        magic = f.read(8)
+        if magic != _MAGIC:
+            raise ValueError("not a complex-matrix dump file")
+        rows, cols = struct.unpack("<II", f.read(8))
+        inter = np.frombuffer(f.read(), dtype="<f8").reshape(rows, cols, 2)
+    return (inter[..., 0] + 1j * inter[..., 1]).astype(np.complex128)

@@ -1,0 +1,161 @@
+"""Command-line front end: simulate / ablate / train / hwmodel.
+
+Configs are JSON files; results are CSV. Exit codes: 0 success, 2 config
+error, 3 missing trained parameters.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from . import hwmodel, unfolding
+from .harness import (ABLATE_COLUMNS, SWEEP_COLUMNS, ConfigError,
+                      ExperimentConfig, run_ablation, run_sweep, _write_csv)
+from .scenario import Scenario
+
+HWMODEL_COLUMNS = ("algorithm", "B", "U", "K", "T", "pre_mults", "eq_mults",
+                   "total", "theta_bps", "eta", "p_watts_fit")
+
+# measured dynamic-power fit constants of the fabricated design (idle+static
+# and equalizer shares, watts)
+DEFAULT_P_IDLE = 0.420
+DEFAULT_P_EQU = 0.367
+
+
+def _load_config(path: str, overrides: dict) -> ExperimentConfig:
+    cfg = ExperimentConfig.from_json(path)
+    for key, value in overrides.items():
+        if value is not None:
+            setattr(cfg, key, value)
+    return cfg
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_config(args.config, {"seed": args.seed, "threads": args.threads,
+                                     "out": args.out,
+                                     "fixed_point": True if args.fixed_point else None})
+    rows = run_sweep(cfg)
+    if not cfg.out:
+        _write_csv(sys.stdout, rows, SWEEP_COLUMNS)
+    return 0
+
+
+def _cmd_ablate(args) -> int:
+    cfg = _load_config(args.config, {"seed": args.seed, "threads": args.threads,
+                                     "out": args.out})
+    rows = run_ablation(cfg)
+    if not cfg.out:
+        _write_csv(sys.stdout, rows, ABLATE_COLUMNS)
+    return 0
+
+
+def _cmd_train(args) -> int:
+    with open(args.config) as f:
+        raw = json.load(f)
+    try:
+        scen = Scenario.from_dict(raw["scenario"])
+        K = int(raw["K"])
+        tc_fields = {k: v for k, v in raw.get("training", {}).items()}
+        config = unfolding.TrainConfig(**tc_fields)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad training config: {e}") from e
+    if args.seed is not None:
+        config.seed = args.seed
+    params = unfolding.train(scen, config, K)
+    out = args.out or "trained_params.json"
+    try:
+        store = unfolding.ParamStore.load(out)
+    except FileNotFoundError:
+        store = unfolding.ParamStore()
+    store.add(params)
+    store.save(out)
+    print(f"trained scenario {params.scenario} -> {out} "
+          f"(val loss {params.meta['final_val_loss']:.4f})")
+    return 0
+
+
+def _cmd_hwmodel(args) -> int:
+    with open(args.config) as f:
+        raw = json.load(f)
+    try:
+        B = int(raw["B"])
+        U = int(raw["U"])
+        K = int(raw["K"])
+        Q = int(raw.get("Q", 256))
+        f_clk = float(raw.get("f_clk", 887e6))
+        Ts = [int(t) for t in raw["T"]]
+        p_idle = float(raw.get("p_idle_watts", DEFAULT_P_IDLE))
+        p_equ = float(raw.get("p_equ_watts", DEFAULT_P_EQU))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad hwmodel config: {e}") from e
+    reports = {
+        "gbcd": hwmodel.complexity_gbcd(B, U, K),
+        "ocd": hwmodel.complexity_ocd(B, U, K),
+        "lmmse": hwmodel.complexity_lmmse(B, U),
+    }
+    rows = []
+    for name, rep in reports.items():
+        for T in Ts:
+            eta = hwmodel.utilization(T, U, B)
+            rows.append({
+                "algorithm": name, "B": B, "U": U,
+                "K": rep.K if rep.K is not None else "",
+                "T": T,
+                "pre_mults": rep.preprocessing_mults,
+                "eq_mults": rep.per_transmission_mults,
+                "total": rep.total(T),
+                "theta_bps": hwmodel.throughput(T, Q, U, f_clk, B),
+                "eta": eta,
+                "p_watts_fit": p_idle + eta * p_equ,
+            })
+    out = args.out
+    if out:
+        _write_csv(out, rows, HWMODEL_COLUMNS)
+    else:
+        _write_csv(sys.stdout, rows, HWMODEL_COLUMNS)
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="gbcd",
+        description="Soft-output block-coordinate-descent massive-MIMO "
+                    "detector: simulation, training, and hardware models. "
+                    "SNR convention: per-receive-antenna SNR "
+                    "Es*||H||_F^2/(B*N0), evaluated on the realized channel "
+                    "after power control.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, fn, doc in (
+            ("simulate", _cmd_simulate, "BLER/SER sweep over SNR"),
+            ("ablate", _cmd_ablate, "incremental-technique comparison"),
+            ("train", _cmd_train, "deep-unfolding parameter training"),
+            ("hwmodel", _cmd_hwmodel, "complexity/throughput/power tables")):
+        sp = sub.add_parser(name, help=doc)
+        sp.add_argument("--config", required=True, help="JSON config path")
+        sp.add_argument("--out", default=None, help="output path (CSV or JSON)")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="worker threads for Monte-Carlo trials")
+        sp.add_argument("--fixed-point", action="store_true",
+                        help="run the quantized detector pipeline")
+        sp.set_defaults(fn=fn)
+    return p
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except unfolding.MissingParamsError as e:
+        print(f"missing trained parameters: {e}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

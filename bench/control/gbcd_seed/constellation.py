@@ -1,0 +1,131 @@
+"""Gray-mapped square QAM alphabets.
+
+Labels are split per axis: the first half of a symbol's bits is the Gray
+label of its real-axis PAM level, the second half the imaginary-axis label.
+Every bit therefore depends on exactly one axis, which lets the soft-output
+stage replace full alphabet scans with sqrt(Q)-point scans per axis.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+SUPPORTED_ORDERS = (4, 16, 64, 256)
+
+
+def _gray(n: int) -> np.ndarray:
+    i = np.arange(n)
+    return i ^ (i >> 1)
+
+
+def _bits_msb_first(values: np.ndarray, width: int) -> np.ndarray:
+    shifts = np.arange(width - 1, -1, -1)
+    return ((values[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class Constellation:
+    """Square QAM alphabet with unit average symbol energy."""
+
+    order: int
+    points: np.ndarray       # (Q,) complex128
+    bit_labels: np.ndarray   # (Q, log2 Q) uint8, real-axis bits first
+    pam_points: np.ndarray   # (sqrt Q,) ascending real levels, scaled
+    scale: float             # multiplier taking the odd-integer grid to pam_points
+    bit_subsets: tuple       # per bit b: (indices with bit b = 0, indices with bit b = 1)
+    label_to_index: np.ndarray  # label integer -> point index
+
+    @property
+    def bits_per_symbol(self) -> int:
+        return int(self.bit_labels.shape[1])
+
+    @property
+    def n_pam(self) -> int:
+        return int(self.pam_points.size)
+
+    @property
+    def axis_bits(self) -> int:
+        return self.bits_per_symbol // 2
+
+    @property
+    def max_amplitude(self) -> float:
+        """Half-width of the clipping box enclosing the alphabet."""
+        return float(self.pam_points[-1])
+
+    def pam_bit_values(self, axis_bit: int) -> tuple[np.ndarray, np.ndarray]:
+        """PAM levels whose Gray label has the given axis bit equal to 0 / 1."""
+        g = _gray(self.n_pam)
+        shift = self.axis_bits - 1 - axis_bit
+        mask = (g >> shift) & 1
+        return self.pam_points[mask == 0], self.pam_points[mask == 1]
+
+
+def make_constellation(order: int) -> Constellation:
+    """Build the Gray-mapped square QAM alphabet of the given order."""
+    if order not in SUPPORTED_ORDERS:
+        raise ValueError(f"unsupported constellation order {order}; "
+                         f"supported: {SUPPORTED_ORDERS}")
+    n = math.isqrt(order)
+    axis_bits = n.bit_length() - 1
+    levels = np.arange(-(n - 1), n, 2).astype(np.float64)
+    scale = 1.0 / math.sqrt(2.0 * float(np.mean(levels ** 2)))
+    pam = levels * scale
+
+    re_idx, im_idx = np.divmod(np.arange(order), n)
+    points = pam[re_idx] + 1j * pam[im_idx]
+
+    gray = _gray(n)
+    labels = np.concatenate(
+        [_bits_msb_first(gray[re_idx], axis_bits),
+         _bits_msb_first(gray[im_idx], axis_bits)],
+        axis=1,
+    )
+    subsets = tuple(
+        (np.flatnonzero(labels[:, b] == 0), np.flatnonzero(labels[:, b] == 1))
+        for b in range(2 * axis_bits)
+    )
+    weights = 1 << np.arange(2 * axis_bits - 1, -1, -1)
+    label_ints = labels @ weights
+    label_to_index = np.empty(order, dtype=np.int64)
+    label_to_index[label_ints] = np.arange(order)
+
+    return Constellation(order, points, labels, pam, float(scale), subsets,
+                         label_to_index)
+
+
+def symbol_indices_from_bits(const: Constellation, bits: np.ndarray) -> np.ndarray:
+    """Map bit groups (..., log2 Q) to alphabet indices."""
+    m = const.bits_per_symbol
+    if bits.shape[-1] != m:
+        raise ValueError(f"expected trailing dimension {m}, got {bits.shape[-1]}")
+    weights = 1 << np.arange(m - 1, -1, -1)
+    label_ints = bits.astype(np.int64) @ weights
+    return const.label_to_index[label_ints]
+
+
+def map_bits(const: Constellation, bits: np.ndarray) -> np.ndarray:
+    """Map bit groups (..., log2 Q) to complex symbols."""
+    return const.points[symbol_indices_from_bits(const, bits)]
+
+
+def draw_symbols(const: Constellation, shape, rng: np.random.Generator):
+    """Draw i.i.d. uniform symbols; returns (indices, symbols)."""
+    idx = rng.integers(0, const.order, size=shape)
+    return idx, const.points[idx]
+
+
+def hard_decision_indices(const: Constellation, v: np.ndarray,
+                          gain: float | np.ndarray = 1.0) -> np.ndarray:
+    """Nearest-symbol decision per axis against the gain-scaled PAM grid.
+
+    `gain` broadcasts against `v` (per-UE channel gains, typically mu).
+    """
+    v = np.asarray(v)
+    g = np.asarray(gain, dtype=np.float64)
+    pam = const.pam_points
+    re = np.argmin(np.abs(v.real[..., None] - g[..., None] * pam), axis=-1)
+    im = np.argmin(np.abs(v.imag[..., None] - g[..., None] * pam), axis=-1)
+    return re * const.n_pam + im

@@ -1,0 +1,398 @@
+"""Monte-Carlo experiment harness: coded BLER / uncoded SER sweeps and the
+incremental-technique ablation.
+
+Every trial is one coherence block: a fresh channel carries T transmissions;
+each UE's T symbols form one interleaved convolutional codeword, detected
+to per-bit LLRs and soft-decoded. Trial randomness derives from
+(seed, snr index, trial index) only, so detectors and ablation variants see
+identical channels, symbols, and noise, results are byte-reproducible, and
+worker count cannot change them. Trials run in fixed-size chunks; a sweep
+point stops early once every detector has accumulated the requested number
+of block errors.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import baselines, denoise, detector, fec, hwmodel, unfolding
+from .channel import apply_channel, gen_channel, noise_variance_for_snr
+from .constellation import (hard_decision_indices, make_constellation,
+                            symbol_indices_from_bits)
+
+SWEEP_COLUMNS = ("snr_db", "detector", "bler", "ser", "trials", "block_errors")
+ABLATE_COLUMNS = ("snr_db", "variant", "bler", "ser", "trials", "block_errors",
+                  "data_hash")
+
+DETECTORS = ("gbcd-box", "gbcd-pme", "lmmse", "ocd")
+
+ABLATION_VARIANTS = (
+    ("cd-box", dict(L=1, sort=False, mode="box")),
+    ("cd-box+sort", dict(L=1, sort=True, mode="box")),
+    ("gbcd-box", dict(L=2, sort=False, mode="box")),
+    ("gbcd-box+sort", dict(L=2, sort=True, mode="box")),
+    ("gbcd-pme-empirical", dict(L=2, sort=True, mode="pme", source="empirical")),
+    ("gbcd-pme-trained", dict(L=2, sort=True, mode="pme", source="trained")),
+)
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class ExperimentConfig:
+    B: int
+    U: int
+    Q: int
+    snr_db: list
+    condition: str
+    detectors: list
+    K: int
+    seed: int
+    code_rate: str = "1/2"
+    T: int = 120
+    trials: int = 200
+    min_block_errors: int = 200
+    fixed_point: bool = False
+    out: str | None = None
+    params_path: str | None = None
+    allow_box_fallback: bool = False
+    threads: int = 1
+    chunk_size: int = 16
+    uncoded: bool = False
+    k_factor: float = 10.0
+    min_sep_deg: float = 1.0
+    trace_csv: str | None = None
+    coherence_groups: int = 1   # independent channels per coherence block
+
+    @property
+    def group_len(self) -> int:
+        if self.T % self.coherence_groups != 0:
+            raise ConfigError("T must be divisible by coherence_groups")
+        return self.T // self.coherence_groups
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if not self.detectors:
+            raise ConfigError("detector list must not be empty")
+        if self.seed is None:
+            raise ConfigError("seed is mandatory")
+        for d in self.detectors:
+            if d not in DETECTORS:
+                raise ConfigError(f"unknown detector {d!r}; choose from {DETECTORS}")
+        if not self.snr_db:
+            raise ConfigError("snr_db list must not be empty")
+        if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
+            raise ConfigError("T must be divisible by coherence_groups")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        d = dict(d)
+        if "snr_db" in d and not isinstance(d["snr_db"], (list, tuple)):
+            d["snr_db"] = [d["snr_db"]]
+        known = {f for f in cls.__dataclass_fields__}
+        unknown = set(d) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = {"B", "U", "Q", "snr_db", "condition", "detectors", "K",
+                   "seed"} - set(d)
+        if missing:
+            raise ConfigError(f"missing config keys: {sorted(missing)}")
+        try:
+            return cls(**d)
+        except TypeError as e:
+            raise ConfigError(str(e)) from e
+
+    @classmethod
+    def from_json(cls, path) -> "ExperimentConfig":
+        try:
+            with open(path) as f:
+                return cls.from_dict(json.load(f))
+        except (OSError, json.JSONDecodeError) as e:
+            raise ConfigError(f"cannot read config {path}: {e}") from e
+
+
+def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(snr_idx, trial)))
+
+
+def _resolve_pme(cfg: ExperimentConfig, snr_db: float):
+    """Trained-parameter lookup with the documented fallback ladder."""
+    if snr_db < 0.0:
+        return {"mode": "box", "alpha": None}
+    if cfg.params_path is None:
+        if cfg.allow_box_fallback:
+            return {"mode": "box", "alpha": None}
+        raise unfolding.MissingParamsError(
+            "gbcd-pme requested but no params_path configured")
+    store = unfolding.ParamStore.load(cfg.params_path)
+    try:
+        res = store.lookup(cfg.B, cfg.U, cfg.K, cfg.Q, cfg.condition, snr_db)
+    except unfolding.MissingParamsError:
+        if cfg.allow_box_fallback:
+            return {"mode": "box", "alpha": None}
+        raise
+    if res.mode == "box":
+        return {"mode": "box", "alpha": None}
+    return {"mode": "pme", "rho": res.params.rho, "beta": res.params.beta,
+            "alpha": res.params.alpha}
+
+
+def _detect(name: str, H, Y, N0, const, cfg: ExperimentConfig, pme_spec):
+    """Run one detector on a block; returns (llrs (U, m, T), hard indices)."""
+    if name == "lmmse":
+        soft = baselines.lmmse_detect(H, Y, N0, 1.0, const)
+    elif name == "ocd":
+        soft = baselines.ocd_detect(H, Y, N0, 1.0, cfg.K, const)
+    elif name in ("gbcd-box", "gbcd-pme"):
+        mode, rho, beta, alpha = "box", None, None, None
+        if name == "gbcd-pme":
+            spec = pme_spec
+            mode = spec["mode"]
+            rho = spec.get("rho")
+            beta = spec.get("beta")
+            alpha = spec.get("alpha")
+        if cfg.fixed_point:
+            soft = hwmodel.detect_fixed_point(H, Y, N0, 1.0, const, cfg.K,
+                                              mode=mode, rho=rho, beta=beta,
+                                              alpha=alpha)
+        else:
+            soft, _, _ = detector.gbcd_detect(H, Y, N0, 1.0, const, cfg.K,
+                                              mode=mode, rho=rho, beta=beta,
+                                              alpha=alpha)
+    else:
+        raise ConfigError(f"unknown detector {name!r}")
+    hard = hard_decision_indices(const, soft.v_final,
+                                 soft.params.mu[:, None])
+    return soft.llrs, hard
+
+
+def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
+                 snr_idx: int, trial: int, runners: dict):
+    """Generate one trial (one or more coherence groups spanning a codeword)
+    and evaluate every runner on identical data."""
+    rng = _trial_rng(cfg.seed, snr_idx, trial)
+    snr_db = float(cfg.snr_db[snr_idx])
+    m = const.bits_per_symbol
+    if code is None:
+        idx = rng.integers(0, const.order, size=(cfg.U, cfg.T))
+        payload = None
+    else:
+        payload = rng.integers(0, 2, size=(cfg.U, code.payload_bits)).astype(np.uint8)
+        coded = fec.encode(payload, code)
+        inter = fec.interleave(coded, code.interleaver_seed)
+        idx = symbol_indices_from_bits(const, inter.reshape(cfg.U, cfg.T, m))
+    S = const.points[idx]
+
+    glen = cfg.group_len
+    groups = []
+    digest = hashlib.sha256()
+    digest.update(S.tobytes())
+    for g in range(cfg.coherence_groups):
+        ch = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
+                         k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
+        N0 = noise_variance_for_snr(ch.H, snr_db, 1.0)
+        Y, _ = apply_channel(ch.H, S[:, g * glen:(g + 1) * glen], N0, rng)
+        groups.append((ch.H, Y, N0))
+        digest.update(ch.H.tobytes())
+        digest.update(Y.tobytes())
+    data_hash = digest.hexdigest()[:16]
+
+    out = {}
+    for name, runner in runners.items():
+        parts = [runner(H, Y, N0) for H, Y, N0 in groups]
+        llrs = np.concatenate([p[0] for p in parts], axis=2)
+        hard = np.concatenate([p[1] for p in parts], axis=1)
+        sym_errors = int(np.sum(hard != idx))
+        if code is None:
+            block_errors, blocks = 0, 0
+        else:
+            streams = np.transpose(llrs, (0, 2, 1)).reshape(cfg.U, -1)
+            dellrs = fec.deinterleave_llrs(streams, code.interleaver_seed)
+            _, ok = fec.decode_batch(dellrs, code, payload)
+            block_errors = int(np.sum(~ok))
+            blocks = cfg.U
+        out[name] = (block_errors, blocks, sym_errors, cfg.U * cfg.T, data_hash)
+    return out
+
+
+def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
+               runners: dict, pool: ThreadPoolExecutor | None):
+    totals = {name: [0, 0, 0, 0, None] for name in runners}
+    trial = 0
+    while trial < cfg.trials:
+        chunk = list(range(trial, min(trial + cfg.chunk_size, cfg.trials)))
+        if pool is None:
+            results = [_coded_trial(cfg, const, code, snr_idx, t, runners)
+                       for t in chunk]
+        else:
+            results = list(pool.map(
+                lambda t: _coded_trial(cfg, const, code, snr_idx, t, runners),
+                chunk))
+        for res in results:
+            for name, (be, blocks, se, syms, h) in res.items():
+                tot = totals[name]
+                tot[0] += be
+                tot[1] += blocks
+                tot[2] += se
+                tot[3] += syms
+                tot[4] = h
+        trial = chunk[-1] + 1
+        if code is not None and all(t[0] >= cfg.min_block_errors
+                                    for t in totals.values()):
+            break
+    return totals, trial
+
+
+def _rows_from_totals(cfg, snr_db, totals, trials, label_key):
+    rows = []
+    for name, (be, blocks, se, syms, h) in totals.items():
+        bler = be / blocks if blocks else float("nan")
+        row = {"snr_db": snr_db, label_key: name, "bler": bler,
+               "ser": se / syms, "trials": trials, "block_errors": be}
+        if label_key == "variant":
+            row["data_hash"] = h
+        rows.append(row)
+    return rows
+
+
+def _write_csv(path_or_buf, rows, columns):
+    close = False
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        f = open(path_or_buf, "w", newline="")
+        close = True
+    else:
+        f = path_or_buf
+    try:
+        w = csv.DictWriter(f, fieldnames=columns)
+        w.writeheader()
+        for r in rows:
+            w.writerow(r)
+    finally:
+        if close:
+            f.close()
+
+
+def _make_code(cfg: ExperimentConfig, const) -> fec.CodeConfig | None:
+    if cfg.uncoded:
+        return None
+    n_coded = cfg.T * const.bits_per_symbol
+    return fec.CodeConfig(cfg.code_rate, n_coded, interleaver_seed=cfg.seed)
+
+
+def _emit_debug_trace(cfg: ExperimentConfig, const) -> None:
+    """One-off per-iteration trace of the first trial at the first SNR."""
+    rng = _trial_rng(cfg.seed, 0, 0)
+    ch = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
+                     k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
+    idx = rng.integers(0, const.order, size=(cfg.U, 1))
+    N0 = noise_variance_for_snr(ch.H, float(cfg.snr_db[0]), 1.0)
+    Y, _ = apply_channel(ch.H, const.points[idx], N0, rng)
+    detector.gbcd_detect(ch.H, Y, N0, 1.0, const, cfg.K,
+                         trace_csv=cfg.trace_csv)
+
+
+def run_sweep(cfg: ExperimentConfig):
+    """Monte-Carlo BLER/SER sweep; returns CSV rows and writes cfg.out if set."""
+    const = make_constellation(cfg.Q)
+    code = _make_code(cfg, const)
+    if cfg.trace_csv:
+        _emit_debug_trace(cfg, const)
+    rows = []
+    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
+    try:
+        for snr_idx, snr_db in enumerate(cfg.snr_db):
+            pme_spec = None
+            if "gbcd-pme" in cfg.detectors:
+                pme_spec = _resolve_pme(cfg, float(snr_db))
+            runners = {
+                name: (lambda H, Y, N0, _n=name: _detect(_n, H, Y, N0, const,
+                                                         cfg, pme_spec))
+                for name in cfg.detectors
+            }
+            totals, trials = _run_point(cfg, const, code, snr_idx, runners, pool)
+            rows.extend(_rows_from_totals(cfg, float(snr_db), totals, trials,
+                                          "detector"))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    if cfg.out:
+        _write_csv(cfg.out, rows, SWEEP_COLUMNS)
+    return rows
+
+
+def _variant_runner(spec: dict, cfg: ExperimentConfig, const, pme_params):
+    mode = spec["mode"]
+
+    def run(H, Y, N0):
+        rho = beta = alpha = None
+        if mode == "pme":
+            rho, beta, alpha = pme_params[spec["source"]]
+        soft, _, _ = detector.gbcd_detect(H, Y, N0, 1.0, const, cfg.K,
+                                          mode=mode, rho=rho, beta=beta,
+                                          alpha=alpha, L=spec["L"],
+                                          sort=spec["sort"])
+        hard = hard_decision_indices(const, soft.v_final, soft.params.mu[:, None])
+        return soft.llrs, hard
+
+    return run
+
+
+def run_ablation(cfg: ExperimentConfig, variants=None):
+    """Incremental-technique comparison on identical per-trial data.
+
+    The PME variants need trained parameters for every sweep SNR (the
+    empirical pair comes from a coarse grid search run once per SNR).
+    """
+    const = make_constellation(cfg.Q)
+    code = _make_code(cfg, const)
+    chosen = variants or [v[0] for v in ABLATION_VARIANTS]
+    spec_map = dict(ABLATION_VARIANTS)
+    rows = []
+    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
+    try:
+        for snr_idx, snr_db in enumerate(cfg.snr_db):
+            pme_params = {}
+            if any(spec_map[v]["mode"] == "pme" for v in chosen):
+                pme_params = _ablation_pme_params(cfg, const, float(snr_db))
+            runners = {name: _variant_runner(spec_map[name], cfg, const,
+                                             pme_params)
+                       for name in chosen}
+            totals, trials = _run_point(cfg, const, code, snr_idx, runners, pool)
+            rows.extend(_rows_from_totals(cfg, float(snr_db), totals, trials,
+                                          "variant"))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    if cfg.out:
+        _write_csv(cfg.out, rows, ABLATE_COLUMNS)
+    return rows
+
+
+def _ablation_pme_params(cfg: ExperimentConfig, const, snr_db: float) -> dict:
+    out = {}
+    spec = _resolve_pme(cfg, snr_db)
+    if spec["mode"] != "pme":
+        raise unfolding.MissingParamsError(
+            "ablation needs trained parameters at every sweep SNR")
+    out["trained"] = (spec["rho"], spec["beta"], spec["alpha"])
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=cfg.seed, spawn_key=(0xAB1A7E, int(round(snr_db * 100)))))
+    batch = unfolding.make_batch(cfg.B, cfg.U, const, snr_db, cfg.condition,
+                                 200, rng)
+    alpha = float(np.median(batch.N0))
+    scale = const.scale
+    rho_grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) / scale
+    beta_grid = scale * np.array([0.6, 0.8, 1.0, 1.2, 1.5])
+    r, b = unfolding.grid_search_pme(batch, cfg.K, rho_grid, beta_grid, alpha)
+    out["empirical"] = (np.full(cfg.K, r), np.full(cfg.K, b), alpha)
+    return out

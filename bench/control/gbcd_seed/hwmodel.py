@@ -1,0 +1,311 @@
+"""Analytical hardware models: multiplication counts, timing, power, fixed point.
+
+Complexity is measured in real-valued multiplications (divisions count the
+same); see ``counting`` for the per-operation costs. The closed forms cover
+the block-size-2 detector datapath up to the unconstrained estimates; the
+soft-output unit is common to all detectors and excluded everywhere.
+
+Timing: one equalized vector leaves the pipeline every ``U`` clock cycles,
+and switching the shared processing-element array to preprocessing idles
+the equalizer for ``B + U`` cycles per coherence block. Both constants are
+exposed so the model generalizes beyond the 128 x 16 design point.
+
+The fixed-point mode re-runs detection with every named signal quantized to
+its hardware word length and all scalar reciprocals routed through a 64-segment
+piecewise-linear lookup.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import baselines, denoise, detector
+from .constellation import Constellation
+from .counting import MultCounter
+
+
+# ---------------------------------------------------------------------------
+# multiplication counts
+
+@dataclass
+class ComplexityReport:
+    algorithm: str
+    B: int
+    U: int
+    K: int | None
+    preprocessing_mults: int
+    per_transmission_mults: int
+
+    def total(self, T: int) -> int:
+        if T < 0:
+            raise ValueError("T must be >= 0")
+        return self.preprocessing_mults + T * self.per_transmission_mults
+
+
+def complexity_gbcd(B: int, U: int, K: int, T: int | None = None) -> ComplexityReport:
+    """Closed-form counts for the block-size-2 detector."""
+    pre = 2 * B * U * U + U * (2 * U + 2) + 3 * U
+    per = 4 * B * U + 8 * K * U + 4 * K * U * U
+    return ComplexityReport("gbcd", B, U, K, pre, per)
+
+
+def _random_instance(B: int, U: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    H = (rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))) / np.sqrt(2)
+    y = rng.standard_normal(B) + 1j * rng.standard_normal(B)
+    return H, y
+
+
+def complexity_lmmse(B: int, U: int, T: int | None = None) -> ComplexityReport:
+    """Preprocessing from the closed form; per-transmission cost measured by
+    instrumenting one matched filter plus forward/backward substitution."""
+    pre = 2 * B * U * U + (2 * U ** 3 - 2 * U) // 3
+    H, y = _random_instance(B, U)
+    from .constellation import make_constellation
+
+    const = make_constellation(4)
+    c_all = MultCounter()
+    baselines.lmmse_detect(H, y, 0.1, 1.0, const, counter=c_all)
+    c_pre = MultCounter()
+    baselines.lmmse_preprocess(H, 0.1, 1.0, counter=c_pre)
+    per = c_all.total - c_pre.total
+    return ComplexityReport("lmmse", B, U, None, pre, per)
+
+
+def complexity_ocd(B: int, U: int, K: int, T: int | None = None) -> ComplexityReport:
+    """Instrumented counts for one channel-domain detection task.
+
+    Every task works from (H, y) directly, so the column norms are part of
+    the per-transmission cost and the preprocessing intercept is zero.
+    """
+    from .constellation import make_constellation
+
+    H, y = _random_instance(B, U)
+    const = make_constellation(4)
+    c = MultCounter()
+    baselines.ocd_equalize(H, y, K, const, counter=c)
+    return ComplexityReport("ocd", B, U, K, 0, c.total)
+
+
+def measured_gbcd_counts(B: int, U: int, K: int, seed: int = 0):
+    """Instrumented (preprocessing, per-transmission) counts for one run."""
+    from .constellation import make_constellation
+
+    H, y = _random_instance(B, U, seed)
+    const = make_constellation(4)
+    c_pre = MultCounter()
+    pre = detector.preprocess(H, 0.1, 1.0, L=2, counter=c_pre)
+    c_eq = MultCounter()
+    y_mf = detector.matched_filter(H, y, c_eq)
+    detector.gbcd_equalize(pre, y_mf, K, denoise.box_denoiser(const), counter=c_eq)
+    return c_pre.total, c_eq.total
+
+
+# ---------------------------------------------------------------------------
+# timing and power
+
+def throughput(T: int, order: int, U: int = 16, f_clk: float = 887e6,
+               B: int = 128) -> float:
+    """Detector throughput in bits per second for T transmissions per block."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    cycles_per_vector = U
+    idle_cycles = B + U
+    return T / (cycles_per_vector * T + idle_cycles) * math.log2(order) * U * f_clk
+
+
+def throughput_asymptote(order: int, U: int = 16, f_clk: float = 887e6) -> float:
+    return math.log2(order) * U * f_clk / U
+
+
+def utilization(T: int, U: int = 16, B: int = 128) -> float:
+    """Fraction of cycles the equalizer is busy; T / (T + 9) at 128 x 16."""
+    if T < 0:
+        raise ValueError("T must be >= 0")
+    idle_vectors = (B + U) / U
+    return T / (T + idle_vectors)
+
+
+def fit_power(samples) -> tuple[float, float, float]:
+    """Fit P(T) = P_idle + utilization(T) * P_equ by linear least squares.
+
+    ``samples`` is a sequence of (T, watts). Returns (P_idle, P_equ, r_squared).
+    """
+    samples = list(samples)
+    if len(samples) < 2:
+        raise ValueError("need at least two samples")
+    t = np.array([s[0] for s in samples], dtype=np.float64)
+    p = np.array([s[1] for s in samples], dtype=np.float64)
+    if np.all(t == t[0]):
+        raise ValueError("need at least two distinct T values")
+    u = t / (t + 9.0)
+    X = np.column_stack([np.ones_like(u), u])
+    coef, *_ = np.linalg.lstsq(X, p, rcond=None)
+    resid = p - X @ coef
+    ss_res = float(np.sum(resid ** 2))
+    ss_tot = float(np.sum((p - p.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(coef[0]), float(coef[1]), r2
+
+
+# ---------------------------------------------------------------------------
+# fixed-point arithmetic
+
+@dataclass(frozen=True)
+class FxpFormat:
+    total_bits: int
+    frac_bits: int
+    signed: bool = True
+
+    @property
+    def lsb(self) -> float:
+        return 2.0 ** (-self.frac_bits)
+
+    @property
+    def max_value(self) -> float:
+        codes = 2 ** (self.total_bits - 1) - 1 if self.signed else 2 ** self.total_bits - 1
+        return codes * self.lsb
+
+    @property
+    def min_value(self) -> float:
+        return -(2 ** (self.total_bits - 1)) * self.lsb if self.signed else 0.0
+
+
+def quantize(x: np.ndarray, fmt: FxpFormat) -> np.ndarray:
+    """Round-to-nearest-even quantization with saturation; idempotent."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return quantize(x.real, fmt) + 1j * quantize(x.imag, fmt)
+    codes = np.rint(x / fmt.lsb)
+    lo = fmt.min_value / fmt.lsb
+    hi = fmt.max_value / fmt.lsb
+    return np.clip(codes, lo, hi) * fmt.lsb
+
+
+# Datapath word lengths of the modeled design; fraction bits frozen from
+# dynamic-range profiling at the 128 x 16 design point (QPSK..256-QAM, 0..25 dB)
+# (see profile_formats; 10^4 realizations per grid point, 99.99th percentile).
+DEFAULT_FORMATS = {
+    "h": FxpFormat(12, 9),
+    "y": FxpFormat(12, 6),
+    "g": FxpFormat(15, 6),
+    "ymf": FxpFormat(18, 8),
+    "z": FxpFormat(11, 9),
+    "llr": FxpFormat(18, 4),
+}
+
+_LUT_SEGMENTS = 64
+_LUT_X = 0.5 + np.arange(_LUT_SEGMENTS + 1) / (2.0 * _LUT_SEGMENTS)
+_LUT_Y = 1.0 / _LUT_X
+
+
+def lut_reciprocal(x):
+    """Piecewise-linear reciprocal: mantissa lookup over [0.5, 1) in 64
+    segments plus exponent handling. Sign is carried through."""
+    x = np.asarray(x, dtype=np.float64)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if np.any(x == 0.0):
+        raise ZeroDivisionError("reciprocal of zero")
+    sign = np.sign(x)
+    m, e = np.frexp(np.abs(x))
+    idx = np.minimum((2.0 * _LUT_SEGMENTS * (m - 0.5)).astype(np.int64),
+                     _LUT_SEGMENTS - 1)
+    x0 = _LUT_X[idx]
+    y0 = _LUT_Y[idx]
+    slope = (_LUT_Y[idx + 1] - y0) * (2.0 * _LUT_SEGMENTS)
+    rec_m = y0 + (m - x0) * slope
+    out = sign * np.ldexp(rec_m, -e)
+    return out[0] if scalar else out
+
+
+def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
+                       const: Constellation, K: int, *, mode: str = "box",
+                       rho=None, beta=None, alpha: float | None = None,
+                       L: int = 2, sort: bool = True,
+                       formats: dict = DEFAULT_FORMATS) -> denoise.SoftOutput:
+    """Detection with the modeled word lengths on H, y, G, y_mf, z, and the LLRs,
+    and lookup-based reciprocals in the SINR, inverse, and LLR stages."""
+    Hq = quantize(H, formats["h"])
+    yq = quantize(y, formats["y"])
+    G = quantize(detector.gram(Hq), formats["g"])
+    inv_sinr = detector.reciprocal_sinr(G, N0, Es, recip_fn=lut_reciprocal)
+    perm = detector.sort_ues(inv_sinr) if sort else np.arange(H.shape[1])
+    blocks = detector.make_blocks(perm, L)
+    regularized: list = []
+    kinv = detector.block_inverses(G, blocks, recip_fn=lut_reciprocal,
+                                   regularized=regularized)
+    pre = detector.PreprocOutput(G, inv_sinr, perm, blocks, kinv,
+                                 float(N0), float(Es), L, regularized)
+    y_mf = quantize(detector.matched_filter(Hq, yq), formats["ymf"])
+
+    if mode == "box":
+        base = denoise.box_denoiser(const)
+    elif mode == "pme":
+        base = denoise.pme_denoiser(const, rho, beta)
+    else:
+        raise ValueError(f"unknown denoiser mode {mode!r}")
+
+    zfmt = formats["z"]
+
+    class _QuantizedDenoiser:
+        def apply(self, v, k):
+            return quantize(base.apply(v, k), zfmt)
+
+    state = detector.gbcd_equalize(pre, y_mf, K, _QuantizedDenoiser())
+    if alpha is None:
+        alpha = N0 / Es
+    soft = denoise.compute_llrs(state.v_last, G, N0, Es, alpha, const,
+                                recip_fn=lut_reciprocal)
+    soft.llrs = quantize(soft.llrs, formats["llr"])
+    return soft
+
+
+# ---------------------------------------------------------------------------
+# dynamic-range profiling used to pick the fraction-bit splits
+
+def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
+                    snrs_db=(0.0, 10.0, 25.0), n: int = 10000,
+                    seed: int = 0, percentile: float = 99.99) -> dict:
+    """Record per-signal dynamic ranges and derive fraction-bit splits.
+
+    For each signal the integer bits cover the requested percentile of the
+    observed |real part| / |imaginary part| values; the remaining bits (one
+    reserved for the sign) are fractional.
+    """
+    from .channel import gen_channel, transmit
+    from .constellation import make_constellation
+
+    widths = {"h": 12, "y": 12, "g": 15, "ymf": 18, "z": 11, "llr": 18}
+    maxima = {k: [] for k in widths}
+    rng = np.random.default_rng(seed)
+    consts = {q: make_constellation(q) for q in orders}
+    grid = [(q, s) for q in orders for s in snrs_db]
+    per_point = max(1, n // len(grid))
+    for q, snr in grid:
+        const = consts[q]
+        for _ in range(per_point):
+            ch = gen_channel(B, U, "nonlos", rng)
+            batch = transmit(ch.H, const, 1, snr, rng)
+            pre = detector.preprocess(ch.H, batch.N0, 1.0)
+            y_mf = detector.matched_filter(ch.H, batch.Y)
+            state = detector.gbcd_equalize(pre, y_mf, 3, denoise.box_denoiser(const))
+            soft = denoise.compute_llrs(state.v_last, pre.G, batch.N0, 1.0,
+                                        batch.N0, const)
+            for key, arr in (("h", ch.H), ("y", batch.Y), ("g", pre.G),
+                             ("ymf", y_mf), ("z", state.z), ("llr", soft.llrs)):
+                a = np.asarray(arr)
+                vals = np.abs(a.real).max() if not np.iscomplexobj(a) else \
+                    max(np.abs(a.real).max(), np.abs(a.imag).max())
+                maxima[key].append(float(vals))
+    out = {}
+    for key, vals in maxima.items():
+        level = float(np.percentile(vals, percentile))
+        int_bits = max(0, math.ceil(math.log2(level + 1e-12)))
+        frac = widths[key] - 1 - int_bits
+        out[key] = {"percentile_level": level, "int_bits": int_bits,
+                    "format": FxpFormat(widths[key], frac)}
+    return out

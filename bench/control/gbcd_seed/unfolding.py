@@ -1,0 +1,550 @@
+"""Deep-unfolding trainer for the piecewise posterior-mean detector.
+
+The K outer iterations are unrolled into a differentiable computation with
+2K + 1 scalar parameters: a slope and a half-spacing per iteration plus the
+soft-output normalizer. Training minimizes the bitwise binary cross-entropy
+of the detector's soft outputs with Adam; the gradient is an analytic
+reverse-mode pass through the unrolled updates (clipped ramps carry
+subgradient zero outside and at their kinks, the max-log minima
+differentiate through the argmin branch).
+
+Positivity is enforced by reparameterization: slopes and spacings live in
+the log domain, the normalizer in the softplus domain.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import detector
+from .channel import gen_channel, transmit
+from .constellation import Constellation, make_constellation
+from .denoise import XI_FLOOR_FACTOR
+
+LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
+
+
+class MissingParamsError(KeyError):
+    """No trained parameters stored for the requested scenario."""
+
+
+class TrainingDiverged(RuntimeError):
+    pass
+
+
+@dataclass
+class TrainedParams:
+    rho: np.ndarray          # (K,) positive slopes
+    beta: np.ndarray         # (K,) positive half-spacings
+    alpha: float             # soft-output normalizer, >= 0
+    scenario: dict           # B, U, K, Q, condition, snr_db
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def K(self) -> int:
+        return int(self.rho.size)
+
+    @property
+    def n_params(self) -> int:
+        return 2 * self.K + 1
+
+    def to_record(self) -> dict:
+        return {"scenario": self.scenario,
+                "rho": [float(x) for x in self.rho],
+                "beta": [float(x) for x in self.beta],
+                "alpha": float(self.alpha),
+                "meta": self.meta}
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "TrainedParams":
+        return cls(np.asarray(rec["rho"], dtype=np.float64),
+                   np.asarray(rec["beta"], dtype=np.float64),
+                   float(rec["alpha"]), dict(rec["scenario"]),
+                   dict(rec.get("meta", {})))
+
+
+@dataclass
+class TrainBatch:
+    """Per-sample channels and transmissions plus cached preprocessing."""
+
+    const: Constellation
+    bits: np.ndarray         # (N, U, log2 Q)
+    sym_idx: np.ndarray      # (N, U)
+    G: np.ndarray            # (N, U, U)
+    diag: np.ndarray         # (N, U)
+    y_mf: np.ndarray         # (N, U)
+    blocks: np.ndarray       # (N, M, L)
+    kinv: np.ndarray         # (N, M, L, L)
+    N0: np.ndarray           # (N,)
+
+    @property
+    def n(self) -> int:
+        return self.bits.shape[0]
+
+
+def make_batch(B: int, U: int, const: Constellation, snr_db: float,
+               condition: str, n: int, rng: np.random.Generator, *,
+               L: int = 2, sort: bool = True) -> TrainBatch:
+    """Generate n samples, each with its own channel, symbols, and noise."""
+    M = U // L
+    bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
+    sym_idx = np.empty((n, U), dtype=np.int64)
+    G = np.empty((n, U, U), dtype=np.complex128)
+    y_mf = np.empty((n, U), dtype=np.complex128)
+    blocks = np.empty((n, M, L), dtype=np.int64)
+    kinv = np.empty((n, M, L, L), dtype=np.complex128)
+    N0 = np.empty(n)
+    for i in range(n):
+        ch = gen_channel(B, U, condition, rng)
+        batch = transmit(ch.H, const, 1, snr_db, rng)
+        pre = detector.preprocess(ch.H, batch.N0, 1.0, L=L, sort=sort)
+        bits[i] = batch.bits[:, 0, :]
+        sym_idx[i] = batch.symbol_indices[:, 0]
+        G[i] = pre.G
+        y_mf[i] = detector.matched_filter(ch.H, batch.Y[:, 0])
+        blocks[i] = pre.blocks
+        kinv[i] = pre.kinv
+        N0[i] = batch.N0
+    return TrainBatch(const, bits, sym_idx, G, np.ascontiguousarray(G.diagonal(0, 1, 2).real),
+                      y_mf, blocks, kinv, N0)
+
+
+# ---------------------------------------------------------------------------
+# unrolled forward / backward
+
+def _plm_forward(x: np.ndarray, rho: float, beta: float, offsets: np.ndarray):
+    """Clipped-ramp sum per axis; returns the raw value and the reductions
+    needed for the backward pass (active count, active-argument sum,
+    active-offset-derivative sum)."""
+    arg = x[..., None] + 2.0 * beta * offsets
+    pre = rho * arg
+    active = np.abs(pre) < 1.0
+    out = np.clip(pre, -1.0, 1.0).sum(axis=-1)
+    cnt = active.sum(axis=-1).astype(np.float64)
+    svb = np.where(active, arg, 0.0).sum(axis=-1)
+    s2t = np.where(active, 2.0 * offsets, 0.0).sum(axis=-1)
+    return out, cnt, svb, s2t
+
+
+def _axis_min(x: np.ndarray, mu: np.ndarray, pam_subset: np.ndarray):
+    """Min squared distance to the gain-scaled subset, with the residual and
+    subset value at the argmin."""
+    diff = x[..., None] - mu[..., None] * pam_subset
+    d2 = diff ** 2
+    idx = np.argmin(d2, axis=-1)
+    dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
+    e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
+    a = pam_subset[idx]
+    gap = np.partition(d2, 1, axis=-1)[..., 1] - dmin if pam_subset.size > 1 \
+        else np.full_like(dmin, np.inf)
+    return dmin, e, a, gap
+
+
+def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
+                      batch: TrainBatch, K: int, want_cache: bool):
+    const = batch.const
+    n, U = batch.y_mf.shape
+    M, L = batch.blocks.shape[1:]
+    gamma = const.n_pam // 2 - 1
+    offsets = np.arange(-gamma, gamma + 1, dtype=np.float64)
+    scale = const.scale
+
+    z = np.zeros((n, U), dtype=np.complex128)
+    r = batch.y_mf.copy()
+    v_final = np.empty((n, U), dtype=np.complex128)
+    steps = []
+    for k in range(K):
+        for m in range(M):
+            A = batch.blocks[:, m]
+            rA = np.take_along_axis(r, A, axis=1)
+            zA = np.take_along_axis(z, A, axis=1)
+            v = np.einsum("nij,nj->ni", batch.kinv[:, m], rA) + zA
+            if k == K - 1:
+                np.put_along_axis(v_final, A, v, axis=1)
+            raw_re, cnt_re, svb_re, s2t_re = _plm_forward(v.real, rho[k], beta[k], offsets)
+            raw_im, cnt_im, svb_im, s2t_im = _plm_forward(v.imag, rho[k], beta[k], offsets)
+            zn = scale * (raw_re + 1j * raw_im)
+            dz = zn - zA
+            np.put_along_axis(z, A, zn, axis=1)
+            Gcols = np.take_along_axis(batch.G, A[:, None, :], axis=2)
+            r = r - np.einsum("nul,nl->nu", Gcols, dz)
+            if want_cache:
+                steps.append((A, Gcols, v, cnt_re, svb_re, s2t_re,
+                              cnt_im, svb_im, s2t_im))
+
+    # soft-output stage (unit symbol energy throughout the package)
+    diag = batch.diag
+    denom = diag + alpha
+    mu = diag / denom
+    xi_raw = (1.0 - mu) * mu
+    floor = XI_FLOOR_FACTOR
+    floored = xi_raw < floor
+    xi = np.maximum(xi_raw, floor)
+    inv_xi = 1.0 / xi
+
+    x = v_final.real
+    yim = v_final.imag
+    metrics, mins = [], []
+    for axis_vals in (x, yim):
+        for j in range(const.axis_bits):
+            pam0, pam1 = const.pam_bit_values(j)
+            d0, e0, a0, gap0 = _axis_min(axis_vals, mu, pam0)
+            d1, e1, a1, gap1 = _axis_min(axis_vals, mu, pam1)
+            metrics.append(d0 - d1)
+            mins.append((e0, a0, e1, a1, np.minimum(gap0, gap1)))
+    metric = np.stack(metrics, axis=-1)          # (n, U, m) [re bits, im bits]
+    llr = metric * inv_xi[..., None]
+
+    X = batch.bits.astype(np.float64)
+    sgn = 1.0 - 2.0 * X                          # +1 for bit 0, -1 for bit 1
+    terms = np.logaddexp(0.0, sgn * llr)
+    capped = terms > LOSS_CAP
+    terms = np.minimum(terms, LOSS_CAP)
+    loss = float(terms.sum(axis=(1, 2)).mean())
+
+    cache = None
+    if want_cache:
+        cache = {"steps": steps, "v_final": v_final, "mu": mu, "xi": xi,
+                 "floored": floored, "denom": denom, "llr": llr,
+                 "metric": metric, "mins": mins, "capped": capped, "X": X,
+                 "offsets": offsets, "inv_xi": inv_xi}
+    return loss, cache
+
+
+def _params_arrays(params) -> tuple[np.ndarray, np.ndarray, float]:
+    if isinstance(params, TrainedParams):
+        return params.rho, params.beta, params.alpha
+    return (np.asarray(params["rho"], dtype=np.float64),
+            np.asarray(params["beta"], dtype=np.float64),
+            float(params["alpha"]))
+
+
+def forward_loss(params, batch: TrainBatch, K: int) -> float:
+    """Mean over the batch of the per-transmission bitwise BCE."""
+    rho, beta, alpha = _params_arrays(params)
+    if rho.size != K:
+        raise ValueError(f"need {K} slope parameters, got {rho.size}")
+    if batch.n == 0:
+        raise ValueError("empty batch")
+    loss, _ = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=False)
+    return loss
+
+
+def grad(params, batch: TrainBatch, K: int):
+    """Analytic gradient of forward_loss in the natural (rho, beta, alpha)
+    coordinates. Returns (loss, {"rho": (K,), "beta": (K,), "alpha": float})."""
+    rho, beta, alpha = _params_arrays(params)
+    const = batch.const
+    loss, c = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=True)
+    n, U = batch.y_mf.shape
+    M = batch.blocks.shape[1]
+    scale = const.scale
+
+    # loss stage: d loss / d llr = (P - X) / n, zero where the cap is active
+    P = 0.5 * (1.0 + np.tanh(0.5 * c["llr"]))
+    gllr = np.where(c["capped"], 0.0, P - c["X"]) / n
+
+    inv_xi = c["inv_xi"]
+    gmetric = gllr * inv_xi[..., None]
+    gxi = -(gllr * c["llr"]).sum(axis=-1) * inv_xi
+
+    m_axis = const.axis_bits
+    gx = np.zeros((n, U))
+    gy = np.zeros((n, U))
+    gmu = np.zeros((n, U))
+    for b, (e0, a0, e1, a1, _) in enumerate(c["mins"]):
+        gm = gmetric[..., b]
+        target = gx if b < m_axis else gy
+        target += gm * 2.0 * (e0 - e1)
+        gmu += gm * 2.0 * (a1 * e1 - a0 * e0)
+    mu, xi, floored = c["mu"], c["xi"], c["floored"]
+    dxi_dmu = np.where(floored, 0.0, 1.0 - 2.0 * mu)
+    gmu += gxi * dxi_dmu
+    dmu_dalpha = -mu / c["denom"]
+    galpha = float((gmu * dmu_dalpha).sum())
+    gv_final = gx + 1j * gy
+
+    gz = np.zeros((n, U), dtype=np.complex128)
+    gr = np.zeros((n, U), dtype=np.complex128)
+    grho = np.zeros(K)
+    gbeta = np.zeros(K)
+    step_iter = reversed(c["steps"])
+    for k in range(K - 1, -1, -1):
+        for m in range(M - 1, -1, -1):
+            (A, Gcols, v, cnt_re, svb_re, s2t_re,
+             cnt_im, svb_im, s2t_im) = next(step_iter)
+            gdz = -np.einsum("nul,nu->nl", Gcols.conj(), gr)
+            gzn = np.take_along_axis(gz, A, axis=1) + gdz
+            gre = gzn.real
+            gim = gzn.imag
+            grho[k] += scale * float((svb_re * gre + svb_im * gim).sum())
+            gbeta[k] += scale * rho[k] * float((s2t_re * gre + s2t_im * gim).sum())
+            gv = scale * rho[k] * (cnt_re * gre + 1j * cnt_im * gim)
+            if k == K - 1:
+                gv = gv + np.take_along_axis(gv_final, A, axis=1)
+            gzA_old = -gdz + gv
+            np.put_along_axis(gz, A, gzA_old, axis=1)
+            grA = np.einsum("nji,nj->ni", batch.kinv[:, m].conj(), gv)
+            cur = np.take_along_axis(gr, A, axis=1)
+            np.put_along_axis(gr, A, cur + grA, axis=1)
+
+    return loss, {"rho": grho, "beta": gbeta, "alpha": galpha}
+
+
+def forward_diagnostics(params, batch: TrainBatch, K: int) -> dict:
+    """Distances to the nearest nondifferentiable point, used to pick
+    smooth-region evaluations for finite-difference checks.
+
+    Capped loss terms themselves are differentiation-consistent (both sides
+    see zero); only terms sitting close to the cap boundary can flip under a
+    finite-difference step, so the distance to the cap is what matters.
+    """
+    rho, beta, alpha = _params_arrays(params)
+    const = batch.const
+    _, c = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=True)
+    gamma = const.n_pam // 2 - 1
+    offsets = np.arange(-gamma, gamma + 1, dtype=np.float64)
+    kink = np.inf
+    for k in range(K):
+        for m in range(batch.blocks.shape[1]):
+            step = c["steps"][k * batch.blocks.shape[1] + m]
+            v = step[2]
+            for ax in (v.real, v.imag):
+                pre = rho[k] * (ax[..., None] + 2.0 * beta[k] * offsets)
+                kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
+    argmin_gap = min(float(np.min(g)) for *_, g in c["mins"])
+    sgn = 1.0 - 2.0 * c["X"]
+    cap_distance = float(np.min(np.abs(sgn * c["llr"] - LOSS_CAP)))
+    return {"min_kink_distance": kink,
+            "min_argmin_gap": argmin_gap,
+            "min_cap_distance": cap_distance,
+            "n_floored": int(c["floored"].sum())}
+
+
+# ---------------------------------------------------------------------------
+# training
+
+@dataclass
+class TrainConfig:
+    n_train: int = 2000
+    n_val: int = 2000
+    batch_size: int = 100
+    lr: float = 1e-2
+    max_epochs: int = 150
+    patience: int = 10           # early-stopping window on the validation loss
+    lr_decay_patience: int = 5
+    lr_decay: float = 0.5
+    seed: int = 0
+    L: int = 2
+    init_rho: float | None = None    # defaults to 1/init_beta, which makes the
+                                     # initial denoiser identical to the box
+    init_beta: float | None = None   # defaults to the constellation scale
+    init_alpha: float | None = None  # defaults to the median N0/Es of the set
+
+
+class _Adam:
+    def __init__(self, n: int, lr: float, b1: float = 0.9, b2: float = 0.999,
+                 eps: float = 1e-8):
+        self.lr = lr
+        self.b1, self.b2, self.eps = b1, b2, eps
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self.t = 0
+
+    def step(self, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+        self.t += 1
+        self.m = self.b1 * self.m + (1 - self.b1) * g
+        self.v = self.b2 * self.v + (1 - self.b2) * g * g
+        mh = self.m / (1 - self.b1 ** self.t)
+        vh = self.v / (1 - self.b2 ** self.t)
+        return theta - self.lr * mh / (np.sqrt(vh) + self.eps)
+
+
+def _softplus(x: float) -> float:
+    return float(np.logaddexp(0.0, x))
+
+
+def _softplus_inv(y: float) -> float:
+    if y <= 0:
+        raise ValueError("softplus inverse needs a positive argument")
+    return float(y + np.log(-np.expm1(-y))) if y > 1e-10 else float(np.log(np.expm1(y)))
+
+
+def _theta_to_params(theta: np.ndarray, K: int):
+    rho = np.exp(theta[:K])
+    beta = np.exp(theta[K:2 * K])
+    alpha = _softplus(theta[2 * K])
+    return rho, beta, alpha
+
+
+def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
+    """Train (rho, beta, alpha) for one scenario by unrolled gradient descent.
+
+    ``scenario`` needs fields B, U, Q, snr_db, condition. Training and
+    validation sets come from disjoint seed streams. Adam runs on
+    mini-batches; the learning rate halves after ``lr_decay_patience``
+    epochs without validation improvement and training stops after
+    ``patience`` such epochs, returning the best parameters seen.
+    """
+    snr = float(scenario.snr_db)
+    if not (0.0 <= snr <= 25.0):
+        raise ValueError("training SNR must lie in [0, 25] dB; outside this "
+                         "range the store falls back (high) or uses the box "
+                         "denoiser (low)")
+    const = make_constellation(scenario.Q)
+    ss = np.random.SeedSequence(config.seed)
+    s_train, s_val, s_shuffle = ss.spawn(3)
+    train_set = make_batch(scenario.B, scenario.U, const, snr,
+                           scenario.condition, config.n_train,
+                           np.random.default_rng(s_train), L=config.L)
+    val_set = make_batch(scenario.B, scenario.U, const, snr,
+                         scenario.condition, config.n_val,
+                         np.random.default_rng(s_val), L=config.L)
+
+    init_beta = config.init_beta if config.init_beta is not None else const.scale
+    init_rho = config.init_rho if config.init_rho is not None else 1.0 / init_beta
+    init_alpha = config.init_alpha if config.init_alpha is not None \
+        else float(np.median(train_set.N0))
+    theta = np.concatenate([
+        np.full(K, math.log(init_rho)),
+        np.full(K, math.log(init_beta)),
+        [_softplus_inv(max(init_alpha, 1e-8))],
+    ])
+    adam = _Adam(theta.size, config.lr)
+    shuffle_rng = np.random.default_rng(s_shuffle)
+
+    def val_loss(th):
+        rho, beta, alpha = _theta_to_params(th, K)
+        return forward_loss({"rho": rho, "beta": beta, "alpha": alpha}, val_set, K)
+
+    best_loss = val_loss(theta)
+    best_theta = theta.copy()
+    best_epoch = 0
+    stall = 0
+    lr_stall = 0
+    history = [best_loss]
+    n = train_set.n
+    for epoch in range(1, config.max_epochs + 1):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            mb = TrainBatch(const, train_set.bits[idx], train_set.sym_idx[idx],
+                            train_set.G[idx], train_set.diag[idx],
+                            train_set.y_mf[idx], train_set.blocks[idx],
+                            train_set.kinv[idx], train_set.N0[idx])
+            rho, beta, alpha = _theta_to_params(theta, K)
+            loss, g = grad({"rho": rho, "beta": beta, "alpha": alpha}, mb, K)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
+            # chain rule through the positivity reparameterization
+            g_theta = np.concatenate([
+                g["rho"] * rho,
+                g["beta"] * beta,
+                [g["alpha"] * (1.0 / (1.0 + math.exp(-theta[2 * K])))],
+            ])
+            theta = adam.step(theta, g_theta)
+        vl = val_loss(theta)
+        history.append(vl)
+        if vl < best_loss:
+            best_loss = vl
+            best_theta = theta.copy()
+            best_epoch = epoch
+            stall = 0
+            lr_stall = 0
+        else:
+            stall += 1
+            lr_stall += 1
+            if lr_stall >= config.lr_decay_patience:
+                adam.lr *= config.lr_decay
+                lr_stall = 0
+            if stall >= config.patience:
+                break
+    rho, beta, alpha = _theta_to_params(best_theta, K)
+    meta = {"epochs_run": len(history) - 1, "best_epoch": best_epoch,
+            "final_val_loss": best_loss, "seed": config.seed,
+            "val_history": [float(v) for v in history]}
+    scen = {"B": scenario.B, "U": scenario.U, "K": K, "Q": scenario.Q,
+            "condition": scenario.condition, "snr_db": snr}
+    return TrainedParams(rho, beta, float(alpha), scen, meta)
+
+
+def grid_search_pme(batch: TrainBatch, K: int, rho_grid, beta_grid,
+                    alpha: float) -> tuple[float, float]:
+    """Empirical tuning: one (rho, beta) pair shared by all iterations,
+    selected by exhaustive search on the batch loss."""
+    best = (None, None, np.inf)
+    for r in rho_grid:
+        for b in beta_grid:
+            params = {"rho": np.full(K, r), "beta": np.full(K, b), "alpha": alpha}
+            loss = forward_loss(params, batch, K)
+            if loss < best[2]:
+                best = (float(r), float(b), loss)
+    return best[0], best[1]
+
+
+# ---------------------------------------------------------------------------
+# parameter store
+
+@dataclass
+class LookupResult:
+    mode: str                       # "pme" | "box"
+    params: TrainedParams | None
+    fallback: str | None            # None when the match is exact
+
+
+class ParamStore:
+    """Per-scenario parameter records behind a human-readable JSON file."""
+
+    def __init__(self, records: list[TrainedParams] | None = None):
+        self.records = list(records or [])
+
+    @staticmethod
+    def _key(scen: dict) -> tuple:
+        return (scen["B"], scen["U"], scen["K"], scen["Q"], scen["condition"])
+
+    def add(self, params: TrainedParams) -> None:
+        full = self._key(params.scenario) + (params.scenario["snr_db"],)
+        self.records = [r for r in self.records
+                        if self._key(r.scenario) + (r.scenario["snr_db"],) != full]
+        self.records.append(params)
+
+    def save(self, path) -> None:
+        payload = {"records": sorted((r.to_record() for r in self.records),
+                                     key=lambda d: json.dumps(d["scenario"],
+                                                              sort_keys=True))}
+        with open(path, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+
+    @classmethod
+    def load(cls, path) -> "ParamStore":
+        with open(path) as f:
+            payload = json.load(f)
+        return cls([TrainedParams.from_record(r) for r in payload["records"]])
+
+    def lookup(self, B: int, U: int, K: int, Q: int, condition: str,
+               snr_db: float) -> LookupResult:
+        """Resolve parameters for a scenario.
+
+        Below 0 dB the box denoiser is mandated; above 25 dB the highest
+        trained SNR is reused; otherwise the nearest trained SNR is used,
+        flagged unless exact. Raises MissingParamsError when no record
+        matches (B, U, K, Q, condition).
+        """
+        if snr_db < 0.0:
+            return LookupResult("box", None, "snr-below-training-range")
+        key = (B, U, K, Q, condition)
+        cands = [r for r in self.records if self._key(r.scenario) == key]
+        if not cands:
+            raise MissingParamsError(f"no trained parameters for {key}")
+        snrs = np.array([r.scenario["snr_db"] for r in cands])
+        if snr_db > 25.0:
+            idx = int(np.argmax(snrs))
+            return LookupResult("pme", cands[idx], "snr-above-training-range")
+        idx = int(np.argmin(np.abs(snrs - snr_db)))
+        fallback = None if snrs[idx] == snr_db else "nearest-trained-snr"
+        return LookupResult("pme", cands[idx], fallback)
