@@ -55,12 +55,18 @@ class Constellation:
         """Half-width of the clipping box enclosing the alphabet."""
         return float(self.pam_points[-1])
 
-    def pam_bit_values(self, axis_bit: int) -> tuple[np.ndarray, np.ndarray]:
-        """PAM levels whose Gray label has the given axis bit equal to 0 / 1."""
+    def pam_bit_indices(self, axis_bit: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices into pam_points whose Gray label has the given axis bit
+        equal to 0 / 1."""
         g = _gray(self.n_pam)
         shift = self.axis_bits - 1 - axis_bit
         mask = (g >> shift) & 1
-        return self.pam_points[mask == 0], self.pam_points[mask == 1]
+        return np.flatnonzero(mask == 0), np.flatnonzero(mask == 1)
+
+    def pam_bit_values(self, axis_bit: int) -> tuple[np.ndarray, np.ndarray]:
+        """PAM levels whose Gray label has the given axis bit equal to 0 / 1."""
+        i0, i1 = self.pam_bit_indices(axis_bit)
+        return self.pam_points[i0], self.pam_points[i1]
 
 
 def make_constellation(order: int) -> Constellation:

@@ -290,14 +290,18 @@ class SoftOutput:
 
 
 def _axis_llrs(x: np.ndarray, mu: np.ndarray, const: Constellation):
-    """Per-axis bit metrics for every axis bit; x is (U,) or (U, T)."""
-    out = []
+    """Per-axis bit metrics for every axis bit; x is (U,) or (U, T).
+
+    The (..., sqrt Q) distances to the gain-scaled PAM levels are computed
+    once; each bit takes its two minima over the column subsets of its
+    Gray labels.
+    """
     mu_b = mu if x.ndim == 1 else mu[:, None]
+    dist = (x[..., None] - mu_b[..., None] * const.pam_points) ** 2
+    out = []
     for j in range(const.axis_bits):
-        pam0, pam1 = const.pam_bit_values(j)
-        d0 = np.min((x[..., None] - mu_b[..., None] * pam0) ** 2, axis=-1)
-        d1 = np.min((x[..., None] - mu_b[..., None] * pam1) ** 2, axis=-1)
-        out.append(d0 - d1)
+        i0, i1 = const.pam_bit_indices(j)
+        out.append(dist[..., i0].min(axis=-1) - dist[..., i1].min(axis=-1))
     return out
 
 

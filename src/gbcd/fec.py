@@ -21,6 +21,7 @@ import numpy as np
 GENERATORS = (0o133, 0o171)
 CONSTRAINT_LENGTH = 7
 _N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
+_HALF = _N_STATES // 2
 _TAIL = CONSTRAINT_LENGTH - 1
 
 # keep-masks over one puncturing period, per output stream
@@ -133,50 +134,77 @@ def deinterleave_llrs(llrs: np.ndarray, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trellis tables
 
-def _trellis():
-    """Predecessor-oriented trellis: for each next state its two predecessor
-    states, the common input bit, and the +/-1 signs of both output bits."""
-    states = np.arange(_N_STATES)
-    prev = np.empty((_N_STATES, 2), dtype=np.int64)
-    prev_bit = states >> (CONSTRAINT_LENGTH - 2)
-    prev[:, 0] = (states & (_N_STATES // 2 - 1)) * 2
-    prev[:, 1] = prev[:, 0] + 1
-    sgn = np.empty((2, _N_STATES, 2), dtype=np.float64)
+def _butterfly_signs():
+    """(32, 1) signs SA, SB of butterfly k's branch metric l0*SA + l1*SB.
+
+    The transition into next state ns from predecessor 2*(ns % 32) + j has
+    input bit ns >> 5. Both generators must tap the newest and the oldest
+    register bit, so that flipping either one negates both outputs; then the
+    butterfly of predecessors 2k, 2k+1 and successors k, k+32 needs a single
+    branch metric.
+    """
+    ns = np.arange(_N_STATES)
+    sgn = np.empty((2, _N_STATES, 2))     # (generator, next state, j)
     for j in range(2):
-        s = prev[:, j]
-        w = (prev_bit << (CONSTRAINT_LENGTH - 1)) | s
+        w = ((ns >> (CONSTRAINT_LENGTH - 2)) << (CONSTRAINT_LENGTH - 1)) \
+            | ((ns & (_HALF - 1)) * 2 + j)
         for i, gen in enumerate(GENERATORS):
             bits = np.array([bin(int(x) & gen).count("1") & 1 for x in w])
             sgn[i, :, j] = 2.0 * bits - 1.0
-    return prev, prev_bit, sgn
+    if not (np.array_equal(sgn[:, :, 1], -sgn[:, :, 0])
+            and np.array_equal(sgn[:, _HALF:, 0], -sgn[:, :_HALF, 0])):
+        raise ValueError(f"generators {tuple(map(oct, GENERATORS))} do not tap "
+                         "both the newest and the oldest register bit; the "
+                         "butterfly Viterbi decoder needs both")
+    return sgn[0, :_HALF, 0, None], sgn[1, :_HALF, 0, None]
 
 
-_PREV, _PREV_BIT, _SGN = _trellis()
+_SA, _SB = _butterfly_signs()
+_CHUNK = 8                       # trellis steps per branch-metric/decision chunk
 
 
 def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
     """Max-log Viterbi over (n_blocks, n_steps, 2) LLR pairs; zero-state
-    start and end (terminated blocks). Returns decoded inputs (n_blocks, n_steps)."""
+    start and end (terminated blocks). Returns decoded inputs (n_blocks, n_steps).
+
+    Radix-2 butterflies over metrics laid out (state, block). Butterfly k has
+    the branch metric bm = l0*SA[k] + l1*SB[k]; its successors take
+    new[k] = max(m[2k] + bm, m[2k+1] - bm) and
+    new[k+32] = max(m[2k] - bm, m[2k+1] + bm), choosing 2k+1 only when its
+    candidate is strictly larger. Negating +/-1 signs is exact, so every
+    survivor equals that of a per-state argmax over both predecessors.
+    Decisions are packed to one 64-bit word per step and block, and the
+    traceback steps back with state = 2*(state % 32) + decision bit.
+    """
     nb, n_steps, _ = llr_pairs.shape
-    metric = np.full((nb, _N_STATES), -1e30)
-    metric[:, 0] = 0.0
-    choice = np.empty((nb, n_steps, _N_STATES), dtype=np.uint8)
-    s0 = _SGN[0]
-    s1 = _SGN[1]
-    for t in range(n_steps):
-        bm = (llr_pairs[:, t, 0, None, None] * s0
-              + llr_pairs[:, t, 1, None, None] * s1)
-        cand = metric[:, _PREV] + bm
-        best = cand.argmax(axis=2)
-        choice[:, t] = best
-        metric = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
+    metric = np.full((_N_STATES, nb), -1e30)
+    metric[0] = 0.0
+    pairs = metric.reshape(_HALF, 2, nb)      # predecessors 2k, 2k+1
+    new = metric.reshape(2, _HALF, nb)        # successors k, k+32
+    cand = np.empty((2, _HALF, 2, nb))
+    pm = np.empty((_CHUNK, _HALF, 2, nb))     # (+bm, -bm) per butterfly
+    dec = np.empty((_CHUNK, _N_STATES, nb), dtype=bool)
+    words = np.empty((n_steps, nb), dtype="<u8")
+    l0 = llr_pairs[:, :, 0].T
+    l1 = llr_pairs[:, :, 1].T
+    for t0 in range(0, n_steps, _CHUNK):
+        n = min(_CHUNK, n_steps - t0)
+        bm = l0[t0:t0 + n, None] * _SA + l1[t0:t0 + n, None] * _SB
+        pm[:n, :, 0] = bm
+        np.negative(bm, out=pm[:n, :, 1])
+        for i in range(n):
+            np.add(pairs, pm[i], out=cand[0])
+            np.subtract(pairs, pm[i], out=cand[1])
+            np.greater(cand[:, :, 1], cand[:, :, 0], out=dec[i].reshape(2, _HALF, nb))
+            np.maximum(cand[:, :, 0], cand[:, :, 1], out=new)
+        packed = np.packbits(dec[:n].transpose(0, 2, 1), axis=-1, bitorder="little")
+        words[t0:t0 + n] = np.ascontiguousarray(packed).view("<u8")[..., 0]
     decoded = np.empty((nb, n_steps), dtype=np.uint8)
-    state = np.zeros(nb, dtype=np.int64)
-    rows = np.arange(nb)
+    state = np.zeros(nb, dtype=np.uint64)
+    one, low, shift = np.uint64(1), np.uint64(_HALF - 1), np.uint64(CONSTRAINT_LENGTH - 2)
     for t in range(n_steps - 1, -1, -1):
-        decoded[:, t] = _PREV_BIT[state]
-        j = choice[rows, t, state]
-        state = _PREV[state, j]
+        decoded[:, t] = state >> shift
+        state = ((state & low) << one) | ((words[t] >> state) & one)
     return decoded
 
 
@@ -185,6 +213,7 @@ def decode_batch(llrs: np.ndarray, cfg: CodeConfig,
     """Soft-decode a batch of blocks, (n_blocks, n_coded) LLRs.
 
     Returns (payload bits, block_ok); block_ok is None without ground truth.
+    ``truth`` must hold one payload row per block.
     """
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     full = depuncture(llrs, cfg)
@@ -193,7 +222,10 @@ def decode_batch(llrs: np.ndarray, cfg: CodeConfig,
     payload = u[:, :cfg.payload_bits]
     ok = None
     if truth is not None:
-        truth = np.atleast_2d(np.asarray(truth, dtype=np.uint8))
+        truth = np.asarray(truth, dtype=np.uint8)
+        if truth.shape != payload.shape:
+            raise ValueError(f"truth shape {truth.shape} != decoded payload "
+                             f"shape {payload.shape}")
         ok = np.all(payload == truth, axis=1)
     return payload, ok
 

@@ -207,22 +207,30 @@ def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
         digest.update(Y.tobytes())
     data_hash = digest.hexdigest()[:16]
 
-    out = {}
-    for name, runner in runners.items():
+    # every runner's U codeword streams, decoded in one batch below
+    sym_errors = {}
+    if code is not None:
+        streams = np.empty((len(runners), cfg.U, code.n_coded))
+    for r, (name, runner) in enumerate(runners.items()):
         parts = [runner(H, Y, N0) for H, Y, N0 in groups]
-        llrs = np.concatenate([p[0] for p in parts], axis=2)
         hard = np.concatenate([p[1] for p in parts], axis=1)
-        sym_errors = int(np.sum(hard != idx))
-        if code is None:
-            block_errors, blocks = 0, 0
-        else:
-            streams = np.transpose(llrs, (0, 2, 1)).reshape(cfg.U, -1)
-            dellrs = fec.deinterleave_llrs(streams, code.interleaver_seed)
-            _, ok = fec.decode_batch(dellrs, code, payload)
-            block_errors = int(np.sum(~ok))
-            blocks = cfg.U
-        out[name] = (block_errors, blocks, sym_errors, cfg.U * cfg.T, data_hash)
-    return out
+        sym_errors[name] = int(np.sum(hard != idx))
+        if code is not None:
+            llrs = np.concatenate([p[0] for p in parts], axis=2)
+            streams[r].reshape(cfg.U, cfg.T, m)[...] = np.transpose(llrs, (0, 2, 1))
+
+    block_errors, blocks = dict.fromkeys(runners, 0), 0
+    if code is not None:
+        dellrs = fec.deinterleave_llrs(streams.reshape(-1, code.n_coded),
+                                       code.interleaver_seed)
+        _, ok = fec.decode_batch(dellrs, code,
+                                 np.tile(payload, (len(runners), 1)))
+        errors = np.sum(~ok.reshape(len(runners), cfg.U), axis=1)
+        block_errors = dict(zip(runners, errors.tolist()))
+        blocks = cfg.U
+    return {name: (block_errors[name], blocks, sym_errors[name],
+                   cfg.U * cfg.T, data_hash)
+            for name in runners}
 
 
 def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,

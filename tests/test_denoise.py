@@ -247,6 +247,33 @@ def test_llr_zero_at_equidistant_point(qam16):
     assert abs(soft.llrs[0, 1]) < 1e-12
 
 
+def _axis_llrs_reference(x, mu, const):
+    """Per-bit metrics with the distances rebuilt for every axis bit."""
+    mu_b = mu if x.ndim == 1 else mu[:, None]
+    out = []
+    for j in range(const.axis_bits):
+        pam0, pam1 = const.pam_bit_values(j)
+        d0 = np.min((x[..., None] - mu_b[..., None] * pam0) ** 2, axis=-1)
+        d1 = np.min((x[..., None] - mu_b[..., None] * pam1) ** 2, axis=-1)
+        out.append(d0 - d1)
+    return out
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+@pytest.mark.parametrize("shape", [(8,), (8, 30)])
+def test_axis_llrs_shared_distances_match_per_bit_formula(order, shape, rng):
+    const = make_constellation(order)
+    x = 1.5 * rng.standard_normal(shape)
+    x[0] = 0.0                           # equidistant from the inner levels
+    mu = rng.uniform(0.1, 1.0, shape[0])
+    got = denoise._axis_llrs(x, mu, const)
+    want = _axis_llrs_reference(x, mu, const)
+    assert len(got) == len(want) == const.axis_bits
+    for g, w in zip(got, want):
+        assert g.shape == shape
+        assert np.array_equal(g, w)
+
+
 def test_axis_equals_exhaustive_256qam(qam256, rng):
     U = 8
     H = (rng.standard_normal((32, U)) + 1j * rng.standard_normal((32, U))) / np.sqrt(2)

@@ -164,3 +164,92 @@ def test_soft_decoder_matches_hard_oracle(rng):
         soft_bits, _ = fec.decode(llrs, cfg)
         hard_bits = _hard_viterbi_oracle(noisy, cfg)[:cfg.payload_bits]
         assert np.array_equal(soft_bits, hard_bits)
+
+
+# ---------------------------------------------------------------------------
+# butterfly decoder against a per-state argmax reference
+
+def _reference_trellis():
+    """For each next state: its two predecessors, the input bit, and the
+    +/-1 signs of both output bits, indexed (generator, next state, j)."""
+    states = np.arange(64)
+    prev = np.empty((64, 2), dtype=np.int64)
+    prev_bit = states >> 5
+    prev[:, 0] = (states & 31) * 2
+    prev[:, 1] = prev[:, 0] + 1
+    sgn = np.empty((2, 64, 2))
+    for j in range(2):
+        w = (prev_bit << 6) | prev[:, j]
+        for i, gen in enumerate(fec.GENERATORS):
+            bits = np.array([bin(int(x) & gen).count("1") & 1 for x in w])
+            sgn[i, :, j] = 2.0 * bits - 1.0
+    return prev, prev_bit, sgn
+
+
+def _viterbi_reference(llr_pairs):
+    """Max-log Viterbi with a gather, argmax and take_along_axis over both
+    predecessors of every state; terminated blocks."""
+    prev, prev_bit, sgn = _reference_trellis()
+    nb, n_steps, _ = llr_pairs.shape
+    metric = np.full((nb, 64), -1e30)
+    metric[:, 0] = 0.0
+    choice = np.empty((nb, n_steps, 64), dtype=np.uint8)
+    for t in range(n_steps):
+        bm = (llr_pairs[:, t, 0, None, None] * sgn[0]
+              + llr_pairs[:, t, 1, None, None] * sgn[1])
+        cand = metric[:, prev] + bm
+        best = cand.argmax(axis=2)
+        choice[:, t] = best
+        metric = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
+    decoded = np.empty((nb, n_steps), dtype=np.uint8)
+    state = np.zeros(nb, dtype=np.int64)
+    rows = np.arange(nb)
+    for t in range(n_steps - 1, -1, -1):
+        decoded[:, t] = prev_bit[state]
+        state = prev[state, choice[rows, t, state]]
+    return decoded
+
+
+@pytest.mark.parametrize("n_blocks", [1, 16, 96])
+@pytest.mark.parametrize("rate", fec.RATES)
+@pytest.mark.parametrize("kind", ["float", "integer", "zero"])
+def test_butterfly_decoder_matches_reference(kind, rate, n_blocks, rng):
+    cfg = make_cfg(rate)
+    shape = (n_blocks, cfg.n_coded)
+    if kind == "float":
+        llrs = 3.0 * rng.standard_normal(shape)
+    elif kind == "integer":   # equal candidate metrics: ties everywhere
+        llrs = rng.integers(-2, 3, shape).astype(np.float64)
+    else:
+        llrs = np.zeros(shape)
+    pairs = fec.depuncture(llrs, cfg).reshape(n_blocks, cfg.n_input, 2)
+    got = fec._viterbi_batch(pairs)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _viterbi_reference(pairs))
+
+
+def test_butterfly_decoder_uneven_chunks(rng):
+    # step counts around the decision-chunk length
+    for n_steps in (1, fec._CHUNK - 1, fec._CHUNK, fec._CHUNK + 1, 7 * fec._CHUNK + 3):
+        pairs = rng.standard_normal((5, n_steps, 2))
+        assert np.array_equal(fec._viterbi_batch(pairs), _viterbi_reference(pairs))
+
+
+def test_generators_must_tap_newest_and_oldest_bit(monkeypatch):
+    monkeypatch.setattr(fec, "GENERATORS", (0o133, 0o170))   # no oldest tap
+    with pytest.raises(ValueError, match="register bit"):
+        fec._butterfly_signs()
+    monkeypatch.setattr(fec, "GENERATORS", (0o033, 0o171))   # no newest tap
+    with pytest.raises(ValueError, match="register bit"):
+        fec._butterfly_signs()
+
+
+def test_decode_batch_rejects_truth_of_other_shape(rng):
+    cfg = make_cfg()
+    payload = rng.integers(0, 2, (4, cfg.payload_bits)).astype(np.uint8)
+    llrs = 20.0 * (2.0 * fec.encode(payload, cfg) - 1.0)
+    _, ok = fec.decode_batch(llrs, cfg, payload)
+    assert ok.all()
+    for bad in (payload[0], payload[:1], payload[:, :-1]):
+        with pytest.raises(ValueError, match="truth shape"):
+            fec.decode_batch(llrs, cfg, bad)

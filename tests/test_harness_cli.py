@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbcd import unfolding
+from gbcd import harness, unfolding
 from gbcd.harness import (ABLATION_VARIANTS, ConfigError, ExperimentConfig,
                           run_ablation, run_sweep, _write_csv, SWEEP_COLUMNS)
 
@@ -101,6 +101,19 @@ def test_uncoded_mode_reports_ser_only():
     assert rows[0]["ser"] >= 0.0
 
 
+def test_sweep_rows_independent_of_detector_batching():
+    # every detector's codewords are decoded in one batch per trial; a
+    # detector's row must not depend on which others share that batch
+    over = dict(snr_db=[0.0, 2.0], trials=6, min_block_errors=1000)
+    both = run_sweep(ExperimentConfig.from_dict(base_config(
+        detectors=["gbcd-box", "lmmse"], **over)))
+    assert sum(r["block_errors"] for r in both) > 0
+    for name in ("gbcd-box", "lmmse"):
+        alone = run_sweep(ExperimentConfig.from_dict(base_config(
+            detectors=[name], **over)))
+        assert [r for r in both if r["detector"] == name] == alone
+
+
 def test_missing_params_raise():
     cfg = ExperimentConfig.from_dict(base_config(detectors=["gbcd-pme"]))
     with pytest.raises(unfolding.MissingParamsError):
@@ -148,6 +161,16 @@ def test_ablation_first_variant_is_plain_coordinate_descent(tiny_store):
     sw = run_sweep(cfg)
     assert ab[0]["bler"] == sw[0]["bler"]
     assert ab[0]["ser"] == sw[0]["ser"]
+
+
+def test_ablation_rows_independent_of_variant_batching():
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=[0.0, 2.0], trials=6, min_block_errors=1000))
+    both = run_ablation(cfg, variants=["cd-box", "gbcd-box+sort"])
+    assert sum(r["block_errors"] for r in both) > 0
+    for name in ("cd-box", "gbcd-box+sort"):
+        alone = run_ablation(cfg, variants=[name])
+        assert [r for r in both if r["variant"] == name] == alone
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +251,19 @@ def test_cli_fixed_point_flag(tmp_path):
     assert "gbcd-box" in proc.stdout
 
 
-def test_coherence_groups_split():
-    cfg = ExperimentConfig.from_dict(base_config(trials=2, coherence_groups=3,
-                                                 detectors=["gbcd-box"]))
-    rows1 = run_sweep(cfg)
-    rows2 = run_sweep(ExperimentConfig.from_dict(base_config(
-        trials=2, coherence_groups=3, detectors=["gbcd-box"])))
+def test_coherence_groups_split(monkeypatch):
+    calls = []
+    real_gen_channel = harness.gen_channel
+
+    def counting_gen_channel(*args, **kwargs):
+        calls.append(args)
+        return real_gen_channel(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "gen_channel", counting_gen_channel)
+    cfg = base_config(trials=2, coherence_groups=3, detectors=["gbcd-box"])
+    rows1 = run_sweep(ExperimentConfig.from_dict(cfg))
+    assert len(calls) == 2 * 3          # one channel per group per trial
+    rows2 = run_sweep(ExperimentConfig.from_dict(cfg))
     assert rows1 == rows2
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(base_config(
