@@ -10,6 +10,7 @@ the Gram domain instead of touching the channel matrix again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,23 +20,28 @@ from .counting import MultCounter
 
 @dataclass
 class PreprocOutput:
-    G: np.ndarray            # (U, U) Hermitian Gram matrix
-    inv_sinr: np.ndarray     # (U,) reciprocal SINR metric
-    perm: np.ndarray         # (U,) UE ordering, ascending inv_sinr
-    blocks: np.ndarray       # (M, L) UE index blocks in update order
-    kinv: np.ndarray         # (M, L, L) per-block inverses
-    N0: float
+    """Preprocessing of one channel, or of a stack of channels along the
+    leading axes ``...`` shared by every field."""
+
+    G: np.ndarray            # (..., U, U) Hermitian Gram matrices
+    inv_sinr: np.ndarray     # (..., U) reciprocal SINR metric
+    perm: np.ndarray         # (..., U) UE ordering, ascending inv_sinr
+    blocks: np.ndarray       # (..., M, L) UE index blocks in update order
+    kinv: np.ndarray         # (..., M, L, L) per-block inverses
+    N0: float | np.ndarray   # float, or one value per channel
     Es: float
     L: int
-    regularized: list = field(default_factory=list)  # block indices that needed eps*I
+    regularized: list = field(default_factory=list)  # flat indices into
+                                                     # blocks[..., 0] that needed eps*I
 
     @property
     def U(self) -> int:
-        return self.G.shape[0]
+        return self.G.shape[-1]
 
     @property
     def M(self) -> int:
-        return self.blocks.shape[0]
+        """Number of L-blocks over all channels (per channel when unbatched)."""
+        return math.prod(self.blocks.shape[:-1])
 
 
 @dataclass
@@ -46,161 +52,171 @@ class EqualizerState:
     k: int                   # number of outer iterations performed
 
 
+def _hermitian(H: np.ndarray) -> np.ndarray:
+    return H.conj().swapaxes(-1, -2)
+
+
 def gram(H: np.ndarray, counter: MultCounter | None = None) -> np.ndarray:
-    """Hermitian Gram matrix; upper triangle computed, lower filled by conjugation."""
-    B, U = H.shape
-    F = H.conj().T @ H
+    """Hermitian Gram matrix of H (..., B, U); upper triangle computed, lower
+    filled by conjugation."""
+    B, U = H.shape[-2:]
+    F = _hermitian(H) @ H
     G = np.triu(F, 1)
-    G = G + G.conj().T
-    G[np.diag_indices(U)] = F.diagonal().real
+    G = G + _hermitian(G)
+    d = np.arange(U)
+    G[..., d, d] = F[..., d, d].real
     if counter is not None:
-        counter.abs2(B * U)                 # diagonal entries are norms
-        counter.cmul(B * U * (U - 1) // 2)  # strict upper triangle
+        n = math.prod(H.shape[:-2])
+        counter.abs2(n * B * U)                 # diagonal entries are norms
+        counter.cmul(n * B * U * (U - 1) // 2)  # strict upper triangle
     return G
 
 
 def matched_filter(H: np.ndarray, y: np.ndarray,
                    counter: MultCounter | None = None) -> np.ndarray:
-    """y_mf = H^H y for a single vector (B,) or a block of vectors (B, T)."""
+    """y_mf = H^H y for H (..., B, U) and one vector (..., B) or a block of
+    vectors (..., B, T) per channel."""
+    vector = y.ndim == H.ndim - 1
     if counter is not None:
-        B, U = H.shape
-        T = 1 if y.ndim == 1 else y.shape[1]
-        counter.cmul(B * U * T)
-    return H.conj().T @ y
+        B, U = H.shape[-2:]
+        T = 1 if vector else y.shape[-1]
+        counter.cmul(math.prod(H.shape[:-2]) * B * U * T)
+    if vector:
+        return (_hermitian(H) @ y[..., None])[..., 0]
+    return _hermitian(H) @ y
 
 
-def reciprocal_sinr(G: np.ndarray, N0: float, Es: float,
+def reciprocal_sinr(G: np.ndarray, N0: float | np.ndarray, Es: float,
                     counter: MultCounter | None = None,
                     recip_fn=np.reciprocal) -> np.ndarray:
     """Per-UE reciprocal SINR: row interference over squared diagonal plus
-    the noise term scaled by the diagonal reciprocal."""
-    d = G.diagonal().real
+    the noise term scaled by the diagonal reciprocal. ``N0`` is a scalar or
+    holds one value per channel of the stack G (..., U, U)."""
+    U = G.shape[-1]
+    i = np.arange(U)
+    d = G[..., i, i].real
     if np.any(d <= 0):
         raise ValueError("Gram diagonal must be positive (degenerate channel column)")
-    U = G.shape[0]
     off = np.abs(G) ** 2
-    off[np.diag_indices(U)] = 0.0
-    lam = off.sum(axis=1)
+    off[..., i, i] = 0.0
+    lam = off.sum(axis=-1)
     r = recip_fn(d)
     a = r * r
-    b = (N0 / Es) * r
+    b = (np.asarray(N0, dtype=np.float64) / Es)[..., None] * r
     if counter is not None:
-        counter.abs2(U * (U - 1))  # each UE squares its own row
-        counter.rdiv(U)            # diagonal reciprocals
-        counter.rmul(3 * U)        # square of reciprocal, noise term, product
+        n = math.prod(G.shape[:-2])
+        counter.abs2(n * U * (U - 1))  # each UE squares its own row
+        counter.rdiv(n * U)            # diagonal reciprocals
+        counter.rmul(n * 3 * U)        # square of reciprocal, noise term, product
     return lam * a + b
 
 
-def _bitonic_argsort(keys: np.ndarray) -> np.ndarray:
-    """Bitonic sorting network on (key, index) pairs; index breaks ties."""
-    n = keys.size
-    idx = np.arange(n)
-    k_work = keys.copy()
-    i_work = idx.copy()
-    size = 2
-    while size <= n:
-        stride = size // 2
-        while stride >= 1:
-            for i in range(n):
-                j = i ^ stride
-                if j > i:
-                    up = (i & size) == 0
-                    a = (k_work[i], i_work[i])
-                    b = (k_work[j], i_work[j])
-                    if (a > b) == up:
-                        k_work[i], k_work[j] = k_work[j], k_work[i]
-                        i_work[i], i_work[j] = i_work[j], i_work[i]
-            stride //= 2
-        size *= 2
-    return i_work
-
-
 def sort_ues(inv_sinr: np.ndarray) -> np.ndarray:
-    """Stable ascending argsort; a bitonic network is used when U is a power of two."""
-    u = inv_sinr.size
-    if u >= 2 and (u & (u - 1)) == 0:
-        return _bitonic_argsort(np.asarray(inv_sinr, dtype=np.float64))
-    return np.argsort(inv_sinr, kind="stable")
+    """Stable ascending argsort along the last axis; ties keep UE order."""
+    return np.argsort(inv_sinr, axis=-1, kind="stable")
 
 
 def make_blocks(perm: np.ndarray, L: int) -> np.ndarray:
-    U = perm.size
+    U = perm.shape[-1]
     if U % L != 0:
         raise ValueError(f"U={U} must be divisible by block size L={L}")
-    return perm.reshape(U // L, L)
+    return perm.reshape(perm.shape[:-1] + (U // L, L))
+
+
+def _block_submatrices(G: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Gb[..., m, i, j] = G[..., blocks[..., m, i], blocks[..., m, j]]."""
+    M, L = blocks.shape[-2:]
+    U = G.shape[-1]
+    rows = np.take_along_axis(
+        G, blocks.reshape(blocks.shape[:-2] + (M * L, 1)), axis=-2)
+    rows = rows.reshape(blocks.shape + (U,))
+    return np.take_along_axis(rows, blocks[..., None, :], axis=-1)
 
 
 def block_inverses(G: np.ndarray, blocks: np.ndarray,
                    counter: MultCounter | None = None,
                    recip_fn=np.reciprocal,
                    regularized: list | None = None) -> np.ndarray:
-    """Closed-form inverses of the L x L Gram submatrices.
+    """Inverses of the L x L Gram submatrices, (..., M, L, L).
 
-    L = 2 uses the adjugate form; near-singular blocks get eps*I added and
-    are flagged. Other block sizes fall back to a dense solve.
+    L = 1 and L = 2 use closed forms (the adjugate for L = 2); other block
+    sizes use a dense inverse. Near-singular blocks get eps*I added and
+    their flat indices into blocks[..., 0] are appended to ``regularized``.
     """
-    M, L = blocks.shape
-    kinv = np.empty((M, L, L), dtype=np.complex128)
-    for m in range(M):
-        A = blocks[m]
-        Gb = G[np.ix_(A, A)]
-        if L == 1:
-            g = Gb[0, 0].real
-            if abs(g) < 1e-300:
-                g += 1e-6
-                if regularized is not None:
-                    regularized.append(m)
-            kinv[m, 0, 0] = recip_fn(np.float64(g))
-            if counter is not None:
-                counter.rdiv(1)
-            continue
-        if L == 2:
-            g11 = Gb[0, 0].real
-            g22 = Gb[1, 1].real
-            g12 = Gb[0, 1]
-            # |g12|^2 is reused from the interference stage; not recounted.
-            det = g11 * g22 - (g12.real ** 2 + g12.imag ** 2)
-            tr = g11 + g22
-            if abs(det) < 1e-10 * (tr / 2.0) ** 2:
-                eps = 1e-6 * tr / 2.0
-                g11 += eps
-                g22 += eps
-                det = g11 * g22 - (g12.real ** 2 + g12.imag ** 2)
-                if regularized is not None:
-                    regularized.append(m)
-            d = recip_fn(np.float64(det))
-            kinv[m, 0, 0] = g22 * d
-            kinv[m, 1, 1] = g11 * d
-            kinv[m, 0, 1] = -g12 * d
-            kinv[m, 1, 0] = -np.conj(g12) * d
-            if counter is not None:
-                counter.rmul(1)       # g11 * g22
-                counter.rdiv(1)       # 1 / det
-                counter.rmul(2)       # diagonal scaling
-                counter.cmul_real(1)  # off-diagonal scaling
-        else:
-            tr = Gb.diagonal().real.sum()
-            try:
-                kinv[m] = np.linalg.inv(Gb)
-            except np.linalg.LinAlgError:
-                kinv[m] = np.linalg.inv(Gb + (1e-6 * tr / L) * np.eye(L))
-                if regularized is not None:
-                    regularized.append(m)
+    L = blocks.shape[-1]
+    Gb = _block_submatrices(G, blocks)
+    n_blocks = math.prod(blocks.shape[:-1])
+    flagged = np.zeros(blocks.shape[:-1], dtype=bool)
+    if L == 1:
+        g = Gb[..., 0, 0].real
+        flagged = np.abs(g) < 1e-300
+        kinv = recip_fn(np.where(flagged, g + 1e-6, g))[..., None, None]
+        kinv = kinv.astype(np.complex128)
+        if counter is not None:
+            counter.rdiv(n_blocks)
+    elif L == 2:
+        g11 = Gb[..., 0, 0].real
+        g22 = Gb[..., 1, 1].real
+        g12 = Gb[..., 0, 1]
+        # |g12|^2 is reused from the interference stage; not recounted.
+        abs2_12 = g12.real ** 2 + g12.imag ** 2
+        det = g11 * g22 - abs2_12
+        tr = g11 + g22
+        flagged = np.abs(det) < 1e-10 * (tr / 2.0) ** 2
+        if flagged.any():
+            eps = 1e-6 * tr / 2.0
+            g11 = np.where(flagged, g11 + eps, g11)
+            g22 = np.where(flagged, g22 + eps, g22)
+            det = np.where(flagged, g11 * g22 - abs2_12, det)
+        d = recip_fn(det)
+        kinv = np.empty(Gb.shape, dtype=np.complex128)
+        kinv[..., 0, 0] = g22 * d
+        kinv[..., 1, 1] = g11 * d
+        kinv[..., 0, 1] = -g12 * d
+        kinv[..., 1, 0] = -np.conj(g12) * d
+        if counter is not None:
+            counter.rmul(n_blocks)       # g11 * g22
+            counter.rdiv(n_blocks)       # 1 / det
+            counter.rmul(2 * n_blocks)   # diagonal scaling
+            counter.cmul_real(n_blocks)  # off-diagonal scaling
+    else:
+        try:
+            kinv = np.linalg.inv(Gb)
+        except np.linalg.LinAlgError:
+            flat = Gb.reshape(-1, L, L)
+            kinv = np.empty_like(flat)
+            for i, A in enumerate(flat):
+                try:
+                    kinv[i] = np.linalg.inv(A)
+                except np.linalg.LinAlgError:
+                    tr = A.diagonal().real.sum()
+                    kinv[i] = np.linalg.inv(A + (1e-6 * tr / L) * np.eye(L))
+                    flagged.flat[i] = True
+            kinv = kinv.reshape(Gb.shape)
+    if regularized is not None:
+        regularized.extend(np.flatnonzero(flagged).tolist())
     return kinv
 
 
-def preprocess(H: np.ndarray, N0: float, Es: float = 1.0, *, L: int = 2,
-               sort: bool = True, counter: MultCounter | None = None,
+def preprocess(H: np.ndarray, N0: float | np.ndarray, Es: float = 1.0, *,
+               L: int = 2, sort: bool = True,
+               counter: MultCounter | None = None,
                recip_fn=np.reciprocal) -> PreprocOutput:
-    """Run the once-per-channel stage: Gram, reciprocal SINR, ordering, inverses."""
-    U = H.shape[1]
+    """Run the once-per-channel stage: Gram, reciprocal SINR, ordering, inverses.
+
+    ``H`` is one channel (B, U) or a stack (..., B, U); for a stack, ``N0``
+    is a scalar or holds one value per channel.
+    """
+    U = H.shape[-1]
     G = gram(H, counter)
     inv_sinr = reciprocal_sinr(G, N0, Es, counter, recip_fn)
-    perm = sort_ues(inv_sinr) if sort else np.arange(U)
+    perm = sort_ues(inv_sinr) if sort else \
+        np.broadcast_to(np.arange(U), inv_sinr.shape).copy()
     blocks = make_blocks(perm, L)
     regularized: list = []
     kinv = block_inverses(G, blocks, counter, recip_fn, regularized)
-    return PreprocOutput(G, inv_sinr, perm, blocks, kinv, float(N0), float(Es),
+    N0 = float(N0) if np.ndim(N0) == 0 else np.asarray(N0, dtype=np.float64)
+    return PreprocOutput(G, inv_sinr, perm, blocks, kinv, N0, float(Es),
                          L, regularized)
 
 
@@ -216,6 +232,8 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    if pre.blocks.ndim != 2:
+        raise ValueError("gbcd_equalize takes the preprocessing of one channel")
     y_mf = np.asarray(y_mf, dtype=np.complex128)
     single = y_mf.ndim == 1
     ymat = y_mf[:, None] if single else y_mf

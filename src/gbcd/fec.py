@@ -213,9 +213,12 @@ def decode_batch(llrs: np.ndarray, cfg: CodeConfig,
     """Soft-decode a batch of blocks, (n_blocks, n_coded) LLRs.
 
     Returns (payload bits, block_ok); block_ok is None without ground truth.
-    ``truth`` must hold one payload row per block.
+    ``truth`` must hold one payload row per block. Every LLR must be finite.
     """
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    finite = np.isfinite(llrs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite LLR in block {int(np.argmin(finite))}")
     full = depuncture(llrs, cfg)
     pairs = full.reshape(full.shape[0], cfg.n_input, 2)
     u = _viterbi_batch(pairs)

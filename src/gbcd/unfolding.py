@@ -26,6 +26,7 @@ from .constellation import Constellation, make_constellation
 from .denoise import XI_FLOOR_FACTOR
 
 LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
+PREPROCESS_SLICE = 256       # samples stacked per preprocessing call
 
 
 class MissingParamsError(KeyError):
@@ -89,7 +90,11 @@ class TrainBatch:
 def make_batch(B: int, U: int, const: Constellation, snr_db: float,
                condition: str, n: int, rng: np.random.Generator, *,
                L: int = 2, sort: bool = True) -> TrainBatch:
-    """Generate n samples, each with its own channel, symbols, and noise."""
+    """Generate n samples, each with its own channel, symbols, and noise.
+
+    Draws run sample by sample, so the random stream does not depend on
+    PREPROCESS_SLICE; preprocessing runs once per slice of samples.
+    """
     M = U // L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
     sym_idx = np.empty((n, U), dtype=np.int64)
@@ -98,17 +103,23 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     blocks = np.empty((n, M, L), dtype=np.int64)
     kinv = np.empty((n, M, L, L), dtype=np.complex128)
     N0 = np.empty(n)
-    for i in range(n):
-        ch = gen_channel(B, U, condition, rng)
-        batch = transmit(ch.H, const, 1, snr_db, rng)
-        pre = detector.preprocess(ch.H, batch.N0, 1.0, L=L, sort=sort)
-        bits[i] = batch.bits[:, 0, :]
-        sym_idx[i] = batch.symbol_indices[:, 0]
-        G[i] = pre.G
-        y_mf[i] = detector.matched_filter(ch.H, batch.Y[:, 0])
-        blocks[i] = pre.blocks
-        kinv[i] = pre.kinv
-        N0[i] = batch.N0
+    for start in range(0, n, PREPROCESS_SLICE):
+        stop = min(n, start + PREPROCESS_SLICE)
+        H = np.empty((stop - start, B, U), dtype=np.complex128)
+        y = np.empty((stop - start, B), dtype=np.complex128)
+        for i in range(start, stop):
+            ch = gen_channel(B, U, condition, rng)
+            batch = transmit(ch.H, const, 1, snr_db, rng)
+            H[i - start] = ch.H
+            y[i - start] = batch.Y[:, 0]
+            bits[i] = batch.bits[:, 0, :]
+            sym_idx[i] = batch.symbol_indices[:, 0]
+            N0[i] = batch.N0
+        pre = detector.preprocess(H, N0[start:stop], 1.0, L=L, sort=sort)
+        G[start:stop] = pre.G
+        y_mf[start:stop] = detector.matched_filter(H, y)
+        blocks[start:stop] = pre.blocks
+        kinv[start:stop] = pre.kinv
     return TrainBatch(const, bits, sym_idx, G, np.ascontiguousarray(G.diagonal(0, 1, 2).real),
                       y_mf, blocks, kinv, N0)
 
@@ -130,18 +141,37 @@ def _plm_forward(x: np.ndarray, rho: float, beta: float, offsets: np.ndarray):
     return out, cnt, svb, s2t
 
 
-def _axis_min(x: np.ndarray, mu: np.ndarray, pam_subset: np.ndarray):
-    """Min squared distance to the gain-scaled subset, with the residual and
-    subset value at the argmin."""
-    diff = x[..., None] - mu[..., None] * pam_subset
-    d2 = diff ** 2
-    idx = np.argmin(d2, axis=-1)
+def _subset_min(diff: np.ndarray, d2: np.ndarray, pam: np.ndarray,
+                cols: np.ndarray):
+    """Min squared distance over the PAM columns ``cols``, with the residual
+    and level at the argmin and the gap to the runner-up."""
+    sub = d2[..., cols]
+    idx = cols[np.argmin(sub, axis=-1)]
     dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
     e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
-    a = pam_subset[idx]
-    gap = np.partition(d2, 1, axis=-1)[..., 1] - dmin if pam_subset.size > 1 \
+    gap = np.partition(sub, 1, axis=-1)[..., 1] - dmin if cols.size > 1 \
         else np.full_like(dmin, np.inf)
-    return dmin, e, a, gap
+    return dmin, e, pam[idx], gap
+
+
+def _axis_minima(x: np.ndarray, mu: np.ndarray, const: Constellation):
+    """Per Gray bit of one axis: the metric d0 - d1 and the argmin residuals,
+    levels and smaller runner-up gap the backward pass needs.
+
+    The (..., sqrt Q) distances to the gain-scaled PAM levels are computed
+    once; each bit takes its minima over the column subsets of its labels.
+    """
+    pam = const.pam_points
+    diff = x[..., None] - mu[..., None] * pam
+    d2 = diff ** 2
+    metrics, mins = [], []
+    for j in range(const.axis_bits):
+        i0, i1 = const.pam_bit_indices(j)
+        d0, e0, a0, gap0 = _subset_min(diff, d2, pam, i0)
+        d1, e1, a1, gap1 = _subset_min(diff, d2, pam, i1)
+        metrics.append(d0 - d1)
+        mins.append((e0, a0, e1, a1, np.minimum(gap0, gap1)))
+    return metrics, mins
 
 
 def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
@@ -190,12 +220,9 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
     yim = v_final.imag
     metrics, mins = [], []
     for axis_vals in (x, yim):
-        for j in range(const.axis_bits):
-            pam0, pam1 = const.pam_bit_values(j)
-            d0, e0, a0, gap0 = _axis_min(axis_vals, mu, pam0)
-            d1, e1, a1, gap1 = _axis_min(axis_vals, mu, pam1)
-            metrics.append(d0 - d1)
-            mins.append((e0, a0, e1, a1, np.minimum(gap0, gap1)))
+        axis_metrics, axis_mins = _axis_minima(axis_vals, mu, const)
+        metrics += axis_metrics
+        mins += axis_mins
     metric = np.stack(metrics, axis=-1)          # (n, U, m) [re bits, im bits]
     llr = metric * inv_xi[..., None]
 

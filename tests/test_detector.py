@@ -3,7 +3,8 @@ import pytest
 
 from gbcd import denoise, detector
 from gbcd.channel import gen_channel, transmit
-from gbcd.constellation import draw_symbols
+from gbcd.constellation import draw_symbols, make_constellation
+from gbcd.counting import MultCounter
 
 from conftest import random_channel
 
@@ -87,11 +88,17 @@ def test_sort_identity_cases():
 
 
 def test_sort_matches_stable_argsort(rng):
-    for n in (4, 8, 16, 6, 10):  # bitonic path for powers of two, generic else
+    for n in (4, 8, 16, 6, 10):
         for _ in range(20):
             x = rng.integers(0, 5, n).astype(float)  # ties likely
             assert np.array_equal(detector.sort_ues(x),
                                   np.argsort(x, kind="stable"))
+    # a stack sorts each channel's row on its own; ties keep UE order
+    x = rng.integers(0, 3, (7, 6)).astype(float)
+    x[0] = 1.0
+    expect = np.stack([np.argsort(row, kind="stable") for row in x])
+    assert np.array_equal(detector.sort_ues(x), expect)
+    assert np.array_equal(detector.sort_ues(x)[0], np.arange(6))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +156,83 @@ def test_preprocess_invariants(rng):
         assert np.max(np.abs(pre.kinv[m] @ Gb - np.eye(2))) < 1e-8
     # every UE appears in exactly one block
     assert np.array_equal(np.sort(pre.blocks.ravel()), np.arange(8))
+
+
+PREPROC_FIELDS = ("G", "inv_sinr", "perm", "blocks", "kinv")
+
+
+def _assert_matches_per_channel(pre, H, N0, L, sort):
+    for i in range(H.shape[0]):
+        one = detector.preprocess(H[i], N0[i], 1.0, L=L, sort=sort)
+        for f in PREPROC_FIELDS:
+            assert np.array_equal(getattr(pre, f)[i], getattr(one, f)), (f, i)
+        assert pre.N0[i] == one.N0
+        assert (pre.Es, pre.L) == (one.Es, one.L)
+        M = one.M
+        assert [m - i * M for m in pre.regularized if m // M == i] \
+            == one.regularized
+
+
+@pytest.mark.parametrize("U, L, sort", [(8, 1, True), (8, 2, True),
+                                        (8, 4, True), (8, 2, False),
+                                        (6, 2, True)])
+def test_batched_preprocess_matches_per_channel(U, L, sort, rng):
+    H = np.stack([random_channel(rng, 16, U) for _ in range(6)])
+    N0 = 10 ** rng.uniform(-3, 0, 6)
+    pre = detector.preprocess(H, N0, 1.0, L=L, sort=sort)
+    assert pre.U == U and pre.M == 6 * (U // L)
+    assert pre.regularized == []
+    _assert_matches_per_channel(pre, H, N0, L, sort)
+    # any leading shape: a (2, 3) grid of channels gives the same numbers
+    grid = detector.preprocess(H.reshape(2, 3, 16, U), N0.reshape(2, 3), 1.0,
+                               L=L, sort=sort)
+    for f in PREPROC_FIELDS:
+        value = getattr(grid, f)
+        assert np.array_equal(value.reshape((6,) + value.shape[2:]),
+                              getattr(pre, f))
+
+
+@pytest.mark.parametrize("L", [2, 4])
+def test_batched_preprocess_flags_singular_blocks_mid_batch(L, rng):
+    # Channel 2 has equal all-ones columns: G = 16 * ones exactly, so every
+    # one of its blocks is singular (the dense L = 4 solve hits a zero pivot).
+    H = np.stack([random_channel(rng, 16, 8) for _ in range(5)])
+    H[2] = 1.0
+    N0 = np.full(5, 0.1)
+    pre = detector.preprocess(H, N0, 1.0, L=L, sort=False)
+    M = 8 // L
+    assert pre.regularized == list(range(2 * M, 3 * M))
+    assert len(pre.regularized) / pre.M == 1 / 5
+    assert np.all(np.isfinite(pre.kinv))
+    _assert_matches_per_channel(pre, H, N0, L, False)
+
+
+def test_batched_matched_filter_matches_per_channel(rng):
+    H = np.stack([random_channel(rng, 16, 4) for _ in range(3)])
+    y = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    Y = rng.standard_normal((3, 16, 5)) + 1j * rng.standard_normal((3, 16, 5))
+    vec = detector.matched_filter(H, y)
+    mat = detector.matched_filter(H, Y)
+    assert vec.shape == (3, 4) and mat.shape == (3, 4, 5)
+    for i in range(3):
+        assert np.array_equal(vec[i], detector.matched_filter(H[i], y[i]))
+        assert np.array_equal(mat[i], detector.matched_filter(H[i], Y[i]))
+
+
+def test_batched_counts_scale_with_channels(rng):
+    H = np.stack([random_channel(rng, 16, 8) for _ in range(3)])
+    one, three = MultCounter(), MultCounter()
+    detector.preprocess(H[0], 0.1, 1.0, counter=one)
+    detector.preprocess(H, np.full(3, 0.1), 1.0, counter=three)
+    assert three.total == 3 * one.total
+
+
+def test_equalizer_rejects_batched_preprocessing(rng):
+    H = np.stack([random_channel(rng, 8, 4) for _ in range(2)])
+    pre = detector.preprocess(H, np.full(2, 0.1), 1.0)
+    with pytest.raises(ValueError, match="one channel"):
+        detector.gbcd_equalize(pre, np.zeros((2, 4), complex), 1,
+                               denoise.box_denoiser(make_constellation(4)))
 
 
 def test_indivisible_block_size(rng):

@@ -253,3 +253,16 @@ def test_decode_batch_rejects_truth_of_other_shape(rng):
     for bad in (payload[0], payload[:1], payload[:, :-1]):
         with pytest.raises(ValueError, match="truth shape"):
             fec.decode_batch(llrs, cfg, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_batch_rejects_non_finite_llrs(bad, rng):
+    cfg = make_cfg()
+    payload = rng.integers(0, 2, (4, cfg.payload_bits)).astype(np.uint8)
+    llrs = 20.0 * (2.0 * fec.encode(payload, cfg) - 1.0)
+    llrs[2, 17] = bad
+    llrs[3, 0] = bad
+    with pytest.raises(ValueError, match="non-finite LLR in block 2"):
+        fec.decode_batch(llrs, cfg, payload)
+    with pytest.raises(ValueError, match="non-finite LLR in block 0"):
+        fec.decode(llrs[3], cfg, payload[3])

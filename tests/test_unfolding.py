@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gbcd import detector, unfolding
+from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
 from gbcd.scenario import Scenario
 
@@ -17,6 +18,64 @@ def rand_params(rng, K, const):
     return {"rho": rng.uniform(1.0, 4.0, K),
             "beta": const.scale * rng.uniform(0.8, 1.2, K),
             "alpha": float(rng.uniform(0.01, 0.2))}
+
+
+def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
+                          sort=True):
+    """Per-sample preprocessing, as make_batch did before it stacked channels."""
+    M = U // L
+    bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
+    sym_idx = np.empty((n, U), dtype=np.int64)
+    G = np.empty((n, U, U), dtype=np.complex128)
+    y_mf = np.empty((n, U), dtype=np.complex128)
+    blocks = np.empty((n, M, L), dtype=np.int64)
+    kinv = np.empty((n, M, L, L), dtype=np.complex128)
+    N0 = np.empty(n)
+    for i in range(n):
+        ch = gen_channel(B, U, condition, rng)
+        batch = transmit(ch.H, const, 1, snr_db, rng)
+        pre = detector.preprocess(ch.H, batch.N0, 1.0, L=L, sort=sort)
+        bits[i] = batch.bits[:, 0, :]
+        sym_idx[i] = batch.symbol_indices[:, 0]
+        G[i] = pre.G
+        y_mf[i] = detector.matched_filter(ch.H, batch.Y[:, 0])
+        blocks[i] = pre.blocks
+        kinv[i] = pre.kinv
+        N0[i] = batch.N0
+    return unfolding.TrainBatch(const, bits, sym_idx, G,
+                                np.ascontiguousarray(G.diagonal(0, 1, 2).real),
+                                y_mf, blocks, kinv, N0)
+
+
+BATCH_FIELDS = ("bits", "sym_idx", "G", "diag", "y_mf", "blocks", "kinv", "N0")
+
+
+@pytest.mark.parametrize("Q, n, slice_", [(4, 300, None), (256, 12, None),
+                                          (256, 12, 5), (4, 10, 10)])
+def test_make_batch_matches_per_sample_reference(Q, n, slice_, monkeypatch):
+    if slice_ is not None:
+        monkeypatch.setattr(unfolding, "PREPROCESS_SLICE", slice_)
+    const = make_constellation(Q)
+    args = (8, 4, const, 10.0, "nonlos", n)
+    new = unfolding.make_batch(*args, np.random.default_rng(3))
+    ref = _make_batch_reference(*args, np.random.default_rng(3))
+    for f in BATCH_FIELDS:
+        assert np.array_equal(getattr(new, f), getattr(ref, f)), f
+
+
+def test_make_batch_preprocesses_once_per_slice(monkeypatch):
+    calls = []
+    preprocess = detector.preprocess
+
+    def counting(H, *a, **k):
+        calls.append(H.shape[0])
+        return preprocess(H, *a, **k)
+
+    monkeypatch.setattr(unfolding, "PREPROCESS_SLICE", 4)
+    monkeypatch.setattr(detector, "preprocess", counting)
+    unfolding.make_batch(8, 4, make_constellation(4), 10.0, "nonlos", 10,
+                         np.random.default_rng(0))
+    assert calls == [4, 4, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +193,47 @@ def test_gradient_matches_finite_differences(rng):
             assert abs(fd - g["alpha"]) / abs(fd) < 1e-3
         checked += 1
     assert checked >= 20
+
+
+def _axis_min_per_bit(x, mu, pam_subset):
+    """Distances to one Gray bit's PAM subset, built for that bit alone."""
+    diff = x[..., None] - mu[..., None] * pam_subset
+    d2 = diff ** 2
+    idx = np.argmin(d2, axis=-1)
+    dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
+    e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
+    a = pam_subset[idx]
+    gap = np.partition(d2, 1, axis=-1)[..., 1] - dmin if pam_subset.size > 1 \
+        else np.full_like(dmin, np.inf)
+    return dmin, e, a, gap
+
+
+def _axis_minima_per_bit(x, mu, const):
+    metrics, mins = [], []
+    for j in range(const.axis_bits):
+        pam0, pam1 = const.pam_bit_values(j)
+        d0, e0, a0, gap0 = _axis_min_per_bit(x, mu, pam0)
+        d1, e1, a1, gap1 = _axis_min_per_bit(x, mu, pam1)
+        metrics.append(d0 - d1)
+        mins.append((e0, a0, e1, a1, np.minimum(gap0, gap1)))
+    return metrics, mins
+
+
+@pytest.mark.parametrize("Q", [4, 16, 64, 256])
+def test_forward_and_grad_match_per_bit_distances(Q, monkeypatch):
+    rng = np.random.default_rng(Q)
+    batch, const = small_batch(rng, n=16, snr=8.0, Q=Q)
+    params = rand_params(rng, 3, const)
+    loss = unfolding.forward_loss(params, batch, 3)
+    loss_g, g = unfolding.grad(params, batch, 3)
+    diag = unfolding.forward_diagnostics(params, batch, 3)
+    monkeypatch.setattr(unfolding, "_axis_minima", _axis_minima_per_bit)
+    assert loss == unfolding.forward_loss(params, batch, 3)
+    ref_loss, ref_g = unfolding.grad(params, batch, 3)
+    assert loss_g == ref_loss
+    for name in ("rho", "beta", "alpha"):
+        assert np.array_equal(g[name], ref_g[name]), name
+    assert diag == unfolding.forward_diagnostics(params, batch, 3)
 
 
 def test_gradient_linear_regime_hand_derivative(qam16):
