@@ -7,12 +7,13 @@ error, 3 missing trained parameters.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 from . import hwmodel, unfolding
 from .harness import (ABLATE_COLUMNS, SWEEP_COLUMNS, ConfigError,
-                      ExperimentConfig, run_ablation, run_sweep, _write_csv)
+                      ExperimentConfig, check_design, read_json, run_ablation,
+                      run_sweep, _write_csv)
 from .scenario import Scenario
 
 HWMODEL_COLUMNS = ("algorithm", "B", "U", "K", "T", "pre_mults", "eq_mults",
@@ -25,11 +26,11 @@ DEFAULT_P_EQU = 0.367
 
 
 def _load_config(path: str, overrides: dict) -> ExperimentConfig:
+    """Load a config and apply the command-line overrides; the result is
+    validated again."""
     cfg = ExperimentConfig.from_json(path)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -52,8 +53,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config) as f:
-        raw = json.load(f)
+    raw = read_json(args.config)
     try:
         scen = Scenario.from_dict(raw["scenario"])
         K = int(raw["K"])
@@ -61,6 +61,7 @@ def _cmd_train(args) -> int:
         config = unfolding.TrainConfig(**tc_fields)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad training config: {e}") from e
+    check_design(scen.B, scen.U, scen.Q, scen.condition, K, (config.L,))
     if args.seed is not None:
         config.seed = args.seed
     params = unfolding.train(scen, config, K)
@@ -77,8 +78,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_hwmodel(args) -> int:
-    with open(args.config) as f:
-        raw = json.load(f)
+    raw = read_json(args.config)
     try:
         B = int(raw["B"])
         U = int(raw["U"])

@@ -13,6 +13,7 @@ positions carry zero LLRs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,8 +87,14 @@ def _keep_mask(cfg: CodeConfig) -> np.ndarray:
     return mask
 
 
-def _mod2_convolve(u: np.ndarray, taps: np.ndarray, n: int) -> np.ndarray:
-    return np.apply_along_axis(lambda row: np.convolve(row, taps)[:n] % 2, -1, u)
+def _mod2_convolve(u: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Mod-2 convolution of every row with ``taps``, truncated to the row
+    length: the XOR of the row shifted right by each tapped delay."""
+    out = np.zeros_like(u)
+    n = u.shape[-1]
+    for delay in np.flatnonzero(taps):
+        out[..., delay:] ^= u[..., :n - delay]
+    return out
 
 
 def encode(payload: np.ndarray, cfg: CodeConfig) -> np.ndarray:
@@ -99,23 +106,30 @@ def encode(payload: np.ndarray, cfg: CodeConfig) -> np.ndarray:
                        axis=-1)
     g0, g1 = (_taps(g) for g in GENERATORS)
     mother = np.empty(u.shape[:-1] + (2 * cfg.n_input,), dtype=np.uint8)
-    mother[..., 0::2] = _mod2_convolve(u, g0, cfg.n_input)
-    mother[..., 1::2] = _mod2_convolve(u, g1, cfg.n_input)
+    mother[..., 0::2] = _mod2_convolve(u, g0)
+    mother[..., 1::2] = _mod2_convolve(u, g1)
     return mother[..., _keep_mask(cfg)]
 
 
 def depuncture(llrs: np.ndarray, cfg: CodeConfig) -> np.ndarray:
-    """Expand transmitted-position LLRs to the mother-code grid (zeros inserted)."""
+    """Expand transmitted-position LLRs to the mother-code grid (zeros
+    inserted). Unpunctured (rate 1/2) LLRs are returned as they are."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape[-1] != cfg.n_coded:
         raise ValueError(f"llr length {llrs.shape[-1]} != {cfg.n_coded}")
+    if cfg.n_coded == 2 * cfg.n_input:
+        return llrs
     full = np.zeros(llrs.shape[:-1] + (2 * cfg.n_input,), dtype=np.float64)
     full[..., _keep_mask(cfg)] = llrs
     return full
 
 
+@functools.lru_cache(maxsize=32)
 def _interleaver_perm(n: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).permutation(n)
+    """The interleaver's permutation of n positions; cached, read-only."""
+    perm = np.random.default_rng(seed).permutation(n)
+    perm.flags.writeable = False
+    return perm
 
 
 def interleave(bits: np.ndarray, seed: int) -> np.ndarray:
@@ -123,10 +137,17 @@ def interleave(bits: np.ndarray, seed: int) -> np.ndarray:
     return bits[..., _interleaver_perm(bits.shape[-1], seed)]
 
 
-def deinterleave_llrs(llrs: np.ndarray, seed: int) -> np.ndarray:
+def deinterleave_llrs(llrs: np.ndarray, seed: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Undo ``interleave`` along the last axis. ``out``, if given, must have
+    the shape of ``llrs`` and share no memory with it."""
     llrs = np.asarray(llrs)
     perm = _interleaver_perm(llrs.shape[-1], seed)
-    out = np.empty_like(llrs)
+    if out is None:
+        out = np.empty_like(llrs)
+    elif out.shape != llrs.shape or np.shares_memory(out, llrs):
+        raise ValueError("out must have the shape of llrs and share no "
+                         "memory with it")
     out[..., perm] = llrs
     return out
 
@@ -159,8 +180,25 @@ def _butterfly_signs():
     return sgn[0, :_HALF, 0, None], sgn[1, :_HALF, 0, None]
 
 
-_SA, _SB = _butterfly_signs()
+def _offset_rows():
+    """(2, 32, 2) rows of the table [s, d, -d, -s] (s = l0 + l1,
+    d = l0 - l1) holding the offset m[2k + j] receives on its way to
+    successor k + 32*c: +bm for j == c and -bm otherwise, where butterfly k's
+    branch metric bm = l0*SA[k] + l1*SB[k] sits in row 2*(SA < 0) + (SB < 0).
+    Negation and rounding are symmetric in IEEE arithmetic, so each row
+    holds bm or -bm exactly, up to the sign of a zero."""
+    sa, sb = _butterfly_signs()
+    row = 2 * (sa[:, 0] < 0) + (sb[:, 0] < 0)
+    rows = np.empty((2, _HALF, 2), dtype=np.intp)
+    rows[0, :, 0] = rows[1, :, 1] = row
+    rows[0, :, 1] = rows[1, :, 0] = 3 - row
+    return rows
+
+
+_OFFSET_ROWS = _offset_rows()
 _CHUNK = 8                       # trellis steps per branch-metric/decision chunk
+# multiplying 8 bytes of 0/1 by this puts byte j's bit at bit 56 + j
+_PACK_BYTE = np.uint64(0x0102040810204080)
 
 
 def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
@@ -171,41 +209,53 @@ def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
     the branch metric bm = l0*SA[k] + l1*SB[k]; its successors take
     new[k] = max(m[2k] + bm, m[2k+1] - bm) and
     new[k+32] = max(m[2k] - bm, m[2k+1] + bm), choosing 2k+1 only when its
-    candidate is strictly larger. Negating +/-1 signs is exact, so every
-    survivor equals that of a per-state argmax over both predecessors.
-    Decisions are packed to one 64-bit word per step and block, and the
-    traceback steps back with state = 2*(state % 32) + decision bit.
+    candidate is strictly larger. Each step gathers its candidate offsets
+    from a per-step table [s, d, -d, -s] and takes one add, one compare and
+    one maximum, so every survivor equals that of a per-state argmax over
+    both predecessors. Decisions are packed to one 64-bit word per step and
+    block, and the traceback steps back with
+    state = 2*(state % 32) + decision bit.
     """
     nb, n_steps, _ = llr_pairs.shape
     metric = np.full((_N_STATES, nb), -1e30)
     metric[0] = 0.0
     pairs = metric.reshape(_HALF, 2, nb)      # predecessors 2k, 2k+1
     new = metric.reshape(2, _HALF, nb)        # successors k, k+32
-    cand = np.empty((2, _HALF, 2, nb))
-    pm = np.empty((_CHUNK, _HALF, 2, nb))     # (+bm, -bm) per butterfly
-    dec = np.empty((_CHUNK, _N_STATES, nb), dtype=bool)
+    table = np.empty((_CHUNK, 4, nb))         # s, d, -d, -s per step
+    cand = np.empty((2, _HALF, 2, nb))        # successor half, k, j
+    dec = np.empty((_CHUNK, nb, _N_STATES), dtype=bool)   # state-minor
+    dec_by_state = dec.transpose(0, 2, 1).reshape(_CHUNK, 2, _HALF, nb)
+    packed = np.empty((_CHUNK, nb, _N_STATES // 8), dtype=np.uint64)
     words = np.empty((n_steps, nb), dtype="<u8")
     l0 = llr_pairs[:, :, 0].T
     l1 = llr_pairs[:, :, 1].T
     for t0 in range(0, n_steps, _CHUNK):
         n = min(_CHUNK, n_steps - t0)
-        bm = l0[t0:t0 + n, None] * _SA + l1[t0:t0 + n, None] * _SB
-        pm[:n, :, 0] = bm
-        np.negative(bm, out=pm[:n, :, 1])
+        steps = slice(t0, t0 + n)
+        np.add(l0[steps], l1[steps], out=table[:n, 0])
+        np.subtract(l0[steps], l1[steps], out=table[:n, 1])
+        np.negative(table[:n, 1::-1], out=table[:n, 2:])
         for i in range(n):
-            np.add(pairs, pm[i], out=cand[0])
-            np.subtract(pairs, pm[i], out=cand[1])
-            np.greater(cand[:, :, 1], cand[:, :, 0], out=dec[i].reshape(2, _HALF, nb))
+            np.take(table[i], _OFFSET_ROWS, axis=0, out=cand)
+            np.add(cand, pairs, out=cand)
+            np.greater(cand[:, :, 1], cand[:, :, 0], out=dec_by_state[i])
             np.maximum(cand[:, :, 0], cand[:, :, 1], out=new)
-        packed = np.packbits(dec[:n].transpose(0, 2, 1), axis=-1, bitorder="little")
-        words[t0:t0 + n] = np.ascontiguousarray(packed).view("<u8")[..., 0]
-    decoded = np.empty((nb, n_steps), dtype=np.uint8)
+        # bool bytes are 0/1: each group of 8 states packs into one byte
+        np.multiply(dec[:n].view("<u8"), _PACK_BYTE, out=packed[:n])
+        np.right_shift(packed[:n], np.uint64(56), out=packed[:n])
+        words[steps] = packed[:n].astype(np.uint8).view("<u8")[..., 0]
+    decoded = np.empty((n_steps, nb), dtype=np.uint8)
     state = np.zeros(nb, dtype=np.uint64)
+    bit = np.empty(nb, dtype=np.uint64)
     one, low, shift = np.uint64(1), np.uint64(_HALF - 1), np.uint64(CONSTRAINT_LENGTH - 2)
     for t in range(n_steps - 1, -1, -1):
-        decoded[:, t] = state >> shift
-        state = ((state & low) << one) | ((words[t] >> state) & one)
-    return decoded
+        np.right_shift(state, shift, out=decoded[t], casting="unsafe")
+        np.right_shift(words[t], state, out=bit)
+        np.bitwise_and(bit, one, out=bit)
+        np.bitwise_and(state, low, out=state)
+        np.left_shift(state, one, out=state)
+        np.bitwise_or(state, bit, out=state)
+    return decoded.T
 
 
 def decode_batch(llrs: np.ndarray, cfg: CodeConfig,

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, denoise, detector, fec, hwmodel, unfolding
-from .channel import apply_channel, gen_channel, noise_variance_for_snr
-from .constellation import (hard_decision_indices, make_constellation,
-                            symbol_indices_from_bits)
+from .channel import (CONDITIONS, apply_channel, gen_channel,
+                      noise_variance_for_snr)
+from .constellation import (SUPPORTED_ORDERS, hard_decision_indices,
+                            make_constellation, symbol_indices_from_bits)
 
 SWEEP_COLUMNS = ("snr_db", "detector", "bler", "ser", "trials", "block_errors")
 ABLATE_COLUMNS = ("snr_db", "variant", "bler", "ser", "trials", "block_errors",
@@ -42,8 +43,45 @@ ABLATION_VARIANTS = (
 )
 
 
+# block size L of the gbcd-box and gbcd-pme detectors
+GBCD_BLOCK_SIZE = 2
+
+# Codeword blocks per fec.decode_batch call. The decoder's cost per block
+# falls as the batch grows, but the group's LLR buffer and the decoder's
+# per-call buffers grow with it; 128 blocks keep peak memory within about 2%
+# of decoding one trial per call (README, "FEC decoding").
+DECODE_BLOCKS = 128
+
+
 class ConfigError(ValueError):
     pass
+
+
+def check_design(B, U, Q, condition, K, block_sizes=()) -> None:
+    """Raise ConfigError unless B >= U >= 2, Q and the channel condition are
+    supported, K >= 1 and every detector block size divides U."""
+    if not B >= U >= 2:
+        raise ConfigError(f"need B >= U >= 2, got B={B}, U={U}")
+    if Q not in SUPPORTED_ORDERS:
+        raise ConfigError(f"unsupported Q={Q}; use one of {SUPPORTED_ORDERS}")
+    if str(condition).lower() not in CONDITIONS:
+        raise ConfigError(f"unknown condition {condition!r}; use one of "
+                          f"{CONDITIONS}")
+    if K < 1:
+        raise ConfigError(f"K must be >= 1, got {K}")
+    for L in block_sizes:
+        if U % L != 0:
+            raise ConfigError(f"U={U} must be divisible by the detector "
+                              f"block size L={L}")
+
+
+def read_json(path):
+    """Parse a JSON config file; a missing or malformed file is a ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
 
 
 @dataclass
@@ -92,6 +130,25 @@ class ExperimentConfig:
             raise ConfigError("snr_db list must not be empty")
         if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
             raise ConfigError("T must be divisible by coherence_groups")
+        if self.chunk_size < 1 or self.threads < 1:
+            raise ConfigError("chunk_size and threads must be >= 1")
+        check_design(self.B, self.U, self.Q, self.condition, self.K,
+                     [GBCD_BLOCK_SIZE for d in self.detectors
+                      if d.startswith("gbcd")])
+        self.code   # builds the code: a ConfigError if T*log2(Q) misfits the rate
+
+    @property
+    def code(self) -> fec.CodeConfig | None:
+        """The code of one UE's T symbols, or None when uncoded."""
+        if self.uncoded:
+            return None
+        n_coded = self.T * (self.Q.bit_length() - 1)
+        try:
+            return fec.CodeConfig(self.code_rate, n_coded,
+                                  interleaver_seed=self.seed)
+        except ValueError as e:
+            raise ConfigError(f"T={self.T} at Q={self.Q} gives {n_coded} "
+                              f"coded bits: {e}") from e
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -113,11 +170,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as f:
-                return cls.from_dict(json.load(f))
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
+        return cls.from_dict(read_json(path))
 
 
 def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
@@ -164,11 +217,11 @@ def _detect(name: str, H, Y, N0, const, cfg: ExperimentConfig, pme_spec):
         if cfg.fixed_point:
             soft = hwmodel.detect_fixed_point(H, Y, N0, 1.0, const, cfg.K,
                                               mode=mode, rho=rho, beta=beta,
-                                              alpha=alpha)
+                                              alpha=alpha, L=GBCD_BLOCK_SIZE)
         else:
             soft, _, _ = detector.gbcd_detect(H, Y, N0, 1.0, const, cfg.K,
                                               mode=mode, rho=rho, beta=beta,
-                                              alpha=alpha)
+                                              alpha=alpha, L=GBCD_BLOCK_SIZE)
     else:
         raise ConfigError(f"unknown detector {name!r}")
     hard = hard_decision_indices(const, soft.v_final,
@@ -177,15 +230,21 @@ def _detect(name: str, H, Y, N0, const, cfg: ExperimentConfig, pme_spec):
 
 
 def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
-                 snr_idx: int, trial: int, runners: dict):
+                 snr_idx: int, trial: int, runners: dict, llrs=None,
+                 truth=None):
     """Generate one trial (one or more coherence groups spanning a codeword)
-    and evaluate every runner on identical data."""
+    and evaluate every runner on identical data.
+
+    When coded, every runner's U codeword LLR streams are deinterleaved into
+    the rows of ``llrs`` (runners * U, n_coded), runner-major, and the
+    payloads go to the matching rows of ``truth``; the caller decodes them.
+    Returns ({runner: symbol errors}, data hash).
+    """
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     snr_db = float(cfg.snr_db[snr_idx])
     m = const.bits_per_symbol
     if code is None:
         idx = rng.integers(0, const.order, size=(cfg.U, cfg.T))
-        payload = None
     else:
         payload = rng.integers(0, 2, size=(cfg.U, code.payload_bits)).astype(np.uint8)
         coded = fec.encode(payload, code)
@@ -207,7 +266,6 @@ def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
         digest.update(Y.tobytes())
     data_hash = digest.hexdigest()[:16]
 
-    # every runner's U codeword streams, decoded in one batch below
     sym_errors = {}
     if code is not None:
         streams = np.empty((len(runners), cfg.U, code.n_coded))
@@ -216,45 +274,57 @@ def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
         hard = np.concatenate([p[1] for p in parts], axis=1)
         sym_errors[name] = int(np.sum(hard != idx))
         if code is not None:
-            llrs = np.concatenate([p[0] for p in parts], axis=2)
-            streams[r].reshape(cfg.U, cfg.T, m)[...] = np.transpose(llrs, (0, 2, 1))
-
-    block_errors, blocks = dict.fromkeys(runners, 0), 0
+            soft = np.concatenate([p[0] for p in parts], axis=2)
+            streams[r].reshape(cfg.U, cfg.T, m)[...] = np.transpose(soft, (0, 2, 1))
     if code is not None:
-        dellrs = fec.deinterleave_llrs(streams.reshape(-1, code.n_coded),
-                                       code.interleaver_seed)
-        _, ok = fec.decode_batch(dellrs, code,
-                                 np.tile(payload, (len(runners), 1)))
-        errors = np.sum(~ok.reshape(len(runners), cfg.U), axis=1)
-        block_errors = dict(zip(runners, errors.tolist()))
-        blocks = cfg.U
-    return {name: (block_errors[name], blocks, sym_errors[name],
-                   cfg.U * cfg.T, data_hash)
-            for name in runners}
+        fec.deinterleave_llrs(streams.reshape(llrs.shape),
+                              code.interleaver_seed, out=llrs)
+        truth.reshape(len(runners), cfg.U, -1)[...] = payload
+    return sym_errors, data_hash
 
 
 def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
                runners: dict, pool: ThreadPoolExecutor | None):
+    """Run one SNR point's trials in chunks of ``cfg.chunk_size``; a coded
+    point stops after the chunk in which every runner reached
+    ``min_block_errors``. A chunk's trials run in groups of up to
+    DECODE_BLOCKS codeword blocks (at least one trial), and each group's
+    blocks are decoded in one ``fec.decode_batch`` call."""
     totals = {name: [0, 0, 0, 0, None] for name in runners}
+    n_rows = len(runners) * cfg.U
+    group = max(1, min(DECODE_BLOCKS // n_rows, cfg.chunk_size, cfg.trials))
+    if code is None:
+        llrs = truth = [None] * group
+    else:
+        llrs = np.empty((group, n_rows, code.n_coded))
+        truth = np.empty((group, n_rows, code.payload_bits), dtype=np.uint8)
     trial = 0
     while trial < cfg.trials:
-        chunk = list(range(trial, min(trial + cfg.chunk_size, cfg.trials)))
-        if pool is None:
-            results = [_coded_trial(cfg, const, code, snr_idx, t, runners)
-                       for t in chunk]
-        else:
-            results = list(pool.map(
-                lambda t: _coded_trial(cfg, const, code, snr_idx, t, runners),
-                chunk))
-        for res in results:
-            for name, (be, blocks, se, syms, h) in res.items():
-                tot = totals[name]
-                tot[0] += be
-                tot[1] += blocks
-                tot[2] += se
-                tot[3] += syms
-                tot[4] = h
-        trial = chunk[-1] + 1
+        stop = min(trial + cfg.chunk_size, cfg.trials)
+        for first in range(trial, stop, group):
+            n = min(group, stop - first)
+
+            def run(i, first=first):
+                return _coded_trial(cfg, const, code, snr_idx, first + i,
+                                    runners, llrs[i], truth[i])
+
+            results = list(map(run, range(n)) if pool is None
+                           else pool.map(run, range(n)))
+            errors = np.zeros((n, len(runners)), dtype=np.int64)
+            if code is not None:
+                _, ok = fec.decode_batch(llrs[:n].reshape(n * n_rows, -1), code,
+                                         truth[:n].reshape(n * n_rows, -1))
+                errors = np.sum(~ok.reshape(n, len(runners), cfg.U), axis=2)
+            for (sym_errors, data_hash), trial_errors in zip(results,
+                                                             errors.tolist()):
+                for name, be in zip(runners, trial_errors):
+                    tot = totals[name]
+                    tot[0] += be
+                    tot[1] += 0 if code is None else cfg.U
+                    tot[2] += sym_errors[name]
+                    tot[3] += cfg.U * cfg.T
+                    tot[4] = data_hash
+        trial = stop
         if code is not None and all(t[0] >= cfg.min_block_errors
                                     for t in totals.values()):
             break
@@ -290,13 +360,6 @@ def _write_csv(path_or_buf, rows, columns):
             f.close()
 
 
-def _make_code(cfg: ExperimentConfig, const) -> fec.CodeConfig | None:
-    if cfg.uncoded:
-        return None
-    n_coded = cfg.T * const.bits_per_symbol
-    return fec.CodeConfig(cfg.code_rate, n_coded, interleaver_seed=cfg.seed)
-
-
 def _emit_debug_trace(cfg: ExperimentConfig, const) -> None:
     """One-off per-iteration trace of the first trial at the first SNR."""
     rng = _trial_rng(cfg.seed, 0, 0)
@@ -312,7 +375,7 @@ def _emit_debug_trace(cfg: ExperimentConfig, const) -> None:
 def run_sweep(cfg: ExperimentConfig):
     """Monte-Carlo BLER/SER sweep; returns CSV rows and writes cfg.out if set."""
     const = make_constellation(cfg.Q)
-    code = _make_code(cfg, const)
+    code = cfg.code
     if cfg.trace_csv:
         _emit_debug_trace(cfg, const)
     rows = []
@@ -361,10 +424,12 @@ def run_ablation(cfg: ExperimentConfig, variants=None):
     The PME variants need trained parameters for every sweep SNR (the
     empirical pair comes from a coarse grid search run once per SNR).
     """
-    const = make_constellation(cfg.Q)
-    code = _make_code(cfg, const)
     chosen = variants or [v[0] for v in ABLATION_VARIANTS]
     spec_map = dict(ABLATION_VARIANTS)
+    check_design(cfg.B, cfg.U, cfg.Q, cfg.condition, cfg.K,
+                 [spec_map[v]["L"] for v in chosen])
+    const = make_constellation(cfg.Q)
+    code = cfg.code
     rows = []
     pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     try:

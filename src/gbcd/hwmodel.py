@@ -129,10 +129,11 @@ def utilization(T: int, U: int = 16, B: int = 128) -> float:
     return T / (T + idle_vectors)
 
 
-def fit_power(samples) -> tuple[float, float, float]:
-    """Fit P(T) = P_idle + utilization(T) * P_equ by linear least squares.
+def fit_power(samples, *, U: int = 16, B: int = 128) -> tuple[float, float, float]:
+    """Fit P(T) = P_idle + utilization(T, U, B) * P_equ by linear least squares.
 
-    ``samples`` is a sequence of (T, watts). Returns (P_idle, P_equ, r_squared).
+    ``samples`` is a sequence of (T, watts) measured at the B x U design
+    point. Returns (P_idle, P_equ, r_squared).
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -141,7 +142,7 @@ def fit_power(samples) -> tuple[float, float, float]:
     p = np.array([s[1] for s in samples], dtype=np.float64)
     if np.all(t == t[0]):
         raise ValueError("need at least two distinct T values")
-    u = t / (t + 9.0)
+    u = np.array([utilization(x, U, B) for x in t])
     X = np.column_stack([np.ones_like(u), u])
     coef, *_ = np.linalg.lstsq(X, p, rcond=None)
     resid = p - X @ coef

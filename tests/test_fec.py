@@ -42,6 +42,28 @@ def test_impulse_response_is_generator_taps():
     assert list(out[1:14:2]) == [1, 1, 1, 1, 0, 0, 1]  # 171 octal, msb first
 
 
+def _encode_reference(payload, cfg):
+    """The row-by-row encoder: np.convolve with each generator's taps."""
+    u = np.concatenate([payload, np.zeros(payload.shape[:-1] + (6,), dtype=np.uint8)],
+                       axis=-1)
+    mother = np.empty(u.shape[:-1] + (2 * cfg.n_input,), dtype=np.uint8)
+    for i, gen in enumerate(fec.GENERATORS):
+        mother[..., i::2] = np.apply_along_axis(
+            lambda row: np.convolve(row, fec._taps(gen))[:cfg.n_input] % 2, -1, u)
+    return mother[..., fec._keep_mask(cfg)]
+
+
+@pytest.mark.parametrize("rate", fec.RATES)
+def test_encode_matches_row_reference(rate, rng):
+    cfg = make_cfg(rate)
+    payload = rng.integers(0, 2, (3, 5, cfg.payload_bits)).astype(np.uint8)
+    got = fec.encode(payload, cfg)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _encode_reference(payload, cfg))
+    assert np.array_equal(fec.encode(payload[0, 0], cfg),
+                          _encode_reference(payload[0, 0], cfg))
+
+
 def test_linearity(rng):
     cfg = make_cfg()
     for _ in range(10):
@@ -61,10 +83,43 @@ def test_depuncture_inverse_on_kept_positions(rate, rng):
     assert not full[~mask].any()
 
 
+def test_unpunctured_llrs_pass_through(rng):
+    cfg = make_cfg("1/2")
+    llr = rng.standard_normal((2, cfg.n_coded))
+    assert fec.depuncture(llr, cfg) is llr
+
+
 def test_interleave_round_trip(rng):
     x = rng.standard_normal((100, 240))
     back = fec.deinterleave_llrs(fec.interleave(x, seed=5), seed=5)
     assert np.array_equal(back, x)
+
+
+def test_deinterleave_into_out_matches_allocating_call(rng):
+    x = rng.standard_normal((3, 4, 240))
+    expect = fec.deinterleave_llrs(x, seed=5)
+    out = np.full_like(x, np.nan)
+    assert fec.deinterleave_llrs(x, 5, out=out) is out
+    assert np.array_equal(out, expect)
+
+
+def test_deinterleave_rejects_overlapping_or_misshapen_out(rng):
+    x = rng.standard_normal((4, 240))
+    with pytest.raises(ValueError, match="share no memory"):
+        fec.deinterleave_llrs(x, 5, out=x)
+    with pytest.raises(ValueError, match="share no memory"):
+        fec.deinterleave_llrs(x[:, :120], 5, out=x[:, 60:180])
+    with pytest.raises(ValueError, match="shape"):
+        fec.deinterleave_llrs(x[0], 5, out=np.empty((4, 240)))
+
+
+def test_interleaver_perm_cached_and_read_only():
+    perm = fec._interleaver_perm(240, 7)
+    assert fec._interleaver_perm(240, 7) is perm
+    assert not perm.flags.writeable
+    with pytest.raises(ValueError):
+        perm[0] = 0
+    assert np.array_equal(perm, np.random.default_rng(7).permutation(240))
 
 
 def test_interleaver_determinism():

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbcd import harness, unfolding
+from gbcd import fec, harness, unfolding
 from gbcd.harness import (ABLATION_VARIANTS, ConfigError, ExperimentConfig,
                           run_ablation, run_sweep, _write_csv, SWEEP_COLUMNS)
 
@@ -35,6 +35,26 @@ def test_config_rejects_bad_fields():
     del missing["seed"]
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(missing)
+
+
+@pytest.mark.parametrize("over", [
+    dict(B=8, U=16),                          # more users than antennas
+    dict(U=7, B=16),                          # 2x2 GBCD blocks cannot tile U
+    dict(Q=32),
+    dict(condition="foo"),
+    dict(T=10, Q=4, code_rate="5/6"),         # 20 coded bits at rate 5/6
+    dict(K=0),
+    dict(chunk_size=0),
+])
+def test_config_rejects_bad_design(over):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(base_config(**over))
+
+
+def test_config_block_size_only_for_gbcd_detectors():
+    ExperimentConfig.from_dict(base_config(U=7, B=16, detectors=["lmmse", "ocd"]))
+    ExperimentConfig.from_dict(base_config(T=10, Q=4, code_rate="5/6",
+                                           uncoded=True))
 
 
 def test_config_scalar_snr_promoted():
@@ -112,6 +132,94 @@ def test_sweep_rows_independent_of_detector_batching():
         alone = run_sweep(ExperimentConfig.from_dict(base_config(
             detectors=[name], **over)))
         assert [r for r in both if r["detector"] == name] == alone
+
+
+# ---------------------------------------------------------------------------
+# decode grouping: the trials whose codewords share a decode_batch call must
+# not change any result
+
+GROUPING_SCENARIOS = {
+    "rate-1/2": dict(snr_db=[0.0, 2.0]),
+    "rate-3/4": dict(code_rate="3/4", snr_db=[2.0, 4.0]),
+    "rate-5/6": dict(code_rate="5/6", Q=64, snr_db=[4.0, 6.0]),
+    "coherence-2": dict(coherence_groups=2, snr_db=[0.0, 2.0]),
+    "early-stop": dict(snr_db=[0.0], min_block_errors=12, trials=60,
+                       chunk_size=3),
+}
+GROUPING_SETTINGS = {
+    "blocks-16": (dict(), 16),
+    "blocks-10000": (dict(), 10_000),
+    "chunk-1": (dict(chunk_size=1), None),
+    "chunk-5": (dict(chunk_size=5), None),
+    "chunk-16": (dict(chunk_size=16), None),
+    "threads-2": (dict(threads=2), None),
+}
+
+
+def _csv_bytes(tmp_path, name, cfg_dict, ablate=False):
+    out = tmp_path / f"{name}.csv"
+    cfg = ExperimentConfig.from_dict(dict(cfg_dict, out=str(out)))
+    if ablate:
+        rows = run_ablation(cfg, variants=["cd-box", "gbcd-box+sort"])
+    else:
+        rows = run_sweep(cfg)
+    return out.read_bytes(), rows
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["sweep", "ablate"])
+@pytest.mark.parametrize("scenario", GROUPING_SCENARIOS)
+def test_results_independent_of_decode_grouping(scenario, ablate, tmp_path,
+                                                monkeypatch):
+    cfg = base_config(trials=10, min_block_errors=1000)
+    cfg.update(GROUPING_SCENARIOS[scenario])
+    default_cap = harness.DECODE_BLOCKS
+    ref, rows = _csv_bytes(tmp_path, "ref", cfg, ablate)
+    assert sum(r["block_errors"] for r in rows) > 0
+    if scenario == "early-stop":
+        assert all(r["trials"] < cfg["trials"] for r in rows)
+    for name, (over, cap) in GROUPING_SETTINGS.items():
+        if scenario == "early-stop" and "chunk_size" in over:
+            continue    # the stopping rule is checked once per chunk
+        if cap is not None:
+            monkeypatch.setattr(harness, "DECODE_BLOCKS", cap)
+        got, _ = _csv_bytes(tmp_path, name, dict(cfg, **over), ablate)
+        monkeypatch.setattr(harness, "DECODE_BLOCKS", default_cap)
+        assert got == ref, name
+
+
+@pytest.mark.parametrize("cap", [4, 8, 12, 16, 128])
+@pytest.mark.parametrize("early", [False, True], ids=["all", "early-stop"])
+def test_each_trial_decoded_once_within_cap(cap, early, monkeypatch):
+    calls = []
+    real_decode_batch = fec.decode_batch
+
+    def recording_decode_batch(llrs, code, truth=None):
+        calls.append((llrs.shape[0], truth.copy()))
+        return real_decode_batch(llrs, code, truth)
+
+    monkeypatch.setattr(fec, "decode_batch", recording_decode_batch)
+    monkeypatch.setattr(harness, "DECODE_BLOCKS", cap)
+    over = dict(snr_db=[0.0, 20.0], trials=7, chunk_size=5)
+    if early:
+        over.update(snr_db=[0.0], trials=200, min_block_errors=10)
+    cfg = ExperimentConfig.from_dict(base_config(**over))
+    rows = run_sweep(cfg)
+    runners, U = len(cfg.detectors), cfg.U
+    trials_run = [r["trials"] for r in rows][::runners]
+    if early:
+        assert trials_run[0] < 200
+    # truth rows in call order are each trial's payloads, once per runner
+    expect = []
+    for snr_idx, n in enumerate(trials_run):
+        for t in range(n):
+            rng = harness._trial_rng(cfg.seed, snr_idx, t)
+            payload = rng.integers(0, 2, size=(U, cfg.code.payload_bits))
+            expect.append(np.tile(payload.astype(np.uint8), (runners, 1)))
+    assert np.array_equal(np.concatenate([c[1] for c in calls]),
+                          np.concatenate(expect))
+    for n_blocks, _ in calls:
+        assert n_blocks % (runners * U) == 0
+        assert n_blocks <= max(cap, runners * U)
 
 
 def test_missing_params_raise():
@@ -196,6 +304,38 @@ def test_cli_config_error_exit_code(tmp_path):
     cfgp.write_text(json.dumps(base_config(trials=0)))
     proc = run_cli("simulate", "--config", str(cfgp))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", base_config(B=8, U=16)),
+    ("simulate", base_config(U=7, B=16)),
+    ("simulate", base_config(Q=32)),
+    ("simulate", base_config(condition="foo")),
+    ("simulate", base_config(T=10, Q=4, code_rate="5/6")),
+    ("ablate", base_config(U=7, B=16, detectors=["lmmse"])),
+    ("train", None),
+    ("hwmodel", None),
+    ("train", {"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                            "condition": "nonlos"},
+               "K": 0, "training": {"n_train": 40, "n_val": 40,
+                                    "batch_size": 20, "max_epochs": 1}}),
+], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
+        "train-missing-file", "hwmodel-missing-file", "train-K0"])
+def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    if cfg is not None:
+        cfgp.write_text(json.dumps(cfg))
+    proc = run_cli(command, "--config", str(cfgp))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_overrides_are_validated(tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(base_config(trials=1)))
+    proc = run_cli("simulate", "--config", str(cfgp), "--threads", "0")
+    assert proc.returncode == 2, proc.stderr
 
 
 def test_cli_missing_params_exit_code(tmp_path):

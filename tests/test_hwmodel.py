@@ -147,6 +147,17 @@ def test_power_fit_exact_recovery():
     assert abs((p_idle + p_equ) - 0.787) < 1e-9
 
 
+@pytest.mark.parametrize("B, U", [(64, 8), (64, 16), (32, 8)])
+def test_power_fit_at_other_design_points(B, U):
+    # 64x8 idles (64 + 8) / 8 = 9 vectors per block like 128x16; 64x16 and
+    # 32x8 idle 5, which a fit hard-wired to 128x16 gets wrong
+    ts = np.arange(6, 55, 6)
+    p = np.array([0.420 + hwmodel.utilization(t, U, B) * 0.367 for t in ts])
+    p_idle, p_equ, _ = hwmodel.fit_power(list(zip(ts, p)), U=U, B=B)
+    assert abs(p_idle - 0.420) / 0.420 < 0.01
+    assert abs(p_equ - 0.367) / 0.367 < 0.01
+
+
 def test_power_fit_two_samples_interpolate():
     pts = [(6, 0.5), (54, 0.7)]
     p_idle, p_equ, r2 = hwmodel.fit_power(pts)
