@@ -96,16 +96,11 @@ def lmmse_detect(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
                  const: Constellation,
                  counter: MultCounter | None = None) -> SoftOutput:
     """Implicit LMMSE detection with exact per-UE gains and variances."""
-    from .denoise import XI_FLOOR_FACTOR
-
     G, chol, mu = lmmse_preprocess(H, N0, Es, counter)
     y_mf = matched_filter(H, y, counter)
     s_hat = lmmse_equalize(chol, y_mf, counter)
-    xi = Es * (1.0 - mu) * mu
-    floor = XI_FLOOR_FACTOR * Es
-    floored = xi < floor
-    params = LlrParams(N0 / Es, mu, np.maximum(xi, floor), floored)
-    return compute_llrs_with_params(s_hat, params, const)
+    return compute_llrs_with_params(s_hat, LlrParams.from_mu(mu, Es, N0 / Es),
+                                    const)
 
 
 def ocd_equalize(H: np.ndarray, y: np.ndarray, K: int, const: Constellation,

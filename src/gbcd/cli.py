@@ -25,18 +25,18 @@ DEFAULT_P_IDLE = 0.420
 DEFAULT_P_EQU = 0.367
 
 
-def _load_config(path: str, overrides: dict) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
     """Load a config and apply the command-line overrides; the result is
     validated again."""
-    cfg = ExperimentConfig.from_json(path)
+    cfg = ExperimentConfig.from_json(args.config)
+    overrides = {"seed": args.seed, "out": args.out,
+                 "fixed_point": True if args.fixed_point else None}
     return dataclasses.replace(
         cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, {"seed": args.seed, "threads": args.threads,
-                                     "out": args.out,
-                                     "fixed_point": True if args.fixed_point else None})
+    cfg = _load_config(args)
     rows = run_sweep(cfg)
     if not cfg.out:
         _write_csv(sys.stdout, rows, SWEEP_COLUMNS)
@@ -44,8 +44,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _load_config(args.config, {"seed": args.seed, "threads": args.threads,
-                                     "out": args.out})
+    cfg = _load_config(args)
     rows = run_ablation(cfg)
     if not cfg.out:
         _write_csv(sys.stdout, rows, ABLATE_COLUMNS)
@@ -62,6 +61,10 @@ def _cmd_train(args) -> int:
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad training config: {e}") from e
     check_design(scen.B, scen.U, scen.Q, scen.condition, K, (config.L,))
+    lo, hi = unfolding.TRAIN_SNR_RANGE_DB
+    if not lo <= scen.snr_db <= hi:
+        raise ConfigError(f"training snr_db={scen.snr_db:g} lies outside "
+                          f"[{lo:g}, {hi:g}] dB")
     if args.seed is not None:
         config.seed = args.seed
     params = unfolding.train(scen, config, K)
@@ -118,6 +121,16 @@ def _cmd_hwmodel(args) -> int:
     return 0
 
 
+# the optional flags; each subcommand registers only those it reads
+_FLAGS = {
+    "--seed": dict(type=int, help="override the config seed"),
+    "--threads": dict(type=int, help="kept for existing command lines; trials "
+                                     "run in one thread, so only 1 is valid"),
+    "--fixed-point": dict(action="store_true",
+                          help="run the GBCD detectors in fixed point"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gbcd",
@@ -127,20 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "Es*||H||_F^2/(B*N0), evaluated on the realized channel "
                     "after power control.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn, doc in (
-            ("simulate", _cmd_simulate, "BLER/SER sweep over SNR"),
-            ("ablate", _cmd_ablate, "incremental-technique comparison"),
-            ("train", _cmd_train, "deep-unfolding parameter training"),
-            ("hwmodel", _cmd_hwmodel, "complexity/throughput/power tables")):
+    for name, fn, doc, flags in (
+            ("simulate", _cmd_simulate, "BLER/SER sweep over SNR",
+             ("--seed", "--threads", "--fixed-point")),
+            ("ablate", _cmd_ablate, "incremental-technique comparison",
+             ("--seed", "--fixed-point")),
+            ("train", _cmd_train, "deep-unfolding parameter training",
+             ("--seed", "--threads")),
+            ("hwmodel", _cmd_hwmodel, "complexity/throughput/power tables",
+             ())):
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output path (CSV or JSON)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for Monte-Carlo trials")
-        sp.add_argument("--fixed-point", action="store_true",
-                        help="run the quantized detector pipeline")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(fn=fn)
     return p
 
@@ -148,6 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", None) not in (None, 1):
+            raise ConfigError(f"--threads {args.threads}: trials run in one "
+                              "thread; only --threads 1 is accepted")
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -267,18 +267,23 @@ class LlrParams:
     xi_floored: np.ndarray   # (U,) bool
 
     @classmethod
-    def from_gram(cls, G: np.ndarray, N0: float, Es: float, alpha: float,
-                  recip_fn=np.reciprocal,
-                  floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        d = G.diagonal().real
-        mu = d * recip_fn(d + alpha)
+    def from_mu(cls, mu: np.ndarray, Es: float, alpha: float,
+                floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
+        """Gains mu; variances Es (1 - mu) mu, floored at floor_factor * Es."""
         xi = Es * (1.0 - mu) * mu
         floor = floor_factor * Es
         floored = xi < floor
-        xi = np.maximum(xi, floor)
-        return cls(float(alpha), mu, xi, floored)
+        return cls(float(alpha), mu, np.maximum(xi, floor), floored)
+
+    @classmethod
+    def from_gram(cls, G: np.ndarray, N0: float, Es: float, alpha: float,
+                  recip_fn=np.reciprocal,
+                  floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
+        """Neumann-approximated gains mu = G_uu / (G_uu + alpha)."""
+        if alpha < 0:
+            raise ValueError("alpha must be >= 0")
+        d = G.diagonal().real
+        return cls.from_mu(d * recip_fn(d + alpha), Es, alpha, floor_factor)
 
 
 @dataclass

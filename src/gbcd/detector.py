@@ -5,17 +5,37 @@ reciprocal per-UE SINR metric, the SINR-sorted UE ordering and its block
 partition, and the per-block inverses of the Gram submatrices. Equalization
 then runs K outer iterations of per-block least squares plus denoising on
 each receive vector, tracking interference through a residual recursion in
-the Gram domain instead of touching the channel matrix again.
+the Gram domain instead of touching the channel matrix again. Float and
+fixed-point detection share this path and differ only by their ``Numerics``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .counting import MultCounter
+
+
+@dataclass(frozen=True)
+class Numerics:
+    """Numeric context of the detection datapath.
+
+    ``quantize(signal, x)`` rounds the named signal (``h``, ``y``, ``g``,
+    ``ymf``, ``z`` or ``llr``) to its word length; ``recip`` is the scalar
+    reciprocal used in the SINR, block-inverse and LLR stages.
+    """
+
+    quantize: Callable = lambda signal, x: x
+    recip: Callable = np.reciprocal
+
+
+# float arithmetic: no rounding, exact reciprocals
+FLOAT = Numerics()
 
 
 @dataclass
@@ -201,20 +221,20 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
 def preprocess(H: np.ndarray, N0: float | np.ndarray, Es: float = 1.0, *,
                L: int = 2, sort: bool = True,
                counter: MultCounter | None = None,
-               recip_fn=np.reciprocal) -> PreprocOutput:
+               numerics: Numerics = FLOAT) -> PreprocOutput:
     """Run the once-per-channel stage: Gram, reciprocal SINR, ordering, inverses.
 
     ``H`` is one channel (B, U) or a stack (..., B, U); for a stack, ``N0``
     is a scalar or holds one value per channel.
     """
     U = H.shape[-1]
-    G = gram(H, counter)
-    inv_sinr = reciprocal_sinr(G, N0, Es, counter, recip_fn)
+    G = numerics.quantize("g", gram(H, counter))
+    inv_sinr = reciprocal_sinr(G, N0, Es, counter, numerics.recip)
     perm = sort_ues(inv_sinr) if sort else \
         np.broadcast_to(np.arange(U), inv_sinr.shape).copy()
     blocks = make_blocks(perm, L)
     regularized: list = []
-    kinv = block_inverses(G, blocks, counter, recip_fn, regularized)
+    kinv = block_inverses(G, blocks, counter, numerics.recip, regularized)
     N0 = float(N0) if np.ndim(N0) == 0 else np.asarray(N0, dtype=np.float64)
     return PreprocOutput(G, inv_sinr, perm, blocks, kinv, N0, float(Es),
                          L, regularized)
@@ -222,13 +242,14 @@ def preprocess(H: np.ndarray, N0: float | np.ndarray, Es: float = 1.0, *,
 
 def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
                   counter: MultCounter | None = None,
-                  trace_hook=None) -> EqualizerState:
+                  trace_hook=None,
+                  numerics: Numerics = FLOAT) -> EqualizerState:
     """K outer iterations of block least squares plus denoising.
 
     ``y_mf`` may be a single vector (U,) or a block (U, T); updates are
     Gauss-Seidel style, each new block estimate immediately enters the
     residual. The unconstrained estimates of the final iteration are kept
-    for the soft-output stage.
+    for the soft-output stage; each denoiser output is quantized as ``z``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -247,7 +268,7 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
             v = pre.kinv[m] @ r[A] + z[A]
             if k == K - 1:
                 v_last[A] = v
-            z_new = denoiser.apply(v, k)
+            z_new = numerics.quantize("z", denoiser.apply(v, k))
             dz = z_new - z[A]
             z[A] = z_new
             r -= pre.G[:, A] @ dz
@@ -283,15 +304,20 @@ def _trace_writer(f):
 def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
                 const, K: int, *, mode: str = "box", rho=None, beta=None,
                 alpha: float | None = None, L: int = 2, sort: bool = True,
-                counter: MultCounter | None = None, trace_csv=None):
+                counter: MultCounter | None = None, trace_csv=None,
+                numerics: Numerics = FLOAT):
     """End-to-end detection: preprocessing, equalization, soft outputs.
 
-    ``trace_csv`` writes one debug row per inner iteration (residual norm
-    and estimate snapshot of the first transmission).
+    ``numerics`` also quantizes ``h`` and ``y`` on entry, ``ymf`` and the
+    LLRs. ``trace_csv`` writes one debug row per inner iteration (residual
+    norm and estimate snapshot of the first transmission).
     """
     from .denoise import box_denoiser, pme_denoiser, compute_llrs
 
-    pre = preprocess(H, N0, Es, L=L, sort=sort, counter=counter)
+    H = numerics.quantize("h", H)
+    y = numerics.quantize("y", y)
+    pre = preprocess(H, N0, Es, L=L, sort=sort, counter=counter,
+                     numerics=numerics)
     if mode == "box":
         den = box_denoiser(const)
     elif mode == "pme":
@@ -300,13 +326,14 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
         den = pme_denoiser(const, rho, beta)
     else:
         raise ValueError(f"unknown denoiser mode {mode!r}")
-    y_mf = matched_filter(H, y, counter)
-    if trace_csv:
-        with open(trace_csv, "w", newline="") as f:
-            state = gbcd_equalize(pre, y_mf, K, den, counter=counter,
-                                  trace_hook=_trace_writer(f))
-    else:
-        state = gbcd_equalize(pre, y_mf, K, den, counter=counter)
+    y_mf = numerics.quantize("ymf", matched_filter(H, y, counter))
+    with open(trace_csv, "w", newline="") if trace_csv else nullcontext() as f:
+        state = gbcd_equalize(pre, y_mf, K, den, counter=counter,
+                              trace_hook=_trace_writer(f) if f else None,
+                              numerics=numerics)
     if alpha is None:
         alpha = N0 / Es
-    return compute_llrs(state.v_last, pre.G, N0, Es, alpha, const), state, pre
+    soft = compute_llrs(state.v_last, pre.G, N0, Es, alpha, const,
+                        recip_fn=numerics.recip)
+    soft.llrs = numerics.quantize("llr", soft.llrs)
+    return soft, state, pre

@@ -5,10 +5,14 @@ Every trial is one coherence block: a fresh channel carries T transmissions;
 each UE's T symbols form one interleaved convolutional codeword, detected
 to per-bit LLRs and soft-decoded. Trial randomness derives from
 (seed, snr index, trial index) only, so detectors and ablation variants see
-identical channels, symbols, and noise, results are byte-reproducible, and
-worker count cannot change them. Trials run in fixed-size chunks; a sweep
-point stops early once every detector has accumulated the requested number
-of block errors.
+identical channels, symbols, and noise, and results are byte-reproducible.
+Trials run in one thread, in fixed-size chunks; a sweep point stops early
+once every detector has accumulated the requested number of block errors.
+
+Every detector, sweep or ablation, is built from one spec: ``kind`` (gbcd,
+lmmse or ocd) and, for GBCD, its block size ``L``, ``sort``, denoiser
+``mode`` and the ``source`` of its PME parameters. GBCD runs in fixed point
+when the config asks for it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +34,24 @@ SWEEP_COLUMNS = ("snr_db", "detector", "bler", "ser", "trials", "block_errors")
 ABLATE_COLUMNS = ("snr_db", "variant", "bler", "ser", "trials", "block_errors",
                   "data_hash")
 
-DETECTORS = ("gbcd-box", "gbcd-pme", "lmmse", "ocd")
+DETECTOR_SPECS = {
+    "gbcd-box": dict(kind="gbcd", L=2, sort=True, mode="box"),
+    "gbcd-pme": dict(kind="gbcd", L=2, sort=True, mode="pme", source="trained"),
+    "lmmse": dict(kind="lmmse"),
+    "ocd": dict(kind="ocd"),
+}
+DETECTORS = tuple(DETECTOR_SPECS)
 
 ABLATION_VARIANTS = (
-    ("cd-box", dict(L=1, sort=False, mode="box")),
-    ("cd-box+sort", dict(L=1, sort=True, mode="box")),
-    ("gbcd-box", dict(L=2, sort=False, mode="box")),
-    ("gbcd-box+sort", dict(L=2, sort=True, mode="box")),
-    ("gbcd-pme-empirical", dict(L=2, sort=True, mode="pme", source="empirical")),
-    ("gbcd-pme-trained", dict(L=2, sort=True, mode="pme", source="trained")),
+    ("cd-box", dict(kind="gbcd", L=1, sort=False, mode="box")),
+    ("cd-box+sort", dict(kind="gbcd", L=1, sort=True, mode="box")),
+    ("gbcd-box", dict(kind="gbcd", L=2, sort=False, mode="box")),
+    ("gbcd-box+sort", dict(kind="gbcd", L=2, sort=True, mode="box")),
+    ("gbcd-pme-empirical", dict(kind="gbcd", L=2, sort=True, mode="pme",
+                                source="empirical")),
+    ("gbcd-pme-trained", dict(kind="gbcd", L=2, sort=True, mode="pme",
+                              source="trained")),
 )
-
-
-# block size L of the gbcd-box and gbcd-pme detectors
-GBCD_BLOCK_SIZE = 2
 
 # Codeword blocks per fec.decode_batch call. The decoder's cost per block
 # falls as the batch grows, but the group's LLR buffer and the decoder's
@@ -102,7 +109,6 @@ class ExperimentConfig:
     out: str | None = None
     params_path: str | None = None
     allow_box_fallback: bool = False
-    threads: int = 1
     chunk_size: int = 16
     uncoded: bool = False
     k_factor: float = 10.0
@@ -130,11 +136,11 @@ class ExperimentConfig:
             raise ConfigError("snr_db list must not be empty")
         if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
             raise ConfigError("T must be divisible by coherence_groups")
-        if self.chunk_size < 1 or self.threads < 1:
-            raise ConfigError("chunk_size and threads must be >= 1")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size must be >= 1")
         check_design(self.B, self.U, self.Q, self.condition, self.K,
-                     [GBCD_BLOCK_SIZE for d in self.detectors
-                      if d.startswith("gbcd")])
+                     [DETECTOR_SPECS[d]["L"] for d in self.detectors
+                      if DETECTOR_SPECS[d]["kind"] == "gbcd"])
         self.code   # builds the code: a ConfigError if T*log2(Q) misfits the rate
 
     @property
@@ -200,33 +206,34 @@ def _resolve_pme(cfg: ExperimentConfig, snr_db: float):
             "alpha": res.params.alpha}
 
 
-def _detect(name: str, H, Y, N0, const, cfg: ExperimentConfig, pme_spec):
-    """Run one detector on a block; returns (llrs (U, m, T), hard indices)."""
-    if name == "lmmse":
-        soft = baselines.lmmse_detect(H, Y, N0, 1.0, const)
-    elif name == "ocd":
-        soft = baselines.ocd_detect(H, Y, N0, 1.0, cfg.K, const)
-    elif name in ("gbcd-box", "gbcd-pme"):
-        mode, rho, beta, alpha = "box", None, None, None
-        if name == "gbcd-pme":
-            spec = pme_spec
-            mode = spec["mode"]
-            rho = spec.get("rho")
-            beta = spec.get("beta")
-            alpha = spec.get("alpha")
-        if cfg.fixed_point:
-            soft = hwmodel.detect_fixed_point(H, Y, N0, 1.0, const, cfg.K,
-                                              mode=mode, rho=rho, beta=beta,
-                                              alpha=alpha, L=GBCD_BLOCK_SIZE)
-        else:
-            soft, _, _ = detector.gbcd_detect(H, Y, N0, 1.0, const, cfg.K,
-                                              mode=mode, rho=rho, beta=beta,
-                                              alpha=alpha, L=GBCD_BLOCK_SIZE)
+def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
+    """Detector of one spec as a function (H, Y, N0) -> (llrs (U, m, T),
+    hard indices). ``pme`` maps each PME source to the gbcd_detect keywords
+    resolved at this SNR."""
+    kind = spec["kind"]
+    if kind == "lmmse":
+        def detect(H, Y, N0):
+            return baselines.lmmse_detect(H, Y, N0, 1.0, const)
+    elif kind == "ocd":
+        def detect(H, Y, N0):
+            return baselines.ocd_detect(H, Y, N0, 1.0, cfg.K, const)
     else:
-        raise ConfigError(f"unknown detector {name!r}")
-    hard = hard_decision_indices(const, soft.v_final,
-                                 soft.params.mu[:, None])
-    return soft.llrs, hard
+        kw = pme[spec["source"]] if spec["mode"] == "pme" else {"mode": "box"}
+        kw = dict(kw, L=spec["L"], sort=spec["sort"])
+
+        def detect(H, Y, N0):
+            if cfg.fixed_point:
+                return hwmodel.detect_fixed_point(H, Y, N0, 1.0, const,
+                                                  cfg.K, **kw)
+            return detector.gbcd_detect(H, Y, N0, 1.0, const, cfg.K, **kw)[0]
+
+    def run(H, Y, N0):
+        soft = detect(H, Y, N0)
+        hard = hard_decision_indices(const, soft.v_final,
+                                     soft.params.mu[:, None])
+        return soft.llrs, hard
+
+    return run
 
 
 def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
@@ -284,7 +291,7 @@ def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
 
 
 def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
-               runners: dict, pool: ThreadPoolExecutor | None):
+               runners: dict):
     """Run one SNR point's trials in chunks of ``cfg.chunk_size``; a coded
     point stops after the chunk in which every runner reached
     ``min_block_errors``. A chunk's trials run in groups of up to
@@ -303,13 +310,9 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
         stop = min(trial + cfg.chunk_size, cfg.trials)
         for first in range(trial, stop, group):
             n = min(group, stop - first)
-
-            def run(i, first=first):
-                return _coded_trial(cfg, const, code, snr_idx, first + i,
+            results = [_coded_trial(cfg, const, code, snr_idx, first + i,
                                     runners, llrs[i], truth[i])
-
-            results = list(map(run, range(n)) if pool is None
-                           else pool.map(run, range(n)))
+                       for i in range(n)]
             errors = np.zeros((n, len(runners)), dtype=np.int64)
             if code is not None:
                 _, ok = fec.decode_batch(llrs[:n].reshape(n * n_rows, -1), code,
@@ -331,16 +334,12 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
     return totals, trial
 
 
-def _rows_from_totals(cfg, snr_db, totals, trials, label_key):
-    rows = []
-    for name, (be, blocks, se, syms, h) in totals.items():
-        bler = be / blocks if blocks else float("nan")
-        row = {"snr_db": snr_db, label_key: name, "bler": bler,
-               "ser": se / syms, "trials": trials, "block_errors": be}
-        if label_key == "variant":
-            row["data_hash"] = h
-        rows.append(row)
-    return rows
+def _rows_from_totals(snr_db, totals, trials, columns):
+    """One row per runner; the sweep's columns end before the data hash."""
+    return [dict(zip(columns, (snr_db, name,
+                               be / blocks if blocks else float("nan"),
+                               se / syms, trials, be, h)))
+            for name, (be, blocks, se, syms, h) in totals.items()]
 
 
 def _write_csv(path_or_buf, rows, columns):
@@ -372,50 +371,36 @@ def _emit_debug_trace(cfg: ExperimentConfig, const) -> None:
                          trace_csv=cfg.trace_csv)
 
 
-def run_sweep(cfg: ExperimentConfig):
-    """Monte-Carlo BLER/SER sweep; returns CSV rows and writes cfg.out if set."""
+def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
+    """Run every SNR point for the named detector specs; ``pme_sources(cfg,
+    const, snr_db)`` resolves the PME sources when a spec needs one."""
     const = make_constellation(cfg.Q)
     code = cfg.code
-    if cfg.trace_csv:
-        _emit_debug_trace(cfg, const)
     rows = []
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        for snr_idx, snr_db in enumerate(cfg.snr_db):
-            pme_spec = None
-            if "gbcd-pme" in cfg.detectors:
-                pme_spec = _resolve_pme(cfg, float(snr_db))
-            runners = {
-                name: (lambda H, Y, N0, _n=name: _detect(_n, H, Y, N0, const,
-                                                         cfg, pme_spec))
-                for name in cfg.detectors
-            }
-            totals, trials = _run_point(cfg, const, code, snr_idx, runners, pool)
-            rows.extend(_rows_from_totals(cfg, float(snr_db), totals, trials,
-                                          "detector"))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for snr_idx, snr_db in enumerate(cfg.snr_db):
+        pme = {}
+        if any(spec.get("mode") == "pme" for spec in specs.values()):
+            pme = pme_sources(cfg, const, float(snr_db))
+        runners = {name: _runner(spec, cfg, const, pme)
+                   for name, spec in specs.items()}
+        totals, trials = _run_point(cfg, const, code, snr_idx, runners)
+        rows.extend(_rows_from_totals(float(snr_db), totals, trials,
+                                      columns))
     if cfg.out:
-        _write_csv(cfg.out, rows, SWEEP_COLUMNS)
+        _write_csv(cfg.out, rows, columns)
     return rows
 
 
-def _variant_runner(spec: dict, cfg: ExperimentConfig, const, pme_params):
-    mode = spec["mode"]
+def run_sweep(cfg: ExperimentConfig):
+    """Monte-Carlo BLER/SER sweep; returns CSV rows and writes cfg.out if set."""
+    if cfg.trace_csv:
+        _emit_debug_trace(cfg, make_constellation(cfg.Q))
+    return _run(cfg, {d: DETECTOR_SPECS[d] for d in cfg.detectors},
+                _sweep_pme_sources, SWEEP_COLUMNS)
 
-    def run(H, Y, N0):
-        rho = beta = alpha = None
-        if mode == "pme":
-            rho, beta, alpha = pme_params[spec["source"]]
-        soft, _, _ = detector.gbcd_detect(H, Y, N0, 1.0, const, cfg.K,
-                                          mode=mode, rho=rho, beta=beta,
-                                          alpha=alpha, L=spec["L"],
-                                          sort=spec["sort"])
-        hard = hard_decision_indices(const, soft.v_final, soft.params.mu[:, None])
-        return soft.llrs, hard
 
-    return run
+def _sweep_pme_sources(cfg: ExperimentConfig, const, snr_db: float) -> dict:
+    return {"trained": _resolve_pme(cfg, snr_db)}
 
 
 def run_ablation(cfg: ExperimentConfig, variants=None):
@@ -424,31 +409,11 @@ def run_ablation(cfg: ExperimentConfig, variants=None):
     The PME variants need trained parameters for every sweep SNR (the
     empirical pair comes from a coarse grid search run once per SNR).
     """
-    chosen = variants or [v[0] for v in ABLATION_VARIANTS]
     spec_map = dict(ABLATION_VARIANTS)
+    specs = {v: spec_map[v] for v in variants or spec_map}
     check_design(cfg.B, cfg.U, cfg.Q, cfg.condition, cfg.K,
-                 [spec_map[v]["L"] for v in chosen])
-    const = make_constellation(cfg.Q)
-    code = cfg.code
-    rows = []
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        for snr_idx, snr_db in enumerate(cfg.snr_db):
-            pme_params = {}
-            if any(spec_map[v]["mode"] == "pme" for v in chosen):
-                pme_params = _ablation_pme_params(cfg, const, float(snr_db))
-            runners = {name: _variant_runner(spec_map[name], cfg, const,
-                                             pme_params)
-                       for name in chosen}
-            totals, trials = _run_point(cfg, const, code, snr_idx, runners, pool)
-            rows.extend(_rows_from_totals(cfg, float(snr_db), totals, trials,
-                                          "variant"))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if cfg.out:
-        _write_csv(cfg.out, rows, ABLATE_COLUMNS)
-    return rows
+                 [spec["L"] for spec in specs.values()])
+    return _run(cfg, specs, _ablation_pme_params, ABLATE_COLUMNS)
 
 
 def _ablation_pme_params(cfg: ExperimentConfig, const, snr_db: float) -> dict:
@@ -457,7 +422,7 @@ def _ablation_pme_params(cfg: ExperimentConfig, const, snr_db: float) -> dict:
     if spec["mode"] != "pme":
         raise unfolding.MissingParamsError(
             "ablation needs trained parameters at every sweep SNR")
-    out["trained"] = (spec["rho"], spec["beta"], spec["alpha"])
+    out["trained"] = spec
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xAB1A7E, int(round(snr_db * 100)))))
     batch = unfolding.make_batch(cfg.B, cfg.U, const, snr_db, cfg.condition,
@@ -467,5 +432,6 @@ def _ablation_pme_params(cfg: ExperimentConfig, const, snr_db: float) -> dict:
     rho_grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) / scale
     beta_grid = scale * np.array([0.6, 0.8, 1.0, 1.2, 1.5])
     r, b = unfolding.grid_search_pme(batch, cfg.K, rho_grid, beta_grid, alpha)
-    out["empirical"] = (np.full(cfg.K, r), np.full(cfg.K, b), alpha)
+    out["empirical"] = {"mode": "pme", "rho": np.full(cfg.K, r),
+                        "beta": np.full(cfg.K, b), "alpha": alpha}
     return out

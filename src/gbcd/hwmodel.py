@@ -10,9 +10,11 @@ and switching the shared processing-element array to preprocessing idles
 the equalizer for ``B + U`` cycles per coherence block. Both constants are
 exposed so the model generalizes beyond the 128 x 16 design point.
 
-The fixed-point mode re-runs detection with every named signal quantized to
-its hardware word length and all scalar reciprocals routed through a 64-segment
-piecewise-linear lookup.
+The fixed-point mode is a numeric context (``FIXED_POINT``) of the one GBCD
+detection path in ``detector``: every named signal is quantized to its
+hardware word length and all scalar reciprocals go through a 64-segment
+piecewise-linear lookup. Preprocessing, equalization and the soft outputs
+are the float code itself.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class ComplexityReport:
         return self.preprocessing_mults + T * self.per_transmission_mults
 
 
-def complexity_gbcd(B: int, U: int, K: int, T: int | None = None) -> ComplexityReport:
+def complexity_gbcd(B: int, U: int, K: int) -> ComplexityReport:
     """Closed-form counts for the block-size-2 detector."""
     pre = 2 * B * U * U + U * (2 * U + 2) + 3 * U
     per = 4 * B * U + 8 * K * U + 4 * K * U * U
@@ -59,7 +61,7 @@ def _random_instance(B: int, U: int, seed: int = 0):
     return H, y
 
 
-def complexity_lmmse(B: int, U: int, T: int | None = None) -> ComplexityReport:
+def complexity_lmmse(B: int, U: int) -> ComplexityReport:
     """Preprocessing from the closed form; per-transmission cost measured by
     instrumenting one matched filter plus forward/backward substitution."""
     pre = 2 * B * U * U + (2 * U ** 3 - 2 * U) // 3
@@ -75,7 +77,7 @@ def complexity_lmmse(B: int, U: int, T: int | None = None) -> ComplexityReport:
     return ComplexityReport("lmmse", B, U, None, pre, per)
 
 
-def complexity_ocd(B: int, U: int, K: int, T: int | None = None) -> ComplexityReport:
+def complexity_ocd(B: int, U: int, K: int) -> ComplexityReport:
     """Instrumented counts for one channel-domain detection task.
 
     Every task works from (H, y) directly, so the column norms are part of
@@ -223,46 +225,21 @@ def lut_reciprocal(x):
     return out[0] if scalar else out
 
 
+# the modeled datapath: DEFAULT_FORMATS word lengths, lookup reciprocals
+FIXED_POINT = detector.Numerics(
+    lambda signal, x: quantize(x, DEFAULT_FORMATS[signal]), lut_reciprocal)
+
+
 def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
                        const: Constellation, K: int, *, mode: str = "box",
                        rho=None, beta=None, alpha: float | None = None,
-                       L: int = 2, sort: bool = True,
-                       formats: dict = DEFAULT_FORMATS) -> denoise.SoftOutput:
-    """Detection with the modeled word lengths on H, y, G, y_mf, z, and the LLRs,
-    and lookup-based reciprocals in the SINR, inverse, and LLR stages."""
-    Hq = quantize(H, formats["h"])
-    yq = quantize(y, formats["y"])
-    G = quantize(detector.gram(Hq), formats["g"])
-    inv_sinr = detector.reciprocal_sinr(G, N0, Es, recip_fn=lut_reciprocal)
-    perm = detector.sort_ues(inv_sinr) if sort else np.arange(H.shape[1])
-    blocks = detector.make_blocks(perm, L)
-    regularized: list = []
-    kinv = detector.block_inverses(G, blocks, recip_fn=lut_reciprocal,
-                                   regularized=regularized)
-    pre = detector.PreprocOutput(G, inv_sinr, perm, blocks, kinv,
-                                 float(N0), float(Es), L, regularized)
-    y_mf = quantize(detector.matched_filter(Hq, yq), formats["ymf"])
-
-    if mode == "box":
-        base = denoise.box_denoiser(const)
-    elif mode == "pme":
-        base = denoise.pme_denoiser(const, rho, beta)
-    else:
-        raise ValueError(f"unknown denoiser mode {mode!r}")
-
-    zfmt = formats["z"]
-
-    class _QuantizedDenoiser:
-        def apply(self, v, k):
-            return quantize(base.apply(v, k), zfmt)
-
-    state = detector.gbcd_equalize(pre, y_mf, K, _QuantizedDenoiser())
-    if alpha is None:
-        alpha = N0 / Es
-    soft = denoise.compute_llrs(state.v_last, G, N0, Es, alpha, const,
-                                recip_fn=lut_reciprocal)
-    soft.llrs = quantize(soft.llrs, formats["llr"])
-    return soft
+                       L: int = 2, sort: bool = True) -> denoise.SoftOutput:
+    """GBCD detection in the FIXED_POINT numeric context: the modeled word
+    lengths on H, y, G, y_mf, z and the LLRs, and lookup-based reciprocals
+    in the SINR, inverse and LLR stages."""
+    return detector.gbcd_detect(H, y, N0, Es, const, K, mode=mode, rho=rho,
+                                beta=beta, alpha=alpha, L=L, sort=sort,
+                                numerics=FIXED_POINT)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +251,24 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     """Record per-signal dynamic ranges and derive fraction-bit splits.
 
     For each signal the integer bits cover the requested percentile of the
-    observed |real part| / |imaginary part| values; the remaining bits (one
-    reserved for the sign) are fractional.
+    per-realization peak |real part| / |imaginary part|, read through a
+    recording numeric context of the float detector (every denoiser output
+    counts for ``z``); the remaining bits (one reserved for the sign) are
+    fractional.
     """
     from .channel import gen_channel, transmit
     from .constellation import make_constellation
 
     widths = {"h": 12, "y": 12, "g": 15, "ymf": 18, "z": 11, "llr": 18}
     maxima = {k: [] for k in widths}
+    peak = {}
+
+    def record(signal, x):
+        peak[signal] = max(peak.get(signal, 0.0), float(np.abs(x.real).max()),
+                           float(np.abs(x.imag).max()))
+        return x
+
+    probe = detector.Numerics(record)
     rng = np.random.default_rng(seed)
     consts = {q: make_constellation(q) for q in orders}
     grid = [(q, s) for q in orders for s in snrs_db]
@@ -291,17 +278,11 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
         for _ in range(per_point):
             ch = gen_channel(B, U, "nonlos", rng)
             batch = transmit(ch.H, const, 1, snr, rng)
-            pre = detector.preprocess(ch.H, batch.N0, 1.0)
-            y_mf = detector.matched_filter(ch.H, batch.Y)
-            state = detector.gbcd_equalize(pre, y_mf, 3, denoise.box_denoiser(const))
-            soft = denoise.compute_llrs(state.v_last, pre.G, batch.N0, 1.0,
-                                        batch.N0, const)
-            for key, arr in (("h", ch.H), ("y", batch.Y), ("g", pre.G),
-                             ("ymf", y_mf), ("z", state.z), ("llr", soft.llrs)):
-                a = np.asarray(arr)
-                vals = np.abs(a.real).max() if not np.iscomplexobj(a) else \
-                    max(np.abs(a.real).max(), np.abs(a.imag).max())
-                maxima[key].append(float(vals))
+            detector.gbcd_detect(ch.H, batch.Y, batch.N0, 1.0, const, 3,
+                                 alpha=batch.N0, numerics=probe)
+            for key, level in peak.items():
+                maxima[key].append(level)
+            peak.clear()
     out = {}
     for key, vals in maxima.items():
         level = float(np.percentile(vals, percentile))

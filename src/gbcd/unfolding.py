@@ -27,6 +27,8 @@ from .denoise import XI_FLOOR_FACTOR
 
 LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
 PREPROCESS_SLICE = 256       # samples stacked per preprocessing call
+# SNRs (dB) parameters are trained at; the store falls back outside it
+TRAIN_SNR_RANGE_DB = (0.0, 25.0)
 
 
 class MissingParamsError(KeyError):
@@ -418,10 +420,11 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
     ``patience`` such epochs, returning the best parameters seen.
     """
     snr = float(scenario.snr_db)
-    if not (0.0 <= snr <= 25.0):
-        raise ValueError("training SNR must lie in [0, 25] dB; outside this "
-                         "range the store falls back (high) or uses the box "
-                         "denoiser (low)")
+    lo, hi = TRAIN_SNR_RANGE_DB
+    if not (lo <= snr <= hi):
+        raise ValueError(f"training SNR must lie in [{lo:g}, {hi:g}] dB; "
+                         "outside this range the store falls back (high) or "
+                         "uses the box denoiser (low)")
     const = make_constellation(scenario.Q)
     ss = np.random.SeedSequence(config.seed)
     s_train, s_val, s_shuffle = ss.spawn(3)

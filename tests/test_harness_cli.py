@@ -74,12 +74,6 @@ def test_sweep_deterministic_csv(tmp_path):
     assert buf1.getvalue() == buf2.getvalue()
 
 
-def test_sweep_worker_count_invariance():
-    rows1 = run_sweep(ExperimentConfig.from_dict(base_config(threads=1)))
-    rows2 = run_sweep(ExperimentConfig.from_dict(base_config(threads=3)))
-    assert rows1 == rows2
-
-
 def test_sweep_zero_errors_at_high_snr():
     rows = run_sweep(ExperimentConfig.from_dict(base_config(
         B=32, U=4, snr_db=[60.0], trials=4)))
@@ -152,7 +146,6 @@ GROUPING_SETTINGS = {
     "chunk-1": (dict(chunk_size=1), None),
     "chunk-5": (dict(chunk_size=5), None),
     "chunk-16": (dict(chunk_size=16), None),
-    "threads-2": (dict(threads=2), None),
 }
 
 
@@ -271,6 +264,30 @@ def test_ablation_first_variant_is_plain_coordinate_descent(tiny_store):
     assert ab[0]["ser"] == sw[0]["ser"]
 
 
+@pytest.mark.parametrize("fixed_point", [False, True], ids=["float", "fixed"])
+def test_ablation_and_sweep_share_one_detection_path(fixed_point):
+    # the ablation's gbcd-box+sort is the sweep's gbcd-box, in either
+    # numeric context
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=[2.0, 6.0], trials=4, min_block_errors=1000,
+        detectors=["gbcd-box"], fixed_point=fixed_point))
+    ab = run_ablation(cfg, variants=["gbcd-box+sort"])
+    sw = run_sweep(cfg)
+    keys = ("snr_db", "bler", "ser", "trials", "block_errors")
+    assert [[r[k] for k in keys] for r in ab] == \
+        [[r[k] for k in keys] for r in sw]
+
+
+def test_ablation_fixed_point_differs_from_float():
+    over = dict(snr_db=[6.0], trials=4, min_block_errors=1000,
+                uncoded=True)
+    rows = {fp: run_ablation(ExperimentConfig.from_dict(base_config(
+        fixed_point=fp, **over)), variants=["gbcd-box+sort"])
+        for fp in (False, True)}
+    assert rows[False][0]["data_hash"] == rows[True][0]["data_hash"]
+    assert rows[False][0]["ser"] != rows[True][0]["ser"]
+
+
 def test_ablation_rows_independent_of_variant_batching():
     cfg = ExperimentConfig.from_dict(base_config(
         snr_db=[0.0, 2.0], trials=6, min_block_errors=1000))
@@ -319,8 +336,14 @@ def test_cli_config_error_exit_code(tmp_path):
                             "condition": "nonlos"},
                "K": 0, "training": {"n_train": 40, "n_val": 40,
                                     "batch_size": 20, "max_epochs": 1}}),
+    ("train", {"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 30.0,
+                            "condition": "nonlos"},
+               "K": 2, "training": {"n_train": 40, "n_val": 40,
+                                    "batch_size": 20, "max_epochs": 1}}),
+    ("simulate", base_config(threads=2)),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
-        "train-missing-file", "hwmodel-missing-file", "train-K0"])
+        "train-missing-file", "hwmodel-missing-file", "train-K0",
+        "train-snr-30", "threads-key"])
 def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     cfgp = tmp_path / "cfg.json"
     if cfg is not None:
@@ -336,6 +359,35 @@ def test_cli_overrides_are_validated(tmp_path):
     cfgp.write_text(json.dumps(base_config(trials=1)))
     proc = run_cli("simulate", "--config", str(cfgp), "--threads", "0")
     assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_cli_threads_other_than_one_is_a_config_error(command, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(base_config(trials=1)))
+    proc = run_cli(command, "--config", str(cfgp), "--threads", "2")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "one thread" in proc.stderr
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ablate", "--threads"),
+    ("train", "--fixed-point"),
+    ("hwmodel", "--fixed-point"),
+    ("hwmodel", "--threads"),
+    ("hwmodel", "--seed"),
+])
+def test_cli_rejects_flags_the_subcommand_does_not_read(command, flag,
+                                                        tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(base_config(trials=1)))
+    argv = [command, "--config", str(cfgp), flag]
+    if flag != "--fixed-point":
+        argv.append("1")
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert f"unrecognized arguments: {flag}" in proc.stderr
 
 
 def test_cli_missing_params_exit_code(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbcd import baselines, detector, hwmodel
+from gbcd import baselines, denoise, detector, hwmodel
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
 from gbcd.counting import MultCounter
@@ -284,6 +284,78 @@ def test_fixed_point_outputs_quantized(qam16, rng):
     sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, 1.0, qam16, 3)
     fmt = hwmodel.DEFAULT_FORMATS["llr"]
     assert np.array_equal(hwmodel.quantize(sq.llrs, fmt), sq.llrs)
+
+
+def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, mode="box",
+                                  rho=None, beta=None, alpha=None, L=2,
+                                  sort=True):
+    """The fixed-point detector written out stage by stage: quantized H, y,
+    G and y_mf, lookup reciprocals, a denoiser whose output is quantized,
+    and quantized LLRs."""
+    formats = hwmodel.DEFAULT_FORMATS
+    q, lut = hwmodel.quantize, hwmodel.lut_reciprocal
+    Hq = q(H, formats["h"])
+    yq = q(y, formats["y"])
+    G = q(detector.gram(Hq), formats["g"])
+    inv_sinr = detector.reciprocal_sinr(G, N0, Es, recip_fn=lut)
+    perm = detector.sort_ues(inv_sinr) if sort else np.arange(H.shape[1])
+    blocks = detector.make_blocks(perm, L)
+    regularized = []
+    kinv = detector.block_inverses(G, blocks, recip_fn=lut,
+                                   regularized=regularized)
+    pre = detector.PreprocOutput(G, inv_sinr, perm, blocks, kinv,
+                                 float(N0), float(Es), L, regularized)
+    y_mf = q(detector.matched_filter(Hq, yq), formats["ymf"])
+    if mode == "box":
+        base = denoise.box_denoiser(const)
+    else:
+        base = denoise.pme_denoiser(const, rho, beta)
+
+    class _QuantizedDenoiser:
+        def apply(self, v, k):
+            return q(base.apply(v, k), formats["z"])
+
+    state = detector.gbcd_equalize(pre, y_mf, K, _QuantizedDenoiser())
+    if alpha is None:
+        alpha = N0 / Es
+    soft = denoise.compute_llrs(state.v_last, G, N0, Es, alpha, const,
+                                recip_fn=lut)
+    soft.llrs = q(soft.llrs, formats["llr"])
+    return soft
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("Q", [4, 16, 64, 256])
+def test_fixed_point_matches_reference(Q, L):
+    const = make_constellation(Q)
+    rng = np.random.default_rng(100 * Q + L)
+    K = 3
+    rho = np.array([1.0, 2.0, 4.0]) / const.scale
+    beta = np.full(K, const.scale)
+    for (B, U), condition in (((32, 8), "nonlos"), ((16, 4), "los"),
+                              ((8, 8), "nonlos")):
+        ch = gen_channel(B, U, condition, rng)
+        b = transmit(ch.H, const, 6, 8.0, rng)
+        for sort in (False, True):
+            for mode, kw in (("box", {}),
+                             ("pme", dict(rho=rho, beta=beta,
+                                          alpha=0.5 * b.N0))):
+                args = (ch.H, b.Y, b.N0, 1.0, const, K)
+                kw = dict(kw, mode=mode, L=L, sort=sort)
+                got = hwmodel.detect_fixed_point(*args, **kw)
+                ref = _detect_fixed_point_reference(*args, **kw)
+                case = (B, U, condition, sort, mode)
+                assert np.array_equal(got.llrs, ref.llrs), case
+                assert np.array_equal(got.v_final, ref.v_final), case
+                assert np.array_equal(got.params.mu, ref.params.mu), case
+                assert np.array_equal(got.params.xi, ref.params.xi), case
+
+
+def test_float_numerics_is_the_identity():
+    x = np.array([0.1 + 0.2j, -3.0])
+    for signal in ("h", "y", "g", "ymf", "z", "llr"):
+        assert detector.FLOAT.quantize(signal, x) is x
+    assert detector.FLOAT.recip is np.reciprocal
 
 
 def test_profiler_smoke():
