@@ -56,8 +56,7 @@ def _cmd_train(args) -> int:
     try:
         scen = Scenario.from_dict(raw["scenario"])
         K = int(raw["K"])
-        tc_fields = {k: v for k, v in raw.get("training", {}).items()}
-        config = unfolding.TrainConfig(**tc_fields)
+        config = unfolding.TrainConfig(**raw.get("training", {}))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad training config: {e}") from e
     check_design(scen.B, scen.U, scen.Q, scen.condition, K, (config.L,))

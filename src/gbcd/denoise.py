@@ -279,10 +279,11 @@ class LlrParams:
     def from_gram(cls, G: np.ndarray, N0: float, Es: float, alpha: float,
                   recip_fn=np.reciprocal,
                   floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
-        """Neumann-approximated gains mu = G_uu / (G_uu + alpha)."""
+        """Neumann-approximated gains mu = G_uu / (G_uu + alpha); G may be
+        a stack (..., U, U)."""
         if alpha < 0:
             raise ValueError("alpha must be >= 0")
-        d = G.diagonal().real
+        d = G.diagonal(0, -2, -1).real
         return cls.from_mu(d * recip_fn(d + alpha), Es, alpha, floor_factor)
 
 

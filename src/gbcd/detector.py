@@ -66,7 +66,7 @@ class PreprocOutput:
 
 @dataclass
 class EqualizerState:
-    z: np.ndarray            # denoised estimates, (U,) or (U, T)
+    z: np.ndarray            # denoised estimates, (..., U) or (..., U, T)
     r: np.ndarray            # final residual, same shape as z
     v_last: np.ndarray       # unconstrained estimates of the final iteration
     k: int                   # number of outer iterations performed
@@ -246,39 +246,60 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
                   numerics: Numerics = FLOAT) -> EqualizerState:
     """K outer iterations of block least squares plus denoising.
 
-    ``y_mf`` may be a single vector (U,) or a block (U, T); updates are
-    Gauss-Seidel style, each new block estimate immediately enters the
-    residual. The unconstrained estimates of the final iteration are kept
-    for the soft-output stage; each denoiser output is quantized as ``z``.
+    ``pre`` is the preprocessing of one channel or of a stack of channels
+    (leading axes ``...``); ``y_mf`` holds a single vector (..., U) or a
+    block (..., U, T) per channel. Updates are Gauss-Seidel style, each new
+    block estimate immediately enters the residual. The unconstrained
+    estimates of the final iteration are kept for the soft-output stage;
+    each denoiser output is quantized as ``z``.
+
+    The recursion runs in update order: G and y_mf are permuted once so
+    that block m is the slice m*L:(m+1)*L. The results and the
+    ``trace_hook`` snapshots (..., U, T) are in UE order.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if pre.blocks.ndim != 2:
-        raise ValueError("gbcd_equalize takes the preprocessing of one channel")
+    lead = pre.blocks.shape[:-2]
+    M, L = pre.blocks.shape[-2:]
+    U = M * L
     y_mf = np.asarray(y_mf, dtype=np.complex128)
-    single = y_mf.ndim == 1
-    ymat = y_mf[:, None] if single else y_mf
-    U, T = ymat.shape
-    z = np.zeros((U, T), dtype=np.complex128)
-    r = ymat.copy()
-    v_last = np.empty((U, T), dtype=np.complex128)
+    single = y_mf.ndim == len(lead) + 1
+    ymat = y_mf[..., None] if single else y_mf
+    T = ymat.shape[-1]
+    order = pre.blocks.reshape(lead + (U,))
+    restore = np.argsort(order, axis=-1)[..., None]
+
+    def ue_order(x):
+        return np.take_along_axis(x, restore, axis=-2)
+
+    # G[..., order, order] with each channel's matrix stored column-major,
+    # so a block's columns form an F-contiguous (U, L) slice, the layout of
+    # a gathered G[:, A]; a row-major copy sends numpy to another BLAS
+    # kernel and moves some T = 1 results by an ulp
+    Gp = _block_submatrices(pre.G.swapaxes(-1, -2),
+                            order[..., None, :])[..., 0, :, :].swapaxes(-1, -2)
+    r = np.take_along_axis(ymat, order[..., None], axis=-2)
+    z = np.zeros_like(r)
+    v_last = np.empty_like(r)
+    n = math.prod(lead)
     for k in range(K):
-        for m in range(pre.M):
-            A = pre.blocks[m]
-            v = pre.kinv[m] @ r[A] + z[A]
+        for m in range(M):
+            A = slice(m * L, (m + 1) * L)
+            v = pre.kinv[..., m, :, :] @ r[..., A, :] + z[..., A, :]
             if k == K - 1:
-                v_last[A] = v
+                v_last[..., A, :] = v
             z_new = numerics.quantize("z", denoiser.apply(v, k))
-            dz = z_new - z[A]
-            z[A] = z_new
-            r -= pre.G[:, A] @ dz
+            dz = z_new - z[..., A, :]
+            z[..., A, :] = z_new
+            r -= Gp[..., :, A] @ dz
             if counter is not None:
-                counter.cmul(pre.L * pre.L * T)  # block solve
-                counter.cmul(U * pre.L * T)      # residual update
+                counter.cmul(n * L * L * T)  # block solve
+                counter.cmul(n * U * L * T)  # residual update
             if trace_hook is not None:
-                trace_hook(k, m, z.copy(), r.copy())
+                trace_hook(k, m, ue_order(z), ue_order(r))
+    z, r, v_last = ue_order(z), ue_order(r), ue_order(v_last)
     if single:
-        return EqualizerState(z[:, 0], r[:, 0], v_last[:, 0], K)
+        return EqualizerState(z[..., 0], r[..., 0], v_last[..., 0], K)
     return EqualizerState(z, r, v_last, K)
 
 

@@ -6,8 +6,9 @@ each UE's T symbols form one interleaved convolutional codeword, detected
 to per-bit LLRs and soft-decoded. Trial randomness derives from
 (seed, snr index, trial index) only, so detectors and ablation variants see
 identical channels, symbols, and noise, and results are byte-reproducible.
-Trials run in one thread, in fixed-size chunks; a sweep point stops early
-once every detector has accumulated the requested number of block errors.
+Trials run in one thread, in groups whose codewords are decoded together;
+a coded sweep point stops at the first trial at which every detector has
+accumulated the requested number of block errors.
 
 Every detector, sweep or ablation, is built from one spec: ``kind`` (gbcd,
 lmmse or ocd) and, for GBCD, its block size ``L``, ``sort``, denoiser
@@ -109,7 +110,6 @@ class ExperimentConfig:
     out: str | None = None
     params_path: str | None = None
     allow_box_fallback: bool = False
-    chunk_size: int = 16
     uncoded: bool = False
     k_factor: float = 10.0
     min_sep_deg: float = 1.0
@@ -118,8 +118,6 @@ class ExperimentConfig:
 
     @property
     def group_len(self) -> int:
-        if self.T % self.coherence_groups != 0:
-            raise ConfigError("T must be divisible by coherence_groups")
         return self.T // self.coherence_groups
 
     def __post_init__(self):
@@ -136,8 +134,6 @@ class ExperimentConfig:
             raise ConfigError("snr_db list must not be empty")
         if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
             raise ConfigError("T must be divisible by coherence_groups")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
         check_design(self.B, self.U, self.Q, self.condition, self.K,
                      [DETECTOR_SPECS[d]["L"] for d in self.detectors
                       if DETECTOR_SPECS[d]["kind"] == "gbcd"])
@@ -184,24 +180,20 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(snr_idx, trial)))
 
 
-def _resolve_pme(cfg: ExperimentConfig, snr_db: float):
+def _resolve_pme(cfg: ExperimentConfig, store, snr_db: float):
     """Trained-parameter lookup with the documented fallback ladder."""
+    box = {"mode": "box", "alpha": None}
     if snr_db < 0.0:
-        return {"mode": "box", "alpha": None}
-    if cfg.params_path is None:
-        if cfg.allow_box_fallback:
-            return {"mode": "box", "alpha": None}
-        raise unfolding.MissingParamsError(
-            "gbcd-pme requested but no params_path configured")
-    store = unfolding.ParamStore.load(cfg.params_path)
+        return box
     try:
+        if store is None:
+            raise unfolding.MissingParamsError(
+                "gbcd-pme requested but no params_path configured")
         res = store.lookup(cfg.B, cfg.U, cfg.K, cfg.Q, cfg.condition, snr_db)
     except unfolding.MissingParamsError:
         if cfg.allow_box_fallback:
-            return {"mode": "box", "alpha": None}
+            return box
         raise
-    if res.mode == "box":
-        return {"mode": "box", "alpha": None}
     return {"mode": "pme", "rho": res.params.rho, "beta": res.params.beta,
             "alpha": res.params.alpha}
 
@@ -292,14 +284,14 @@ def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
 
 def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
                runners: dict):
-    """Run one SNR point's trials in chunks of ``cfg.chunk_size``; a coded
-    point stops after the chunk in which every runner reached
-    ``min_block_errors``. A chunk's trials run in groups of up to
-    DECODE_BLOCKS codeword blocks (at least one trial), and each group's
-    blocks are decoded in one ``fec.decode_batch`` call."""
+    """Run one SNR point's trials in groups of up to DECODE_BLOCKS codeword
+    blocks (at least one trial); each group's blocks are decoded in one
+    ``fec.decode_batch`` call. A coded point stops at the first trial at
+    which every runner has reached ``min_block_errors``; the later trials
+    of that group are discarded, so grouping changes no result."""
     totals = {name: [0, 0, 0, 0, None] for name in runners}
     n_rows = len(runners) * cfg.U
-    group = max(1, min(DECODE_BLOCKS // n_rows, cfg.chunk_size, cfg.trials))
+    group = max(1, min(DECODE_BLOCKS // n_rows, cfg.trials))
     if code is None:
         llrs = truth = [None] * group
     else:
@@ -307,30 +299,28 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
         truth = np.empty((group, n_rows, code.payload_bits), dtype=np.uint8)
     trial = 0
     while trial < cfg.trials:
-        stop = min(trial + cfg.chunk_size, cfg.trials)
-        for first in range(trial, stop, group):
-            n = min(group, stop - first)
-            results = [_coded_trial(cfg, const, code, snr_idx, first + i,
-                                    runners, llrs[i], truth[i])
-                       for i in range(n)]
-            errors = np.zeros((n, len(runners)), dtype=np.int64)
-            if code is not None:
-                _, ok = fec.decode_batch(llrs[:n].reshape(n * n_rows, -1), code,
-                                         truth[:n].reshape(n * n_rows, -1))
-                errors = np.sum(~ok.reshape(n, len(runners), cfg.U), axis=2)
-            for (sym_errors, data_hash), trial_errors in zip(results,
-                                                             errors.tolist()):
-                for name, be in zip(runners, trial_errors):
-                    tot = totals[name]
-                    tot[0] += be
-                    tot[1] += 0 if code is None else cfg.U
-                    tot[2] += sym_errors[name]
-                    tot[3] += cfg.U * cfg.T
-                    tot[4] = data_hash
-        trial = stop
-        if code is not None and all(t[0] >= cfg.min_block_errors
-                                    for t in totals.values()):
-            break
+        n = min(group, cfg.trials - trial)
+        results = [_coded_trial(cfg, const, code, snr_idx, trial + i,
+                                runners, llrs[i], truth[i])
+                   for i in range(n)]
+        errors = np.zeros((n, len(runners)), dtype=np.int64)
+        if code is not None:
+            _, ok = fec.decode_batch(llrs[:n].reshape(n * n_rows, -1), code,
+                                     truth[:n].reshape(n * n_rows, -1))
+            errors = np.sum(~ok.reshape(n, len(runners), cfg.U), axis=2)
+        for (sym_errors, data_hash), trial_errors in zip(results,
+                                                         errors.tolist()):
+            trial += 1
+            for name, be in zip(runners, trial_errors):
+                tot = totals[name]
+                tot[0] += be
+                tot[1] += 0 if code is None else cfg.U
+                tot[2] += sym_errors[name]
+                tot[3] += cfg.U * cfg.T
+                tot[4] = data_hash
+            if code is not None and all(t[0] >= cfg.min_block_errors
+                                        for t in totals.values()):
+                return totals, trial
     return totals, trial
 
 
@@ -372,16 +362,26 @@ def _emit_debug_trace(cfg: ExperimentConfig, const) -> None:
 
 
 def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
-    """Run every SNR point for the named detector specs; ``pme_sources(cfg,
-    const, snr_db)`` resolves the PME sources when a spec needs one."""
+    """Run every SNR point for the named detector specs. Before the first
+    trial, ``pme_sources(cfg, const, store, snr_db, sources)`` resolves the
+    PME sources the specs name at every SNR, from the store read once; an
+    unreadable or malformed store is a ConfigError."""
     const = make_constellation(cfg.Q)
     code = cfg.code
+    sources = {spec["source"] for spec in specs.values()
+               if spec.get("mode") == "pme"}
+    store = None
+    if sources and cfg.params_path is not None:
+        try:
+            store = unfolding.ParamStore.load(cfg.params_path)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise ConfigError(f"cannot read params_path {cfg.params_path}: "
+                              f"{e}") from e
+    pme = [pme_sources(cfg, const, store, float(snr_db), sources)
+           if sources else {} for snr_db in cfg.snr_db]
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_db):
-        pme = {}
-        if any(spec.get("mode") == "pme" for spec in specs.values()):
-            pme = pme_sources(cfg, const, float(snr_db))
-        runners = {name: _runner(spec, cfg, const, pme)
+        runners = {name: _runner(spec, cfg, const, pme[snr_idx])
                    for name, spec in specs.items()}
         totals, trials = _run_point(cfg, const, code, snr_idx, runners)
         rows.extend(_rows_from_totals(float(snr_db), totals, trials,
@@ -399,15 +399,17 @@ def run_sweep(cfg: ExperimentConfig):
                 _sweep_pme_sources, SWEEP_COLUMNS)
 
 
-def _sweep_pme_sources(cfg: ExperimentConfig, const, snr_db: float) -> dict:
-    return {"trained": _resolve_pme(cfg, snr_db)}
+def _sweep_pme_sources(cfg: ExperimentConfig, const, store, snr_db: float,
+                       sources) -> dict:
+    return {"trained": _resolve_pme(cfg, store, snr_db)}
 
 
 def run_ablation(cfg: ExperimentConfig, variants=None):
     """Incremental-technique comparison on identical per-trial data.
 
-    The PME variants need trained parameters for every sweep SNR (the
-    empirical pair comes from a coarse grid search run once per SNR).
+    The PME variants need trained parameters for every sweep SNR; the
+    empirical pair comes from a coarse grid search, run once per SNR when
+    ``gbcd-pme-empirical`` is selected.
     """
     spec_map = dict(ABLATION_VARIANTS)
     specs = {v: spec_map[v] for v in variants or spec_map}
@@ -416,13 +418,14 @@ def run_ablation(cfg: ExperimentConfig, variants=None):
     return _run(cfg, specs, _ablation_pme_params, ABLATE_COLUMNS)
 
 
-def _ablation_pme_params(cfg: ExperimentConfig, const, snr_db: float) -> dict:
-    out = {}
-    spec = _resolve_pme(cfg, snr_db)
-    if spec["mode"] != "pme":
+def _ablation_pme_params(cfg: ExperimentConfig, const, store, snr_db: float,
+                         sources) -> dict:
+    trained = _resolve_pme(cfg, store, snr_db)
+    if trained["mode"] != "pme":
         raise unfolding.MissingParamsError(
             "ablation needs trained parameters at every sweep SNR")
-    out["trained"] = spec
+    if "empirical" not in sources:
+        return {"trained": trained}
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xAB1A7E, int(round(snr_db * 100)))))
     batch = unfolding.make_batch(cfg.B, cfg.U, const, snr_db, cfg.condition,
@@ -432,6 +435,6 @@ def _ablation_pme_params(cfg: ExperimentConfig, const, snr_db: float) -> dict:
     rho_grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) / scale
     beta_grid = scale * np.array([0.6, 0.8, 1.0, 1.2, 1.5])
     r, b = unfolding.grid_search_pme(batch, cfg.K, rho_grid, beta_grid, alpha)
-    out["empirical"] = {"mode": "pme", "rho": np.full(cfg.K, r),
-                        "beta": np.full(cfg.K, b), "alpha": alpha}
-    return out
+    return {"trained": trained,
+            "empirical": {"mode": "pme", "rho": np.full(cfg.K, r),
+                          "beta": np.full(cfg.K, b), "alpha": alpha}}

@@ -1,9 +1,9 @@
-"""Scenario bundles: the (B, U, Q, SNR, condition, code rate, T, seed) tuple
-that keys trained parameters and experiments."""
+"""Scenarios: the (B, U, Q, SNR, condition) tuple that, with the iteration
+count K, keys trained parameters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -13,16 +13,11 @@ class Scenario:
     Q: int
     snr_db: float
     condition: str
-    code_rate: str = "1/2"
-    T: int = 120
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         return cls(B=int(d["B"]), U=int(d["U"]), Q=int(d["Q"]),
-                   snr_db=float(d["snr_db"]), condition=str(d["condition"]),
-                   code_rate=str(d.get("code_rate", "1/2")),
-                   T=int(d.get("T", 120)), seed=int(d.get("seed", 0)))
+                   snr_db=float(d["snr_db"]), condition=str(d["condition"]))

@@ -8,6 +8,10 @@ reverse-mode pass through the unrolled updates (clipped ramps carry
 subgradient zero outside and at their kinks, the max-log minima
 differentiate through the argmin branch).
 
+The forward pass is ``detector.gbcd_equalize`` on the stack of samples, with
+a denoiser that records what the backward pass needs, and the LLR gains of
+``denoise.LlrParams.from_gram``.
+
 Positivity is enforced by reparameterization: slopes and spacings live in
 the log domain, the normalizer in the softplus domain.
 """
@@ -17,13 +21,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import detector
 from .channel import gen_channel, transmit
 from .constellation import Constellation, make_constellation
-from .denoise import XI_FLOOR_FACTOR
+from .denoise import LlrParams
 
 LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
 PREPROCESS_SLICE = 256       # samples stacked per preprocessing call
@@ -76,9 +81,7 @@ class TrainBatch:
 
     const: Constellation
     bits: np.ndarray         # (N, U, log2 Q)
-    sym_idx: np.ndarray      # (N, U)
     G: np.ndarray            # (N, U, U)
-    diag: np.ndarray         # (N, U)
     y_mf: np.ndarray         # (N, U)
     blocks: np.ndarray       # (N, M, L)
     kinv: np.ndarray         # (N, M, L, L)
@@ -99,7 +102,6 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     """
     M = U // L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
-    sym_idx = np.empty((n, U), dtype=np.int64)
     G = np.empty((n, U, U), dtype=np.complex128)
     y_mf = np.empty((n, U), dtype=np.complex128)
     blocks = np.empty((n, M, L), dtype=np.int64)
@@ -115,15 +117,13 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
             H[i - start] = ch.H
             y[i - start] = batch.Y[:, 0]
             bits[i] = batch.bits[:, 0, :]
-            sym_idx[i] = batch.symbol_indices[:, 0]
             N0[i] = batch.N0
         pre = detector.preprocess(H, N0[start:stop], 1.0, L=L, sort=sort)
         G[start:stop] = pre.G
         y_mf[start:stop] = detector.matched_filter(H, y)
         blocks[start:stop] = pre.blocks
         kinv[start:stop] = pre.kinv
-    return TrainBatch(const, bits, sym_idx, G, np.ascontiguousarray(G.diagonal(0, 1, 2).real),
-                      y_mf, blocks, kinv, N0)
+    return TrainBatch(const, bits, G, y_mf, blocks, kinv, N0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,49 +179,33 @@ def _axis_minima(x: np.ndarray, mu: np.ndarray, const: Constellation):
 def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
                       batch: TrainBatch, K: int, want_cache: bool):
     const = batch.const
-    n, U = batch.y_mf.shape
-    M, L = batch.blocks.shape[1:]
     gamma = const.n_pam // 2 - 1
     offsets = np.arange(-gamma, gamma + 1, dtype=np.float64)
-    scale = const.scale
-
-    z = np.zeros((n, U), dtype=np.complex128)
-    r = batch.y_mf.copy()
-    v_final = np.empty((n, U), dtype=np.complex128)
     steps = []
-    for k in range(K):
-        for m in range(M):
-            A = batch.blocks[:, m]
-            rA = np.take_along_axis(r, A, axis=1)
-            zA = np.take_along_axis(z, A, axis=1)
-            v = np.einsum("nij,nj->ni", batch.kinv[:, m], rA) + zA
-            if k == K - 1:
-                np.put_along_axis(v_final, A, v, axis=1)
-            raw_re, cnt_re, svb_re, s2t_re = _plm_forward(v.real, rho[k], beta[k], offsets)
-            raw_im, cnt_im, svb_im, s2t_im = _plm_forward(v.imag, rho[k], beta[k], offsets)
-            zn = scale * (raw_re + 1j * raw_im)
-            dz = zn - zA
-            np.put_along_axis(z, A, zn, axis=1)
-            Gcols = np.take_along_axis(batch.G, A[:, None, :], axis=2)
-            r = r - np.einsum("nul,nl->nu", Gcols, dz)
-            if want_cache:
-                steps.append((A, Gcols, v, cnt_re, svb_re, s2t_re,
-                              cnt_im, svb_im, s2t_im))
+
+    def apply(v, k):
+        """``_plm_forward`` on both axes of each sample's one transmission;
+        with ``want_cache``, records the estimate ``v`` and the reductions
+        the backward pass needs."""
+        v = v[..., 0]
+        raw_re, *red_re = _plm_forward(v.real, rho[k], beta[k], offsets)
+        raw_im, *red_im = _plm_forward(v.imag, rho[k], beta[k], offsets)
+        if want_cache:
+            steps.append((v, *red_re, *red_im))
+        return (const.scale * (raw_re + 1j * raw_im))[..., None]
+
+    pre = detector.PreprocOutput(batch.G, None, None, batch.blocks, batch.kinv,
+                                 batch.N0, 1.0, batch.blocks.shape[-1])
+    v_final = detector.gbcd_equalize(pre, batch.y_mf, K,
+                                     SimpleNamespace(apply=apply)).v_last
 
     # soft-output stage (unit symbol energy throughout the package)
-    diag = batch.diag
-    denom = diag + alpha
-    mu = diag / denom
-    xi_raw = (1.0 - mu) * mu
-    floor = XI_FLOOR_FACTOR
-    floored = xi_raw < floor
-    xi = np.maximum(xi_raw, floor)
-    inv_xi = 1.0 / xi
+    gains = LlrParams.from_gram(batch.G, batch.N0, 1.0, alpha)
+    mu = gains.mu
+    inv_xi = 1.0 / gains.xi
 
-    x = v_final.real
-    yim = v_final.imag
     metrics, mins = [], []
-    for axis_vals in (x, yim):
+    for axis_vals in (v_final.real, v_final.imag):
         axis_metrics, axis_mins = _axis_minima(axis_vals, mu, const)
         metrics += axis_metrics
         mins += axis_mins
@@ -237,9 +221,8 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
 
     cache = None
     if want_cache:
-        cache = {"steps": steps, "v_final": v_final, "mu": mu, "xi": xi,
-                 "floored": floored, "denom": denom, "llr": llr,
-                 "metric": metric, "mins": mins, "capped": capped, "X": X,
+        cache = {"steps": steps, "mu": mu, "floored": gains.xi_floored,
+                 "llr": llr, "mins": mins, "capped": capped, "X": X,
                  "offsets": offsets, "inv_xi": inv_xi}
     return loss, cache
 
@@ -290,10 +273,10 @@ def grad(params, batch: TrainBatch, K: int):
         target = gx if b < m_axis else gy
         target += gm * 2.0 * (e0 - e1)
         gmu += gm * 2.0 * (a1 * e1 - a0 * e0)
-    mu, xi, floored = c["mu"], c["xi"], c["floored"]
-    dxi_dmu = np.where(floored, 0.0, 1.0 - 2.0 * mu)
+    mu = c["mu"]
+    dxi_dmu = np.where(c["floored"], 0.0, 1.0 - 2.0 * mu)
     gmu += gxi * dxi_dmu
-    dmu_dalpha = -mu / c["denom"]
+    dmu_dalpha = -mu / (batch.G.diagonal(0, 1, 2).real + alpha)
     galpha = float((gmu * dmu_dalpha).sum())
     gv_final = gx + 1j * gy
 
@@ -301,25 +284,25 @@ def grad(params, batch: TrainBatch, K: int):
     gr = np.zeros((n, U), dtype=np.complex128)
     grho = np.zeros(K)
     gbeta = np.zeros(K)
-    step_iter = reversed(c["steps"])
-    for k in range(K - 1, -1, -1):
-        for m in range(M - 1, -1, -1):
-            (A, Gcols, v, cnt_re, svb_re, s2t_re,
-             cnt_im, svb_im, s2t_im) = next(step_iter)
-            gdz = -np.einsum("nul,nu->nl", Gcols.conj(), gr)
-            gzn = np.take_along_axis(gz, A, axis=1) + gdz
-            gre = gzn.real
-            gim = gzn.imag
-            grho[k] += scale * float((svb_re * gre + svb_im * gim).sum())
-            gbeta[k] += scale * rho[k] * float((s2t_re * gre + s2t_im * gim).sum())
-            gv = scale * rho[k] * (cnt_re * gre + 1j * cnt_im * gim)
-            if k == K - 1:
-                gv = gv + np.take_along_axis(gv_final, A, axis=1)
-            gzA_old = -gdz + gv
-            np.put_along_axis(gz, A, gzA_old, axis=1)
-            grA = np.einsum("nji,nj->ni", batch.kinv[:, m].conj(), gv)
-            cur = np.take_along_axis(gr, A, axis=1)
-            np.put_along_axis(gr, A, cur + grA, axis=1)
+    for i in reversed(range(K * M)):
+        k, m = divmod(i, M)
+        _, cnt_re, svb_re, s2t_re, cnt_im, svb_im, s2t_im = c["steps"][i]
+        A = batch.blocks[:, m]
+        Gcols = np.take_along_axis(batch.G, A[:, None, :], axis=2)
+        gdz = -np.einsum("nul,nu->nl", Gcols.conj(), gr)
+        gzn = np.take_along_axis(gz, A, axis=1) + gdz
+        gre = gzn.real
+        gim = gzn.imag
+        grho[k] += scale * float((svb_re * gre + svb_im * gim).sum())
+        gbeta[k] += scale * rho[k] * float((s2t_re * gre + s2t_im * gim).sum())
+        gv = scale * rho[k] * (cnt_re * gre + 1j * cnt_im * gim)
+        if k == K - 1:
+            gv = gv + np.take_along_axis(gv_final, A, axis=1)
+        gzA_old = -gdz + gv
+        np.put_along_axis(gz, A, gzA_old, axis=1)
+        grA = np.einsum("nji,nj->ni", batch.kinv[:, m].conj(), gv)
+        cur = np.take_along_axis(gr, A, axis=1)
+        np.put_along_axis(gr, A, cur + grA, axis=1)
 
     return loss, {"rho": grho, "beta": gbeta, "alpha": galpha}
 
@@ -333,18 +316,14 @@ def forward_diagnostics(params, batch: TrainBatch, K: int) -> dict:
     finite-difference step, so the distance to the cap is what matters.
     """
     rho, beta, alpha = _params_arrays(params)
-    const = batch.const
     _, c = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=True)
-    gamma = const.n_pam // 2 - 1
-    offsets = np.arange(-gamma, gamma + 1, dtype=np.float64)
+    M = batch.blocks.shape[1]
     kink = np.inf
-    for k in range(K):
-        for m in range(batch.blocks.shape[1]):
-            step = c["steps"][k * batch.blocks.shape[1] + m]
-            v = step[2]
-            for ax in (v.real, v.imag):
-                pre = rho[k] * (ax[..., None] + 2.0 * beta[k] * offsets)
-                kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
+    for i, (v, *_) in enumerate(c["steps"]):
+        k = i // M
+        for ax in (v.real, v.imag):
+            pre = rho[k] * (ax[..., None] + 2.0 * beta[k] * c["offsets"])
+            kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
     argmin_gap = min(float(np.min(g)) for *_, g in c["mins"])
     sgn = 1.0 - 2.0 * c["X"]
     cap_distance = float(np.min(np.abs(sgn * c["llr"] - LOSS_CAP)))
@@ -462,8 +441,7 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            mb = TrainBatch(const, train_set.bits[idx], train_set.sym_idx[idx],
-                            train_set.G[idx], train_set.diag[idx],
+            mb = TrainBatch(const, train_set.bits[idx], train_set.G[idx],
                             train_set.y_mf[idx], train_set.blocks[idx],
                             train_set.kinv[idx], train_set.N0[idx])
             rho, beta, alpha = _theta_to_params(theta, K)

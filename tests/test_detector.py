@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbcd import denoise, detector
+from gbcd import denoise, detector, hwmodel
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import draw_symbols, make_constellation
 from gbcd.counting import MultCounter
@@ -227,12 +227,49 @@ def test_batched_counts_scale_with_channels(rng):
     assert three.total == 3 * one.total
 
 
-def test_equalizer_rejects_batched_preprocessing(rng):
-    H = np.stack([random_channel(rng, 8, 4) for _ in range(2)])
-    pre = detector.preprocess(H, np.full(2, 0.1), 1.0)
-    with pytest.raises(ValueError, match="one channel"):
-        detector.gbcd_equalize(pre, np.zeros((2, 4), complex), 1,
-                               denoise.box_denoiser(make_constellation(4)))
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+@pytest.mark.parametrize("T", [1, 5])
+@pytest.mark.parametrize("U, L", [(6, 1), (6, 2), (12, 1), (12, 2), (12, 4)])
+def test_stacked_equalizer_matches_per_channel(U, L, T, fixed, qam16, rng):
+    numerics = hwmodel.FIXED_POINT if fixed else detector.FLOAT
+    n = 5
+    H = np.stack([random_channel(rng, 16, U) for _ in range(n)])
+    # channel 3: nearly equal columns, so every 2x2 block is near-singular
+    H[3] = 1.0 + 1e-6 * random_channel(rng, 16, U)
+    H = numerics.quantize("h", H)
+    N0 = 10 ** rng.uniform(-2, 0, n)
+    Y = rng.standard_normal((n, 16, T)) + 1j * rng.standard_normal((n, 16, T))
+    if T == 1:
+        Y = Y[..., 0]
+    y_mf = numerics.quantize("ymf", detector.matched_filter(H, Y))
+    den = denoise.pme_denoiser(qam16, [2.0, 3.0, 4.0],
+                               qam16.scale * np.array([0.9, 1.0, 1.1]))
+
+    def run(pre, y, counter):
+        snaps = []
+        st = detector.gbcd_equalize(
+            pre, y, 3, den, counter=counter, numerics=numerics,
+            trace_hook=lambda k, m, z, r: snaps.append((k, m, z, r)))
+        return st, snaps
+
+    pre = detector.preprocess(H, N0, 1.0, L=L, numerics=numerics)
+    if L == 2:
+        assert 3 * (U // 2) in pre.regularized
+    stacked, per_channel = MultCounter(), MultCounter()
+    st, snaps = run(pre, y_mf, stacked)
+    assert st.z.shape == y_mf.shape
+    assert [s[:2] for s in snaps] == [(k, m) for k in range(3)
+                                      for m in range(U // L)]
+    for i in range(n):
+        one = detector.preprocess(H[i], N0[i], 1.0, L=L, numerics=numerics)
+        st_i, snaps_i = run(one, y_mf[i], per_channel)
+        for f in ("z", "r", "v_last"):
+            assert np.array_equal(getattr(st, f)[i], getattr(st_i, f)), f
+        assert [s[:2] for s in snaps_i] == [s[:2] for s in snaps]
+        for (_, _, z, r), (_, _, z_i, r_i) in zip(snaps, snaps_i):
+            assert np.array_equal(z[i], z_i) and np.array_equal(r[i], r_i)
+    assert stacked.total == per_channel.total
+    assert stacked.total == n * 3 * (U // L) * 4 * (L * L + U * L) * T
 
 
 def test_indivisible_block_size(rng):

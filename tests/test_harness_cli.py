@@ -44,7 +44,7 @@ def test_config_rejects_bad_fields():
     dict(condition="foo"),
     dict(T=10, Q=4, code_rate="5/6"),         # 20 coded bits at rate 5/6
     dict(K=0),
-    dict(chunk_size=0),
+    dict(chunk_size=4),                       # retired key
 ])
 def test_config_rejects_bad_design(over):
     with pytest.raises(ConfigError):
@@ -83,7 +83,7 @@ def test_sweep_zero_errors_at_high_snr():
 def test_sweep_early_stop_reaches_error_floor():
     rows = run_sweep(ExperimentConfig.from_dict(base_config(
         B=4, U=4, snr_db=[0.0], trials=500, min_block_errors=12,
-        chunk_size=4, detectors=["lmmse"])))
+        detectors=["lmmse"])))
     row = rows[0]
     assert row["block_errors"] >= 12
     assert row["trials"] < 500
@@ -100,8 +100,7 @@ def test_sweep_csv_schema(tmp_path):
 def test_lmmse_bler_monotone_in_snr():
     rows = run_sweep(ExperimentConfig.from_dict(base_config(
         B=4, U=4, Q=4, detectors=["lmmse"], K=3,
-        snr_db=[2.0, 6.0, 10.0], trials=400, min_block_errors=100,
-        chunk_size=25)))
+        snr_db=[2.0, 6.0, 10.0], trials=400, min_block_errors=100)))
     blers = [r["bler"] for r in rows]
     errors = [r["block_errors"] for r in rows]
     assert min(errors) >= 100  # enough statistics at every point
@@ -137,16 +136,11 @@ GROUPING_SCENARIOS = {
     "rate-3/4": dict(code_rate="3/4", snr_db=[2.0, 4.0]),
     "rate-5/6": dict(code_rate="5/6", Q=64, snr_db=[4.0, 6.0]),
     "coherence-2": dict(coherence_groups=2, snr_db=[0.0, 2.0]),
-    "early-stop": dict(snr_db=[0.0], min_block_errors=12, trials=60,
-                       chunk_size=3),
+    "early-stop": dict(snr_db=[0.0], min_block_errors=12, trials=60),
 }
-GROUPING_SETTINGS = {
-    "blocks-16": (dict(), 16),
-    "blocks-10000": (dict(), 10_000),
-    "chunk-1": (dict(chunk_size=1), None),
-    "chunk-5": (dict(chunk_size=5), None),
-    "chunk-16": (dict(chunk_size=16), None),
-}
+# DECODE_BLOCKS caps; every scenario runs two runners of U = 4 codeword
+# blocks per trial, so the caps give groups of 1, 2, 3, 5 and all trials
+GROUPING_CAPS = (8, 16, 24, 40, 10_000)
 
 
 def _csv_bytes(tmp_path, name, cfg_dict, ablate=False):
@@ -165,19 +159,20 @@ def test_results_independent_of_decode_grouping(scenario, ablate, tmp_path,
                                                 monkeypatch):
     cfg = base_config(trials=10, min_block_errors=1000)
     cfg.update(GROUPING_SCENARIOS[scenario])
-    default_cap = harness.DECODE_BLOCKS
     ref, rows = _csv_bytes(tmp_path, "ref", cfg, ablate)
     assert sum(r["block_errors"] for r in rows) > 0
     if scenario == "early-stop":
-        assert all(r["trials"] < cfg["trials"] for r in rows)
-    for name, (over, cap) in GROUPING_SETTINGS.items():
-        if scenario == "early-stop" and "chunk_size" in over:
-            continue    # the stopping rule is checked once per chunk
-        if cap is not None:
-            monkeypatch.setattr(harness, "DECODE_BLOCKS", cap)
-        got, _ = _csv_bytes(tmp_path, name, dict(cfg, **over), ablate)
-        monkeypatch.setattr(harness, "DECODE_BLOCKS", default_cap)
-        assert got == ref, name
+        stop = rows[0]["trials"]
+        assert all(r["trials"] == stop < cfg["trials"] for r in rows)
+        assert all(r["block_errors"] >= cfg["min_block_errors"] for r in rows)
+        # the stop is the first trial at which every runner got there
+        _, short = _csv_bytes(tmp_path, "short", dict(cfg, trials=stop - 1),
+                              ablate)
+        assert any(r["block_errors"] < cfg["min_block_errors"] for r in short)
+    for cap in GROUPING_CAPS:
+        monkeypatch.setattr(harness, "DECODE_BLOCKS", cap)
+        got, _ = _csv_bytes(tmp_path, f"cap-{cap}", cfg, ablate)
+        assert got == ref, cap
 
 
 @pytest.mark.parametrize("cap", [4, 8, 12, 16, 128])
@@ -192,7 +187,7 @@ def test_each_trial_decoded_once_within_cap(cap, early, monkeypatch):
 
     monkeypatch.setattr(fec, "decode_batch", recording_decode_batch)
     monkeypatch.setattr(harness, "DECODE_BLOCKS", cap)
-    over = dict(snr_db=[0.0, 20.0], trials=7, chunk_size=5)
+    over = dict(snr_db=[0.0, 20.0], trials=7)
     if early:
         over.update(snr_db=[0.0], trials=200, min_block_errors=10)
     cfg = ExperimentConfig.from_dict(base_config(**over))
@@ -201,10 +196,12 @@ def test_each_trial_decoded_once_within_cap(cap, early, monkeypatch):
     trials_run = [r["trials"] for r in rows][::runners]
     if early:
         assert trials_run[0] < 200
-    # truth rows in call order are each trial's payloads, once per runner
+    # truth rows in call order are each trial's payloads, once per runner;
+    # an early stop discards the rest of its group, which was decoded too
+    group = max(1, min(cap // (runners * U), cfg.trials))
     expect = []
     for snr_idx, n in enumerate(trials_run):
-        for t in range(n):
+        for t in range(min(-(-n // group) * group, cfg.trials)):
             rng = harness._trial_rng(cfg.seed, snr_idx, t)
             payload = rng.integers(0, 2, size=(U, cfg.code.payload_bits))
             expect.append(np.tile(payload.astype(np.uint8), (runners, 1)))
@@ -230,7 +227,7 @@ def test_box_fallback_when_permitted():
 
 
 # ---------------------------------------------------------------------------
-# ablation
+# PME parameter resolution
 
 @pytest.fixture(scope="module")
 def tiny_store(tmp_path_factory):
@@ -243,6 +240,54 @@ def tiny_store(tmp_path_factory):
     store.save(path)
     return str(path)
 
+
+def test_missing_record_fails_before_any_trial(tiny_store, monkeypatch):
+    # no Q = 4 record: -2 dB needs none (box), 4 dB fails the lookup
+    trials = []
+    coded_trial = harness._coded_trial
+
+    def counting(*args, **kwargs):
+        trials.append(args[4])
+        return coded_trial(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_coded_trial", counting)
+    cfg = ExperimentConfig.from_dict(base_config(
+        Q=4, snr_db=[-2.0, 4.0], detectors=["gbcd-pme"], trials=1,
+        params_path=tiny_store))
+    with pytest.raises(unfolding.MissingParamsError):
+        run_sweep(cfg)
+    assert trials == []
+
+
+@pytest.mark.parametrize("variants", [None, ["gbcd-pme-trained"],
+                                      ["gbcd-pme-empirical"]],
+                         ids=["sweep", "ablate-trained", "ablate-empirical"])
+def test_params_resolved_once_per_run(variants, tiny_store, monkeypatch):
+    loads, searches = [], []
+    load, grid_search = unfolding.ParamStore.load, unfolding.grid_search_pme
+
+    def counting_load(path):
+        loads.append(path)
+        return load(path)
+
+    def counting_search(*args):
+        searches.append(args)
+        return grid_search(*args)
+
+    monkeypatch.setattr(unfolding.ParamStore, "load", counting_load)
+    monkeypatch.setattr(unfolding, "grid_search_pme", counting_search)
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=[10.0, 12.0, 14.0], detectors=["gbcd-pme"], trials=1,
+        params_path=tiny_store))
+    rows = run_sweep(cfg) if variants is None else run_ablation(cfg, variants)
+    assert len(rows) == 3
+    assert loads == [tiny_store]
+    empirical = variants is not None and "gbcd-pme-empirical" in variants
+    assert len(searches) == (3 if empirical else 0)
+
+
+# ---------------------------------------------------------------------------
+# ablation
 
 def test_ablation_paired_data_and_variants(tiny_store):
     cfg = ExperimentConfig.from_dict(base_config(
@@ -341,9 +386,19 @@ def test_cli_config_error_exit_code(tmp_path):
                "K": 2, "training": {"n_train": 40, "n_val": 40,
                                     "batch_size": 20, "max_epochs": 1}}),
     ("simulate", base_config(threads=2)),
+    ("simulate", base_config(chunk_size=4)),
+    ("train", {"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                            "condition": "nonlos", "seed": 7},
+               "K": 2, "training": {"n_train": 40, "n_val": 40,
+                                    "batch_size": 20, "max_epochs": 1}}),
+    ("train", {"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                            "condition": "nonlos", "bogus": 1},
+               "K": 2, "training": {"n_train": 40, "n_val": 40,
+                                    "batch_size": 20, "max_epochs": 1}}),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
         "train-missing-file", "hwmodel-missing-file", "train-K0",
-        "train-snr-30", "threads-key"])
+        "train-snr-30", "threads-key", "chunk-size-key", "scenario-seed-key",
+        "scenario-bogus-key"])
 def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     cfgp = tmp_path / "cfg.json"
     if cfg is not None:
@@ -395,6 +450,33 @@ def test_cli_missing_params_exit_code(tmp_path):
     cfgp.write_text(json.dumps(base_config(detectors=["gbcd-pme"], trials=1)))
     proc = run_cli("simulate", "--config", str(cfgp))
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+@pytest.mark.parametrize("content", [None, "{not json",
+                                     '{"records": [{"rho": [1.0]}]}'],
+                         ids=["missing", "not-json", "bad-record"])
+def test_cli_unreadable_params_store_exits_2(command, content, tmp_path):
+    store = tmp_path / "store.json"
+    if content is not None:
+        store.write_text(content)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(base_config(detectors=["gbcd-pme"], trials=1,
+                                           params_path=str(store))))
+    proc = run_cli(command, "--config", str(cfgp))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_missing_record_exits_3(tmp_path, tiny_store):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(base_config(
+        Q=4, snr_db=[-2.0, 4.0], detectors=["gbcd-pme"], trials=1,
+        params_path=tiny_store)))
+    proc = run_cli("simulate", "--config", str(cfgp))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("missing trained parameters:")
 
 
 def test_cli_train_then_simulate(tmp_path):

@@ -25,7 +25,6 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
     """Per-sample preprocessing, as make_batch did before it stacked channels."""
     M = U // L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
-    sym_idx = np.empty((n, U), dtype=np.int64)
     G = np.empty((n, U, U), dtype=np.complex128)
     y_mf = np.empty((n, U), dtype=np.complex128)
     blocks = np.empty((n, M, L), dtype=np.int64)
@@ -36,18 +35,15 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
         batch = transmit(ch.H, const, 1, snr_db, rng)
         pre = detector.preprocess(ch.H, batch.N0, 1.0, L=L, sort=sort)
         bits[i] = batch.bits[:, 0, :]
-        sym_idx[i] = batch.symbol_indices[:, 0]
         G[i] = pre.G
         y_mf[i] = detector.matched_filter(ch.H, batch.Y[:, 0])
         blocks[i] = pre.blocks
         kinv[i] = pre.kinv
         N0[i] = batch.N0
-    return unfolding.TrainBatch(const, bits, sym_idx, G,
-                                np.ascontiguousarray(G.diagonal(0, 1, 2).real),
-                                y_mf, blocks, kinv, N0)
+    return unfolding.TrainBatch(const, bits, G, y_mf, blocks, kinv, N0)
 
 
-BATCH_FIELDS = ("bits", "sym_idx", "G", "diag", "y_mf", "blocks", "kinv", "N0")
+BATCH_FIELDS = ("bits", "G", "y_mf", "blocks", "kinv", "N0")
 
 
 @pytest.mark.parametrize("Q, n, slice_", [(4, 300, None), (256, 12, None),
@@ -122,6 +118,24 @@ def test_forward_loss_matches_detector_recomputation(rng):
         terms = np.logaddexp(0.0, (1.0 - 2.0 * X) * soft.llrs)
         total += float(np.minimum(terms, unfolding.LOSS_CAP).sum())
     assert abs(loss - total / batch.n) < 1e-10
+
+
+def test_forward_and_grad_run_through_the_detector_equalizer(rng,
+                                                           monkeypatch):
+    batch, const = small_batch(rng, n=5)
+    params = rand_params(rng, 3, const)
+    calls = []
+    equalize = detector.gbcd_equalize
+
+    def counting(pre, y_mf, K, den, **kw):
+        calls.append((pre.blocks.shape, y_mf.shape, K))
+        return equalize(pre, y_mf, K, den, **kw)
+
+    monkeypatch.setattr(detector, "gbcd_equalize", counting)
+    unfolding.forward_loss(params, batch, 3)
+    unfolding.grad(params, batch, 3)
+    unfolding.forward_diagnostics(params, batch, 3)
+    assert calls == [((5, 2, 2), (5, 4), 3)] * 3
 
 
 def test_bce_cap_equals_probability_clamp(rng):
