@@ -10,6 +10,7 @@ natural UE order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,132 +24,163 @@ from .detector import gram, matched_filter
 
 @dataclass
 class CholeskyFactor:
-    L: np.ndarray  # lower triangular, real positive diagonal
+    L: np.ndarray  # (..., n, n) lower triangular, real positive diagonal
 
 
 def cholesky_lower(A: np.ndarray, counter: MultCounter | None = None) -> CholeskyFactor:
-    """Loop-form complex Cholesky; raises on a non-positive-definite matrix."""
-    n = A.shape[0]
-    L = np.zeros((n, n), dtype=np.complex128)
+    """Loop-form complex Cholesky of A (n, n) or of a stack (..., n, n);
+    raises if any matrix is not positive definite. Each matrix of a stack
+    is factored in the operation order of factoring it alone."""
+    n = A.shape[-1]
+    c = math.prod(A.shape[:-2])
+    L = np.zeros(A.shape, dtype=np.complex128)
     for j in range(n):
-        s = A[j, j].real - np.sum(np.abs(L[j, :j]) ** 2)
+        s = A[..., j, j].real - np.sum(np.abs(L[..., j, :j]) ** 2, axis=-1)
         if counter is not None:
-            counter.abs2(j)
-        if s <= 0:
+            counter.abs2(c * j)
+        if np.any(s <= 0):
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        L[j, j] = np.sqrt(s)
+        L[..., j, j] = np.sqrt(s)
+        Lj = L[..., j, :j, None].conj()
         for i in range(j + 1, n):
-            v = A[i, j] - np.dot(L[i, :j], L[j, :j].conj())
-            L[i, j] = v / L[j, j].real
+            v = A[..., i, j] - (L[..., i, None, :j] @ Lj)[..., 0, 0]
+            L[..., i, j] = v / L[..., j, j].real
             if counter is not None:
-                counter.cmul(j)
-                counter.cdiv_real(1)
+                counter.cmul(c * j)
+                counter.cdiv_real(c)
     return CholeskyFactor(L)
+
+
+def _substitute(M: np.ndarray, b: np.ndarray, lower: bool,
+                counter: MultCounter | None) -> np.ndarray:
+    """Solve the triangular M x = b row by row, top down when ``lower``.
+    M is (..., n, n); b holds one vector (..., n) or a block (..., n, T)
+    per matrix."""
+    n = M.shape[-1]
+    vector = b.ndim == M.ndim - 1
+    x = np.array(b[..., None] if vector else b, dtype=np.complex128)
+    T = x.shape[-1]
+    c = math.prod(M.shape[:-2])
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        done = slice(0, i) if lower else slice(i + 1, n)
+        x[..., i, :] = ((x[..., i, :] - (M[..., i, None, done]
+                                         @ x[..., done, :])[..., 0, :])
+                        / M[..., i, i, None].real)
+        if counter is not None:
+            counter.cmul(c * (done.stop - done.start) * T)
+            counter.cdiv_real(c * T)
+    return x[..., 0] if vector else x
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray,
                 counter: MultCounter | None = None) -> np.ndarray:
-    """Forward substitution L x = b; b may be (U,) or (U, T)."""
-    n = L.shape[0]
-    x = np.array(b, dtype=np.complex128, copy=True)
-    T = 1 if x.ndim == 1 else x.shape[1]
-    for i in range(n):
-        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i].real
-        if counter is not None:
-            counter.cmul(i * T)
-            counter.cdiv_real(T)
-    return x
+    """Forward substitution L x = b for L (..., n, n); b is (..., n) or
+    (..., n, T)."""
+    return _substitute(L, b, True, counter)
 
 
 def solve_upper(LH: np.ndarray, b: np.ndarray,
                 counter: MultCounter | None = None) -> np.ndarray:
-    """Backward substitution L^H x = b with LH = L^H ."""
-    n = LH.shape[0]
-    x = np.array(b, dtype=np.complex128, copy=True)
-    T = 1 if x.ndim == 1 else x.shape[1]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - LH[i, i + 1:] @ x[i + 1:]) / LH[i, i].real
-        if counter is not None:
-            counter.cmul((n - 1 - i) * T)
-            counter.cdiv_real(T)
-    return x
+    """Backward substitution L^H x = b with LH = L^H; shapes as in
+    ``solve_lower``."""
+    return _substitute(LH, b, False, counter)
 
 
-def lmmse_preprocess(H: np.ndarray, N0: float, Es: float,
+def lmmse_preprocess(H: np.ndarray, N0: float | np.ndarray, Es: float,
                      counter: MultCounter | None = None):
-    """Gram + Cholesky of the regularized Gram matrix, plus exact LLR gains."""
+    """Gram + Cholesky of the regularized Gram matrix, plus exact LLR gains,
+    for H (..., B, U) with a scalar ``N0`` or one per channel."""
     G = gram(H, counter)
-    U = G.shape[0]
-    A = G + (N0 / Es) * np.eye(U)
+    U = G.shape[-1]
+    A = G + (np.asarray(N0, dtype=np.float64) / Es)[..., None, None] * np.eye(U)
     chol = cholesky_lower(A, counter)
     # exact channel gains diag(A^{-1} G); part of the soft-output unit, uncounted
-    X = solve_upper(chol.L.conj().T, solve_lower(chol.L, G))
-    mu = X.diagonal().real
+    X = solve_upper(chol.L.conj().swapaxes(-1, -2), solve_lower(chol.L, G))
+    mu = X.diagonal(0, -2, -1).real
     return G, chol, mu
 
 
 def lmmse_equalize(chol: CholeskyFactor, y_mf: np.ndarray,
                    counter: MultCounter | None = None) -> np.ndarray:
-    return solve_upper(chol.L.conj().T, solve_lower(chol.L, y_mf, counter), counter)
+    return solve_upper(chol.L.conj().swapaxes(-1, -2),
+                       solve_lower(chol.L, y_mf, counter), counter)
 
 
-def lmmse_detect(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
-                 const: Constellation,
+def lmmse_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
+                 Es: float, const: Constellation,
                  counter: MultCounter | None = None) -> SoftOutput:
-    """Implicit LMMSE detection with exact per-UE gains and variances."""
+    """Implicit LMMSE detection with exact per-UE gains and variances.
+
+    ``H`` is one channel (B, U) or a stack (..., B, U); ``y`` holds one
+    receive vector (..., B) or a block (..., B, T) per channel, and ``N0``
+    is a scalar or one value per channel. The LLRs are (..., U, bits[, T]);
+    every channel of a stack gets what detecting it alone gives, and the
+    multiplication counts add up over the channels.
+    """
     G, chol, mu = lmmse_preprocess(H, N0, Es, counter)
     y_mf = matched_filter(H, y, counter)
     s_hat = lmmse_equalize(chol, y_mf, counter)
-    return compute_llrs_with_params(s_hat, LlrParams.from_mu(mu, Es, N0 / Es),
-                                    const)
+    return compute_llrs_with_params(
+        s_hat, LlrParams.from_mu(mu, Es, np.asarray(N0) / Es), const)
 
 
 def ocd_equalize(H: np.ndarray, y: np.ndarray, K: int, const: Constellation,
                  counter: MultCounter | None = None):
     """K coordinate-descent sweeps over the channel columns, BOX denoising.
 
-    Returns (z, v_last, r); the residual lives in the receive domain. Column
-    norms are computed inside every call, as each detection task does.
+    ``H`` is (B, U) or a stack (..., B, U) and ``y`` one vector (..., B) or
+    a block (..., B, T) per channel. Returns (z, v_last, r); the residual
+    lives in the receive domain. Column norms are computed inside every
+    call, as each detection task does.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     y = np.asarray(y, dtype=np.complex128)
-    single = y.ndim == 1
-    Y = y[:, None] if single else y
-    B, U = H.shape
-    T = Y.shape[1]
-    norms = np.sum(np.abs(H) ** 2, axis=0)
+    single = y.ndim == H.ndim - 1
+    Y = y[..., None] if single else y
+    B, U = H.shape[-2:]
+    T = Y.shape[-1]
+    c = math.prod(H.shape[:-2])
+    norms = np.sum(np.abs(H) ** 2, axis=-2)
     if np.any(norms == 0.0):
         raise ValueError("channel has a zero-norm column")
     inv_norms = 1.0 / norms
     if counter is not None:
-        counter.abs2(B * U)
-        counter.rdiv(U)
-    z = np.zeros((U, T), dtype=np.complex128)
+        counter.abs2(c * B * U)
+        counter.rdiv(c * U)
+    z = np.zeros(Y.shape[:-2] + (U, T), dtype=np.complex128)
     r = Y.copy()
-    v_last = np.empty((U, T), dtype=np.complex128)
+    update = np.empty_like(r)    # the rank-one residual update, reused
+    v_last = np.empty_like(z)
     for k in range(K):
         for u in range(U):
-            h = H[:, u]
-            v = (h.conj() @ r) * inv_norms[u] + z[u]
+            h = H[..., :, u]
+            v = ((h.conj()[..., None, :] @ r)[..., 0, :]
+                 * inv_norms[..., u, None] + z[..., u, :])
             if k == K - 1:
-                v_last[u] = v
+                v_last[..., u, :] = v
             z_new = box_denoise(v, const)
-            r -= np.outer(h, z_new - z[u])
-            z[u] = z_new
+            np.multiply(h[..., :, None], (z_new - z[..., u, :])[..., None, :],
+                        out=update)
+            r -= update
+            z[..., u, :] = z_new
             if counter is not None:
-                counter.cmul(B * T)      # correlation h^H r
-                counter.cmul_real(T)     # scaling by the reciprocal norm
-                counter.cmul(B * T)      # residual update
+                counter.cmul(c * B * T)      # correlation h^H r
+                counter.cmul_real(c * T)     # scaling by the reciprocal norm
+                counter.cmul(c * B * T)      # residual update
     if single:
-        return z[:, 0], v_last[:, 0], r[:, 0]
+        return z[..., 0], v_last[..., 0], r[..., 0]
     return z, v_last, r
 
 
-def ocd_detect(H: np.ndarray, y: np.ndarray, N0: float, Es: float, K: int,
-               const: Constellation,
+def ocd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
+               Es: float, K: int, const: Constellation,
                counter: MultCounter | None = None) -> SoftOutput:
-    """Coordinate-descent detection with Neumann-approximated LLR gains."""
-    z, v_last, _ = ocd_equalize(H, y, K, const, counter)
+    """Coordinate-descent detection with Neumann-approximated LLR gains.
+
+    Shapes as in ``lmmse_detect``: one channel or a stack (..., B, U), with
+    per-channel ``N0``; the counts add up over the channels.
+    """
+    v_last = ocd_equalize(H, y, K, const, counter)[1]
     G = gram(H)
-    return compute_llrs(v_last, G, N0, Es, N0 / Es, const)
+    return compute_llrs(v_last, G, Es, np.asarray(N0) / Es, const)

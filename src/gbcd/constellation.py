@@ -131,7 +131,9 @@ def hard_decision_indices(const: Constellation, v: np.ndarray,
     """
     v = np.asarray(v)
     g = np.asarray(gain, dtype=np.float64)
-    pam = const.pam_points
-    re = np.argmin(np.abs(v.real[..., None] - g[..., None] * pam), axis=-1)
-    im = np.argmin(np.abs(v.imag[..., None] - g[..., None] * pam), axis=-1)
-    return re * const.n_pam + im
+
+    def nearest(axis):
+        d = axis[..., None] - g[..., None] * const.pam_points
+        return np.argmin(np.abs(d, out=d), axis=-1)
+
+    return nearest(v.real) * const.n_pam + nearest(v.imag)

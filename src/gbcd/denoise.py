@@ -261,49 +261,56 @@ def pme_denoiser(const: Constellation, rho, beta,
 
 @dataclass
 class LlrParams:
-    alpha: float
-    mu: np.ndarray           # (U,) channel gains in (0, 1]
-    xi: np.ndarray           # (U,) noise-plus-interference variances (floored)
-    xi_floored: np.ndarray   # (U,) bool
+    """Soft-output gains of one channel, or of a stack of channels along the
+    leading axes ``...`` of ``mu``."""
+
+    alpha: float | np.ndarray  # float, or one value per channel
+    mu: np.ndarray           # (..., U) channel gains in (0, 1]
+    xi: np.ndarray           # (..., U) noise-plus-interference variances (floored)
+    xi_floored: np.ndarray   # (..., U) bool
 
     @classmethod
-    def from_mu(cls, mu: np.ndarray, Es: float, alpha: float,
+    def from_mu(cls, mu: np.ndarray, Es: float, alpha: float | np.ndarray,
                 floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
         """Gains mu; variances Es (1 - mu) mu, floored at floor_factor * Es."""
         xi = Es * (1.0 - mu) * mu
         floor = floor_factor * Es
         floored = xi < floor
-        return cls(float(alpha), mu, np.maximum(xi, floor), floored)
+        alpha = float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha)
+        return cls(alpha, mu, np.maximum(xi, floor), floored)
 
     @classmethod
-    def from_gram(cls, G: np.ndarray, N0: float, Es: float, alpha: float,
+    def from_gram(cls, G: np.ndarray, Es: float, alpha: float | np.ndarray,
                   recip_fn=np.reciprocal,
                   floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
         """Neumann-approximated gains mu = G_uu / (G_uu + alpha); G may be
-        a stack (..., U, U)."""
-        if alpha < 0:
+        a stack (..., U, U) with a scalar ``alpha`` or one per channel."""
+        if np.any(np.asarray(alpha) < 0):
             raise ValueError("alpha must be >= 0")
         d = G.diagonal(0, -2, -1).real
-        return cls.from_mu(d * recip_fn(d + alpha), Es, alpha, floor_factor)
+        a = alpha if np.ndim(alpha) == 0 else np.asarray(alpha)[..., None]
+        return cls.from_mu(d * recip_fn(d + a), Es, alpha, floor_factor)
 
 
 @dataclass
 class SoftOutput:
-    llrs: np.ndarray         # (U, bits) or (U, bits, T)
-    v_final: np.ndarray      # (U,) or (U, T)
+    llrs: np.ndarray         # (..., U, bits) or (..., U, bits, T)
+    v_final: np.ndarray      # (..., U) or (..., U, T)
     params: LlrParams
     flags: dict = field(default_factory=dict)
 
 
 def _axis_llrs(x: np.ndarray, mu: np.ndarray, const: Constellation):
-    """Per-axis bit metrics for every axis bit; x is (U,) or (U, T).
+    """Per-axis bit metrics for every axis bit; x is (..., U) or (..., U, T)
+    with gains mu (..., U).
 
     The (..., sqrt Q) distances to the gain-scaled PAM levels are computed
     once; each bit takes its two minima over the column subsets of its
     Gray labels.
     """
-    mu_b = mu if x.ndim == 1 else mu[:, None]
-    dist = (x[..., None] - mu_b[..., None] * const.pam_points) ** 2
+    mu_b = mu[..., None] if x.ndim > mu.ndim else mu
+    dist = x[..., None] - mu_b[..., None] * const.pam_points
+    np.square(dist, out=dist)
     out = []
     for j in range(const.axis_bits):
         i0, i1 = const.pam_bit_indices(j)
@@ -316,44 +323,47 @@ def compute_llrs_with_params(v_final: np.ndarray, params: LlrParams,
                              recip_fn=np.reciprocal) -> SoftOutput:
     """Max-log LLRs from the unconstrained estimates and explicit gains.
 
-    ``axis`` exploits the per-axis Gray labeling (sqrt(Q)-point scans);
-    ``exhaustive`` scans the full alphabet and serves as the reference.
+    ``v_final`` holds one vector (..., U) or a block (..., U, T) per
+    channel of ``params`` (mu (..., U)); the LLRs are (..., U, bits) or
+    (..., U, bits, T). ``axis`` exploits the per-axis Gray labeling
+    (sqrt(Q)-point scans); ``exhaustive`` scans the full alphabet and serves
+    as the reference.
     """
     v = np.asarray(v_final, dtype=np.complex128)
     mu, xi = params.mu, params.xi
     m = const.bits_per_symbol
+    block = v.ndim > mu.ndim
     inv_xi = recip_fn(xi)
-    inv_xi_b = inv_xi if v.ndim == 1 else inv_xi[:, None]
+    inv_xi_b = inv_xi[..., None] if block else inv_xi
 
     if method == "axis":
-        re_metrics = _axis_llrs(v.real, mu, const)
-        im_metrics = _axis_llrs(v.imag, mu, const)
-        metrics = re_metrics + im_metrics
-        llrs = np.stack([d * inv_xi_b for d in metrics], axis=1)
+        metrics = (_axis_llrs(v.real, mu, const)
+                   + _axis_llrs(v.imag, mu, const))
     elif method == "exhaustive":
-        mu_b = mu if v.ndim == 1 else mu[:, None]
+        mu_b = mu[..., None] if block else mu
         dist = np.abs(v[..., None] - mu_b[..., None] * const.points) ** 2
-        if v.ndim == 2:
-            dist = np.moveaxis(dist, -1, 1)  # (U, Q, T)
-        cols = []
+        metrics = []
         for b in range(m):
             i0, i1 = const.bit_subsets[b]
-            d0 = dist[:, i0].min(axis=1)
-            d1 = dist[:, i1].min(axis=1)
-            cols.append((d0 - d1) * inv_xi_b)
-        llrs = np.stack(cols, axis=1)
+            metrics.append(dist[..., i0].min(axis=-1)
+                           - dist[..., i1].min(axis=-1))
     else:
         raise ValueError(f"unknown method {method!r}")
+    llrs = np.empty(mu.shape + (m,) + v.shape[mu.ndim:])
+    for j, d in enumerate(metrics):
+        np.multiply(d, inv_xi_b, out=llrs[..., j, :] if block else llrs[..., j])
 
     flags = {"xi_floored": int(params.xi_floored.sum())}
     return SoftOutput(llrs, v, params, flags)
 
 
-def compute_llrs(v_final: np.ndarray, G: np.ndarray, N0: float, Es: float,
-                 alpha: float, const: Constellation, *, method: str = "axis",
+def compute_llrs(v_final: np.ndarray, G: np.ndarray, Es: float,
+                 alpha: float | np.ndarray, const: Constellation, *,
+                 method: str = "axis",
                  recip_fn=np.reciprocal) -> SoftOutput:
-    """Max-log LLRs with Neumann-approximated gains mu = G_uu / (G_uu + alpha)."""
-    params = LlrParams.from_gram(G, N0, Es, alpha, recip_fn)
+    """Max-log LLRs with Neumann-approximated gains mu = G_uu / (G_uu + alpha);
+    shapes as in ``compute_llrs_with_params``, with G (..., U, U)."""
+    params = LlrParams.from_gram(G, Es, alpha, recip_fn)
     return compute_llrs_with_params(v_final, params, const, method=method,
                                     recip_fn=recip_fn)
 

@@ -322,16 +322,23 @@ def _trace_writer(f):
     return hook
 
 
-def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
-                const, K: int, *, mode: str = "box", rho=None, beta=None,
-                alpha: float | None = None, L: int = 2, sort: bool = True,
-                counter: MultCounter | None = None, trace_csv=None,
-                numerics: Numerics = FLOAT):
+def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
+                Es: float, const, K: int, *, mode: str = "box", rho=None,
+                beta=None, alpha: float | np.ndarray | None = None, L: int = 2,
+                sort: bool = True, counter: MultCounter | None = None,
+                trace_csv=None, numerics: Numerics = FLOAT):
     """End-to-end detection: preprocessing, equalization, soft outputs.
+
+    ``H`` is one channel (B, U) or a stack (..., B, U); ``y`` holds one
+    receive vector (..., B) or a block (..., B, T) per channel, and ``N0``
+    is a scalar or one value per channel. ``alpha`` defaults to N0 / Es per
+    channel. The LLRs are (..., U, bits[, T]) and every channel of a stack
+    gets what detecting it alone gives; multiplication counts add up over
+    the channels.
 
     ``numerics`` also quantizes ``h`` and ``y`` on entry, ``ymf`` and the
     LLRs. ``trace_csv`` writes one debug row per inner iteration (residual
-    norm and estimate snapshot of the first transmission).
+    norm and estimate snapshot of the first transmission of one channel).
     """
     from .denoise import box_denoiser, pme_denoiser, compute_llrs
 
@@ -353,8 +360,8 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
                               trace_hook=_trace_writer(f) if f else None,
                               numerics=numerics)
     if alpha is None:
-        alpha = N0 / Es
-    soft = compute_llrs(state.v_last, pre.G, N0, Es, alpha, const,
+        alpha = pre.N0 / Es
+    soft = compute_llrs(state.v_last, pre.G, Es, alpha, const,
                         recip_fn=numerics.recip)
     soft.llrs = numerics.quantize("llr", soft.llrs)
     return soft, state, pre

@@ -7,7 +7,8 @@ to per-bit LLRs and soft-decoded. Trial randomness derives from
 (seed, snr index, trial index) only, so detectors and ablation variants see
 identical channels, symbols, and noise, and results are byte-reproducible.
 Trials run in one thread, in groups whose codewords are decoded together;
-a coded sweep point stops at the first trial at which every detector has
+within a group, each detector sees several trials' channels in one call.
+A coded sweep point stops at the first trial at which every detector has
 accumulated the requested number of block errors.
 
 Every detector, sweep or ablation, is built from one spec: ``kind`` (gbcd,
@@ -59,6 +60,13 @@ ABLATION_VARIANTS = (
 # per-call buffers grow with it; 128 blocks keep peak memory within about 2%
 # of decoding one trial per call (README, "FEC decoding").
 DECODE_BLOCKS = 128
+
+# Receive samples (B * T per trial) stacked per detector call. Each call
+# pays the detectors' Python loops once for the whole stack, but every
+# stacked 128x16, T = 120 trial adds about 1.5 MB of detector
+# intermediates; two such trials per call keep peak memory within 2% of
+# detecting one (README, "Trials"). Smaller designs stack more trials.
+DETECT_SAMPLES = 2 * 128 * 120
 
 
 class ConfigError(ValueError):
@@ -199,9 +207,10 @@ def _resolve_pme(cfg: ExperimentConfig, store, snr_db: float):
 
 
 def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
-    """Detector of one spec as a function (H, Y, N0) -> (llrs (U, m, T),
-    hard indices). ``pme`` maps each PME source to the gbcd_detect keywords
-    resolved at this SNR."""
+    """Detector of one spec as a function (H, Y, N0) -> (llrs, hard indices)
+    over a stack of channels H (N, B, U), receive blocks Y (N, B, glen) and
+    noise variances N0 (N,); the LLRs are (N, U, m, glen). ``pme`` maps each
+    PME source to the gbcd_detect keywords resolved at this SNR."""
     kind = spec["kind"]
     if kind == "lmmse":
         def detect(H, Y, N0):
@@ -222,23 +231,38 @@ def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
     def run(H, Y, N0):
         soft = detect(H, Y, N0)
         hard = hard_decision_indices(const, soft.v_final,
-                                     soft.params.mu[:, None])
+                                     soft.params.mu[..., None])
         return soft.llrs, hard
 
     return run
 
 
-def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
-                 snr_idx: int, trial: int, runners: dict, llrs=None,
-                 truth=None):
-    """Generate one trial (one or more coherence groups spanning a codeword)
-    and evaluate every runner on identical data.
+@dataclass
+class _TrialStack:
+    """Detector inputs of up to ``size`` trials along one channel axis:
+    trial i's coherence groups are the channels i*G to (i+1)*G - 1."""
 
-    When coded, every runner's U codeword LLR streams are deinterleaved into
-    the rows of ``llrs`` (runners * U, n_coded), runner-major, and the
-    payloads go to the matching rows of ``truth``; the caller decodes them.
-    Returns ({runner: symbol errors}, data hash).
-    """
+    H: np.ndarray            # (size * G, B, U)
+    Y: np.ndarray            # (size * G, B, glen)
+    N0: np.ndarray           # (size * G,)
+    idx: np.ndarray          # (size, G, U, glen) transmitted symbol indices
+
+    @classmethod
+    def empty(cls, cfg: ExperimentConfig, size: int) -> "_TrialStack":
+        G, glen = cfg.coherence_groups, cfg.group_len
+        return cls(np.empty((size * G, cfg.B, cfg.U), dtype=np.complex128),
+                   np.empty((size * G, cfg.B, glen), dtype=np.complex128),
+                   np.empty(size * G),
+                   np.empty((size, G, cfg.U, glen), dtype=np.int64))
+
+
+def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
+                snr_idx: int, trial: int, stack: _TrialStack, slot: int,
+                truth) -> str:
+    """Draw one trial (one or more coherence groups spanning a codeword)
+    into ``slot`` of ``stack``. When coded, its payloads go to every
+    runner's rows of ``truth`` (runners * U, payload_bits). Returns the
+    trial's data hash."""
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     snr_db = float(cfg.snr_db[snr_idx])
     m = const.bits_per_symbol
@@ -249,49 +273,73 @@ def _coded_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
         coded = fec.encode(payload, code)
         inter = fec.interleave(coded, code.interleaver_seed)
         idx = symbol_indices_from_bits(const, inter.reshape(cfg.U, cfg.T, m))
+        truth.reshape(-1, cfg.U, code.payload_bits)[...] = payload
     S = const.points[idx]
 
-    glen = cfg.group_len
-    groups = []
+    G, glen = cfg.coherence_groups, cfg.group_len
+    stack.idx[slot] = idx.reshape(cfg.U, G, glen).swapaxes(0, 1)
     digest = hashlib.sha256()
     digest.update(S.tobytes())
-    for g in range(cfg.coherence_groups):
+    for g in range(G):
+        c = slot * G + g
         ch = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
                          k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
         N0 = noise_variance_for_snr(ch.H, snr_db, 1.0)
-        Y, _ = apply_channel(ch.H, S[:, g * glen:(g + 1) * glen], N0, rng)
-        groups.append((ch.H, Y, N0))
+        stack.H[c] = ch.H
+        stack.N0[c] = N0
+        stack.Y[c], _ = apply_channel(ch.H, S[:, g * glen:(g + 1) * glen],
+                                      N0, rng)
         digest.update(ch.H.tobytes())
-        digest.update(Y.tobytes())
-    data_hash = digest.hexdigest()[:16]
+        digest.update(stack.Y[c].tobytes())
+    return digest.hexdigest()[:16]
 
-    sym_errors = {}
-    if code is not None:
-        streams = np.empty((len(runners), cfg.U, code.n_coded))
-    for r, (name, runner) in enumerate(runners.items()):
-        parts = [runner(H, Y, N0) for H, Y, N0 in groups]
-        hard = np.concatenate([p[1] for p in parts], axis=1)
-        sym_errors[name] = int(np.sum(hard != idx))
+
+def _detect(cfg: ExperimentConfig, code: fec.CodeConfig | None,
+            runners: dict, stack: _TrialStack, n: int, llrs):
+    """Run every runner once over the first ``n`` trials of ``stack``.
+
+    When coded, each runner's U codeword LLR streams per trial are
+    deinterleaved into its rows of ``llrs`` (n, runners * U, n_coded),
+    runner-major. Returns the symbol errors (n, runners).
+    """
+    G, U, glen = cfg.coherence_groups, cfg.U, cfg.group_len
+    channels = slice(0, n * G)
+    sym_errors = np.empty((n, len(runners)), dtype=np.int64)
+    for r, runner in enumerate(runners.values()):
+        soft, hard = runner(stack.H[channels], stack.Y[channels],
+                            stack.N0[channels])
+        sym_errors[:, r] = np.sum(hard.reshape(n, G, U, glen)
+                                  != stack.idx[:n], axis=(1, 2, 3))
         if code is not None:
-            soft = np.concatenate([p[0] for p in parts], axis=2)
-            streams[r].reshape(cfg.U, cfg.T, m)[...] = np.transpose(soft, (0, 2, 1))
-    if code is not None:
-        fec.deinterleave_llrs(streams.reshape(llrs.shape),
-                              code.interleaver_seed, out=llrs)
-        truth.reshape(len(runners), cfg.U, -1)[...] = payload
-    return sym_errors, data_hash
+            # (n*G, U, m, glen) in codeword order (n, U, G, glen, m): one
+            # transposed copy, deinterleaved into the runner's rows
+            m = soft.shape[-2]
+            soft = soft.reshape(n, G, U, m, glen).transpose(0, 2, 1, 4, 3)
+            fec.deinterleave_llrs(soft.reshape(n, U, -1),
+                                  code.interleaver_seed,
+                                  out=llrs[:, r * U:(r + 1) * U])
+    return sym_errors
 
 
 def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
                runners: dict):
-    """Run one SNR point's trials in groups of up to DECODE_BLOCKS codeword
-    blocks (at least one trial); each group's blocks are decoded in one
-    ``fec.decode_batch`` call. A coded point stops at the first trial at
-    which every runner has reached ``min_block_errors``; the later trials
-    of that group are discarded, so grouping changes no result."""
+    """Run one SNR point's trials in decode groups of up to DECODE_BLOCKS
+    codeword blocks (at least one trial), each decoded in one
+    ``fec.decode_batch`` call. Within a group, trials are drawn and
+    detected in stacks of up to DETECT_SAMPLES receive samples (at least
+    one trial), one detector call per runner and stack.
+
+    A coded point stops at the first trial at which every runner has
+    reached ``min_block_errors``. A runner gains at most U block errors per
+    trial, so a group never holds more trials than the runner furthest
+    from the stop still needs; no trial past the stop is drawn, and
+    grouping changes no result."""
     totals = {name: [0, 0, 0, 0, None] for name in runners}
     n_rows = len(runners) * cfg.U
-    group = max(1, min(DECODE_BLOCKS // n_rows, cfg.trials))
+    per_call = max(1, min(DETECT_SAMPLES // (cfg.B * cfg.T), cfg.trials))
+    group = per_call if code is None else \
+        max(1, min(DECODE_BLOCKS // n_rows, cfg.trials))
+    stack = _TrialStack.empty(cfg, min(per_call, group))
     if code is None:
         llrs = truth = [None] * group
     else:
@@ -300,22 +348,31 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
     trial = 0
     while trial < cfg.trials:
         n = min(group, cfg.trials - trial)
-        results = [_coded_trial(cfg, const, code, snr_idx, trial + i,
-                                runners, llrs[i], truth[i])
-                   for i in range(n)]
+        if code is not None:
+            short = cfg.min_block_errors - min(t[0] for t in totals.values())
+            n = min(n, max(1, -(-short // cfg.U)))
+        hashes = []
         errors = np.zeros((n, len(runners)), dtype=np.int64)
+        sym_errors = np.empty((n, len(runners)), dtype=np.int64)
+        for a in range(0, n, per_call):
+            b = min(n, a + per_call)
+            hashes += [_draw_trial(cfg, const, code, snr_idx, trial + i,
+                                   stack, i - a, truth[i])
+                       for i in range(a, b)]
+            sym_errors[a:b] = _detect(cfg, code, runners, stack, b - a,
+                                      llrs[a:b])
         if code is not None:
             _, ok = fec.decode_batch(llrs[:n].reshape(n * n_rows, -1), code,
                                      truth[:n].reshape(n * n_rows, -1))
             errors = np.sum(~ok.reshape(n, len(runners), cfg.U), axis=2)
-        for (sym_errors, data_hash), trial_errors in zip(results,
-                                                         errors.tolist()):
+        for data_hash, trial_errors, trial_sym in zip(
+                hashes, errors.tolist(), sym_errors.tolist()):
             trial += 1
-            for name, be in zip(runners, trial_errors):
+            for name, be, se in zip(runners, trial_errors, trial_sym):
                 tot = totals[name]
                 tot[0] += be
                 tot[1] += 0 if code is None else cfg.U
-                tot[2] += sym_errors[name]
+                tot[2] += se
                 tot[3] += cfg.U * cfg.T
                 tot[4] = data_hash
             if code is not None and all(t[0] >= cfg.min_block_errors

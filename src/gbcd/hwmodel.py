@@ -178,14 +178,19 @@ class FxpFormat:
 
 
 def quantize(x: np.ndarray, fmt: FxpFormat) -> np.ndarray:
-    """Round-to-nearest-even quantization with saturation; idempotent."""
+    """Round-to-nearest-even quantization with saturation; idempotent.
+    Works in place: a complex input needs one complex and one real
+    temporary array, which bounds the fixed-point detector's peak memory."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        return quantize(x.real, fmt) + 1j * quantize(x.imag, fmt)
-    codes = np.rint(x / fmt.lsb)
+        out = np.multiply(1j, quantize(x.imag, fmt))
+        return np.add(quantize(x.real, fmt), out, out=out)
+    codes = np.divide(x, fmt.lsb, out=np.empty(x.shape))
+    np.rint(codes, out=codes)
     lo = fmt.min_value / fmt.lsb
     hi = fmt.max_value / fmt.lsb
-    return np.clip(codes, lo, hi) * fmt.lsb
+    np.clip(codes, lo, hi, out=codes)
+    return np.multiply(codes, fmt.lsb, out=codes)
 
 
 # Datapath word lengths of the modeled design; fraction bits frozen from
@@ -230,13 +235,15 @@ FIXED_POINT = detector.Numerics(
     lambda signal, x: quantize(x, DEFAULT_FORMATS[signal]), lut_reciprocal)
 
 
-def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float, Es: float,
-                       const: Constellation, K: int, *, mode: str = "box",
-                       rho=None, beta=None, alpha: float | None = None,
+def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
+                       Es: float, const: Constellation, K: int, *,
+                       mode: str = "box", rho=None, beta=None,
+                       alpha: float | np.ndarray | None = None,
                        L: int = 2, sort: bool = True) -> denoise.SoftOutput:
     """GBCD detection in the FIXED_POINT numeric context: the modeled word
     lengths on H, y, G, y_mf, z and the LLRs, and lookup-based reciprocals
-    in the SINR, inverse and LLR stages."""
+    in the SINR, inverse and LLR stages. Takes one channel or a stack, as
+    ``detector.gbcd_detect`` does."""
     return detector.gbcd_detect(H, y, N0, Es, const, K, mode=mode, rho=rho,
                                 beta=beta, alpha=alpha, L=L, sort=sort,
                                 numerics=FIXED_POINT)[0]

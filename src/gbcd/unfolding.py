@@ -200,7 +200,7 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
                                      SimpleNamespace(apply=apply)).v_last
 
     # soft-output stage (unit symbol energy throughout the package)
-    gains = LlrParams.from_gram(batch.G, batch.N0, 1.0, alpha)
+    gains = LlrParams.from_gram(batch.G, 1.0, alpha)
     mu = gains.mu
     inv_xi = 1.0 / gains.xi
 

@@ -175,8 +175,8 @@ def test_criterion_05_denoiser_fidelity():
             G = detector.gram(H)
             v = rng.standard_normal(U) + 1j * rng.standard_normal(U)
             n0 = 10 ** rng.uniform(-3, -1)
-            a = denoise.compute_llrs(v, G, n0, 1.0, n0, qam, method="axis")
-            b = denoise.compute_llrs(v, G, n0, 1.0, n0, qam,
+            a = denoise.compute_llrs(v, G, 1.0, n0, qam, method="axis")
+            b = denoise.compute_llrs(v, G, 1.0, n0, qam,
                                      method="exhaustive")
             assert np.max(np.abs(a.llrs - b.llrs)) < 1e-10
 
@@ -328,7 +328,7 @@ def test_criterion_10_fec_chain():
             # symbols, batched over blocks with a unit Gram per symbol slot
             T = s.shape[1]
             soft = denoise.compute_llrs(s.T, np.eye(T, dtype=complex),
-                                        1e-6, 1.0, 1e-6, qam)
+                                        1.0, 1e-6, qam)
             llrs = np.transpose(soft.llrs, (2, 0, 1)).reshape(1000, -1)
             dellrs = fec.deinterleave_llrs(llrs, code.interleaver_seed)
             _, ok = fec.decode_batch(dellrs, code, payload)

@@ -141,6 +141,9 @@ GROUPING_SCENARIOS = {
 # DECODE_BLOCKS caps; every scenario runs two runners of U = 4 codeword
 # blocks per trial, so the caps give groups of 1, 2, 3, 5 and all trials
 GROUPING_CAPS = (8, 16, 24, 40, 10_000)
+# DETECT_SAMPLES budgets; a 16-antenna trial of T = 120 holds 1920 receive
+# samples, so the budgets stack 1, 2 and all trials of a group per call
+DETECTION_BUDGETS = (1920, 3840, 10**9)
 
 
 def _csv_bytes(tmp_path, name, cfg_dict, ablate=False):
@@ -170,9 +173,11 @@ def test_results_independent_of_decode_grouping(scenario, ablate, tmp_path,
                               ablate)
         assert any(r["block_errors"] < cfg["min_block_errors"] for r in short)
     for cap in GROUPING_CAPS:
-        monkeypatch.setattr(harness, "DECODE_BLOCKS", cap)
-        got, _ = _csv_bytes(tmp_path, f"cap-{cap}", cfg, ablate)
-        assert got == ref, cap
+        for budget in DETECTION_BUDGETS:
+            monkeypatch.setattr(harness, "DECODE_BLOCKS", cap)
+            monkeypatch.setattr(harness, "DETECT_SAMPLES", budget)
+            got, _ = _csv_bytes(tmp_path, f"cap-{cap}-{budget}", cfg, ablate)
+            assert got == ref, (cap, budget)
 
 
 @pytest.mark.parametrize("cap", [4, 8, 12, 16, 128])
@@ -197,11 +202,10 @@ def test_each_trial_decoded_once_within_cap(cap, early, monkeypatch):
     if early:
         assert trials_run[0] < 200
     # truth rows in call order are each trial's payloads, once per runner;
-    # an early stop discards the rest of its group, which was decoded too
-    group = max(1, min(cap // (runners * U), cfg.trials))
+    # no trial past an early stop is decoded
     expect = []
     for snr_idx, n in enumerate(trials_run):
-        for t in range(min(-(-n // group) * group, cfg.trials)):
+        for t in range(n):
             rng = harness._trial_rng(cfg.seed, snr_idx, t)
             payload = rng.integers(0, 2, size=(U, cfg.code.payload_bits))
             expect.append(np.tile(payload.astype(np.uint8), (runners, 1)))
@@ -210,6 +214,50 @@ def test_each_trial_decoded_once_within_cap(cap, early, monkeypatch):
     for n_blocks, _ in calls:
         assert n_blocks % (runners * U) == 0
         assert n_blocks <= max(cap, runners * U)
+
+
+def test_early_stop_draws_no_trial_past_the_stop(tmp_path, monkeypatch):
+    # one runner of U = 4 blocks fills a 128-block decode group with 32
+    # trials, but at 0 dB the stop at 10 block errors comes after 3
+    cfg = base_config(detectors=["lmmse"], snr_db=[0.0], trials=200,
+                      min_block_errors=10)
+    monkeypatch.setattr(harness, "DECODE_BLOCKS", 4)
+    one_per_group, _ = _csv_bytes(tmp_path, "one-per-group", cfg)
+    monkeypatch.undo()
+    drawn, decoded = [], []
+    draw_trial, decode_batch = harness._draw_trial, fec.decode_batch
+
+    def recording_draw_trial(*args, **kwargs):
+        drawn.append(args[4])
+        return draw_trial(*args, **kwargs)
+
+    def recording_decode_batch(llrs, code, truth=None):
+        decoded.append(llrs.shape[0])
+        return decode_batch(llrs, code, truth)
+
+    monkeypatch.setattr(harness, "_draw_trial", recording_draw_trial)
+    monkeypatch.setattr(fec, "decode_batch", recording_decode_batch)
+    got, rows = _csv_bytes(tmp_path, "default", cfg)
+    assert harness.DECODE_BLOCKS == 128
+    assert rows[0]["trials"] == 3
+    assert drawn == [0, 1, 2]
+    assert decoded == [3 * cfg["U"]]
+    assert got == one_per_group
+
+
+@pytest.mark.parametrize("fixed_point", [False, True], ids=["float", "fixed"])
+def test_uncoded_results_independent_of_detection_stack(fixed_point,
+                                                        tmp_path,
+                                                        monkeypatch):
+    cfg = base_config(uncoded=True, snr_db=[0.0, 8.0], trials=5,
+                      coherence_groups=2, fixed_point=fixed_point,
+                      detectors=(["gbcd-box"] if fixed_point
+                                 else ["gbcd-box", "lmmse", "ocd"]))
+    outs = []
+    for budget in DETECTION_BUDGETS:
+        monkeypatch.setattr(harness, "DETECT_SAMPLES", budget)
+        outs.append(_csv_bytes(tmp_path, f"budget-{budget}", cfg)[0])
+    assert outs[1:] == outs[:-1]
 
 
 def test_missing_params_raise():
@@ -244,13 +292,13 @@ def tiny_store(tmp_path_factory):
 def test_missing_record_fails_before_any_trial(tiny_store, monkeypatch):
     # no Q = 4 record: -2 dB needs none (box), 4 dB fails the lookup
     trials = []
-    coded_trial = harness._coded_trial
+    draw_trial = harness._draw_trial
 
     def counting(*args, **kwargs):
         trials.append(args[4])
-        return coded_trial(*args, **kwargs)
+        return draw_trial(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_coded_trial", counting)
+    monkeypatch.setattr(harness, "_draw_trial", counting)
     cfg = ExperimentConfig.from_dict(base_config(
         Q=4, snr_db=[-2.0, 4.0], detectors=["gbcd-pme"], trials=1,
         params_path=tiny_store))

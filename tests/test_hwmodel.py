@@ -318,7 +318,7 @@ def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, mode="box",
     state = detector.gbcd_equalize(pre, y_mf, K, _QuantizedDenoiser())
     if alpha is None:
         alpha = N0 / Es
-    soft = denoise.compute_llrs(state.v_last, G, N0, Es, alpha, const,
+    soft = denoise.compute_llrs(state.v_last, G, Es, alpha, const,
                                 recip_fn=lut)
     soft.llrs = q(soft.llrs, formats["llr"])
     return soft

@@ -1,0 +1,156 @@
+"""Detection over a stack of channels: every channel of a stack gets exactly
+what detecting it alone gives, and the multiplication counts add up over
+the channels."""
+
+import numpy as np
+import pytest
+
+from gbcd import baselines, denoise, detector, hwmodel
+from gbcd.channel import apply_channel, gen_channel, noise_variance_for_snr
+from gbcd.constellation import make_constellation
+from gbcd.counting import MultCounter
+
+N = 5   # channels per stack
+K = 3
+
+
+def _stack(Q, U, T):
+    """N channels (N, 2U, U) with their own noise variances; T = 1 gives
+    one receive vector (N, 2U) per channel, otherwise a block (N, 2U, T)."""
+    rng = np.random.default_rng([Q, U, T])
+    const = make_constellation(Q)
+    B = 2 * U
+    H = np.empty((N, B, U), dtype=complex)
+    Y = np.empty((N, B, T), dtype=complex)
+    N0 = np.empty(N)
+    for n in range(N):
+        H[n] = gen_channel(B, U, "nonlos", rng).H
+        N0[n] = noise_variance_for_snr(H[n], rng.uniform(0.0, 20.0))
+        idx = rng.integers(0, Q, size=(U, T))
+        Y[n], _ = apply_channel(H[n], const.points[idx], N0[n], rng)
+    return const, H, (Y[..., 0] if T == 1 else Y), N0
+
+
+def _pme(const):
+    return dict(mode="pme", rho=np.array([1.0, 2.0, 4.0]) / const.scale,
+                beta=np.full(K, const.scale), alpha=0.05)
+
+
+DETECTORS = {
+    "gbcd-box": lambda H, Y, N0, const, c: detector.gbcd_detect(
+        H, Y, N0, 1.0, const, K, counter=c)[0],
+    "gbcd-pme": lambda H, Y, N0, const, c: detector.gbcd_detect(
+        H, Y, N0, 1.0, const, K, counter=c, **_pme(const))[0],
+    "gbcd-box-fixed": lambda H, Y, N0, const, c: detector.gbcd_detect(
+        H, Y, N0, 1.0, const, K, counter=c, numerics=hwmodel.FIXED_POINT)[0],
+    "gbcd-pme-fixed": lambda H, Y, N0, const, c: hwmodel.detect_fixed_point(
+        H, Y, N0, 1.0, const, K, **_pme(const)),
+    "lmmse": lambda H, Y, N0, const, c: baselines.lmmse_detect(
+        H, Y, N0, 1.0, const, counter=c),
+    "ocd": lambda H, Y, N0, const, c: baselines.ocd_detect(
+        H, Y, N0, 1.0, K, const, counter=c),
+}
+
+
+def _assert_soft_equal(got, want):
+    for field in ("llrs", "v_final"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    for field in ("mu", "xi", "xi_floored"):
+        assert np.array_equal(getattr(got.params, field),
+                              getattr(want.params, field)), field
+
+
+@pytest.mark.parametrize("T", [1, 120])
+@pytest.mark.parametrize("U", [4, 16])
+@pytest.mark.parametrize("Q", [4, 16, 64, 256])
+@pytest.mark.parametrize("name", DETECTORS)
+def test_stack_equals_per_channel_detection(name, Q, U, T):
+    const, H, Y, N0 = _stack(Q, U, T)
+    detect = DETECTORS[name]
+    c_stack = MultCounter()
+    soft = detect(H, Y, N0, const, c_stack)
+    m = const.bits_per_symbol
+    assert soft.llrs.shape == (N, U, m) + (() if T == 1 else (T,))
+    c_one = MultCounter()
+    for n in range(N):
+        one = detect(H[n], Y[n], N0[n], const, c_one if n == 0 else None)
+        stacked = denoise.SoftOutput(
+            soft.llrs[n], soft.v_final[n],
+            denoise.LlrParams(None, soft.params.mu[n], soft.params.xi[n],
+                              soft.params.xi_floored[n]))
+        _assert_soft_equal(stacked, one)
+    assert c_stack.total == N * c_one.total
+
+
+def test_default_alpha_is_per_channel_noise():
+    const, H, Y, N0 = _stack(16, 4, 120)
+    soft = detector.gbcd_detect(H, Y, N0, 2.0, const, K)[0]
+    assert np.array_equal(soft.params.alpha, N0 / 2.0)
+
+
+@pytest.mark.parametrize("method", ["axis", "exhaustive"])
+@pytest.mark.parametrize("T", [1, 120])
+@pytest.mark.parametrize("Q", [4, 16, 64, 256])
+def test_llrs_with_params_per_channel_alpha(Q, T, method):
+    rng = np.random.default_rng([Q, T])
+    const = make_constellation(Q)
+    U = 4
+    shape = (N, U) if T == 1 else (N, U, T)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    G = np.empty((N, U, U), dtype=complex)
+    for n in range(N):
+        Hn = rng.standard_normal((8, U)) + 1j * rng.standard_normal((8, U))
+        G[n] = detector.gram(Hn)
+    alpha = rng.uniform(0.01, 1.0, N)
+    params = denoise.LlrParams.from_gram(G, 1.0, alpha)
+    soft = denoise.compute_llrs_with_params(v, params, const, method=method)
+    for n in range(N):
+        one = denoise.compute_llrs(v[n], G[n], 1.0, alpha[n], const,
+                                   method=method)
+        assert one.params.alpha == alpha[n]
+        stacked = denoise.SoftOutput(
+            soft.llrs[n], soft.v_final[n],
+            denoise.LlrParams(None, params.mu[n], params.xi[n],
+                              params.xi_floored[n]))
+        _assert_soft_equal(stacked, one)
+
+
+def test_cholesky_rejects_stack_with_one_indefinite_matrix():
+    A = np.stack([np.eye(2, dtype=complex),
+                  np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)])
+    with pytest.raises(np.linalg.LinAlgError):
+        baselines.cholesky_lower(A)
+
+
+def _cholesky_loop(A):
+    """Complex Cholesky of one matrix, one element at a time."""
+    n = A.shape[0]
+    L = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        L[j, j] = np.sqrt(A[j, j].real - np.sum(np.abs(L[j, :j]) ** 2))
+        for i in range(j + 1, n):
+            L[i, j] = ((A[i, j] - np.dot(L[i, :j], L[j, :j].conj()))
+                       / L[j, j].real)
+    return L
+
+
+def _forward_loop(L, b):
+    """Forward substitution for one matrix, one row at a time."""
+    x = b.astype(complex)
+    for i in range(L.shape[0]):
+        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i].real
+    return x
+
+
+@pytest.mark.parametrize("T", [1, 120])
+def test_lmmse_stack_keeps_per_element_operation_order(T):
+    # vectorizing over the rows of L instead of the channels reorders the
+    # dot products and moves the result by ulps
+    _, H, Y, N0 = _stack(16, 16, T)
+    A = detector.gram(H) + N0[:, None, None] * np.eye(16)
+    L = baselines.cholesky_lower(A).L
+    y_mf = detector.matched_filter(H, Y)
+    x = baselines.solve_lower(L, y_mf)
+    for n in range(N):
+        assert np.array_equal(L[n], _cholesky_loop(A[n]))
+        assert np.array_equal(x[n], _forward_loop(L[n], y_mf[n]))

@@ -112,7 +112,7 @@ def test_forward_loss_matches_detector_recomputation(rng):
         den = denoise.pme_denoiser(const, params["rho"], params["beta"],
                                    use_table=False)
         st = detector.gbcd_equalize(pre, batch.y_mf[i], K, den)
-        soft = denoise.compute_llrs(st.v_last, batch.G[i], batch.N0[i], 1.0,
+        soft = denoise.compute_llrs(st.v_last, batch.G[i], 1.0,
                                     params["alpha"], const)
         X = batch.bits[i]
         terms = np.logaddexp(0.0, (1.0 - 2.0 * X) * soft.llrs)
