@@ -13,6 +13,7 @@ import numpy as np
 from gbcd import Scenario, TrainConfig, make_constellation, train
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import hard_decision_indices
+from gbcd.denoise import pme_denoiser
 from gbcd.detector import gbcd_detect
 from gbcd.unfolding import ParamStore
 
@@ -31,16 +32,16 @@ print(f"meta: {params.meta}")
 
 print("\n=== Held-out comparison against the box denoiser (paired data) ===")
 const = make_constellation(16)
+trained = dict(denoiser=pme_denoiser(const, params.rho, params.beta),
+               alpha=params.alpha)
 rng = np.random.default_rng(999)
 err = {"box": 0, "pme": 0}
 total = 0
 for _ in range(100):
     ch = gen_channel(16, 4, "nonlos", rng)
     b = transmit(ch.H, const, 50, 10.0, rng)
-    for mode in ("box", "pme"):
-        kw = {} if mode == "box" else dict(rho=params.rho, beta=params.beta,
-                                           alpha=params.alpha)
-        soft, _, _ = gbcd_detect(ch.H, b.Y, b.N0, 1.0, const, K, mode=mode, **kw)
+    for mode, kw in (("box", {}), ("pme", trained)):
+        soft, _, _ = gbcd_detect(ch.H, b.Y, b.N0, 1.0, const, K, **kw)
         hard = hard_decision_indices(const, soft.v_final,
                                      soft.params.mu[:, None])
         err[mode] += int(np.sum(hard != b.symbol_indices))

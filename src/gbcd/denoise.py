@@ -56,8 +56,8 @@ def pme_exact(v_axis: np.ndarray, omega: float, beta: float,
     return (w @ pam_points) / w.sum(axis=-1)
 
 
-def pme_piecewise(v_axis: np.ndarray, rho: float, beta: float, order: int,
-                  method: str = "direct") -> np.ndarray:
+def pme_piecewise(v_axis: np.ndarray, rho: float, beta: float,
+                  order: int) -> np.ndarray:
     """Piecewise-linear posterior-mean approximation for sqrt(order)-PAM.
 
     Sum of clipped unit ramps centered at multiples of 2*beta; output spans
@@ -65,10 +65,6 @@ def pme_piecewise(v_axis: np.ndarray, rho: float, beta: float, order: int,
     """
     if rho <= 0 or beta <= 0:
         raise ValueError("rho and beta must be positive")
-    if method == "table":
-        return build_plm_table("pme", rho, beta, order=order)(v_axis)
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
     v = np.asarray(v_axis, dtype=np.float64)
     gamma = math.isqrt(order) // 2 - 1
     # summing the +k/-k ramps as pairs keeps the map exactly odd
@@ -164,7 +160,7 @@ def build_plm_table(mode: str, rho: float | None = None,
         breaks = np.concatenate([-1.0 / rho - shifts, 1.0 / rho - shifts])
 
         def fn(x):
-            return pme_piecewise(x, rho, beta, order, method="direct")
+            return pme_piecewise(x, rho, beta, order)
 
         def slope_fn(x):
             x = np.asarray(x, dtype=np.float64)
@@ -219,41 +215,36 @@ class BoxDenoiser:
 class PmeDenoiser:
     """Per-iteration piecewise posterior-mean denoiser.
 
-    Raw table output lies on the odd-integer grid; multiplying by the
-    constellation scale puts the estimate back on the unit-energy symbol
-    grid, so it saturates exactly at the box corners.
+    Each iteration's map is evaluated through its slope/bias table, built
+    once; ``pme_piecewise`` is the direct reference. Raw table output lies
+    on the odd-integer grid; multiplying by the constellation scale puts the
+    estimate back on the unit-energy symbol grid, so it saturates exactly at
+    the box corners.
     """
 
-    def __init__(self, const: Constellation, rho, beta, use_table: bool = True):
+    def __init__(self, const: Constellation, rho, beta):
         self.const = const
         self.rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
         self.beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
         if self.rho.shape != self.beta.shape:
             raise ValueError("rho and beta schedules must have equal length")
-        self.use_table = use_table
-        if use_table:
-            self.tables = [build_plm_table("pme", r, b, order=const.order)
-                           for r, b in zip(self.rho, self.beta)]
-
-    def _eval(self, x: np.ndarray, k: int) -> np.ndarray:
-        if self.use_table:
-            return self.tables[k](x)
-        return pme_piecewise(x, self.rho[k], self.beta[k], self.const.order)
+        self.tables = [build_plm_table("pme", r, b, order=const.order)
+                       for r, b in zip(self.rho, self.beta)]
 
     def apply(self, v: np.ndarray, k: int) -> np.ndarray:
         if k >= self.rho.size:
             raise IndexError(f"no parameters for iteration {k}")
         c = self.const.scale
-        return c * self._eval(np.real(v), k) + 1j * c * self._eval(np.imag(v), k)
+        table = self.tables[k]
+        return c * table(np.real(v)) + 1j * c * table(np.imag(v))
 
 
 def box_denoiser(const: Constellation) -> BoxDenoiser:
     return BoxDenoiser(const)
 
 
-def pme_denoiser(const: Constellation, rho, beta,
-                 use_table: bool = True) -> PmeDenoiser:
-    return PmeDenoiser(const, rho, beta, use_table)
+def pme_denoiser(const: Constellation, rho, beta) -> PmeDenoiser:
+    return PmeDenoiser(const, rho, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ fixed-point detection share this path and differ only by their ``Numerics``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -303,62 +302,36 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
     return EqualizerState(z, r, v_last, K)
 
 
-def _trace_writer(f):
-    import csv
-
-    writer = csv.writer(f)
-    header_done = [False]
-
-    def hook(k, m, z, r):
-        if not header_done[0]:
-            writer.writerow(["k", "m", "r_norm"]
-                            + [f"z{u}_re" for u in range(z.shape[0])]
-                            + [f"z{u}_im" for u in range(z.shape[0])])
-            header_done[0] = True
-        writer.writerow([k, m, float(np.linalg.norm(r))]
-                        + [float(x) for x in z[:, 0].real]
-                        + [float(x) for x in z[:, 0].imag])
-
-    return hook
-
-
 def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
-                Es: float, const, K: int, *, mode: str = "box", rho=None,
-                beta=None, alpha: float | np.ndarray | None = None, L: int = 2,
+                Es: float, const, K: int, *, denoiser=None,
+                alpha: float | np.ndarray | None = None, L: int = 2,
                 sort: bool = True, counter: MultCounter | None = None,
-                trace_csv=None, numerics: Numerics = FLOAT):
+                numerics: Numerics = FLOAT):
     """End-to-end detection: preprocessing, equalization, soft outputs.
 
     ``H`` is one channel (B, U) or a stack (..., B, U); ``y`` holds one
     receive vector (..., B) or a block (..., B, T) per channel, and ``N0``
-    is a scalar or one value per channel. ``alpha`` defaults to N0 / Es per
+    is a scalar or one value per channel. ``denoiser`` is any object with
+    ``apply(v, k)``, such as ``denoise.pme_denoiser``; it defaults to
+    ``denoise.box_denoiser(const)``. ``alpha`` defaults to N0 / Es per
     channel. The LLRs are (..., U, bits[, T]) and every channel of a stack
     gets what detecting it alone gives; multiplication counts add up over
     the channels.
 
     ``numerics`` also quantizes ``h`` and ``y`` on entry, ``ymf`` and the
-    LLRs. ``trace_csv`` writes one debug row per inner iteration (residual
-    norm and estimate snapshot of the first transmission of one channel).
+    LLRs.
     """
-    from .denoise import box_denoiser, pme_denoiser, compute_llrs
+    from .denoise import box_denoiser, compute_llrs
 
     H = numerics.quantize("h", H)
     y = numerics.quantize("y", y)
     pre = preprocess(H, N0, Es, L=L, sort=sort, counter=counter,
                      numerics=numerics)
-    if mode == "box":
-        den = box_denoiser(const)
-    elif mode == "pme":
-        if rho is None or beta is None:
-            raise ValueError("pme mode requires rho and beta schedules")
-        den = pme_denoiser(const, rho, beta)
-    else:
-        raise ValueError(f"unknown denoiser mode {mode!r}")
+    if denoiser is None:
+        denoiser = box_denoiser(const)
     y_mf = numerics.quantize("ymf", matched_filter(H, y, counter))
-    with open(trace_csv, "w", newline="") if trace_csv else nullcontext() as f:
-        state = gbcd_equalize(pre, y_mf, K, den, counter=counter,
-                              trace_hook=_trace_writer(f) if f else None,
-                              numerics=numerics)
+    state = gbcd_equalize(pre, y_mf, K, denoiser, counter=counter,
+                          numerics=numerics)
     if alpha is None:
         alpha = pre.N0 / Es
     soft = compute_llrs(state.v_last, pre.G, Es, alpha, const,

@@ -12,9 +12,10 @@ A coded sweep point stops at the first trial at which every detector has
 accumulated the requested number of block errors.
 
 Every detector, sweep or ablation, is built from one spec: ``kind`` (gbcd,
-lmmse or ocd) and, for GBCD, its block size ``L``, ``sort``, denoiser
-``mode`` and the ``source`` of its PME parameters. GBCD runs in fixed point
-when the config asks for it.
+lmmse or ocd) and, for GBCD, its block size ``L``, ``sort`` and, for a PME
+denoiser, the ``source`` of its parameters; without one it uses BOX. Each
+SNR point builds every GBCD denoiser once, before its first trial. GBCD
+runs in fixed point when the config asks for it.
 """
 
 from __future__ import annotations
@@ -37,22 +38,21 @@ ABLATE_COLUMNS = ("snr_db", "variant", "bler", "ser", "trials", "block_errors",
                   "data_hash")
 
 DETECTOR_SPECS = {
-    "gbcd-box": dict(kind="gbcd", L=2, sort=True, mode="box"),
-    "gbcd-pme": dict(kind="gbcd", L=2, sort=True, mode="pme", source="trained"),
+    "gbcd-box": dict(kind="gbcd", L=2, sort=True),
+    "gbcd-pme": dict(kind="gbcd", L=2, sort=True, source="trained"),
     "lmmse": dict(kind="lmmse"),
     "ocd": dict(kind="ocd"),
 }
 DETECTORS = tuple(DETECTOR_SPECS)
 
 ABLATION_VARIANTS = (
-    ("cd-box", dict(kind="gbcd", L=1, sort=False, mode="box")),
-    ("cd-box+sort", dict(kind="gbcd", L=1, sort=True, mode="box")),
-    ("gbcd-box", dict(kind="gbcd", L=2, sort=False, mode="box")),
-    ("gbcd-box+sort", dict(kind="gbcd", L=2, sort=True, mode="box")),
-    ("gbcd-pme-empirical", dict(kind="gbcd", L=2, sort=True, mode="pme",
+    ("cd-box", dict(kind="gbcd", L=1, sort=False)),
+    ("cd-box+sort", dict(kind="gbcd", L=1, sort=True)),
+    ("gbcd-box", dict(kind="gbcd", L=2, sort=False)),
+    ("gbcd-box+sort", dict(kind="gbcd", L=2, sort=True)),
+    ("gbcd-pme-empirical", dict(kind="gbcd", L=2, sort=True,
                                 source="empirical")),
-    ("gbcd-pme-trained", dict(kind="gbcd", L=2, sort=True, mode="pme",
-                              source="trained")),
+    ("gbcd-pme-trained", dict(kind="gbcd", L=2, sort=True, source="trained")),
 )
 
 # Codeword blocks per fec.decode_batch call. The decoder's cost per block
@@ -121,7 +121,6 @@ class ExperimentConfig:
     uncoded: bool = False
     k_factor: float = 10.0
     min_sep_deg: float = 1.0
-    trace_csv: str | None = None
     coherence_groups: int = 1   # independent channels per coherence block
 
     @property
@@ -188,9 +187,10 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(snr_idx, trial)))
 
 
-def _resolve_pme(cfg: ExperimentConfig, store, snr_db: float):
-    """Trained-parameter lookup with the documented fallback ladder."""
-    box = {"mode": "box", "alpha": None}
+def _resolve_pme(cfg: ExperimentConfig, const, store, snr_db: float):
+    """Trained-parameter lookup with the documented fallback ladder, as a
+    (denoiser, alpha) pair; the BOX fallback keeps the default alpha."""
+    box = (denoise.box_denoiser(const), None)
     if snr_db < 0.0:
         return box
     try:
@@ -202,15 +202,15 @@ def _resolve_pme(cfg: ExperimentConfig, store, snr_db: float):
         if cfg.allow_box_fallback:
             return box
         raise
-    return {"mode": "pme", "rho": res.params.rho, "beta": res.params.beta,
-            "alpha": res.params.alpha}
+    return (denoise.pme_denoiser(const, res.params.rho, res.params.beta),
+            res.params.alpha)
 
 
 def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
     """Detector of one spec as a function (H, Y, N0) -> (llrs, hard indices)
     over a stack of channels H (N, B, U), receive blocks Y (N, B, glen) and
     noise variances N0 (N,); the LLRs are (N, U, m, glen). ``pme`` maps each
-    PME source to the gbcd_detect keywords resolved at this SNR."""
+    PME source to its (denoiser, alpha) pair resolved at this SNR."""
     kind = spec["kind"]
     if kind == "lmmse":
         def detect(H, Y, N0):
@@ -219,8 +219,10 @@ def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
         def detect(H, Y, N0):
             return baselines.ocd_detect(H, Y, N0, 1.0, cfg.K, const)
     else:
-        kw = pme[spec["source"]] if spec["mode"] == "pme" else {"mode": "box"}
-        kw = dict(kw, L=spec["L"], sort=spec["sort"])
+        denoiser, alpha = (pme[spec["source"]] if "source" in spec
+                           else (denoise.box_denoiser(const), None))
+        kw = dict(denoiser=denoiser, alpha=alpha, L=spec["L"],
+                  sort=spec["sort"])
 
         def detect(H, Y, N0):
             if cfg.fixed_point:
@@ -406,18 +408,6 @@ def _write_csv(path_or_buf, rows, columns):
             f.close()
 
 
-def _emit_debug_trace(cfg: ExperimentConfig, const) -> None:
-    """One-off per-iteration trace of the first trial at the first SNR."""
-    rng = _trial_rng(cfg.seed, 0, 0)
-    ch = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
-                     k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
-    idx = rng.integers(0, const.order, size=(cfg.U, 1))
-    N0 = noise_variance_for_snr(ch.H, float(cfg.snr_db[0]), 1.0)
-    Y, _ = apply_channel(ch.H, const.points[idx], N0, rng)
-    detector.gbcd_detect(ch.H, Y, N0, 1.0, const, cfg.K,
-                         trace_csv=cfg.trace_csv)
-
-
 def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
     """Run every SNR point for the named detector specs. Before the first
     trial, ``pme_sources(cfg, const, store, snr_db, sources)`` resolves the
@@ -425,8 +415,7 @@ def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
     unreadable or malformed store is a ConfigError."""
     const = make_constellation(cfg.Q)
     code = cfg.code
-    sources = {spec["source"] for spec in specs.values()
-               if spec.get("mode") == "pme"}
+    sources = {spec["source"] for spec in specs.values() if "source" in spec}
     store = None
     if sources and cfg.params_path is not None:
         try:
@@ -450,15 +439,13 @@ def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
 
 def run_sweep(cfg: ExperimentConfig):
     """Monte-Carlo BLER/SER sweep; returns CSV rows and writes cfg.out if set."""
-    if cfg.trace_csv:
-        _emit_debug_trace(cfg, make_constellation(cfg.Q))
     return _run(cfg, {d: DETECTOR_SPECS[d] for d in cfg.detectors},
                 _sweep_pme_sources, SWEEP_COLUMNS)
 
 
 def _sweep_pme_sources(cfg: ExperimentConfig, const, store, snr_db: float,
                        sources) -> dict:
-    return {"trained": _resolve_pme(cfg, store, snr_db)}
+    return {"trained": _resolve_pme(cfg, const, store, snr_db)}
 
 
 def run_ablation(cfg: ExperimentConfig, variants=None):
@@ -477,8 +464,8 @@ def run_ablation(cfg: ExperimentConfig, variants=None):
 
 def _ablation_pme_params(cfg: ExperimentConfig, const, store, snr_db: float,
                          sources) -> dict:
-    trained = _resolve_pme(cfg, store, snr_db)
-    if trained["mode"] != "pme":
+    trained = _resolve_pme(cfg, const, store, snr_db)
+    if isinstance(trained[0], denoise.BoxDenoiser):
         raise unfolding.MissingParamsError(
             "ablation needs trained parameters at every sweep SNR")
     if "empirical" not in sources:
@@ -493,5 +480,5 @@ def _ablation_pme_params(cfg: ExperimentConfig, const, store, snr_db: float,
     beta_grid = scale * np.array([0.6, 0.8, 1.0, 1.2, 1.5])
     r, b = unfolding.grid_search_pme(batch, cfg.K, rho_grid, beta_grid, alpha)
     return {"trained": trained,
-            "empirical": {"mode": "pme", "rho": np.full(cfg.K, r),
-                          "beta": np.full(cfg.K, b), "alpha": alpha}}
+            "empirical": (denoise.pme_denoiser(const, np.full(cfg.K, r),
+                                               np.full(cfg.K, b)), alpha)}

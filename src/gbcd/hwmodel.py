@@ -237,15 +237,15 @@ FIXED_POINT = detector.Numerics(
 
 def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
                        Es: float, const: Constellation, K: int, *,
-                       mode: str = "box", rho=None, beta=None,
-                       alpha: float | np.ndarray | None = None,
+                       denoiser=None, alpha: float | np.ndarray | None = None,
                        L: int = 2, sort: bool = True) -> denoise.SoftOutput:
     """GBCD detection in the FIXED_POINT numeric context: the modeled word
     lengths on H, y, G, y_mf, z and the LLRs, and lookup-based reciprocals
-    in the SINR, inverse and LLR stages. Takes one channel or a stack, as
-    ``detector.gbcd_detect`` does."""
-    return detector.gbcd_detect(H, y, N0, Es, const, K, mode=mode, rho=rho,
-                                beta=beta, alpha=alpha, L=L, sort=sort,
+    in the SINR, inverse and LLR stages. Takes one channel or a stack and
+    the same ``denoiser`` (box by default) and ``alpha`` as
+    ``detector.gbcd_detect``; every denoiser output is quantized as ``z``."""
+    return detector.gbcd_detect(H, y, N0, Es, const, K, denoiser=denoiser,
+                                alpha=alpha, L=L, sort=sort,
                                 numerics=FIXED_POINT)[0]
 
 

@@ -188,17 +188,16 @@ def test_criterion_06_training_efficacy(desk_params):
     def check():
         qam = make_constellation(16)
         p = desk_params
+        pme = denoise.pme_denoiser(qam, p.rho, p.beta)
         rng = np.random.default_rng(999)
         err_box = err_pme = 0
         n_tx = 0
         while n_tx < 10000:
             ch = gen_channel(16, 4, "nonlos", rng)
             b = transmit(ch.H, qam, 50, DESK_TRAIN_SNR, rng)
-            s_box, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam, 3,
-                                               mode="box")
+            s_box, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam, 3)
             s_pme, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam, 3,
-                                               mode="pme", rho=p.rho,
-                                               beta=p.beta, alpha=p.alpha)
+                                               denoiser=pme, alpha=p.alpha)
             hb = hard_decision_indices(qam, s_box.v_final,
                                        s_box.params.mu[:, None])
             hp = hard_decision_indices(qam, s_pme.v_final,
@@ -294,17 +293,16 @@ def test_criterion_09_fixed_point_sanity(desk_params):
     def check():
         qam = make_constellation(16)
         p = desk_params
+        pme = denoise.pme_denoiser(qam, p.rho, p.beta)
         rng = np.random.default_rng(4242)
         agree = tot = 0
         for _ in range(50):
             ch = gen_channel(16, 4, "nonlos", rng)
             b = transmit(ch.H, qam, 40, DESK_TRAIN_SNR, rng)
             sf, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam, 3,
-                                            mode="pme", rho=p.rho,
-                                            beta=p.beta, alpha=p.alpha)
+                                            denoiser=pme, alpha=p.alpha)
             sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, 1.0, qam, 3,
-                                            mode="pme", rho=p.rho,
-                                            beta=p.beta, alpha=p.alpha)
+                                            denoiser=pme, alpha=p.alpha)
             agree += int(np.sum(np.sign(sf.llrs) == np.sign(sq.llrs)))
             tot += sf.llrs.size
         assert agree / tot > 0.99, agree / tot

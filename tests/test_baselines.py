@@ -151,6 +151,6 @@ def test_ocd_soft_output_matches_gbcd_l1(qam16, rng):
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     N0 = 0.15
     soft_o = baselines.ocd_detect(H, y, N0, 1.0, 3, qam16)
-    soft_g, _, _ = detector.gbcd_detect(H, y, N0, 1.0, qam16, 3, mode="box",
-                                        L=1, sort=False)
+    soft_g, _, _ = detector.gbcd_detect(H, y, N0, 1.0, qam16, 3, L=1,
+                                        sort=False)
     assert np.max(np.abs(soft_o.llrs - soft_g.llrs)) < 1e-8

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbcd import fec, harness, unfolding
+from gbcd import denoise, fec, harness, unfolding
 from gbcd.harness import (ABLATION_VARIANTS, ConfigError, ExperimentConfig,
                           run_ablation, run_sweep, _write_csv, SWEEP_COLUMNS)
 
@@ -45,6 +45,7 @@ def test_config_rejects_bad_fields():
     dict(T=10, Q=4, code_rate="5/6"),         # 20 coded bits at rate 5/6
     dict(K=0),
     dict(chunk_size=4),                       # retired key
+    dict(trace_csv="trace.csv"),              # retired key
 ])
 def test_config_rejects_bad_design(over):
     with pytest.raises(ConfigError):
@@ -334,6 +335,40 @@ def test_params_resolved_once_per_run(variants, tiny_store, monkeypatch):
     assert len(searches) == (3 if empirical else 0)
 
 
+@pytest.mark.parametrize("fixed_point", [False, True], ids=["float", "fixed"])
+@pytest.mark.parametrize("variants", [None, ["gbcd-pme-trained",
+                                             "gbcd-pme-empirical"]],
+                         ids=["sweep", "ablate"])
+def test_pme_denoiser_built_once_per_snr_point(variants, fixed_point,
+                                               tiny_store, monkeypatch):
+    built, stacks = [], []
+    pme_denoiser, detect = denoise.pme_denoiser, harness._detect
+
+    def counting_denoiser(*args):
+        built.append(args)
+        return pme_denoiser(*args)
+
+    def counting_detect(*args):
+        stacks.append(args)
+        return detect(*args)
+
+    monkeypatch.setattr(denoise, "pme_denoiser", counting_denoiser)
+    monkeypatch.setattr(harness, "_detect", counting_detect)
+    # B * T of one trial: every trial is a detection stack of its own
+    monkeypatch.setattr(harness, "DETECT_SAMPLES", 16 * 120)
+    snrs = [10.0, 14.0]
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=snrs, detectors=["gbcd-pme"], trials=3,
+        min_block_errors=10**6, fixed_point=fixed_point,
+        params_path=tiny_store))
+    if variants is None:
+        run_sweep(cfg)
+    else:
+        run_ablation(cfg, variants)
+    assert len(stacks) == 3 * len(snrs)
+    assert len(built) == len(snrs) * (1 if variants is None else 2)
+
+
 # ---------------------------------------------------------------------------
 # ablation
 
@@ -435,6 +470,7 @@ def test_cli_config_error_exit_code(tmp_path):
                                     "batch_size": 20, "max_epochs": 1}}),
     ("simulate", base_config(threads=2)),
     ("simulate", base_config(chunk_size=4)),
+    ("simulate", base_config(trace_csv="trace.csv")),
     ("train", {"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
                             "condition": "nonlos", "seed": 7},
                "K": 2, "training": {"n_train": 40, "n_val": 40,
@@ -445,8 +481,8 @@ def test_cli_config_error_exit_code(tmp_path):
                                     "batch_size": 20, "max_epochs": 1}}),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
         "train-missing-file", "hwmodel-missing-file", "train-K0",
-        "train-snr-30", "threads-key", "chunk-size-key", "scenario-seed-key",
-        "scenario-bogus-key"])
+        "train-snr-30", "threads-key", "chunk-size-key", "trace-csv-key",
+        "scenario-seed-key", "scenario-bogus-key"])
 def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     cfgp = tmp_path / "cfg.json"
     if cfg is not None:

@@ -286,9 +286,8 @@ def test_fixed_point_outputs_quantized(qam16, rng):
     assert np.array_equal(hwmodel.quantize(sq.llrs, fmt), sq.llrs)
 
 
-def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, mode="box",
-                                  rho=None, beta=None, alpha=None, L=2,
-                                  sort=True):
+def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, denoiser=None,
+                                  alpha=None, L=2, sort=True):
     """The fixed-point detector written out stage by stage: quantized H, y,
     G and y_mf, lookup reciprocals, a denoiser whose output is quantized,
     and quantized LLRs."""
@@ -306,10 +305,7 @@ def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, mode="box",
     pre = detector.PreprocOutput(G, inv_sinr, perm, blocks, kinv,
                                  float(N0), float(Es), L, regularized)
     y_mf = q(detector.matched_filter(Hq, yq), formats["ymf"])
-    if mode == "box":
-        base = denoise.box_denoiser(const)
-    else:
-        base = denoise.pme_denoiser(const, rho, beta)
+    base = denoise.box_denoiser(const) if denoiser is None else denoiser
 
     class _QuantizedDenoiser:
         def apply(self, v, k):
@@ -332,16 +328,16 @@ def test_fixed_point_matches_reference(Q, L):
     K = 3
     rho = np.array([1.0, 2.0, 4.0]) / const.scale
     beta = np.full(K, const.scale)
+    pme = denoise.pme_denoiser(const, rho, beta)
     for (B, U), condition in (((32, 8), "nonlos"), ((16, 4), "los"),
                               ((8, 8), "nonlos")):
         ch = gen_channel(B, U, condition, rng)
         b = transmit(ch.H, const, 6, 8.0, rng)
         for sort in (False, True):
             for mode, kw in (("box", {}),
-                             ("pme", dict(rho=rho, beta=beta,
-                                          alpha=0.5 * b.N0))):
+                             ("pme", dict(denoiser=pme, alpha=0.5 * b.N0))):
                 args = (ch.H, b.Y, b.N0, 1.0, const, K)
-                kw = dict(kw, mode=mode, L=L, sort=sort)
+                kw = dict(kw, L=L, sort=sort)
                 got = hwmodel.detect_fixed_point(*args, **kw)
                 ref = _detect_fixed_point_reference(*args, **kw)
                 case = (B, U, condition, sort, mode)

@@ -32,8 +32,9 @@ def _stack(Q, U, T):
 
 
 def _pme(const):
-    return dict(mode="pme", rho=np.array([1.0, 2.0, 4.0]) / const.scale,
-                beta=np.full(K, const.scale), alpha=0.05)
+    rho = np.array([1.0, 2.0, 4.0]) / const.scale
+    den = denoise.pme_denoiser(const, rho, np.full(K, const.scale))
+    return dict(denoiser=den, alpha=0.05)
 
 
 DETECTORS = {

@@ -109,8 +109,7 @@ def test_forward_loss_matches_detector_recomputation(rng):
                                      batch.N0[i], 1.0, 2)
         from gbcd import denoise
 
-        den = denoise.pme_denoiser(const, params["rho"], params["beta"],
-                                   use_table=False)
+        den = denoise.pme_denoiser(const, params["rho"], params["beta"])
         st = detector.gbcd_equalize(pre, batch.y_mf[i], K, den)
         soft = denoise.compute_llrs(st.v_last, batch.G[i], 1.0,
                                     params["alpha"], const)
