@@ -473,7 +473,8 @@ def _ablation_pme_params(cfg: ExperimentConfig, const, store, snr_db: float,
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(0xAB1A7E, int(round(snr_db * 100)))))
     batch = unfolding.make_batch(cfg.B, cfg.U, const, snr_db, cfg.condition,
-                                 200, rng)
+                                 200, rng, k_factor=cfg.k_factor,
+                                 min_sep_deg=cfg.min_sep_deg)
     alpha = float(np.median(batch.N0))
     scale = const.scale
     rho_grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) / scale

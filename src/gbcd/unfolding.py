@@ -9,8 +9,10 @@ subgradient zero outside and at their kinks, the max-log minima
 differentiate through the argmin branch).
 
 The forward pass is ``detector.gbcd_equalize`` on the stack of samples, with
-a denoiser that records what the backward pass needs, and the LLR gains of
-``denoise.LlrParams.from_gram``.
+a denoiser that evaluates both axes in one clipped-ramp pass and records the
+block estimates, and the LLR gains of ``denoise.LlrParams.from_gram``. The
+backward pass evaluates the ramps' reductions once per outer iteration and
+runs in the equalizer's update order, where each block is a slice.
 
 Positivity is enforced by reparameterization: slopes and spacings live in
 the log domain, the normalizer in the softplus domain.
@@ -94,11 +96,14 @@ class TrainBatch:
 
 def make_batch(B: int, U: int, const: Constellation, snr_db: float,
                condition: str, n: int, rng: np.random.Generator, *,
-               L: int = 2, sort: bool = True) -> TrainBatch:
+               L: int = 2, sort: bool = True, k_factor: float = 10.0,
+               min_sep_deg: float = 1.0) -> TrainBatch:
     """Generate n samples, each with its own channel, symbols, and noise.
 
-    Draws run sample by sample, so the random stream does not depend on
-    PREPROCESS_SLICE; preprocessing runs once per slice of samples.
+    ``k_factor`` and ``min_sep_deg`` shape LOS channels as in
+    ``gen_channel``. Draws run sample by sample, so the random stream does
+    not depend on PREPROCESS_SLICE; preprocessing runs once per slice of
+    samples.
     """
     M = U // L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
@@ -112,7 +117,8 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
         H = np.empty((stop - start, B, U), dtype=np.complex128)
         y = np.empty((stop - start, B), dtype=np.complex128)
         for i in range(start, stop):
-            ch = gen_channel(B, U, condition, rng)
+            ch = gen_channel(B, U, condition, rng, k_factor=k_factor,
+                             min_sep_deg=min_sep_deg)
             batch = transmit(ch.H, const, 1, snr_db, rng)
             H[i - start] = ch.H
             y[i - start] = batch.Y[:, 0]
@@ -130,9 +136,11 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
 # unrolled forward / backward
 
 def _plm_forward(x: np.ndarray, rho: float, beta: float, offsets: np.ndarray):
-    """Clipped-ramp sum per axis; returns the raw value and the reductions
-    needed for the backward pass (active count, active-argument sum,
-    active-offset-derivative sum)."""
+    """Clipped-ramp sum over the offsets; returns the raw value and the
+    reductions the backward pass needs (active count, active-argument sum,
+    active-offset-derivative sum). ``grad`` calls it once per outer
+    iteration, on that iteration's M block estimates in update order with
+    the real and imaginary parts stacked last."""
     arg = x[..., None] + 2.0 * beta * offsets
     pre = rho * arg
     active = np.abs(pre) < 1.0
@@ -146,19 +154,16 @@ def _plm_forward(x: np.ndarray, rho: float, beta: float, offsets: np.ndarray):
 def _subset_min(diff: np.ndarray, d2: np.ndarray, pam: np.ndarray,
                 cols: np.ndarray):
     """Min squared distance over the PAM columns ``cols``, with the residual
-    and level at the argmin and the gap to the runner-up."""
-    sub = d2[..., cols]
-    idx = cols[np.argmin(sub, axis=-1)]
+    and level at the argmin."""
+    idx = cols[np.argmin(d2[..., cols], axis=-1)]
     dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
     e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
-    gap = np.partition(sub, 1, axis=-1)[..., 1] - dmin if cols.size > 1 \
-        else np.full_like(dmin, np.inf)
-    return dmin, e, pam[idx], gap
+    return dmin, e, pam[idx]
 
 
 def _axis_minima(x: np.ndarray, mu: np.ndarray, const: Constellation):
-    """Per Gray bit of one axis: the metric d0 - d1 and the argmin residuals,
-    levels and smaller runner-up gap the backward pass needs.
+    """Per Gray bit of one axis: the metric d0 - d1 and the argmin residuals
+    and levels the backward pass needs.
 
     The (..., sqrt Q) distances to the gain-scaled PAM levels are computed
     once; each bit takes its minima over the column subsets of its labels.
@@ -169,10 +174,10 @@ def _axis_minima(x: np.ndarray, mu: np.ndarray, const: Constellation):
     metrics, mins = [], []
     for j in range(const.axis_bits):
         i0, i1 = const.pam_bit_indices(j)
-        d0, e0, a0, gap0 = _subset_min(diff, d2, pam, i0)
-        d1, e1, a1, gap1 = _subset_min(diff, d2, pam, i1)
+        d0, e0, a0 = _subset_min(diff, d2, pam, i0)
+        d1, e1, a1 = _subset_min(diff, d2, pam, i1)
         metrics.append(d0 - d1)
-        mins.append((e0, a0, e1, a1, np.minimum(gap0, gap1)))
+        mins.append((e0, a0, e1, a1))
     return metrics, mins
 
 
@@ -184,15 +189,14 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
     steps = []
 
     def apply(v, k):
-        """``_plm_forward`` on both axes of each sample's one transmission;
-        with ``want_cache``, records the estimate ``v`` and the reductions
-        the backward pass needs."""
-        v = v[..., 0]
-        raw_re, *red_re = _plm_forward(v.real, rho[k], beta[k], offsets)
-        raw_im, *red_im = _plm_forward(v.imag, rho[k], beta[k], offsets)
+        """The clipped-ramp map on both axes of each sample's transmission
+        in one pass (the real and imaginary parts of ``v`` viewed as a
+        trailing pair); with ``want_cache``, records ``v``."""
         if want_cache:
-            steps.append((v, *red_re, *red_im))
-        return (const.scale * (raw_re + 1j * raw_im))[..., None]
+            steps.append(v[..., 0])
+        x = v.view(np.float64)[..., None]
+        raw = np.clip(rho[k] * (x + 2.0 * beta[k] * offsets), -1.0, 1.0)
+        return const.scale * raw.sum(axis=-1).view(np.complex128)
 
     pre = detector.PreprocOutput(batch.G, None, None, batch.blocks, batch.kinv,
                                  batch.N0, 1.0, batch.blocks.shape[-1])
@@ -221,9 +225,13 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
 
     cache = None
     if want_cache:
-        cache = {"steps": steps, "mu": mu, "floored": gains.xi_floored,
-                 "llr": llr, "mins": mins, "capped": capped, "X": X,
-                 "offsets": offsets, "inv_xi": inv_xi}
+        # every step's estimate, (n, K, U, [re, im]) in update order
+        n, U = batch.y_mf.shape
+        x = np.concatenate(steps, axis=1).view(np.float64).reshape(n, K, U, 2)
+        cache = {"x": x, "v_final": v_final, "mu": mu,
+                 "floored": gains.xi_floored, "llr": llr, "mins": mins,
+                 "capped": capped, "X": X, "offsets": offsets,
+                 "inv_xi": inv_xi}
     return loss, cache
 
 
@@ -248,12 +256,18 @@ def forward_loss(params, batch: TrainBatch, K: int) -> float:
 
 def grad(params, batch: TrainBatch, K: int):
     """Analytic gradient of forward_loss in the natural (rho, beta, alpha)
-    coordinates. Returns (loss, {"rho": (K,), "beta": (K,), "alpha": float})."""
+    coordinates. Returns (loss, {"rho": (K,), "beta": (K,), "alpha": float}).
+
+    The backward pass runs in update order, like ``gbcd_equalize``: block m
+    of G's columns, of the estimates and of their gradient ``gz`` is the
+    slice m*L:(m+1)*L. The residual's gradient ``gr`` stays in UE order, the
+    order in which each block's column sum runs.
+    """
     rho, beta, alpha = _params_arrays(params)
     const = batch.const
     loss, c = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=True)
-    n, U = batch.y_mf.shape
-    M = batch.blocks.shape[1]
+    n, M, L = batch.blocks.shape
+    U = M * L
     scale = const.scale
 
     # loss stage: d loss / d llr = (P - X) / n, zero where the cap is active
@@ -268,7 +282,7 @@ def grad(params, batch: TrainBatch, K: int):
     gx = np.zeros((n, U))
     gy = np.zeros((n, U))
     gmu = np.zeros((n, U))
-    for b, (e0, a0, e1, a1, _) in enumerate(c["mins"]):
+    for b, (e0, a0, e1, a1) in enumerate(c["mins"]):
         gm = gmetric[..., b]
         target = gx if b < m_axis else gy
         target += gm * 2.0 * (e0 - e1)
@@ -278,31 +292,40 @@ def grad(params, batch: TrainBatch, K: int):
     gmu += gxi * dxi_dmu
     dmu_dalpha = -mu / (batch.G.diagonal(0, 1, 2).real + alpha)
     galpha = float((gmu * dmu_dalpha).sum())
-    gv_final = gx + 1j * gy
+
+    # per block m: the positions of its UEs in a flattened (n, U) array,
+    # and G's columns and the block inverse at those UEs, conjugated, as
+    # contiguous (n, U, L) and (n, L, L) arrays
+    blocks = batch.blocks.transpose(1, 0, 2)
+    flat = blocks + U * np.arange(n)[:, None]
+    rows = U * np.arange(n * U).reshape(n, U, 1)
+    Gc = batch.G.reshape(-1)[rows + blocks[:, :, None, :]].conj()
+    kc = np.ascontiguousarray(batch.kinv.transpose(1, 0, 2, 3)).conj()
+    gv_final = (gx + 1j * gy).reshape(-1)[flat]
 
     gz = np.zeros((n, U), dtype=np.complex128)
     gr = np.zeros((n, U), dtype=np.complex128)
+    grf = gr.reshape(-1)
     grho = np.zeros(K)
     gbeta = np.zeros(K)
-    for i in reversed(range(K * M)):
-        k, m = divmod(i, M)
-        _, cnt_re, svb_re, s2t_re, cnt_im, svb_im, s2t_im = c["steps"][i]
-        A = batch.blocks[:, m]
-        Gcols = np.take_along_axis(batch.G, A[:, None, :], axis=2)
-        gdz = -np.einsum("nul,nu->nl", Gcols.conj(), gr)
-        gzn = np.take_along_axis(gz, A, axis=1) + gdz
-        gre = gzn.real
-        gim = gzn.imag
-        grho[k] += scale * float((svb_re * gre + svb_im * gim).sum())
-        gbeta[k] += scale * rho[k] * float((s2t_re * gre + s2t_im * gim).sum())
-        gv = scale * rho[k] * (cnt_re * gre + 1j * cnt_im * gim)
-        if k == K - 1:
-            gv = gv + np.take_along_axis(gv_final, A, axis=1)
-        gzA_old = -gdz + gv
-        np.put_along_axis(gz, A, gzA_old, axis=1)
-        grA = np.einsum("nji,nj->ni", batch.kinv[:, m].conj(), gv)
-        cur = np.take_along_axis(gr, A, axis=1)
-        np.put_along_axis(gr, A, cur + grA, axis=1)
+    for k in reversed(range(K)):
+        _, cnt, svb, s2t = _plm_forward(c["x"][:, k], rho[k], beta[k],
+                                        c["offsets"])
+        for m in reversed(range(M)):
+            A = slice(m * L, (m + 1) * L)
+            gdz = -np.einsum("nul,nu->nl", Gc[m], gr)
+            gzn = gz[:, A] + gdz
+            gre = gzn.real
+            gim = gzn.imag
+            grho[k] += scale * float((svb[:, A, 0] * gre
+                                      + svb[:, A, 1] * gim).sum())
+            gbeta[k] += scale * rho[k] * float((s2t[:, A, 0] * gre
+                                                + s2t[:, A, 1] * gim).sum())
+            gv = scale * rho[k] * (cnt[:, A, 0] * gre + 1j * cnt[:, A, 1] * gim)
+            if k == K - 1:
+                gv = gv + gv_final[m]
+            gz[:, A] = -gdz + gv
+            grf[flat[m]] += np.einsum("nji,nj->ni", kc[m], gv)
 
     return loss, {"rho": grho, "beta": gbeta, "alpha": galpha}
 
@@ -317,14 +340,22 @@ def forward_diagnostics(params, batch: TrainBatch, K: int) -> dict:
     """
     rho, beta, alpha = _params_arrays(params)
     _, c = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=True)
-    M = batch.blocks.shape[1]
     kink = np.inf
-    for i, (v, *_) in enumerate(c["steps"]):
-        k = i // M
-        for ax in (v.real, v.imag):
-            pre = rho[k] * (ax[..., None] + 2.0 * beta[k] * c["offsets"])
-            kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
-    argmin_gap = min(float(np.min(g)) for *_, g in c["mins"])
+    for k in range(K):
+        pre = rho[k] * (c["x"][:, k, ..., None] + 2.0 * beta[k] * c["offsets"])
+        kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
+    # gap between the two smallest distances of each bit's label subset
+    const = batch.const
+    pam = const.pam_points
+    argmin_gap = np.inf
+    for ax in (c["v_final"].real, c["v_final"].imag):
+        d2 = (ax[..., None] - c["mu"][..., None] * pam) ** 2
+        for j in range(const.axis_bits):
+            for cols in const.pam_bit_indices(j):
+                if cols.size > 1:
+                    two = np.partition(d2[..., cols], 1, axis=-1)
+                    argmin_gap = min(argmin_gap, float(np.min(
+                        two[..., 1] - two[..., 0])))
     sgn = 1.0 - 2.0 * c["X"]
     cap_distance = float(np.min(np.abs(sgn * c["llr"] - LOSS_CAP)))
     return {"min_kink_distance": kink,
@@ -538,19 +569,20 @@ class ParamStore:
                snr_db: float) -> LookupResult:
         """Resolve parameters for a scenario.
 
-        Below 0 dB the box denoiser is mandated; above 25 dB the highest
-        trained SNR is reused; otherwise the nearest trained SNR is used,
-        flagged unless exact. Raises MissingParamsError when no record
-        matches (B, U, K, Q, condition).
+        Below ``TRAIN_SNR_RANGE_DB`` the box denoiser is mandated; above it
+        the highest trained SNR is reused; otherwise the nearest trained SNR
+        is used, flagged unless exact. Raises MissingParamsError when no
+        record matches (B, U, K, Q, condition).
         """
-        if snr_db < 0.0:
+        lo, hi = TRAIN_SNR_RANGE_DB
+        if snr_db < lo:
             return LookupResult("box", None, "snr-below-training-range")
         key = (B, U, K, Q, condition)
         cands = [r for r in self.records if self._key(r.scenario) == key]
         if not cands:
             raise MissingParamsError(f"no trained parameters for {key}")
         snrs = np.array([r.scenario["snr_db"] for r in cands])
-        if snr_db > 25.0:
+        if snr_db > hi:
             idx = int(np.argmax(snrs))
             return LookupResult("pme", cands[idx], "snr-above-training-range")
         idx = int(np.argmin(np.abs(snrs - snr_db)))

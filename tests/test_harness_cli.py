@@ -335,6 +335,29 @@ def test_params_resolved_once_per_run(variants, tiny_store, monkeypatch):
     assert len(searches) == (3 if empirical else 0)
 
 
+def test_empirical_search_draws_the_configured_los_channel(tmp_path,
+                                                           monkeypatch):
+    path = tmp_path / "los.json"
+    scen = {"B": 16, "U": 4, "K": 3, "Q": 16, "condition": "los",
+            "snr_db": 12.0}
+    unfolding.ParamStore([unfolding.TrainedParams(
+        np.array([4.0, 5.0, 6.0]), np.full(3, 0.316), 0.05, scen,
+        {})]).save(path)
+    seen = []
+    gen_channel = unfolding.gen_channel
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["k_factor"], kwargs["min_sep_deg"]))
+        return gen_channel(*args, **kwargs)
+
+    monkeypatch.setattr(unfolding, "gen_channel", recording)
+    cfg = ExperimentConfig.from_dict(base_config(
+        condition="los", k_factor=3.0, min_sep_deg=2.0, trials=1,
+        detectors=["gbcd-pme"], params_path=str(path)))
+    run_ablation(cfg, ["gbcd-pme-empirical"])
+    assert seen == [(3.0, 2.0)] * 200
+
+
 @pytest.mark.parametrize("fixed_point", [False, True], ids=["float", "fixed"])
 @pytest.mark.parametrize("variants", [None, ["gbcd-pme-trained",
                                              "gbcd-pme-empirical"]],

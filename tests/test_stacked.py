@@ -155,3 +155,34 @@ def test_lmmse_stack_keeps_per_element_operation_order(T):
     for n in range(N):
         assert np.array_equal(L[n], _cholesky_loop(A[n]))
         assert np.array_equal(x[n], _forward_loop(L[n], y_mf[n]))
+
+
+@pytest.mark.parametrize("name", ["gbcd-box", "lmmse", "ocd"])
+def test_noiseless_channels_in_a_noisy_stack(name):
+    # N0 = 0 (snr_db = inf) gives alpha = 0, unit gains and a zero
+    # variance that must hit the floor, without touching the noisy channel
+    rng = np.random.default_rng(2024)
+    const = make_constellation(16)
+    B, U = 32, 8
+    N0 = np.array([0.0, 0.0, 0.0])
+    H = np.empty((3, B, U), dtype=complex)
+    Y = np.empty((3, B), dtype=complex)
+    for n in range(3):
+        H[n] = gen_channel(B, U, "nonlos", rng).H
+        if n == 1:
+            N0[n] = noise_variance_for_snr(H[n], 10.0)
+        idx = rng.integers(0, 16, size=(U, 1))
+        Y[n] = apply_channel(H[n], const.points[idx], N0[n], rng)[0][:, 0]
+    detect = DETECTORS[name]
+    soft = detect(H, Y, N0, const, None)
+    assert np.all(np.isfinite(soft.llrs))
+    floored = soft.params.xi_floored
+    assert floored[N0 == 0].all() and not floored[N0 > 0].any()
+    assert floored.sum() == 16
+    for n in range(3):
+        one = detect(H[n], Y[n], N0[n], const, None)
+        stacked = denoise.SoftOutput(
+            soft.llrs[n], soft.v_final[n],
+            denoise.LlrParams(None, soft.params.mu[n], soft.params.xi[n],
+                              soft.params.xi_floored[n]))
+        _assert_soft_equal(stacked, one)

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gbcd import detector, unfolding
+from gbcd import denoise, detector, unfolding
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
 from gbcd.scenario import Scenario
@@ -107,8 +108,6 @@ def test_forward_loss_matches_detector_recomputation(rng):
         pre = detector.PreprocOutput(batch.G[i], np.zeros(4), np.arange(4),
                                      batch.blocks[i], batch.kinv[i],
                                      batch.N0[i], 1.0, 2)
-        from gbcd import denoise
-
         den = denoise.pme_denoiser(const, params["rho"], params["beta"])
         st = detector.gbcd_equalize(pre, batch.y_mf[i], K, den)
         soft = denoise.compute_llrs(st.v_last, batch.G[i], 1.0,
@@ -215,20 +214,17 @@ def _axis_min_per_bit(x, mu, pam_subset):
     idx = np.argmin(d2, axis=-1)
     dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
     e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
-    a = pam_subset[idx]
-    gap = np.partition(d2, 1, axis=-1)[..., 1] - dmin if pam_subset.size > 1 \
-        else np.full_like(dmin, np.inf)
-    return dmin, e, a, gap
+    return dmin, e, pam_subset[idx]
 
 
 def _axis_minima_per_bit(x, mu, const):
     metrics, mins = [], []
     for j in range(const.axis_bits):
         pam0, pam1 = const.pam_bit_values(j)
-        d0, e0, a0, gap0 = _axis_min_per_bit(x, mu, pam0)
-        d1, e1, a1, gap1 = _axis_min_per_bit(x, mu, pam1)
+        d0, e0, a0 = _axis_min_per_bit(x, mu, pam0)
+        d1, e1, a1 = _axis_min_per_bit(x, mu, pam1)
         metrics.append(d0 - d1)
-        mins.append((e0, a0, e1, a1, np.minimum(gap0, gap1)))
+        mins.append((e0, a0, e1, a1))
     return metrics, mins
 
 
@@ -247,6 +243,197 @@ def test_forward_and_grad_match_per_bit_distances(Q, monkeypatch):
     for name in ("rho", "beta", "alpha"):
         assert np.array_equal(g[name], ref_g[name]), name
     assert diag == unfolding.forward_diagnostics(params, batch, 3)
+
+
+# the gradient as it was computed before the backward pass ran in update
+# order: each step's clipped-ramp reductions recorded per axis by the
+# denoiser, G's block columns and the gradients gathered and scattered
+# through the UE indices at every step
+
+def _plm_reference(x, rho, beta, offsets):
+    arg = x[..., None] + 2.0 * beta * offsets
+    pre = rho * arg
+    active = np.abs(pre) < 1.0
+    out = np.clip(pre, -1.0, 1.0).sum(axis=-1)
+    cnt = active.sum(axis=-1).astype(np.float64)
+    svb = np.where(active, arg, 0.0).sum(axis=-1)
+    s2t = np.where(active, 2.0 * offsets, 0.0).sum(axis=-1)
+    return out, cnt, svb, s2t
+
+
+def _axis_minima_reference(x, mu, const):
+    pam = const.pam_points
+    diff = x[..., None] - mu[..., None] * pam
+    d2 = diff ** 2
+    metrics, mins = [], []
+    for j in range(const.axis_bits):
+        per = []
+        for cols in const.pam_bit_indices(j):
+            sub = d2[..., cols]
+            idx = cols[np.argmin(sub, axis=-1)]
+            dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
+            e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
+            gap = np.partition(sub, 1, axis=-1)[..., 1] - dmin \
+                if cols.size > 1 else np.full_like(dmin, np.inf)
+            per.append((dmin, e, pam[idx], gap))
+        (d0, e0, a0, gap0), (d1, e1, a1, gap1) = per
+        metrics.append(d0 - d1)
+        mins.append((e0, a0, e1, a1, np.minimum(gap0, gap1)))
+    return metrics, mins
+
+
+def _grad_reference(params, batch, K):
+    """(loss, gradient, diagnostics) through the gather-based backward."""
+    rho = np.asarray(params["rho"], dtype=np.float64)
+    beta = np.asarray(params["beta"], dtype=np.float64)
+    alpha = float(params["alpha"])
+    const = batch.const
+    gamma = const.n_pam // 2 - 1
+    offsets = np.arange(-gamma, gamma + 1, dtype=np.float64)
+    steps = []
+
+    def apply(v, k):
+        v = v[..., 0]
+        raw_re, *red_re = _plm_reference(v.real, rho[k], beta[k], offsets)
+        raw_im, *red_im = _plm_reference(v.imag, rho[k], beta[k], offsets)
+        steps.append((v, *red_re, *red_im))
+        return (const.scale * (raw_re + 1j * raw_im))[..., None]
+
+    pre = detector.PreprocOutput(batch.G, None, None, batch.blocks, batch.kinv,
+                                 batch.N0, 1.0, batch.blocks.shape[-1])
+    v_final = detector.gbcd_equalize(pre, batch.y_mf, K,
+                                     SimpleNamespace(apply=apply)).v_last
+    gains = denoise.LlrParams.from_gram(batch.G, 1.0, alpha)
+    mu = gains.mu
+    inv_xi = 1.0 / gains.xi
+    metrics, mins = [], []
+    for axis_vals in (v_final.real, v_final.imag):
+        axis_metrics, axis_mins = _axis_minima_reference(axis_vals, mu, const)
+        metrics += axis_metrics
+        mins += axis_mins
+    llr = np.stack(metrics, axis=-1) * inv_xi[..., None]
+    X = batch.bits.astype(np.float64)
+    sgn = 1.0 - 2.0 * X
+    terms = np.logaddexp(0.0, sgn * llr)
+    capped = terms > unfolding.LOSS_CAP
+    loss = float(np.minimum(terms, unfolding.LOSS_CAP).sum(axis=(1, 2)).mean())
+
+    n, U = batch.y_mf.shape
+    M = batch.blocks.shape[1]
+    scale = const.scale
+    P = 0.5 * (1.0 + np.tanh(0.5 * llr))
+    gllr = np.where(capped, 0.0, P - X) / n
+    gmetric = gllr * inv_xi[..., None]
+    gxi = -(gllr * llr).sum(axis=-1) * inv_xi
+    gx = np.zeros((n, U))
+    gy = np.zeros((n, U))
+    gmu = np.zeros((n, U))
+    for b, (e0, a0, e1, a1, _) in enumerate(mins):
+        gm = gmetric[..., b]
+        target = gx if b < const.axis_bits else gy
+        target += gm * 2.0 * (e0 - e1)
+        gmu += gm * 2.0 * (a1 * e1 - a0 * e0)
+    gmu += gxi * np.where(gains.xi_floored, 0.0, 1.0 - 2.0 * mu)
+    dmu_dalpha = -mu / (batch.G.diagonal(0, 1, 2).real + alpha)
+    galpha = float((gmu * dmu_dalpha).sum())
+    gv_final = gx + 1j * gy
+    gz = np.zeros((n, U), dtype=np.complex128)
+    gr = np.zeros((n, U), dtype=np.complex128)
+    grho = np.zeros(K)
+    gbeta = np.zeros(K)
+    for i in reversed(range(K * M)):
+        k, m = divmod(i, M)
+        _, cnt_re, svb_re, s2t_re, cnt_im, svb_im, s2t_im = steps[i]
+        A = batch.blocks[:, m]
+        Gcols = np.take_along_axis(batch.G, A[:, None, :], axis=2)
+        gdz = -np.einsum("nul,nu->nl", Gcols.conj(), gr)
+        gzn = np.take_along_axis(gz, A, axis=1) + gdz
+        gre = gzn.real
+        gim = gzn.imag
+        grho[k] += scale * float((svb_re * gre + svb_im * gim).sum())
+        gbeta[k] += scale * rho[k] * float((s2t_re * gre + s2t_im * gim).sum())
+        gv = scale * rho[k] * (cnt_re * gre + 1j * cnt_im * gim)
+        if k == K - 1:
+            gv = gv + np.take_along_axis(gv_final, A, axis=1)
+        np.put_along_axis(gz, A, -gdz + gv, axis=1)
+        grA = np.einsum("nji,nj->ni", batch.kinv[:, m].conj(), gv)
+        cur = np.take_along_axis(gr, A, axis=1)
+        np.put_along_axis(gr, A, cur + grA, axis=1)
+
+    kink = np.inf
+    for i, (v, *_) in enumerate(steps):
+        k = i // M
+        for ax in (v.real, v.imag):
+            pre = rho[k] * (ax[..., None] + 2.0 * beta[k] * offsets)
+            kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
+    diag = {"min_kink_distance": kink,
+            "min_argmin_gap": min(float(np.min(g)) for *_, g in mins),
+            "min_cap_distance": float(np.min(np.abs(sgn * llr
+                                                    - unfolding.LOSS_CAP))),
+            "n_floored": int(gains.xi_floored.sum())}
+    return loss, {"rho": grho, "beta": gbeta, "alpha": galpha}, diag
+
+
+def _regularized_batch(const):
+    """Six samples at L = 2 without sorting; the first sample's UEs 0 and 1
+    share a channel column, so its first 2x2 block is singular."""
+    rng = np.random.default_rng(5)
+    H = np.stack([gen_channel(8, 4, "nonlos", rng).H for _ in range(6)])
+    H[0, :, 1] = H[0, :, 0]
+    tx = [transmit(h, const, 1, 10.0, rng) for h in H]
+    N0 = np.array([t.N0 for t in tx])
+    pre = detector.preprocess(H, N0, 1.0, L=2, sort=False)
+    assert pre.regularized == [0]
+    y = np.stack([t.Y[:, 0] for t in tx])
+    return unfolding.TrainBatch(const, np.stack([t.bits[:, 0] for t in tx]),
+                                pre.G, detector.matched_filter(H, y),
+                                pre.blocks, pre.kinv, N0)
+
+
+def _assert_matches_reference(params, batch, K):
+    ref_loss, ref_g, ref_diag = _grad_reference(params, batch, K)
+    loss, g = unfolding.grad(params, batch, K)
+    assert loss == ref_loss
+    for name in ("rho", "beta", "alpha"):
+        assert np.array_equal(g[name], ref_g[name]), name
+    assert unfolding.forward_loss(params, batch, K) == ref_loss
+    assert unfolding.forward_diagnostics(params, batch, K) == ref_diag
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("sort", [True, False], ids=["sort", "nosort"])
+@pytest.mark.parametrize("U, L", [(6, 1), (6, 2), (16, 1), (16, 2), (16, 4)])
+@pytest.mark.parametrize("Q", [4, 16, 64, 256])
+def test_grad_matches_gather_reference(Q, U, L, sort, K):
+    rng = np.random.default_rng([Q, U, L, K, sort])
+    const = make_constellation(Q)
+    batch = unfolding.make_batch(U + 4, U, const, 8.0, "nonlos", 10, rng,
+                                 L=L, sort=sort)
+    _assert_matches_reference(rand_params(rng, K, const), batch, K)
+
+
+@pytest.mark.parametrize("K", [1, 4])
+def test_grad_matches_gather_reference_with_regularized_block(K):
+    const = make_constellation(16)
+    _assert_matches_reference(rand_params(np.random.default_rng(K), K, const),
+                              _regularized_batch(const), K)
+
+
+def test_ramp_reductions_run_once_per_iteration(rng, monkeypatch):
+    batch, const = small_batch(rng, n=5)
+    params = rand_params(rng, 3, const)
+    calls = []
+    plm_forward = unfolding._plm_forward
+
+    def counting(x, *args):
+        calls.append(x.shape)
+        return plm_forward(x, *args)
+
+    monkeypatch.setattr(unfolding, "_plm_forward", counting)
+    unfolding.forward_loss(params, batch, 3)
+    assert calls == []
+    unfolding.grad(params, batch, 3)
+    assert calls == [(5, 4, 2)] * 3
 
 
 def test_gradient_linear_regime_hand_derivative(qam16):
