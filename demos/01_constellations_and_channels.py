@@ -21,7 +21,7 @@ for order in (4, 16, 64, 256):
     c = make_constellation(order)
     print(f"{order:4d}-QAM: {c.bits_per_symbol} bits/symbol, "
           f"PAM levels {c.n_pam}, scale {c.scale:.5f}, "
-          f"Es = {np.mean(np.abs(c.points) ** 2):.12f}")
+          f"mean energy {np.mean(np.abs(c.points) ** 2):.12f}")
 
 c16 = make_constellation(16)
 print("\n16-QAM points (index: label -> point):")
@@ -43,7 +43,7 @@ print("\n=== Transmission and the SNR definition ===")
 batch = transmit(ch_iid.H, c16, T=100, snr_db=15.0, rng=rng)
 sig = np.sum(np.abs(ch_iid.H) ** 2) / 64
 print(f"snr 15 dB -> N0 = {batch.N0:.4f}; "
-      f"realized Es*||H||_F^2/(B*N0) = "
+      f"realized ||H||_F^2/(B*N0) = "
       f"{10 * np.log10(sig / batch.N0):.2f} dB")
 print(f"reconstruction residual ||Y - HS - N|| = "
       f"{np.max(np.abs(batch.Y - ch_iid.H @ batch.S - batch.noise))}")

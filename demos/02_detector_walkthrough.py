@@ -21,14 +21,14 @@ ch = gen_channel(B, U, "nonlos", rng)
 batch = transmit(ch.H, const, T=200, snr_db=8.0, rng=rng)
 
 print("=== Preprocessing (once per coherence block) ===")
-pre = preprocess(ch.H, batch.N0, 1.0, L=2)
+pre = preprocess(ch.H, batch.N0, L=2)
 print(f"Gram diagonal (column energies): {np.round(pre.G.diagonal().real, 1)}")
 print(f"reciprocal SINR metric:          {np.round(pre.inv_sinr, 4)}")
 print(f"update order (best UE first):    {pre.perm}")
 print(f"blocks of size 2:                {pre.blocks.tolist()}")
 
 print("\n=== Equalization + soft outputs ===")
-soft, state, _ = gbcd_detect(ch.H, batch.Y, batch.N0, 1.0, const, K)
+soft, state, _ = gbcd_detect(ch.H, batch.Y, batch.N0, const, K)
 print(f"estimates shape {state.z.shape}, LLRs shape {soft.llrs.shape}")
 resid = matched_filter(ch.H, batch.Y) - pre.G @ state.z
 print(f"residual recursion tracks its definition: "
@@ -36,8 +36,8 @@ print(f"residual recursion tracks its definition: "
 
 print("\n=== Paired comparison on identical data ===")
 results = {}
-soft_l = lmmse_detect(ch.H, batch.Y, batch.N0, 1.0, const)
-soft_o = ocd_detect(ch.H, batch.Y, batch.N0, 1.0, K, const)
+soft_l = lmmse_detect(ch.H, batch.Y, batch.N0, const)
+soft_o = ocd_detect(ch.H, batch.Y, batch.N0, K, const)
 for name, s in (("gbcd-box", soft), ("lmmse", soft_l), ("ocd", soft_o)):
     hard = hard_decision_indices(const, s.v_final, s.params.mu[:, None])
     results[name] = np.mean(hard != batch.symbol_indices)

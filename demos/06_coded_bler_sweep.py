@@ -4,7 +4,8 @@ Each Monte-Carlo trial is one coherence block: every UE's symbols over the
 block form one interleaved convolutional codeword, detected to LLRs and
 soft-decoded with Viterbi. Trials are paired across detectors and ablation
 variants (identical channels, symbols, and noise), results are
-byte-reproducible, and worker count cannot change them.
+byte-reproducible, and how trials are grouped for detection and decoding
+cannot change them.
 """
 
 import tempfile

@@ -1,6 +1,7 @@
 """Soft-output Gram-domain block coordinate descent (GBCD) massive-MIMO
 detection library: constellations, channels, detectors, denoisers, a coded
-Monte-Carlo harness, a deep-unfolding trainer, and hardware cost models."""
+Monte-Carlo harness, a deep-unfolding trainer, and hardware cost models.
+Symbols have unit average energy throughout the package."""
 
 from .baselines import lmmse_detect, ocd_detect
 from .channel import (ChannelRealization, TransmissionBatch, dump_matrix,

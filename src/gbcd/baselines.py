@@ -86,13 +86,13 @@ def solve_upper(LH: np.ndarray, b: np.ndarray,
     return _substitute(LH, b, False, counter)
 
 
-def lmmse_preprocess(H: np.ndarray, N0: float | np.ndarray, Es: float,
+def lmmse_preprocess(H: np.ndarray, N0: float | np.ndarray,
                      counter: MultCounter | None = None):
     """Gram + Cholesky of the regularized Gram matrix, plus exact LLR gains,
     for H (..., B, U) with a scalar ``N0`` or one per channel."""
     G = gram(H, counter)
     U = G.shape[-1]
-    A = G + (np.asarray(N0, dtype=np.float64) / Es)[..., None, None] * np.eye(U)
+    A = G + np.asarray(N0, dtype=np.float64)[..., None, None] * np.eye(U)
     chol = cholesky_lower(A, counter)
     # exact channel gains diag(A^{-1} G); part of the soft-output unit, uncounted
     X = solve_upper(chol.L.conj().swapaxes(-1, -2), solve_lower(chol.L, G))
@@ -107,7 +107,7 @@ def lmmse_equalize(chol: CholeskyFactor, y_mf: np.ndarray,
 
 
 def lmmse_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
-                 Es: float, const: Constellation,
+                 const: Constellation,
                  counter: MultCounter | None = None) -> SoftOutput:
     """Implicit LMMSE detection with exact per-UE gains and variances.
 
@@ -117,11 +117,11 @@ def lmmse_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     every channel of a stack gets what detecting it alone gives, and the
     multiplication counts add up over the channels.
     """
-    G, chol, mu = lmmse_preprocess(H, N0, Es, counter)
+    G, chol, mu = lmmse_preprocess(H, N0, counter)
     y_mf = matched_filter(H, y, counter)
     s_hat = lmmse_equalize(chol, y_mf, counter)
     return compute_llrs_with_params(
-        s_hat, LlrParams.from_mu(mu, Es, np.asarray(N0) / Es), const)
+        s_hat, LlrParams.from_mu(mu, N0), const)
 
 
 def ocd_equalize(H: np.ndarray, y: np.ndarray, K: int, const: Constellation,
@@ -174,7 +174,7 @@ def ocd_equalize(H: np.ndarray, y: np.ndarray, K: int, const: Constellation,
 
 
 def ocd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
-               Es: float, K: int, const: Constellation,
+               K: int, const: Constellation,
                counter: MultCounter | None = None) -> SoftOutput:
     """Coordinate-descent detection with Neumann-approximated LLR gains.
 
@@ -183,4 +183,4 @@ def ocd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     """
     v_last = ocd_equalize(H, y, K, const, counter)[1]
     G = gram(H)
-    return compute_llrs(v_last, G, Es, np.asarray(N0) / Es, const)
+    return compute_llrs(v_last, G, N0, const)

@@ -11,8 +11,8 @@ Receive-power control clips every UE's column energy into a +/-3 dB band
 around the mean, mirroring a basestation power-control loop.
 
 SNR definition used throughout the package: the per-receive-antenna SNR is
-``Es * ||H||_F^2 / (B * N0)``, i.e. total received signal power per antenna
-over noise power per antenna, evaluated on the realized channel.
+``||H||_F^2 / (B * N0)`` for unit-energy symbols: received signal power per
+antenna over noise power per antenna, evaluated on the realized channel.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .constellation import Constellation, draw_symbols
 
 CONDITIONS = ("nonlos", "los")
+POWER_BAND_DB = 3.0   # receive-power control band around the mean, +/- dB
 
 _MAGIC = b"CPLXMAT\x00"
 
@@ -33,7 +34,6 @@ _MAGIC = b"CPLXMAT\x00"
 class ChannelRealization:
     H: np.ndarray            # (B, U) complex128
     condition: str
-    power_db: np.ndarray     # per-UE receive power relative to the mean, dB
 
     @property
     def B(self) -> int:
@@ -55,18 +55,16 @@ class TransmissionBatch:
     symbol_indices: np.ndarray  # (U, T)
 
 
-def _power_control(H: np.ndarray, band_db: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+def _power_control(H: np.ndarray) -> np.ndarray:
     p = np.sum(np.abs(H) ** 2, axis=0)
     if np.any(p == 0.0):
         raise ValueError("channel has an all-zero column")
     mean_p = float(np.mean(p))
-    lo = mean_p * 10.0 ** (-band_db / 10.0)
-    hi = mean_p * 10.0 ** (band_db / 10.0)
+    lo = mean_p * 10.0 ** (-POWER_BAND_DB / 10.0)
+    hi = mean_p * 10.0 ** (POWER_BAND_DB / 10.0)
     clipped = np.clip(p, lo, hi)
-    H = H * np.sqrt(clipped / p)
-    power_db = 10.0 * np.log10(clipped / np.mean(clipped))
-    assert clipped.max() / clipped.min() <= 10 ** (2 * band_db / 10.0) * (1 + 1e-12)
-    return H, power_db
+    assert clipped.max() / clipped.min() <= 10 ** (2 * POWER_BAND_DB / 10.0) * (1 + 1e-12)
+    return H * np.sqrt(clipped / p)
 
 
 def steering_vector(B: int, theta_rad: float | np.ndarray) -> np.ndarray:
@@ -94,8 +92,7 @@ def _draw_angles(U: int, rng: np.random.Generator, min_sep_deg: float,
 
 def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
                 k_factor: float = 10.0, min_sep_deg: float = 1.0,
-                angles_rad: np.ndarray | None = None,
-                power_band_db: float = 3.0) -> ChannelRealization:
+                angles_rad: np.ndarray | None = None) -> ChannelRealization:
     """Generate one channel realization with receive-power control applied."""
     if U < 2 or B < U:
         raise ValueError(f"invalid dimensions B={B}, U={U} (need B >= U >= 2)")
@@ -116,18 +113,18 @@ def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
             H = (np.sqrt(k_factor / (k_factor + 1.0)) * A
                  + np.sqrt(1.0 / (k_factor + 1.0)) * W)
 
-    H, power_db = _power_control(H, power_band_db)
+    H = _power_control(H)
     if not np.all(np.isfinite(H)):
         raise ValueError("channel contains non-finite entries")
-    return ChannelRealization(H, condition, power_db)
+    return ChannelRealization(H, condition)
 
 
-def noise_variance_for_snr(H: np.ndarray, snr_db: float, Es: float = 1.0) -> float:
+def noise_variance_for_snr(H: np.ndarray, snr_db: float) -> float:
     """N0 such that the per-antenna receive SNR matches snr_db (see module doc)."""
     if np.isinf(snr_db):
         return 0.0
     B = H.shape[0]
-    sig = Es * float(np.sum(np.abs(H) ** 2)) / B
+    sig = float(np.sum(np.abs(H) ** 2)) / B
     return sig / (10.0 ** (snr_db / 10.0))
 
 
@@ -162,7 +159,7 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
     if not np.isfinite(snr_db) and not np.isinf(snr_db):
         raise ValueError("snr_db must be finite (or +inf for the noiseless case)")
     U = H.shape[1]
-    N0 = noise_variance_for_snr(H, snr_db, Es=1.0)
+    N0 = noise_variance_for_snr(H, snr_db)
     if all_zero:
         idx = np.zeros((U, T), dtype=np.int64)
         S = np.zeros((U, T), dtype=np.complex128)
@@ -173,20 +170,17 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
     return TransmissionBatch(S, bits, Y, float(N0), T, noise, idx)
 
 
-def estimate_channel(H: np.ndarray, N0: float, Es: float, U: int | None,
+def estimate_channel(H: np.ndarray, N0: float, U: int | None,
                      rng: np.random.Generator) -> ChannelRealization:
-    """Least-squares channel estimate model: H + E, E i.i.d. CN(0, N0/(Es U))."""
+    """Least-squares channel estimate model: H + E, E i.i.d. CN(0, N0/U)."""
     if N0 < 0:
         raise ValueError("N0 must be >= 0")
     if U is None:
         U = H.shape[1]
-    var = N0 / (Es * U)
+    var = N0 / U
     E = np.sqrt(var / 2.0) * (rng.standard_normal(H.shape)
                               + 1j * rng.standard_normal(H.shape))
-    Hh = H + E
-    p = np.sum(np.abs(Hh) ** 2, axis=0)
-    power_db = 10.0 * np.log10(p / np.mean(p))
-    return ChannelRealization(Hh, "estimated", power_db)
+    return ChannelRealization(H + E, "estimated")
 
 
 def dump_matrix(path, M: np.ndarray) -> None:

@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Soft-output block-coordinate-descent massive-MIMO "
                     "detector: simulation, training, and hardware models. "
                     "SNR convention: per-receive-antenna SNR "
-                    "Es*||H||_F^2/(B*N0), evaluated on the realized channel "
-                    "after power control.")
+                    "||H||_F^2/(B*N0) of unit-energy symbols, evaluated on "
+                    "the realized channel after power control.")
     sub = p.add_subparsers(dest="command", required=True)
     for name, fn, doc, flags in (
             ("simulate", _cmd_simulate, "BLER/SER sweep over SNR",

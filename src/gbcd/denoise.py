@@ -261,26 +261,23 @@ class LlrParams:
     xi_floored: np.ndarray   # (..., U) bool
 
     @classmethod
-    def from_mu(cls, mu: np.ndarray, Es: float, alpha: float | np.ndarray,
-                floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
-        """Gains mu; variances Es (1 - mu) mu, floored at floor_factor * Es."""
-        xi = Es * (1.0 - mu) * mu
-        floor = floor_factor * Es
-        floored = xi < floor
+    def from_mu(cls, mu: np.ndarray, alpha: float | np.ndarray) -> "LlrParams":
+        """Gains mu; variances (1 - mu) mu, floored at XI_FLOOR_FACTOR."""
+        xi = (1.0 - mu) * mu
+        floored = xi < XI_FLOOR_FACTOR
         alpha = float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha)
-        return cls(alpha, mu, np.maximum(xi, floor), floored)
+        return cls(alpha, mu, np.maximum(xi, XI_FLOOR_FACTOR), floored)
 
     @classmethod
-    def from_gram(cls, G: np.ndarray, Es: float, alpha: float | np.ndarray,
-                  recip_fn=np.reciprocal,
-                  floor_factor: float = XI_FLOOR_FACTOR) -> "LlrParams":
+    def from_gram(cls, G: np.ndarray, alpha: float | np.ndarray, *,
+                  recip_fn=np.reciprocal) -> "LlrParams":
         """Neumann-approximated gains mu = G_uu / (G_uu + alpha); G may be
         a stack (..., U, U) with a scalar ``alpha`` or one per channel."""
         if np.any(np.asarray(alpha) < 0):
             raise ValueError("alpha must be >= 0")
         d = G.diagonal(0, -2, -1).real
         a = alpha if np.ndim(alpha) == 0 else np.asarray(alpha)[..., None]
-        return cls.from_mu(d * recip_fn(d + a), Es, alpha, floor_factor)
+        return cls.from_mu(d * recip_fn(d + a), alpha)
 
 
 @dataclass
@@ -348,13 +345,13 @@ def compute_llrs_with_params(v_final: np.ndarray, params: LlrParams,
     return SoftOutput(llrs, v, params, flags)
 
 
-def compute_llrs(v_final: np.ndarray, G: np.ndarray, Es: float,
+def compute_llrs(v_final: np.ndarray, G: np.ndarray,
                  alpha: float | np.ndarray, const: Constellation, *,
                  method: str = "axis",
                  recip_fn=np.reciprocal) -> SoftOutput:
     """Max-log LLRs with Neumann-approximated gains mu = G_uu / (G_uu + alpha);
     shapes as in ``compute_llrs_with_params``, with G (..., U, U)."""
-    params = LlrParams.from_gram(G, Es, alpha, recip_fn)
+    params = LlrParams.from_gram(G, alpha, recip_fn=recip_fn)
     return compute_llrs_with_params(v_final, params, const, method=method,
                                     recip_fn=recip_fn)
 

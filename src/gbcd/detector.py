@@ -44,18 +44,24 @@ class PreprocOutput:
 
     G: np.ndarray            # (..., U, U) Hermitian Gram matrices
     inv_sinr: np.ndarray     # (..., U) reciprocal SINR metric
-    perm: np.ndarray         # (..., U) UE ordering, ascending inv_sinr
     blocks: np.ndarray       # (..., M, L) UE index blocks in update order
     kinv: np.ndarray         # (..., M, L, L) per-block inverses
     N0: float | np.ndarray   # float, or one value per channel
-    Es: float
-    L: int
     regularized: list = field(default_factory=list)  # flat indices into
                                                      # blocks[..., 0] that needed eps*I
 
     @property
     def U(self) -> int:
         return self.G.shape[-1]
+
+    @property
+    def L(self) -> int:
+        return self.blocks.shape[-1]
+
+    @property
+    def perm(self) -> np.ndarray:
+        """UE ordering (..., U): the blocks read in update order."""
+        return self.blocks.reshape(self.blocks.shape[:-2] + (-1,))
 
     @property
     def M(self) -> int:
@@ -105,7 +111,7 @@ def matched_filter(H: np.ndarray, y: np.ndarray,
     return _hermitian(H) @ y
 
 
-def reciprocal_sinr(G: np.ndarray, N0: float | np.ndarray, Es: float,
+def reciprocal_sinr(G: np.ndarray, N0: float | np.ndarray,
                     counter: MultCounter | None = None,
                     recip_fn=np.reciprocal) -> np.ndarray:
     """Per-UE reciprocal SINR: row interference over squared diagonal plus
@@ -121,7 +127,7 @@ def reciprocal_sinr(G: np.ndarray, N0: float | np.ndarray, Es: float,
     lam = off.sum(axis=-1)
     r = recip_fn(d)
     a = r * r
-    b = (np.asarray(N0, dtype=np.float64) / Es)[..., None] * r
+    b = np.asarray(N0, dtype=np.float64)[..., None] * r
     if counter is not None:
         n = math.prod(G.shape[:-2])
         counter.abs2(n * U * (U - 1))  # each UE squares its own row
@@ -142,14 +148,21 @@ def make_blocks(perm: np.ndarray, L: int) -> np.ndarray:
     return perm.reshape(perm.shape[:-1] + (U // L, L))
 
 
-def _block_submatrices(G: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Gb[..., m, i, j] = G[..., blocks[..., m, i], blocks[..., m, j]]."""
-    M, L = blocks.shape[-2:]
-    U = G.shape[-1]
-    rows = np.take_along_axis(
-        G, blocks.reshape(blocks.shape[:-2] + (M * L, 1)), axis=-2)
-    rows = rows.reshape(blocks.shape + (U,))
-    return np.take_along_axis(rows, blocks[..., None, :], axis=-1)
+def _gather(G: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """G[..., rows, cols] for each channel of G (..., U, U) in one flat-index
+    read; ``rows`` and ``cols`` (..., *) broadcast to the C-contiguous result."""
+    lead, U = G.shape[:-2], G.shape[-1]
+    idx = U * rows + cols
+    base = U * U * np.arange(math.prod(lead))
+    return G.reshape(-1)[base.reshape(lead + (1,) * (idx.ndim - len(lead)))
+                         + idx]
+
+
+def _permuted_gram(G: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """G[..., order, order], each channel column-major: a block's columns are
+    an F-contiguous (U, L) slice, the layout of a gathered G[:, A]; row-major
+    sends numpy to another BLAS kernel and moves some T = 1 results an ulp."""
+    return _gather(G, order[..., None, :], order[..., :, None]).swapaxes(-1, -2)
 
 
 def block_inverses(G: np.ndarray, blocks: np.ndarray,
@@ -163,7 +176,8 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
     their flat indices into blocks[..., 0] are appended to ``regularized``.
     """
     L = blocks.shape[-1]
-    Gb = _block_submatrices(G, blocks)
+    # Gb[..., m, i, j] = G[..., blocks[..., m, i], blocks[..., m, j]]
+    Gb = _gather(G, blocks[..., :, None], blocks[..., None, :])
     n_blocks = math.prod(blocks.shape[:-1])
     flagged = np.zeros(blocks.shape[:-1], dtype=bool)
     if L == 1:
@@ -217,7 +231,7 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
     return kinv
 
 
-def preprocess(H: np.ndarray, N0: float | np.ndarray, Es: float = 1.0, *,
+def preprocess(H: np.ndarray, N0: float | np.ndarray, *,
                L: int = 2, sort: bool = True,
                counter: MultCounter | None = None,
                numerics: Numerics = FLOAT) -> PreprocOutput:
@@ -228,15 +242,14 @@ def preprocess(H: np.ndarray, N0: float | np.ndarray, Es: float = 1.0, *,
     """
     U = H.shape[-1]
     G = numerics.quantize("g", gram(H, counter))
-    inv_sinr = reciprocal_sinr(G, N0, Es, counter, numerics.recip)
+    inv_sinr = reciprocal_sinr(G, N0, counter, numerics.recip)
     perm = sort_ues(inv_sinr) if sort else \
         np.broadcast_to(np.arange(U), inv_sinr.shape).copy()
     blocks = make_blocks(perm, L)
     regularized: list = []
     kinv = block_inverses(G, blocks, counter, numerics.recip, regularized)
     N0 = float(N0) if np.ndim(N0) == 0 else np.asarray(N0, dtype=np.float64)
-    return PreprocOutput(G, inv_sinr, perm, blocks, kinv, N0, float(Es),
-                         L, regularized)
+    return PreprocOutput(G, inv_sinr, blocks, kinv, N0, regularized)
 
 
 def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
@@ -265,18 +278,13 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
     single = y_mf.ndim == len(lead) + 1
     ymat = y_mf[..., None] if single else y_mf
     T = ymat.shape[-1]
-    order = pre.blocks.reshape(lead + (U,))
+    order = pre.perm
     restore = np.argsort(order, axis=-1)[..., None]
 
     def ue_order(x):
         return np.take_along_axis(x, restore, axis=-2)
 
-    # G[..., order, order] with each channel's matrix stored column-major,
-    # so a block's columns form an F-contiguous (U, L) slice, the layout of
-    # a gathered G[:, A]; a row-major copy sends numpy to another BLAS
-    # kernel and moves some T = 1 results by an ulp
-    Gp = _block_submatrices(pre.G.swapaxes(-1, -2),
-                            order[..., None, :])[..., 0, :, :].swapaxes(-1, -2)
+    Gp = _permuted_gram(pre.G, order)
     r = np.take_along_axis(ymat, order[..., None], axis=-2)
     z = np.zeros_like(r)
     v_last = np.empty_like(r)
@@ -303,7 +311,7 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
 
 
 def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
-                Es: float, const, K: int, *, denoiser=None,
+                const, K: int, *, denoiser=None,
                 alpha: float | np.ndarray | None = None, L: int = 2,
                 sort: bool = True, counter: MultCounter | None = None,
                 numerics: Numerics = FLOAT):
@@ -313,7 +321,7 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     receive vector (..., B) or a block (..., B, T) per channel, and ``N0``
     is a scalar or one value per channel. ``denoiser`` is any object with
     ``apply(v, k)``, such as ``denoise.pme_denoiser``; it defaults to
-    ``denoise.box_denoiser(const)``. ``alpha`` defaults to N0 / Es per
+    ``denoise.box_denoiser(const)``. ``alpha`` defaults to N0 per
     channel. The LLRs are (..., U, bits[, T]) and every channel of a stack
     gets what detecting it alone gives; multiplication counts add up over
     the channels.
@@ -325,7 +333,7 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
 
     H = numerics.quantize("h", H)
     y = numerics.quantize("y", y)
-    pre = preprocess(H, N0, Es, L=L, sort=sort, counter=counter,
+    pre = preprocess(H, N0, L=L, sort=sort, counter=counter,
                      numerics=numerics)
     if denoiser is None:
         denoiser = box_denoiser(const)
@@ -333,8 +341,8 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     state = gbcd_equalize(pre, y_mf, K, denoiser, counter=counter,
                           numerics=numerics)
     if alpha is None:
-        alpha = pre.N0 / Es
-    soft = compute_llrs(state.v_last, pre.G, Es, alpha, const,
+        alpha = pre.N0
+    soft = compute_llrs(state.v_last, pre.G, alpha, const,
                         recip_fn=numerics.recip)
     soft.llrs = numerics.quantize("llr", soft.llrs)
     return soft, state, pre

@@ -191,7 +191,7 @@ def _resolve_pme(cfg: ExperimentConfig, const, store, snr_db: float):
     """Trained-parameter lookup with the documented fallback ladder, as a
     (denoiser, alpha) pair; the BOX fallback keeps the default alpha."""
     box = (denoise.box_denoiser(const), None)
-    if snr_db < 0.0:
+    if snr_db < unfolding.TRAIN_SNR_RANGE_DB[0]:
         return box
     try:
         if store is None:
@@ -214,10 +214,10 @@ def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
     kind = spec["kind"]
     if kind == "lmmse":
         def detect(H, Y, N0):
-            return baselines.lmmse_detect(H, Y, N0, 1.0, const)
+            return baselines.lmmse_detect(H, Y, N0, const)
     elif kind == "ocd":
         def detect(H, Y, N0):
-            return baselines.ocd_detect(H, Y, N0, 1.0, cfg.K, const)
+            return baselines.ocd_detect(H, Y, N0, cfg.K, const)
     else:
         denoiser, alpha = (pme[spec["source"]] if "source" in spec
                            else (denoise.box_denoiser(const), None))
@@ -226,9 +226,8 @@ def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
 
         def detect(H, Y, N0):
             if cfg.fixed_point:
-                return hwmodel.detect_fixed_point(H, Y, N0, 1.0, const,
-                                                  cfg.K, **kw)
-            return detector.gbcd_detect(H, Y, N0, 1.0, const, cfg.K, **kw)[0]
+                return hwmodel.detect_fixed_point(H, Y, N0, const, cfg.K, **kw)
+            return detector.gbcd_detect(H, Y, N0, const, cfg.K, **kw)[0]
 
     def run(H, Y, N0):
         soft = detect(H, Y, N0)
@@ -286,7 +285,7 @@ def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
         c = slot * G + g
         ch = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
                          k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
-        N0 = noise_variance_for_snr(ch.H, snr_db, 1.0)
+        N0 = noise_variance_for_snr(ch.H, snr_db)
         stack.H[c] = ch.H
         stack.N0[c] = N0
         stack.Y[c], _ = apply_channel(ch.H, S[:, g * glen:(g + 1) * glen],

@@ -70,9 +70,9 @@ def complexity_lmmse(B: int, U: int) -> ComplexityReport:
 
     const = make_constellation(4)
     c_all = MultCounter()
-    baselines.lmmse_detect(H, y, 0.1, 1.0, const, counter=c_all)
+    baselines.lmmse_detect(H, y, 0.1, const, counter=c_all)
     c_pre = MultCounter()
-    baselines.lmmse_preprocess(H, 0.1, 1.0, counter=c_pre)
+    baselines.lmmse_preprocess(H, 0.1, counter=c_pre)
     per = c_all.total - c_pre.total
     return ComplexityReport("lmmse", B, U, None, pre, per)
 
@@ -99,7 +99,7 @@ def measured_gbcd_counts(B: int, U: int, K: int, seed: int = 0):
     H, y = _random_instance(B, U, seed)
     const = make_constellation(4)
     c_pre = MultCounter()
-    pre = detector.preprocess(H, 0.1, 1.0, L=2, counter=c_pre)
+    pre = detector.preprocess(H, 0.1, L=2, counter=c_pre)
     c_eq = MultCounter()
     y_mf = detector.matched_filter(H, y, c_eq)
     detector.gbcd_equalize(pre, y_mf, K, denoise.box_denoiser(const), counter=c_eq)
@@ -236,7 +236,7 @@ FIXED_POINT = detector.Numerics(
 
 
 def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
-                       Es: float, const: Constellation, K: int, *,
+                       const: Constellation, K: int, *,
                        denoiser=None, alpha: float | np.ndarray | None = None,
                        L: int = 2, sort: bool = True) -> denoise.SoftOutput:
     """GBCD detection in the FIXED_POINT numeric context: the modeled word
@@ -244,7 +244,7 @@ def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     in the SINR, inverse and LLR stages. Takes one channel or a stack and
     the same ``denoiser`` (box by default) and ``alpha`` as
     ``detector.gbcd_detect``; every denoiser output is quantized as ``z``."""
-    return detector.gbcd_detect(H, y, N0, Es, const, K, denoiser=denoiser,
+    return detector.gbcd_detect(H, y, N0, const, K, denoiser=denoiser,
                                 alpha=alpha, L=L, sort=sort,
                                 numerics=FIXED_POINT)[0]
 
@@ -285,7 +285,7 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
         for _ in range(per_point):
             ch = gen_channel(B, U, "nonlos", rng)
             batch = transmit(ch.H, const, 1, snr, rng)
-            detector.gbcd_detect(ch.H, batch.Y, batch.N0, 1.0, const, 3,
+            detector.gbcd_detect(ch.H, batch.Y, batch.N0, const, 3,
                                  alpha=batch.N0, numerics=probe)
             for key, level in peak.items():
                 maxima[key].append(level)

@@ -124,7 +124,7 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
             y[i - start] = batch.Y[:, 0]
             bits[i] = batch.bits[:, 0, :]
             N0[i] = batch.N0
-        pre = detector.preprocess(H, N0[start:stop], 1.0, L=L, sort=sort)
+        pre = detector.preprocess(H, N0[start:stop], L=L, sort=sort)
         G[start:stop] = pre.G
         y_mf[start:stop] = detector.matched_filter(H, y)
         blocks[start:stop] = pre.blocks
@@ -198,13 +198,12 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
         raw = np.clip(rho[k] * (x + 2.0 * beta[k] * offsets), -1.0, 1.0)
         return const.scale * raw.sum(axis=-1).view(np.complex128)
 
-    pre = detector.PreprocOutput(batch.G, None, None, batch.blocks, batch.kinv,
-                                 batch.N0, 1.0, batch.blocks.shape[-1])
+    pre = detector.PreprocOutput(batch.G, None, batch.blocks, batch.kinv, batch.N0)
     v_final = detector.gbcd_equalize(pre, batch.y_mf, K,
                                      SimpleNamespace(apply=apply)).v_last
 
     # soft-output stage (unit symbol energy throughout the package)
-    gains = LlrParams.from_gram(batch.G, 1.0, alpha)
+    gains = LlrParams.from_gram(batch.G, alpha)
     mu = gains.mu
     inv_xi = 1.0 / gains.xi
 
@@ -382,7 +381,7 @@ class TrainConfig:
     init_rho: float | None = None    # defaults to 1/init_beta, which makes the
                                      # initial denoiser identical to the box
     init_beta: float | None = None   # defaults to the constellation scale
-    init_alpha: float | None = None  # defaults to the median N0/Es of the set
+    init_alpha: float | None = None  # defaults to the median N0 of the set
 
 
 class _Adam:

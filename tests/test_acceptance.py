@@ -132,7 +132,7 @@ def test_criterion_04_gram_domain_equivalence():
                                            qam.scale * rng.uniform(0.7, 1.3, K))
             else:
                 den = denoise.box_denoiser(qam)
-            pre = detector.preprocess(H, 10 ** rng.uniform(-3, 0), 1.0, L=L)
+            pre = detector.preprocess(H, 10 ** rng.uniform(-3, 0), L=L)
             st = detector.gbcd_equalize(pre, detector.matched_filter(H, y),
                                         K, den)
             z = np.zeros(U, dtype=complex)
@@ -175,8 +175,8 @@ def test_criterion_05_denoiser_fidelity():
             G = detector.gram(H)
             v = rng.standard_normal(U) + 1j * rng.standard_normal(U)
             n0 = 10 ** rng.uniform(-3, -1)
-            a = denoise.compute_llrs(v, G, 1.0, n0, qam, method="axis")
-            b = denoise.compute_llrs(v, G, 1.0, n0, qam,
+            a = denoise.compute_llrs(v, G, n0, qam, method="axis")
+            b = denoise.compute_llrs(v, G, n0, qam,
                                      method="exhaustive")
             assert np.max(np.abs(a.llrs - b.llrs)) < 1e-10
 
@@ -195,8 +195,8 @@ def test_criterion_06_training_efficacy(desk_params):
         while n_tx < 10000:
             ch = gen_channel(16, 4, "nonlos", rng)
             b = transmit(ch.H, qam, 50, DESK_TRAIN_SNR, rng)
-            s_box, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam, 3)
-            s_pme, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam, 3,
+            s_box, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, qam, 3)
+            s_pme, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, qam, 3,
                                                denoiser=pme, alpha=p.alpha)
             hb = hard_decision_indices(qam, s_box.v_final,
                                        s_box.params.mu[:, None])
@@ -299,9 +299,9 @@ def test_criterion_09_fixed_point_sanity(desk_params):
         for _ in range(50):
             ch = gen_channel(16, 4, "nonlos", rng)
             b = transmit(ch.H, qam, 40, DESK_TRAIN_SNR, rng)
-            sf, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam, 3,
+            sf, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, qam, 3,
                                             denoiser=pme, alpha=p.alpha)
-            sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, 1.0, qam, 3,
+            sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, qam, 3,
                                             denoiser=pme, alpha=p.alpha)
             agree += int(np.sum(np.sign(sf.llrs) == np.sign(sq.llrs)))
             tot += sf.llrs.size
@@ -326,7 +326,7 @@ def test_criterion_10_fec_chain():
             # symbols, batched over blocks with a unit Gram per symbol slot
             T = s.shape[1]
             soft = denoise.compute_llrs(s.T, np.eye(T, dtype=complex),
-                                        1.0, 1e-6, qam)
+                                        1e-6, qam)
             llrs = np.transpose(soft.llrs, (2, 0, 1)).reshape(1000, -1)
             dellrs = fec.deinterleave_llrs(llrs, code.interleaver_seed)
             _, ok = fec.decode_batch(dellrs, code, payload)

@@ -56,14 +56,14 @@ def test_lmmse_noiseless_orthogonal_recovery(qam16, rng):
     H = np.sqrt(16.0) * q
     idx, s = draw_symbols(qam16, (4,), rng)
     y = H @ s
-    soft = baselines.lmmse_detect(H, y, 1e-10, 1.0, qam16)
+    soft = baselines.lmmse_detect(H, y, 1e-10, qam16)
     assert np.max(np.abs(soft.v_final - s)) < 1e-6
 
 
 def test_lmmse_gains_in_unit_interval(qam16, rng):
     for _ in range(10):
         H = random_channel(rng, 12, 6)
-        soft = baselines.lmmse_detect(H, np.zeros(12, complex), 0.3, 1.0, qam16)
+        soft = baselines.lmmse_detect(H, np.zeros(12, complex), 0.3, qam16)
         assert np.all(soft.params.mu > 0)
         assert np.all(soft.params.mu < 1)
 
@@ -72,7 +72,7 @@ def test_lmmse_residual_orthogonality(qam16, rng):
     H = random_channel(rng, 12, 5)
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     N0 = 0.2
-    soft = baselines.lmmse_detect(H, y, N0, 1.0, qam16)
+    soft = baselines.lmmse_detect(H, y, N0, qam16)
     A = detector.gram(H) + N0 * np.eye(5)
     y_mf = detector.matched_filter(H, y)
     resid = y_mf - A @ soft.v_final
@@ -82,8 +82,8 @@ def test_lmmse_residual_orthogonality(qam16, rng):
 def test_lmmse_batched(qam16, rng):
     H = random_channel(rng, 12, 4)
     Y = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
-    soft = baselines.lmmse_detect(H, Y, 0.1, 1.0, qam16)
-    single = baselines.lmmse_detect(H, Y[:, 2], 0.1, 1.0, qam16)
+    soft = baselines.lmmse_detect(H, Y, 0.1, qam16)
+    single = baselines.lmmse_detect(H, Y[:, 2], 0.1, qam16)
     assert np.max(np.abs(soft.v_final[:, 2] - single.v_final)) < 1e-12
     assert np.max(np.abs(soft.llrs[:, :, 2] - single.llrs)) < 1e-10
 
@@ -139,7 +139,7 @@ def test_ocd_equals_gbcd_l1_unsorted(qam16, rng):
         H = random_channel(rng, 12, 4)
         y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         z_o, v_o, _ = baselines.ocd_equalize(H, y, 3, qam16)
-        pre = detector.preprocess(H, 0.1, 1.0, L=1, sort=False)
+        pre = detector.preprocess(H, 0.1, L=1, sort=False)
         st = detector.gbcd_equalize(pre, detector.matched_filter(H, y), 3,
                                     denoise.box_denoiser(qam16))
         assert np.max(np.abs(st.z - z_o)) < 1e-8
@@ -150,7 +150,7 @@ def test_ocd_soft_output_matches_gbcd_l1(qam16, rng):
     H = random_channel(rng, 12, 4)
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     N0 = 0.15
-    soft_o = baselines.ocd_detect(H, y, N0, 1.0, 3, qam16)
-    soft_g, _, _ = detector.gbcd_detect(H, y, N0, 1.0, qam16, 3, L=1,
+    soft_o = baselines.ocd_detect(H, y, N0, 3, qam16)
+    soft_g, _, _ = detector.gbcd_detect(H, y, N0, qam16, 3, L=1,
                                         sort=False)
     assert np.max(np.abs(soft_o.llrs - soft_g.llrs)) < 1e-8

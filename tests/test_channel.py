@@ -112,7 +112,7 @@ def test_snr_definition(qam16, rng):
 
 def test_estimate_channel_exact_when_noiseless(rng):
     ch = gen_channel(8, 4, "nonlos", rng)
-    est = estimate_channel(ch.H, 0.0, 1.0, 4, rng)
+    est = estimate_channel(ch.H, 0.0, 4, rng)
     assert np.array_equal(est.H, ch.H)
 
 
@@ -122,7 +122,7 @@ def test_estimate_channel_error_variance(rng):
     reps = 200  # 64*8*200 > 1e5 entries
     errs = []
     for _ in range(reps):
-        est = estimate_channel(ch.H, N0=U * 1.0, Es=1.0, U=U, rng=rng)
+        est = estimate_channel(ch.H, N0=U * 1.0, U=U, rng=rng)
         errs.append(est.H - ch.H)
     errs = np.stack(errs)
     emp = np.mean(np.abs(errs) ** 2)
@@ -136,7 +136,7 @@ def test_estimate_error_scales_inverse_u(rng):
         ch = gen_channel(B, U, "nonlos", rng)
         errs = []
         for _ in range(300):
-            est = estimate_channel(ch.H, N0=1.0, Es=1.0, U=U, rng=rng)
+            est = estimate_channel(ch.H, N0=1.0, U=U, rng=rng)
             errs.append(est.H - ch.H)
         out[U] = np.mean(np.abs(np.stack(errs)) ** 2)
     assert abs(out[4] / out[8] - 2.0) < 0.2
@@ -165,4 +165,4 @@ def test_transmit_preconditions(qam16, rng):
     with pytest.raises(ValueError):
         transmit(ch.H, qam16, 2, float("nan"), rng)
     with pytest.raises(ValueError):
-        estimate_channel(ch.H, -1.0, 1.0, 4, rng)
+        estimate_channel(ch.H, -1.0, 4, rng)

@@ -225,7 +225,7 @@ def test_llr_sign_pattern_on_points(qam16):
     alpha = 1e-4
     mu = 50.0 / (50.0 + alpha)
     v = mu * qam16.points[[3, 7, 9, 14]]
-    soft = denoise.compute_llrs(v, G, 1.0, alpha, qam16)
+    soft = denoise.compute_llrs(v, G, alpha, qam16)
     want = qam16.bit_labels[[3, 7, 9, 14]].astype(bool)
     assert np.array_equal(soft.llrs > 0, want)
 
@@ -238,7 +238,7 @@ def test_llr_zero_at_equidistant_point(qam16):
     # real-axis bit
     pam0, pam1 = qam16.pam_bit_values(1)
     x = mu * (pam0[0] + pam1[0]) / 2.0
-    soft = denoise.compute_llrs(np.array([x + 0j]), G, 1.0, alpha, qam16)
+    soft = denoise.compute_llrs(np.array([x + 0j]), G, alpha, qam16)
     assert abs(soft.llrs[0, 1]) < 1e-12
 
 
@@ -276,16 +276,16 @@ def test_axis_equals_exhaustive_256qam(qam256, rng):
 
     G = gram(H)
     v = rng.standard_normal(U) + 1j * rng.standard_normal(U)
-    a = denoise.compute_llrs(v, G, 1.0, 0.01, qam256, method="axis")
-    b = denoise.compute_llrs(v, G, 1.0, 0.01, qam256, method="exhaustive")
+    a = denoise.compute_llrs(v, G, 0.01, qam256, method="axis")
+    b = denoise.compute_llrs(v, G, 0.01, qam256, method="exhaustive")
     assert np.max(np.abs(a.llrs - b.llrs)) < 1e-10
 
 
 def test_llr_antisymmetry(qam16):
     G = 20.0 * np.eye(1, dtype=complex)
     v = np.array([0.4 + 0.7j])
-    a = denoise.compute_llrs(v, G, 1.0, 0.05, qam16).llrs[0]
-    b = denoise.compute_llrs(-np.conj(v), G, 1.0, 0.05, qam16).llrs[0]
+    a = denoise.compute_llrs(v, G, 0.05, qam16).llrs[0]
+    b = denoise.compute_llrs(-np.conj(v), G, 0.05, qam16).llrs[0]
     # negating the real axis flips exactly the real-axis sign bit (bit 0 of
     # the Gray label); magnitudes of all real-axis bits are preserved
     assert np.allclose(np.abs(a[:2]), np.abs(b[:2]))
@@ -295,15 +295,15 @@ def test_llr_antisymmetry(qam16):
 
 def test_xi_floor_flagged(qam16):
     G = 1e12 * np.eye(2, dtype=complex)
-    soft = denoise.compute_llrs(np.zeros(2, complex), G, 1.0, 1e-12, qam16)
+    soft = denoise.compute_llrs(np.zeros(2, complex), G, 1e-12, qam16)
     assert soft.flags["xi_floored"] == 2
     assert np.all(soft.params.xi >= 1e-9)
 
 
 def test_llr_params_validation():
     with pytest.raises(ValueError):
-        denoise.LlrParams.from_gram(np.eye(2, dtype=complex), 1.0, -0.5)
-    p = denoise.LlrParams.from_gram(10 * np.eye(2, dtype=complex), 1.0, 0.3)
+        denoise.LlrParams.from_gram(np.eye(2, dtype=complex), -0.5)
+    p = denoise.LlrParams.from_gram(10 * np.eye(2, dtype=complex), 0.3)
     assert np.all((p.mu > 0) & (p.mu < 1))
     assert np.all(p.xi > 0)
 

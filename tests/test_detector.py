@@ -56,28 +56,28 @@ def test_matched_filter_vs_naive(rng):
 
 def test_reciprocal_sinr_identity_gram():
     G = np.eye(5, dtype=complex)
-    out = detector.reciprocal_sinr(G, N0=0.1, Es=1.0)
+    out = detector.reciprocal_sinr(G, N0=0.1)
     assert np.allclose(out, 0.1)
 
 
 def test_reciprocal_sinr_hand_case():
     G = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    out = detector.reciprocal_sinr(G, N0=1.0, Es=1.0)
+    out = detector.reciprocal_sinr(G, N0=1.0)
     assert np.allclose(out, [0.75, 0.75])
 
 
 def test_reciprocal_sinr_rejects_bad_diagonal():
     G = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        detector.reciprocal_sinr(G, 0.1, 1.0)
+        detector.reciprocal_sinr(G, 0.1)
 
 
 def test_sinr_ordering_invariant_under_common_scale(rng):
     H = random_channel(rng, 16, 8)
     G = detector.gram(H)
-    a = detector.reciprocal_sinr(G, 0.2, 1.0)
+    a = detector.reciprocal_sinr(G, 0.2)
     G2 = detector.gram(3.0 * H)
-    b = detector.reciprocal_sinr(G2, 0.2, 1.0)
+    b = detector.reciprocal_sinr(G2, 0.2)
     assert np.array_equal(np.argsort(a, kind="stable"),
                           np.argsort(b, kind="stable"))
 
@@ -144,7 +144,7 @@ def test_singular_block_regularized():
 
 def test_preprocess_invariants(rng):
     H = random_channel(rng, 16, 8)
-    pre = detector.preprocess(H, 0.05, 1.0, L=2)
+    pre = detector.preprocess(H, 0.05, L=2)
     assert np.max(np.abs(pre.G - pre.G.conj().T)) < 1e-10 * np.abs(pre.G).max()
     assert np.all(pre.G.diagonal().real > 0)
     assert np.array_equal(np.sort(pre.perm), np.arange(8))
@@ -163,11 +163,11 @@ PREPROC_FIELDS = ("G", "inv_sinr", "perm", "blocks", "kinv")
 
 def _assert_matches_per_channel(pre, H, N0, L, sort):
     for i in range(H.shape[0]):
-        one = detector.preprocess(H[i], N0[i], 1.0, L=L, sort=sort)
+        one = detector.preprocess(H[i], N0[i], L=L, sort=sort)
         for f in PREPROC_FIELDS:
             assert np.array_equal(getattr(pre, f)[i], getattr(one, f)), (f, i)
         assert pre.N0[i] == one.N0
-        assert (pre.Es, pre.L) == (one.Es, one.L)
+        assert pre.L == one.L
         M = one.M
         assert [m - i * M for m in pre.regularized if m // M == i] \
             == one.regularized
@@ -179,17 +179,50 @@ def _assert_matches_per_channel(pre, H, N0, L, sort):
 def test_batched_preprocess_matches_per_channel(U, L, sort, rng):
     H = np.stack([random_channel(rng, 16, U) for _ in range(6)])
     N0 = 10 ** rng.uniform(-3, 0, 6)
-    pre = detector.preprocess(H, N0, 1.0, L=L, sort=sort)
+    pre = detector.preprocess(H, N0, L=L, sort=sort)
     assert pre.U == U and pre.M == 6 * (U // L)
     assert pre.regularized == []
     _assert_matches_per_channel(pre, H, N0, L, sort)
     # any leading shape: a (2, 3) grid of channels gives the same numbers
-    grid = detector.preprocess(H.reshape(2, 3, 16, U), N0.reshape(2, 3), 1.0,
+    grid = detector.preprocess(H.reshape(2, 3, 16, U), N0.reshape(2, 3),
                                L=L, sort=sort)
     for f in PREPROC_FIELDS:
         value = getattr(grid, f)
         assert np.array_equal(value.reshape((6,) + value.shape[2:]),
                               getattr(pre, f))
+
+
+def _block_submatrices_reference(G, blocks):
+    """G[..., blocks[..., m, i], blocks[..., m, j]] gathered with two
+    take_along_axis calls, one per axis."""
+    M, L = blocks.shape[-2:]
+    rows = np.take_along_axis(
+        G, blocks.reshape(blocks.shape[:-2] + (M * L, 1)), axis=-2)
+    rows = rows.reshape(blocks.shape + (G.shape[-1],))
+    return np.take_along_axis(rows, blocks[..., None, :], axis=-1)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_flat_gathers_match_take_along_axis(L, lead, rng):
+    # the equalizer's permuted G and the block inverses' submatrices keep
+    # the values and the strides (column-major per channel for the
+    # permuted G) of the take_along_axis gathers
+    H = random_channel(rng, 16, 8) if not lead else np.stack(
+        [random_channel(rng, 16, 8) for _ in range(np.prod(lead))]
+    ).reshape(lead + (16, 8))
+    pre = detector.preprocess(H, np.full(lead, 0.1), L=L)
+    got = detector._permuted_gram(pre.G, pre.perm)
+    want = _block_submatrices_reference(
+        pre.G.swapaxes(-1, -2),
+        pre.perm[..., None, :])[..., 0, :, :].swapaxes(-1, -2)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
+    got = detector._gather(pre.G, pre.blocks[..., :, None],
+                           pre.blocks[..., None, :])
+    want = _block_submatrices_reference(pre.G, pre.blocks)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
 
 
 @pytest.mark.parametrize("L", [2, 4])
@@ -199,7 +232,7 @@ def test_batched_preprocess_flags_singular_blocks_mid_batch(L, rng):
     H = np.stack([random_channel(rng, 16, 8) for _ in range(5)])
     H[2] = 1.0
     N0 = np.full(5, 0.1)
-    pre = detector.preprocess(H, N0, 1.0, L=L, sort=False)
+    pre = detector.preprocess(H, N0, L=L, sort=False)
     M = 8 // L
     assert pre.regularized == list(range(2 * M, 3 * M))
     assert len(pre.regularized) / pre.M == 1 / 5
@@ -222,8 +255,8 @@ def test_batched_matched_filter_matches_per_channel(rng):
 def test_batched_counts_scale_with_channels(rng):
     H = np.stack([random_channel(rng, 16, 8) for _ in range(3)])
     one, three = MultCounter(), MultCounter()
-    detector.preprocess(H[0], 0.1, 1.0, counter=one)
-    detector.preprocess(H, np.full(3, 0.1), 1.0, counter=three)
+    detector.preprocess(H[0], 0.1, counter=one)
+    detector.preprocess(H, np.full(3, 0.1), counter=three)
     assert three.total == 3 * one.total
 
 
@@ -252,7 +285,7 @@ def test_stacked_equalizer_matches_per_channel(U, L, T, fixed, qam16, rng):
             trace_hook=lambda k, m, z, r: snaps.append((k, m, z, r)))
         return st, snaps
 
-    pre = detector.preprocess(H, N0, 1.0, L=L, numerics=numerics)
+    pre = detector.preprocess(H, N0, L=L, numerics=numerics)
     if L == 2:
         assert 3 * (U // 2) in pre.regularized
     stacked, per_channel = MultCounter(), MultCounter()
@@ -261,7 +294,7 @@ def test_stacked_equalizer_matches_per_channel(U, L, T, fixed, qam16, rng):
     assert [s[:2] for s in snaps] == [(k, m) for k in range(3)
                                       for m in range(U // L)]
     for i in range(n):
-        one = detector.preprocess(H[i], N0[i], 1.0, L=L, numerics=numerics)
+        one = detector.preprocess(H[i], N0[i], L=L, numerics=numerics)
         st_i, snaps_i = run(one, y_mf[i], per_channel)
         for f in ("z", "r", "v_last"):
             assert np.array_equal(getattr(st, f)[i], getattr(st_i, f)), f
@@ -275,7 +308,7 @@ def test_stacked_equalizer_matches_per_channel(U, L, T, fixed, qam16, rng):
 def test_indivisible_block_size(rng):
     H = random_channel(rng, 8, 5)
     with pytest.raises(ValueError):
-        detector.preprocess(H, 0.1, 1.0, L=2)
+        detector.preprocess(H, 0.1, L=2)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +319,7 @@ def test_orthogonal_noiseless_one_iteration(qam16, rng):
     H = np.sqrt(16.0) * q
     idx, s = draw_symbols(qam16, (4,), rng)
     y = H @ s
-    pre = detector.preprocess(H, 1e-9, 1.0, L=2)
+    pre = detector.preprocess(H, 1e-9, L=2)
     st = detector.gbcd_equalize(pre, detector.matched_filter(H, y), 1,
                                 denoise.box_denoiser(qam16))
     assert np.max(np.abs(st.z - s)) < 1e-10
@@ -295,7 +328,7 @@ def test_orthogonal_noiseless_one_iteration(qam16, rng):
 
 def test_k_zero_rejected(qam16, rng):
     H = random_channel(rng, 8, 4)
-    pre = detector.preprocess(H, 0.1, 1.0)
+    pre = detector.preprocess(H, 0.1)
     with pytest.raises(ValueError):
         detector.gbcd_equalize(pre, np.zeros(4, complex), 0,
                                denoise.box_denoiser(qam16))
@@ -323,7 +356,7 @@ def test_gram_domain_equivalence_small_instance(qam16, rng):
     H = random_channel(rng, 8, 4)
     y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     den = denoise.box_denoiser(qam16)
-    pre = detector.preprocess(H, 0.1, 1.0, L=2)
+    pre = detector.preprocess(H, 0.1, L=2)
     st = detector.gbcd_equalize(pre, detector.matched_filter(H, y), 3, den)
     z2, v2 = _direct_bcd(H, y, 3, den, pre)
     scale = max(1.0, np.abs(z2).max())
@@ -344,7 +377,7 @@ def test_gram_domain_equivalence_randomized(qam16, rng):
         else:
             den = denoise.pme_denoiser(qam16, rng.uniform(0.5, 4.0, K),
                                        qam16.scale * rng.uniform(0.7, 1.3, K))
-        pre = detector.preprocess(H, 10 ** rng.uniform(-3, 0), 1.0, L=L)
+        pre = detector.preprocess(H, 10 ** rng.uniform(-3, 0), L=L)
         st = detector.gbcd_equalize(pre, detector.matched_filter(H, y), K, den)
         z2, v2 = _direct_bcd(H, y, K, den, pre)
         scale = max(1.0, np.abs(z2).max())
@@ -355,7 +388,7 @@ def test_gram_domain_equivalence_randomized(qam16, rng):
 def test_residual_identity_after_every_inner_step(qam16, rng):
     H = random_channel(rng, 12, 6)
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    pre = detector.preprocess(H, 0.1, 1.0, L=2)
+    pre = detector.preprocess(H, 0.1, L=2)
     y_mf = detector.matched_filter(H, y)
     checks = []
 
@@ -374,7 +407,7 @@ def test_monotone_error_on_orthogonal_noiseless(qam16, rng):
     H = np.sqrt(16.0) * q
     idx, s = draw_symbols(qam16, (4,), rng)
     y = H @ s
-    pre = detector.preprocess(H, 1e-12, 1.0, L=2)
+    pre = detector.preprocess(H, 1e-12, L=2)
     y_mf = detector.matched_filter(H, y)
     errs = []
     for K in (1, 2, 3, 4):
@@ -386,7 +419,7 @@ def test_monotone_error_on_orthogonal_noiseless(qam16, rng):
 def test_batched_equalize_matches_loop(qam16, rng):
     H = random_channel(rng, 12, 4)
     Y = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-    pre = detector.preprocess(H, 0.1, 1.0)
+    pre = detector.preprocess(H, 0.1)
     den = denoise.box_denoiser(qam16)
     batch = detector.gbcd_equalize(pre, detector.matched_filter(H, Y), 3, den)
     for t in range(5):
@@ -399,7 +432,7 @@ def test_batched_equalize_matches_loop(qam16, rng):
 def test_detect_end_to_end_noiseless(qam16, rng):
     ch = gen_channel(16, 4, "nonlos", rng)
     b = transmit(ch.H, qam16, 6, 60.0, rng)
-    soft, st, pre = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam16, 3)
+    soft, st, pre = detector.gbcd_detect(ch.H, b.Y, b.N0, qam16, 3)
     signs = soft.llrs > 0
     bits = np.moveaxis(b.bits, 2, 1).astype(bool)  # (U, m, T)
     assert np.array_equal(signs, bits)
@@ -410,7 +443,7 @@ def test_generic_block_size_four(qam16, rng):
     H = random_channel(rng, 12, 4)
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     den = denoise.box_denoiser(qam16)
-    pre = detector.preprocess(H, 0.1, 1.0, L=4)
+    pre = detector.preprocess(H, 0.1, L=4)
     assert pre.M == 1
     st = detector.gbcd_equalize(pre, detector.matched_filter(H, y), 2, den)
     z2, v2 = _direct_bcd(H, y, 2, den, pre)

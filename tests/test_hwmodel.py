@@ -59,7 +59,7 @@ def test_instrumented_lmmse_preprocessing_matches_formula(rng):
     B, U = 16, 4
     H = random_channel(rng, B, U)
     c = MultCounter()
-    baselines.lmmse_preprocess(H, 0.1, 1.0, counter=c)
+    baselines.lmmse_preprocess(H, 0.1, counter=c)
     assert c.total == 2 * B * U * U + (2 * U ** 3 - 2 * U) // 3
 
 
@@ -271,8 +271,8 @@ def test_fixed_point_pipeline_tracks_float(qam16, rng):
     for _ in range(20):
         ch = gen_channel(16, 4, "nonlos", rng)
         b = transmit(ch.H, qam16, 20, 12.0, rng)
-        sf, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, 1.0, qam16, 3)
-        sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, 1.0, qam16, 3)
+        sf, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, qam16, 3)
+        sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, qam16, 3)
         agree += np.sum(np.sign(sf.llrs) == np.sign(sq.llrs))
         tot += sf.llrs.size
     assert agree / tot > 0.99
@@ -281,12 +281,12 @@ def test_fixed_point_pipeline_tracks_float(qam16, rng):
 def test_fixed_point_outputs_quantized(qam16, rng):
     ch = gen_channel(16, 4, "nonlos", rng)
     b = transmit(ch.H, qam16, 4, 12.0, rng)
-    sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, 1.0, qam16, 3)
+    sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, qam16, 3)
     fmt = hwmodel.DEFAULT_FORMATS["llr"]
     assert np.array_equal(hwmodel.quantize(sq.llrs, fmt), sq.llrs)
 
 
-def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, denoiser=None,
+def _detect_fixed_point_reference(H, y, N0, const, K, *, denoiser=None,
                                   alpha=None, L=2, sort=True):
     """The fixed-point detector written out stage by stage: quantized H, y,
     G and y_mf, lookup reciprocals, a denoiser whose output is quantized,
@@ -296,14 +296,14 @@ def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, denoiser=None,
     Hq = q(H, formats["h"])
     yq = q(y, formats["y"])
     G = q(detector.gram(Hq), formats["g"])
-    inv_sinr = detector.reciprocal_sinr(G, N0, Es, recip_fn=lut)
+    inv_sinr = detector.reciprocal_sinr(G, N0, recip_fn=lut)
     perm = detector.sort_ues(inv_sinr) if sort else np.arange(H.shape[1])
     blocks = detector.make_blocks(perm, L)
     regularized = []
     kinv = detector.block_inverses(G, blocks, recip_fn=lut,
                                    regularized=regularized)
-    pre = detector.PreprocOutput(G, inv_sinr, perm, blocks, kinv,
-                                 float(N0), float(Es), L, regularized)
+    pre = detector.PreprocOutput(G, inv_sinr, blocks, kinv, float(N0),
+                                 regularized)
     y_mf = q(detector.matched_filter(Hq, yq), formats["ymf"])
     base = denoise.box_denoiser(const) if denoiser is None else denoiser
 
@@ -313,8 +313,8 @@ def _detect_fixed_point_reference(H, y, N0, Es, const, K, *, denoiser=None,
 
     state = detector.gbcd_equalize(pre, y_mf, K, _QuantizedDenoiser())
     if alpha is None:
-        alpha = N0 / Es
-    soft = denoise.compute_llrs(state.v_last, G, Es, alpha, const,
+        alpha = N0
+    soft = denoise.compute_llrs(state.v_last, G, alpha, const,
                                 recip_fn=lut)
     soft.llrs = q(soft.llrs, formats["llr"])
     return soft
@@ -336,7 +336,7 @@ def test_fixed_point_matches_reference(Q, L):
         for sort in (False, True):
             for mode, kw in (("box", {}),
                              ("pme", dict(denoiser=pme, alpha=0.5 * b.N0))):
-                args = (ch.H, b.Y, b.N0, 1.0, const, K)
+                args = (ch.H, b.Y, b.N0, const, K)
                 kw = dict(kw, L=L, sort=sort)
                 got = hwmodel.detect_fixed_point(*args, **kw)
                 ref = _detect_fixed_point_reference(*args, **kw)

@@ -39,17 +39,17 @@ def _pme(const):
 
 DETECTORS = {
     "gbcd-box": lambda H, Y, N0, const, c: detector.gbcd_detect(
-        H, Y, N0, 1.0, const, K, counter=c)[0],
+        H, Y, N0, const, K, counter=c)[0],
     "gbcd-pme": lambda H, Y, N0, const, c: detector.gbcd_detect(
-        H, Y, N0, 1.0, const, K, counter=c, **_pme(const))[0],
+        H, Y, N0, const, K, counter=c, **_pme(const))[0],
     "gbcd-box-fixed": lambda H, Y, N0, const, c: detector.gbcd_detect(
-        H, Y, N0, 1.0, const, K, counter=c, numerics=hwmodel.FIXED_POINT)[0],
+        H, Y, N0, const, K, counter=c, numerics=hwmodel.FIXED_POINT)[0],
     "gbcd-pme-fixed": lambda H, Y, N0, const, c: hwmodel.detect_fixed_point(
-        H, Y, N0, 1.0, const, K, **_pme(const)),
+        H, Y, N0, const, K, **_pme(const)),
     "lmmse": lambda H, Y, N0, const, c: baselines.lmmse_detect(
-        H, Y, N0, 1.0, const, counter=c),
+        H, Y, N0, const, counter=c),
     "ocd": lambda H, Y, N0, const, c: baselines.ocd_detect(
-        H, Y, N0, 1.0, K, const, counter=c),
+        H, Y, N0, K, const, counter=c),
 }
 
 
@@ -85,8 +85,8 @@ def test_stack_equals_per_channel_detection(name, Q, U, T):
 
 def test_default_alpha_is_per_channel_noise():
     const, H, Y, N0 = _stack(16, 4, 120)
-    soft = detector.gbcd_detect(H, Y, N0, 2.0, const, K)[0]
-    assert np.array_equal(soft.params.alpha, N0 / 2.0)
+    soft = detector.gbcd_detect(H, Y, N0, const, K)[0]
+    assert np.array_equal(soft.params.alpha, N0)
 
 
 @pytest.mark.parametrize("method", ["axis", "exhaustive"])
@@ -103,10 +103,10 @@ def test_llrs_with_params_per_channel_alpha(Q, T, method):
         Hn = rng.standard_normal((8, U)) + 1j * rng.standard_normal((8, U))
         G[n] = detector.gram(Hn)
     alpha = rng.uniform(0.01, 1.0, N)
-    params = denoise.LlrParams.from_gram(G, 1.0, alpha)
+    params = denoise.LlrParams.from_gram(G, alpha)
     soft = denoise.compute_llrs_with_params(v, params, const, method=method)
     for n in range(N):
-        one = denoise.compute_llrs(v[n], G[n], 1.0, alpha[n], const,
+        one = denoise.compute_llrs(v[n], G[n], alpha[n], const,
                                    method=method)
         assert one.params.alpha == alpha[n]
         stacked = denoise.SoftOutput(

@@ -34,7 +34,7 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
     for i in range(n):
         ch = gen_channel(B, U, condition, rng)
         batch = transmit(ch.H, const, 1, snr_db, rng)
-        pre = detector.preprocess(ch.H, batch.N0, 1.0, L=L, sort=sort)
+        pre = detector.preprocess(ch.H, batch.N0, L=L, sort=sort)
         bits[i] = batch.bits[:, 0, :]
         G[i] = pre.G
         y_mf[i] = detector.matched_filter(ch.H, batch.Y[:, 0])
@@ -105,12 +105,12 @@ def test_forward_loss_matches_detector_recomputation(rng):
     # -(X log P + (1-X) log(1-P)), which it equals exactly
     total = 0.0
     for i in range(batch.n):
-        pre = detector.PreprocOutput(batch.G[i], np.zeros(4), np.arange(4),
+        pre = detector.PreprocOutput(batch.G[i], np.zeros(4),
                                      batch.blocks[i], batch.kinv[i],
-                                     batch.N0[i], 1.0, 2)
+                                     batch.N0[i])
         den = denoise.pme_denoiser(const, params["rho"], params["beta"])
         st = detector.gbcd_equalize(pre, batch.y_mf[i], K, den)
-        soft = denoise.compute_llrs(st.v_last, batch.G[i], 1.0,
+        soft = denoise.compute_llrs(st.v_last, batch.G[i],
                                     params["alpha"], const)
         X = batch.bits[i]
         terms = np.logaddexp(0.0, (1.0 - 2.0 * X) * soft.llrs)
@@ -299,11 +299,11 @@ def _grad_reference(params, batch, K):
         steps.append((v, *red_re, *red_im))
         return (const.scale * (raw_re + 1j * raw_im))[..., None]
 
-    pre = detector.PreprocOutput(batch.G, None, None, batch.blocks, batch.kinv,
-                                 batch.N0, 1.0, batch.blocks.shape[-1])
+    pre = detector.PreprocOutput(batch.G, None, batch.blocks, batch.kinv,
+                                 batch.N0)
     v_final = detector.gbcd_equalize(pre, batch.y_mf, K,
                                      SimpleNamespace(apply=apply)).v_last
-    gains = denoise.LlrParams.from_gram(batch.G, 1.0, alpha)
+    gains = denoise.LlrParams.from_gram(batch.G, alpha)
     mu = gains.mu
     inv_xi = 1.0 / gains.xi
     metrics, mins = [], []
@@ -382,7 +382,7 @@ def _regularized_batch(const):
     H[0, :, 1] = H[0, :, 0]
     tx = [transmit(h, const, 1, 10.0, rng) for h in H]
     N0 = np.array([t.N0 for t in tx])
-    pre = detector.preprocess(H, N0, 1.0, L=2, sort=False)
+    pre = detector.preprocess(H, N0, L=2, sort=False)
     assert pre.regularized == [0]
     y = np.stack([t.Y[:, 0] for t in tx])
     return unfolding.TrainBatch(const, np.stack([t.bits[:, 0] for t in tx]),
