@@ -27,6 +27,11 @@ from .constellation import Constellation, draw_symbols
 CONDITIONS = ("nonlos", "los")
 POWER_BAND_DB = 3.0   # receive-power control band around the mean, +/- dB
 
+_BAND_LO = 10.0 ** (-POWER_BAND_DB / 10.0)
+_BAND_HI = 10.0 ** (POWER_BAND_DB / 10.0)
+_BAND_RATIO = 10 ** (2 * POWER_BAND_DB / 10.0) * (1 + 1e-12)
+_SQRT2 = np.sqrt(2.0)
+
 _MAGIC = b"CPLXMAT\x00"
 
 
@@ -56,15 +61,16 @@ class TransmissionBatch:
 
 
 def _power_control(H: np.ndarray) -> np.ndarray:
-    p = np.sum(np.abs(H) ** 2, axis=0)
-    if np.any(p == 0.0):
+    """Scale H's columns in place into the power band; returns H."""
+    p = np.add.reduce(np.abs(H) ** 2, axis=0)
+    if (p == 0.0).any():
         raise ValueError("channel has an all-zero column")
-    mean_p = float(np.mean(p))
-    lo = mean_p * 10.0 ** (-POWER_BAND_DB / 10.0)
-    hi = mean_p * 10.0 ** (POWER_BAND_DB / 10.0)
-    clipped = np.clip(p, lo, hi)
-    assert clipped.max() / clipped.min() <= 10 ** (2 * POWER_BAND_DB / 10.0) * (1 + 1e-12)
-    return H * np.sqrt(clipped / p)
+    mean_p = float(np.add.reduce(p)) / p.size
+    clipped = np.minimum(np.maximum(p, mean_p * _BAND_LO), mean_p * _BAND_HI)
+    assert (np.maximum.reduce(clipped) / np.minimum.reduce(clipped)
+            <= _BAND_RATIO)
+    H *= np.sqrt(clipped / p)
+    return H
 
 
 def steering_vector(B: int, theta_rad: float | np.ndarray) -> np.ndarray:
@@ -100,13 +106,14 @@ def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; use one of {CONDITIONS}")
 
+    if condition == "los" and angles_rad is None:
+        angles_rad = _draw_angles(U, rng, min_sep_deg)
+    W = unit_normals(rng, np.empty((B, U), dtype=np.complex128))
+    W /= _SQRT2
     if condition == "nonlos":
-        H = (rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))) / np.sqrt(2.0)
+        H = W
     else:
-        if angles_rad is None:
-            angles_rad = _draw_angles(U, rng, min_sep_deg)
         A = steering_vector(B, angles_rad)
-        W = (rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))) / np.sqrt(2.0)
         if np.isinf(k_factor):
             H = A
         else:
@@ -114,37 +121,57 @@ def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
                  + np.sqrt(1.0 / (k_factor + 1.0)) * W)
 
     H = _power_control(H)
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise ValueError("channel contains non-finite entries")
     return ChannelRealization(H, condition)
 
 
-def noise_variance_for_snr(H: np.ndarray, snr_db: float) -> float:
-    """N0 such that the per-antenna receive SNR matches snr_db (see module doc)."""
+def noise_variance_for_snr(H: np.ndarray, snr_db: float) -> float | np.ndarray:
+    """N0 such that the per-antenna receive SNR matches snr_db (see module doc).
+
+    ``H`` is one channel (B, U), which gives a float, or a stack (..., B, U),
+    which gives one N0 per channel: each channel's B * U energies are summed
+    in memory order, exactly as for that channel alone.
+    """
     if np.isinf(snr_db):
-        return 0.0
-    B = H.shape[0]
-    sig = float(np.sum(np.abs(H) ** 2)) / B
-    return sig / (10.0 ** (snr_db / 10.0))
+        N0 = np.zeros(H.shape[:-2])
+    else:
+        energy = np.abs(H.reshape(H.shape[:-2] + (-1,))) ** 2
+        N0 = (np.add.reduce(energy, axis=-1) / H.shape[-2]
+              / (10.0 ** (snr_db / 10.0)))
+    return float(N0) if N0.ndim == 0 else N0
+
+
+def unit_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill complex ``out`` with standard normals, real parts drawn first."""
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    return out
+
+
+def receive(H: np.ndarray, S: np.ndarray, w: np.ndarray | None,
+            N0: float | np.ndarray) -> np.ndarray:
+    """The transmit tail over leading channel axes: Y = H S + noise,
+    noise ~ CN(0, N0) per entry.
+
+    ``w`` (..., B, T) holds each channel's standard normals
+    (``unit_normals``) and is scaled in place into the noise; it is None
+    for a noiseless stack (N0 = 0), for which nothing was drawn.
+    """
+    hs = H @ S
+    if w is None:
+        w = np.zeros_like(hs)
+    else:
+        w *= np.sqrt(np.asarray(N0) / 2.0)[..., None, None]
+    return hs + w
 
 
 def apply_channel(H: np.ndarray, S: np.ndarray, N0: float,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Y, noise) with Y = H S + noise, noise ~ CN(0, N0) per entry.
-
-    The returned noise is the exact residual Y - H S, so the reconstruction
-    identity holds bitwise for anyone recomputing the product.
-    """
-    B = H.shape[0]
-    T = S.shape[1]
-    if N0 == 0.0:
-        noise = np.zeros((B, T), dtype=np.complex128)
-    else:
-        noise = np.sqrt(N0 / 2.0) * (rng.standard_normal((B, T))
-                                     + 1j * rng.standard_normal((B, T)))
-    hs = H @ S
-    y = hs + noise
-    return y, y - hs
+                  rng: np.random.Generator) -> np.ndarray:
+    """Return Y = H S + noise, noise ~ CN(0, N0) per entry."""
+    w = None if N0 == 0.0 else unit_normals(
+        rng, np.empty((H.shape[0], S.shape[1]), dtype=np.complex128))
+    return receive(H, S, w, N0)
 
 
 def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
@@ -152,7 +179,9 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
     """Draw i.i.d. uniform symbols and push them through the channel.
 
     ``all_zero`` replaces the symbols with zeros (noise-only debug mode);
-    N0 is still derived from the nominal unit symbol energy.
+    N0 is still derived from the nominal unit symbol energy. The returned
+    noise is the exact residual Y - H S, so the reconstruction identity
+    holds bitwise for anyone recomputing the product.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -165,9 +194,9 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
         S = np.zeros((U, T), dtype=np.complex128)
     else:
         idx, S = draw_symbols(const, (U, T), rng)
-    Y, noise = apply_channel(H, S, N0, rng)
-    bits = const.bit_labels[idx]
-    return TransmissionBatch(S, bits, Y, float(N0), T, noise, idx)
+    Y = apply_channel(H, S, N0, rng)
+    return TransmissionBatch(S, const.bit_labels[idx], Y, N0, T, Y - H @ S,
+                             idx)
 
 
 def estimate_channel(H: np.ndarray, N0: float, U: int | None,

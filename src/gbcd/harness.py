@@ -259,11 +259,11 @@ class _TrialStack:
 
 def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
                 snr_idx: int, trial: int, stack: _TrialStack, slot: int,
-                truth) -> str:
+                truth, hashed: bool) -> str | None:
     """Draw one trial (one or more coherence groups spanning a codeword)
     into ``slot`` of ``stack``. When coded, its payloads go to every
     runner's rows of ``truth`` (runners * U, payload_bits). Returns the
-    trial's data hash."""
+    trial's data hash when ``hashed``, else None."""
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     snr_db = float(cfg.snr_db[snr_idx])
     m = const.bits_per_symbol
@@ -279,8 +279,7 @@ def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
 
     G, glen = cfg.coherence_groups, cfg.group_len
     stack.idx[slot] = idx.reshape(cfg.U, G, glen).swapaxes(0, 1)
-    digest = hashlib.sha256()
-    digest.update(S.tobytes())
+    digest = hashlib.sha256(S.tobytes()) if hashed else None
     for g in range(G):
         c = slot * G + g
         ch = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
@@ -288,11 +287,12 @@ def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
         N0 = noise_variance_for_snr(ch.H, snr_db)
         stack.H[c] = ch.H
         stack.N0[c] = N0
-        stack.Y[c], _ = apply_channel(ch.H, S[:, g * glen:(g + 1) * glen],
-                                      N0, rng)
-        digest.update(ch.H.tobytes())
-        digest.update(stack.Y[c].tobytes())
-    return digest.hexdigest()[:16]
+        stack.Y[c] = apply_channel(ch.H, S[:, g * glen:(g + 1) * glen], N0,
+                                   rng)
+        if hashed:
+            digest.update(ch.H.tobytes())
+            digest.update(stack.Y[c].tobytes())
+    return digest.hexdigest()[:16] if hashed else None
 
 
 def _detect(cfg: ExperimentConfig, code: fec.CodeConfig | None,
@@ -323,7 +323,7 @@ def _detect(cfg: ExperimentConfig, code: fec.CodeConfig | None,
 
 
 def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
-               runners: dict):
+               runners: dict, hashed: bool):
     """Run one SNR point's trials in decode groups of up to DECODE_BLOCKS
     codeword blocks (at least one trial), each decoded in one
     ``fec.decode_batch`` call. Within a group, trials are drawn and
@@ -334,7 +334,8 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
     reached ``min_block_errors``. A runner gains at most U block errors per
     trial, so a group never holds more trials than the runner furthest
     from the stop still needs; no trial past the stop is drawn, and
-    grouping changes no result."""
+    grouping changes no result. Trial data is hashed only when ``hashed``
+    (a column reports it)."""
     totals = {name: [0, 0, 0, 0, None] for name in runners}
     n_rows = len(runners) * cfg.U
     per_call = max(1, min(DETECT_SAMPLES // (cfg.B * cfg.T), cfg.trials))
@@ -358,7 +359,7 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
         for a in range(0, n, per_call):
             b = min(n, a + per_call)
             hashes += [_draw_trial(cfg, const, code, snr_idx, trial + i,
-                                   stack, i - a, truth[i])
+                                   stack, i - a, truth[i], hashed)
                        for i in range(a, b)]
             sym_errors[a:b] = _detect(cfg, code, runners, stack, b - a,
                                       llrs[a:b])
@@ -428,7 +429,8 @@ def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
     for snr_idx, snr_db in enumerate(cfg.snr_db):
         runners = {name: _runner(spec, cfg, const, pme[snr_idx])
                    for name, spec in specs.items()}
-        totals, trials = _run_point(cfg, const, code, snr_idx, runners)
+        totals, trials = _run_point(cfg, const, code, snr_idx, runners,
+                                    "data_hash" in columns)
         rows.extend(_rows_from_totals(float(snr_db), totals, trials,
                                       columns))
     if cfg.out:

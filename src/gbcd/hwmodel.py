@@ -263,8 +263,8 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     counts for ``z``); the remaining bits (one reserved for the sign) are
     fractional.
     """
-    from .channel import gen_channel, transmit
     from .constellation import make_constellation
+    from .unfolding import PREPROCESS_SLICE, transmit_samples
 
     widths = {"h": 12, "y": 12, "g": 15, "ymf": 18, "z": 11, "llr": 18}
     maxima = {k: [] for k in widths}
@@ -282,14 +282,16 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     per_point = max(1, n // len(grid))
     for q, snr in grid:
         const = consts[q]
-        for _ in range(per_point):
-            ch = gen_channel(B, U, "nonlos", rng)
-            batch = transmit(ch.H, const, 1, snr, rng)
-            detector.gbcd_detect(ch.H, batch.Y, batch.N0, const, 3,
-                                 alpha=batch.N0, numerics=probe)
-            for key, level in peak.items():
-                maxima[key].append(level)
-            peak.clear()
+        for start in range(0, per_point, PREPROCESS_SLICE):
+            H, _, Y, N0 = transmit_samples(
+                B, U, "nonlos", const,
+                min(PREPROCESS_SLICE, per_point - start), snr, rng)
+            for h, y, n0 in zip(H, Y, N0):
+                detector.gbcd_detect(h, y, n0, const, 3, alpha=n0,
+                                     numerics=probe)
+                for key, level in peak.items():
+                    maxima[key].append(level)
+                peak.clear()
     out = {}
     for key, vals in maxima.items():
         level = float(np.percentile(vals, percentile))

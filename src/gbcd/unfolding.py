@@ -28,7 +28,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import detector
-from .channel import gen_channel, transmit
+from .channel import (gen_channel, noise_variance_for_snr, receive,
+                      unit_normals)
 from .constellation import Constellation, make_constellation
 from .denoise import LlrParams
 
@@ -94,6 +95,31 @@ class TrainBatch:
         return self.bits.shape[0]
 
 
+def transmit_samples(B: int, U: int, condition: str, const: Constellation,
+                     n: int, snr_db: float, rng: np.random.Generator, *,
+                     k_factor: float = 10.0, min_sep_deg: float = 1.0):
+    """n independent samples, each with its own channel, one symbol vector
+    and noise, stacked on a leading axis: (H, idx, Y, N0) of shapes
+    (n, B, U), (n, U, 1), (n, B, 1) and (n,).
+
+    Per sample the random stream is consumed as by ``gen_channel`` followed
+    by ``transmit`` with T = 1: [LOS angles,] H, the symbols, the noise
+    (none when snr_db is infinite). Only these draws run per sample, straight
+    into the stacked buffers; N0 and the transmit tail run once per stack.
+    """
+    H = np.empty((n, B, U), dtype=np.complex128)
+    idx = np.empty((n, U, 1), dtype=np.int64)
+    w = None if np.isinf(snr_db) else np.empty((n, B, 1), dtype=np.complex128)
+    for i in range(n):
+        H[i] = gen_channel(B, U, condition, rng, k_factor=k_factor,
+                           min_sep_deg=min_sep_deg).H
+        idx[i] = rng.integers(0, const.order, size=(U, 1))
+        if w is not None:
+            unit_normals(rng, w[i])
+    N0 = noise_variance_for_snr(H, snr_db)
+    return H, idx, receive(H, const.points[idx], w, N0), N0
+
+
 def make_batch(B: int, U: int, const: Constellation, snr_db: float,
                condition: str, n: int, rng: np.random.Generator, *,
                L: int = 2, sort: bool = True, k_factor: float = 10.0,
@@ -101,9 +127,10 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     """Generate n samples, each with its own channel, symbols, and noise.
 
     ``k_factor`` and ``min_sep_deg`` shape LOS channels as in
-    ``gen_channel``. Draws run sample by sample, so the random stream does
-    not depend on PREPROCESS_SLICE; preprocessing runs once per slice of
-    samples.
+    ``gen_channel``. Each slice of up to PREPROCESS_SLICE samples comes from
+    ``transmit_samples``, whose draws run sample by sample, so the random
+    stream does not depend on PREPROCESS_SLICE; the transmit tail, the bit
+    labels and preprocessing run once per slice.
     """
     M = U // L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
@@ -114,19 +141,13 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     N0 = np.empty(n)
     for start in range(0, n, PREPROCESS_SLICE):
         stop = min(n, start + PREPROCESS_SLICE)
-        H = np.empty((stop - start, B, U), dtype=np.complex128)
-        y = np.empty((stop - start, B), dtype=np.complex128)
-        for i in range(start, stop):
-            ch = gen_channel(B, U, condition, rng, k_factor=k_factor,
-                             min_sep_deg=min_sep_deg)
-            batch = transmit(ch.H, const, 1, snr_db, rng)
-            H[i - start] = ch.H
-            y[i - start] = batch.Y[:, 0]
-            bits[i] = batch.bits[:, 0, :]
-            N0[i] = batch.N0
+        H, idx, Y, N0[start:stop] = transmit_samples(
+            B, U, condition, const, stop - start, snr_db, rng,
+            k_factor=k_factor, min_sep_deg=min_sep_deg)
+        bits[start:stop] = const.bit_labels[idx[..., 0]]
         pre = detector.preprocess(H, N0[start:stop], L=L, sort=sort)
         G[start:stop] = pre.G
-        y_mf[start:stop] = detector.matched_filter(H, y)
+        y_mf[start:stop] = detector.matched_filter(H, Y[..., 0])
         blocks[start:stop] = pre.blocks
         kinv[start:stop] = pre.kinv
     return TrainBatch(const, bits, G, y_mf, blocks, kinv, N0)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from gbcd.channel import (dump_matrix, estimate_channel, gen_channel,
-                          load_matrix, noise_variance_for_snr, transmit)
+from gbcd.channel import (apply_channel, dump_matrix, estimate_channel,
+                          gen_channel, load_matrix, noise_variance_for_snr,
+                          transmit)
 from gbcd.detector import gram
+
+from channel_reference import (_apply_channel_reference,
+                               _gen_channel_reference,
+                               _noise_variance_for_snr_reference,
+                               _transmit_reference)
 
 
 def test_seeded_determinism(qam16):
@@ -166,3 +172,67 @@ def test_transmit_preconditions(qam16, rng):
         transmit(ch.H, qam16, 2, float("nan"), rng)
     with pytest.raises(ValueError):
         estimate_channel(ch.H, -1.0, 4, rng)
+
+
+# ---------------------------------------------------------------------------
+# the frozen per-sample oracle
+
+def _same(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("B, U, condition, kw", [
+    (16, 16, "nonlos", {}),
+    (32, 8, "NonLOS", {}),
+    (32, 8, "los", {}),
+    (32, 8, "los", dict(k_factor=5.0, min_sep_deg=3.0)),
+    (16, 4, "los", dict(k_factor=np.inf)),
+    (16, 2, "los", dict(angles_rad=np.deg2rad([-20.0, 35.0]))),
+])
+def test_gen_channel_matches_reference(B, U, condition, kw):
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(5):
+        ch = gen_channel(B, U, condition, rng, **kw)
+        ref = _gen_channel_reference(B, U, condition, ref_rng, **kw)
+        assert _same(ch.H, ref.H) and ch.condition == ref.condition
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("T, snr_db, all_zero", [
+    (1, 6.0, False), (7, 12.0, False), (3, np.inf, False), (4, 9.0, True)])
+def test_transmit_matches_reference(qam16, T, snr_db, all_zero):
+    H = gen_channel(16, 4, "nonlos", np.random.default_rng(1)).H
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    for _ in range(3):
+        b = transmit(H, qam16, T, snr_db, rng, all_zero=all_zero)
+        ref = _transmit_reference(H, qam16, T, snr_db, ref_rng,
+                                  all_zero=all_zero)
+        for f in ("S", "bits", "Y", "noise", "symbol_indices"):
+            assert _same(getattr(b, f), getattr(ref, f)), f
+        assert type(b.N0) is float and b.N0 == ref.N0 and b.T == ref.T
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("N0", [0.0, 0.3])
+def test_apply_channel_matches_reference(qam16, N0):
+    H = gen_channel(16, 4, "nonlos", np.random.default_rng(2)).H
+    S = qam16.points[np.random.default_rng(3).integers(0, 16, (4, 5))]
+    rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+    assert _same(apply_channel(H, S, N0, rng),
+                 _apply_channel_reference(H, S, N0, ref_rng)[0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("snr_db", [-3.0, 7.5, np.inf])
+def test_noise_variance_takes_leading_axes(snr_db):
+    rng = np.random.default_rng(14)
+    H = np.stack([[gen_channel(32, 8, "nonlos", rng).H for _ in range(3)]
+                  for _ in range(2)])
+    N0 = noise_variance_for_snr(H, snr_db)
+    assert N0.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        ref = _noise_variance_for_snr_reference(H[i], snr_db)
+        assert N0[i] == ref
+        one = noise_variance_for_snr(H[i], snr_db)
+        assert type(one) is float and one == ref

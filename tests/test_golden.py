@@ -1,0 +1,93 @@
+"""Golden outputs: small end-to-end runs through ``gbcd.cli.main`` whose
+output files must keep the sha256 digests recorded below.
+
+Fixed seeds give byte-identical results, so every speed-up or refactor is
+checked against these digests. They may be re-recorded only by a change
+that states which results it changes and why.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from gbcd import cli, unfolding
+
+SCEN = {"B": 8, "U": 4, "K": 2, "Q": 16, "seed": 7, "T": 120,
+        "min_block_errors": 10**6}
+
+GOLDEN = {
+    "train":
+        "4a510296aefb54ea30be2e002c70035895e0d46c48bd20d3da7019ec0bbcf8c7",
+    "coded_groups":
+        "7976b30ba1309782cda79bedcb839e71bb913fde65ce7bbef442da827fb63001",
+    "uncoded_los":
+        "e215e605409dcdbd3adcbc5d3c8e7a168f1de2c8b1a115d8ce743eb8e3fa9154",
+    "uncoded_los_fixed":
+        "c6059f217b3b09f26bb415f19cddc421c75e3df9afe525af786ed3cb697e09b5",
+    "ablate_los":
+        "46bb3c8e41bca8abd7ed111a7c596b1db91c6f1f9d75d5e8cdd06717e48d6cdf",
+}
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(*argv):
+    assert cli.main(list(argv)) == 0
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    out = {}
+
+    store = d / "store.json"
+    _run("train", "--out", str(store), "--config", _write(d / "train.json", {
+        "scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                     "condition": "nonlos"},
+        "K": 2,
+        "training": {"n_train": 60, "n_val": 60, "batch_size": 30,
+                     "max_epochs": 2, "seed": 3}}))
+    out["train"] = store
+
+    out["coded_groups"] = d / "coded_groups.csv"
+    _run("simulate", "--out", str(out["coded_groups"]), "--config",
+         _write(d / "coded.json", dict(
+             SCEN, snr_db=[6.0, 12.0], condition="nonlos", trials=3,
+             coherence_groups=2, params_path=str(store),
+             detectors=["gbcd-box", "gbcd-pme", "lmmse", "ocd"])))
+
+    los = _write(d / "los.json", dict(
+        SCEN, snr_db=[8.0, 14.0], condition="los", uncoded=True, trials=3,
+        detectors=["gbcd-box", "lmmse", "ocd"]))
+    out["uncoded_los"] = d / "uncoded_los.csv"
+    _run("simulate", "--out", str(out["uncoded_los"]), "--config", los)
+    out["uncoded_los_fixed"] = d / "uncoded_los_fixed.csv"
+    _run("simulate", "--out", str(out["uncoded_los_fixed"]), "--config", los,
+         "--fixed-point")
+
+    los_store = d / "los_store.json"
+    unfolding.ParamStore([unfolding.TrainedParams(
+        np.array([3.0, 4.0]), np.full(2, 0.316), 0.05,
+        {"B": 8, "U": 4, "K": 2, "Q": 16, "condition": "los",
+         "snr_db": 12.0}, {})]).save(los_store)
+    out["ablate_los"] = d / "ablate_los.csv"
+    _run("ablate", "--out", str(out["ablate_los"]), "--config",
+         _write(d / "ablate.json", dict(
+             SCEN, snr_db=[12.0], condition="los", k_factor=5.0,
+             min_sep_deg=3.0, trials=2, detectors=["gbcd-box"],
+             params_path=str(los_store))))
+    return out
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_output_matches_recorded_digest(name, outputs):
+    assert _digest(outputs[name]) == GOLDEN[name]

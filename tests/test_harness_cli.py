@@ -405,6 +405,25 @@ def test_ablation_paired_data_and_variants(tiny_store):
     assert len(hashes) == 1  # identical channels/symbols/noise per variant
 
 
+@pytest.mark.parametrize("ablate", [False, True], ids=["sweep", "ablate"])
+def test_trial_data_hashed_only_for_the_data_hash_column(ablate, tiny_store,
+                                                         monkeypatch):
+    hashed = []
+    sha256 = harness.hashlib.sha256
+
+    def counting(*args):
+        hashed.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(harness.hashlib, "sha256", counting)
+    cfg = ExperimentConfig.from_dict(base_config(
+        detectors=["gbcd-box"], trials=3, min_block_errors=10**6,
+        params_path=tiny_store))
+    rows = (run_ablation(cfg, ["gbcd-box"]) if ablate else run_sweep(cfg))
+    assert len(hashed) == (3 if ablate else 0)
+    assert ("data_hash" in rows[0]) == ablate
+
+
 def test_ablation_first_variant_is_plain_coordinate_descent(tiny_store):
     # cd-box rows equal an ocd sweep on the same seeds (same algorithm)
     cfg = ExperimentConfig.from_dict(base_config(

@@ -354,6 +354,24 @@ def test_float_numerics_is_the_identity():
     assert detector.FLOAT.recip is np.reciprocal
 
 
+def test_profile_formats_matches_recorded_levels():
+    # recorded with per-sample gen_channel + transmit draws; the stacked
+    # draws must reproduce them exactly
+    recorded = {
+        50.0: {"h": 2.0197646605805977, "y": 3.083358507496304,
+               "g": 18.843049361972895, "ymf": 18.220969185533935,
+               "z": 0.8266173176296011, "llr": 377.82535459416476},
+        99.99: {"h": 2.747237273268507, "y": 4.7472752382476235,
+                "g": 26.665564724291617, "ymf": 28.74501394173327,
+                "z": 0.9486832980505138, "llr": 1173.5777368932725},
+    }
+    for percentile, levels in recorded.items():
+        prof = hwmodel.profile_formats(B=16, U=4, orders=(4, 16),
+                                       snrs_db=(5.0, 20.0), n=24, seed=3,
+                                       percentile=percentile)
+        assert {k: v["percentile_level"] for k, v in prof.items()} == levels
+
+
 def test_profiler_smoke():
     prof = hwmodel.profile_formats(B=16, U=4, orders=(16,), snrs_db=(10.0,),
                                    n=20, seed=1)

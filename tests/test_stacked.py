@@ -27,7 +27,7 @@ def _stack(Q, U, T):
         H[n] = gen_channel(B, U, "nonlos", rng).H
         N0[n] = noise_variance_for_snr(H[n], rng.uniform(0.0, 20.0))
         idx = rng.integers(0, Q, size=(U, T))
-        Y[n], _ = apply_channel(H[n], const.points[idx], N0[n], rng)
+        Y[n] = apply_channel(H[n], const.points[idx], N0[n], rng)
     return const, H, (Y[..., 0] if T == 1 else Y), N0
 
 
@@ -172,7 +172,7 @@ def test_noiseless_channels_in_a_noisy_stack(name):
         if n == 1:
             N0[n] = noise_variance_for_snr(H[n], 10.0)
         idx = rng.integers(0, 16, size=(U, 1))
-        Y[n] = apply_channel(H[n], const.points[idx], N0[n], rng)[0][:, 0]
+        Y[n] = apply_channel(H[n], const.points[idx], N0[n], rng)[:, 0]
     detect = DETECTORS[name]
     soft = detect(H, Y, N0, const, None)
     assert np.all(np.isfinite(soft.llrs))
@@ -186,3 +186,40 @@ def test_noiseless_channels_in_a_noisy_stack(name):
             denoise.LlrParams(None, soft.params.mu[n], soft.params.xi[n],
                               soft.params.xi_floored[n]))
         _assert_soft_equal(stacked, one)
+
+
+def _ocd_equalize_reference(H, Y, K, const):
+    """OCD over a stack (N, B, U), (N, B, T), reading H's columns in place
+    and forming each rank-one update with the default ufunc buffers."""
+    U, T = H.shape[-1], Y.shape[-1]
+    inv_norms = 1.0 / np.sum(np.abs(H) ** 2, axis=-2)
+    z = np.zeros(Y.shape[:-2] + (U, T), dtype=np.complex128)
+    r = Y.copy()
+    update = np.empty_like(r)
+    v_last = np.empty_like(z)
+    for k in range(K):
+        for u in range(U):
+            h = H[..., :, u]
+            v = ((h.conj()[..., None, :] @ r)[..., 0, :]
+                 * inv_norms[..., u, None] + z[..., u, :])
+            if k == K - 1:
+                v_last[..., u, :] = v
+            z_new = denoise.box_denoise(v, const)
+            np.multiply(h[..., :, None], (z_new - z[..., u, :])[..., None, :],
+                        out=update)
+            r -= update
+            z[..., u, :] = z_new
+    return z, v_last, r
+
+
+@pytest.mark.parametrize("T", [1, 12, 120])
+@pytest.mark.parametrize("U", [4, 16])
+@pytest.mark.parametrize("Q", [4, 256])
+def test_ocd_equalize_matches_reference(Q, U, T):
+    const, H, Y, _ = _stack(Q, U, T)
+    Y = Y.reshape(N, 2 * U, T)
+    bufsize = np.getbufsize()
+    got = baselines.ocd_equalize(H, Y, K, const)
+    assert np.getbufsize() == bufsize
+    for a, b in zip(got, _ocd_equalize_reference(H, Y, K, const)):
+        assert np.array_equal(a, b)

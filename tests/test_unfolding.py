@@ -9,6 +9,8 @@ from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
 from gbcd.scenario import Scenario
 
+from channel_reference import _gen_channel_reference, _transmit_reference
+
 
 def small_batch(rng, n=12, B=8, U=4, snr=12.0, Q=16):
     const = make_constellation(Q)
@@ -22,8 +24,9 @@ def rand_params(rng, K, const):
 
 
 def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
-                          sort=True):
-    """Per-sample preprocessing, as make_batch did before it stacked channels."""
+                          sort=True, **channel):
+    """Per-sample draws and preprocessing through the frozen per-sample
+    channel oracle, as make_batch did before it stacked channels."""
     M = U // L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
     G = np.empty((n, U, U), dtype=np.complex128)
@@ -32,8 +35,8 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
     kinv = np.empty((n, M, L, L), dtype=np.complex128)
     N0 = np.empty(n)
     for i in range(n):
-        ch = gen_channel(B, U, condition, rng)
-        batch = transmit(ch.H, const, 1, snr_db, rng)
+        ch = _gen_channel_reference(B, U, condition, rng, **channel)
+        batch = _transmit_reference(ch.H, const, 1, snr_db, rng)
         pre = detector.preprocess(ch.H, batch.N0, L=L, sort=sort)
         bits[i] = batch.bits[:, 0, :]
         G[i] = pre.G
@@ -47,17 +50,34 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
 BATCH_FIELDS = ("bits", "G", "y_mf", "blocks", "kinv", "N0")
 
 
-@pytest.mark.parametrize("Q, n, slice_", [(4, 300, None), (256, 12, None),
-                                          (256, 12, 5), (4, 10, 10)])
-def test_make_batch_matches_per_sample_reference(Q, n, slice_, monkeypatch):
+@pytest.mark.parametrize("Q, n, slice_, case", [
+    pytest.param(4, 300, None, {}, id="4-300-None"),
+    pytest.param(256, 12, None, {}, id="256-12-None"),
+    pytest.param(256, 12, 5, {}, id="256-12-5"),
+    pytest.param(4, 10, 10, {}, id="4-10-10"),
+    pytest.param(16, 12, 5, dict(condition="los", k_factor=5.0,
+                                 min_sep_deg=3.0), id="los-k5-sep3"),
+    pytest.param(16, 12, 5, dict(condition="los", k_factor=np.inf),
+                 id="los-kinf"),
+    pytest.param(16, 12, 5, dict(snr_db=np.inf), id="noiseless"),
+    pytest.param(4, 12, None, dict(condition="los", snr_db=np.inf, B=16,
+                                   U=16), id="los-noiseless-16x16"),
+])
+def test_make_batch_matches_per_sample_reference(Q, n, slice_, case,
+                                                 monkeypatch):
     if slice_ is not None:
         monkeypatch.setattr(unfolding, "PREPROCESS_SLICE", slice_)
+    case = dict(case)
     const = make_constellation(Q)
-    args = (8, 4, const, 10.0, "nonlos", n)
-    new = unfolding.make_batch(*args, np.random.default_rng(3))
-    ref = _make_batch_reference(*args, np.random.default_rng(3))
+    args = (case.pop("B", 8), case.pop("U", 4), const,
+            case.pop("snr_db", 10.0), case.pop("condition", "nonlos"), n)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    new = unfolding.make_batch(*args, rng, **case)
+    ref = _make_batch_reference(*args, ref_rng, **case)
     for f in BATCH_FIELDS:
         assert np.array_equal(getattr(new, f), getattr(ref, f)), f
+    # the same draws, and no noise draws when noiseless
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_make_batch_preprocesses_once_per_slice(monkeypatch):
