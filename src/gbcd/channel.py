@@ -126,14 +126,24 @@ def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
     return ChannelRealization(H, condition)
 
 
+def is_noiseless(snr_db: float) -> bool:
+    """True for +inf dB, the noiseless case, False for a finite SNR; NaN and
+    -inf raise ValueError."""
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be finite or +inf (noiseless), "
+                         f"got {snr_db}")
+    return snr_db == np.inf
+
+
 def noise_variance_for_snr(H: np.ndarray, snr_db: float) -> float | np.ndarray:
     """N0 such that the per-antenna receive SNR matches snr_db (see module doc).
 
     ``H`` is one channel (B, U), which gives a float, or a stack (..., B, U),
     which gives one N0 per channel: each channel's B * U energies are summed
-    in memory order, exactly as for that channel alone.
+    in memory order, exactly as for that channel alone. +inf dB gives
+    N0 = 0; NaN and -inf raise ValueError.
     """
-    if np.isinf(snr_db):
+    if is_noiseless(snr_db):
         N0 = np.zeros(H.shape[:-2])
     else:
         energy = np.abs(H.reshape(H.shape[:-2] + (-1,))) ** 2
@@ -185,8 +195,6 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    if not np.isfinite(snr_db) and not np.isinf(snr_db):
-        raise ValueError("snr_db must be finite (or +inf for the noiseless case)")
     U = H.shape[1]
     N0 = noise_variance_for_snr(H, snr_db)
     if all_zero:

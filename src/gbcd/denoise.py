@@ -34,10 +34,26 @@ XI_FLOOR_FACTOR = 1e-9
 # ---------------------------------------------------------------------------
 # denoisers
 
+def real_view(v: np.ndarray) -> np.ndarray:
+    """The float64 view (..., 2) of a complex array: the real and imaginary
+    part of each entry as two lanes of one C-contiguous array. No copy for
+    a C-contiguous complex128 ``v``; another layout or dtype is copied
+    first. A C-contiguous (..., 2) result of a lane-wise computation reads
+    back as complex, of ``v``'s shape, with ``.view(np.complex128)[..., 0]``.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    if not v.flags.c_contiguous:
+        v = np.ascontiguousarray(v)
+    return v[..., None].view(np.float64)
+
+
 def box_denoise(v: np.ndarray, const: Constellation) -> np.ndarray:
-    """Clip real and imaginary parts independently to the alphabet box."""
+    """Clip real and imaginary parts independently to the alphabet box, as
+    the two lanes of ``real_view(v)``, into one fresh array."""
     a = const.max_amplitude
-    return np.clip(np.real(v), -a, a) + 1j * np.clip(np.imag(v), -a, a)
+    out = np.maximum(real_view(v), -a)
+    np.minimum(out, a, out=out)
+    return out.view(np.complex128)[..., 0]
 
 
 def pme_exact(v_axis: np.ndarray, omega: float, beta: float,
@@ -89,8 +105,11 @@ class PlmTable:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(self.boundaries, x, side="right")
-        return self.slopes[idx] * x + self.biases[idx]
+        idx = self.boundaries.searchsorted(x, side="right")
+        out = self.slopes[idx]
+        out *= x
+        out += self.biases[idx]
+        return out
 
     @property
     def n_bins(self) -> int:
@@ -234,9 +253,9 @@ class PmeDenoiser:
     def apply(self, v: np.ndarray, k: int) -> np.ndarray:
         if k >= self.rho.size:
             raise IndexError(f"no parameters for iteration {k}")
-        c = self.const.scale
-        table = self.tables[k]
-        return c * table(np.real(v)) + 1j * c * table(np.imag(v))
+        out = self.tables[k](real_view(v))
+        out *= self.const.scale
+        return out.view(np.complex128)[..., 0]
 
 
 def box_denoiser(const: Constellation) -> BoxDenoiser:

@@ -278,17 +278,21 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
     single = y_mf.ndim == len(lead) + 1
     ymat = y_mf[..., None] if single else y_mf
     T = ymat.shape[-1]
-    order = pre.perm
-    restore = np.argsort(order, axis=-1)[..., None]
+    n = math.prod(lead)
+    # flat row of each UE of the (n * U, T) view, in update order
+    rows = (U * np.arange(n).reshape(lead + (1,)) + pre.perm).reshape(-1)
+    ue_rows = np.empty_like(rows)
+    ue_rows[rows] = np.arange(n * U)
 
     def ue_order(x):
-        return np.take_along_axis(x, restore, axis=-2)
+        return x.reshape(-1, n * U, T)[:, ue_rows].reshape(x.shape)
 
-    Gp = _permuted_gram(pre.G, order)
-    r = np.take_along_axis(ymat, order[..., None], axis=-2)
-    z = np.zeros_like(r)
-    v_last = np.empty_like(r)
-    n = math.prod(lead)
+    Gp = _permuted_gram(pre.G, pre.perm)
+    # r, z and v_last in one buffer, restored to UE order by one gather
+    state = np.empty((3,) + lead + (U, T), dtype=np.complex128)
+    r, z, v_last = state
+    np.take(ymat.reshape(n * U, T), rows, axis=0, out=r.reshape(n * U, T))
+    z.fill(0.0)
     for k in range(K):
         for m in range(M):
             A = slice(m * L, (m + 1) * L)
@@ -304,7 +308,7 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
                 counter.cmul(n * U * L * T)  # residual update
             if trace_hook is not None:
                 trace_hook(k, m, ue_order(z), ue_order(r))
-    z, r, v_last = ue_order(z), ue_order(r), ue_order(v_last)
+    r, z, v_last = ue_order(state)
     if single:
         return EqualizerState(z[..., 0], r[..., 0], v_last[..., 0], K)
     return EqualizerState(z, r, v_last, K)

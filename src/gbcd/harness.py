@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, denoise, detector, fec, hwmodel, unfolding
-from .channel import (CONDITIONS, apply_channel, gen_channel,
+from .channel import (CONDITIONS, apply_channel, gen_channel, is_noiseless,
                       noise_variance_for_snr)
 from .constellation import (SUPPORTED_ORDERS, hard_decision_indices,
                             make_constellation, symbol_indices_from_bits)
@@ -139,6 +139,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown detector {d!r}; choose from {DETECTORS}")
         if not self.snr_db:
             raise ConfigError("snr_db list must not be empty")
+        for snr in self.snr_db:
+            try:
+                is_noiseless(snr)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"snr_db must hold numbers or +Infinity "
+                                  f"(noiseless), got {snr!r}") from e
         if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
             raise ConfigError("T must be divisible by coherence_groups")
         check_design(self.B, self.U, self.Q, self.condition, self.K,

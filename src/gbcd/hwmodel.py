@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -163,34 +164,43 @@ class FxpFormat:
     frac_bits: int
     signed: bool = True
 
-    @property
+    @cached_property
     def lsb(self) -> float:
         return 2.0 ** (-self.frac_bits)
 
-    @property
+    @cached_property
     def max_value(self) -> float:
         codes = 2 ** (self.total_bits - 1) - 1 if self.signed else 2 ** self.total_bits - 1
         return codes * self.lsb
 
-    @property
+    @cached_property
     def min_value(self) -> float:
         return -(2 ** (self.total_bits - 1)) * self.lsb if self.signed else 0.0
+
+    @cached_property
+    def code_bounds(self) -> tuple[float, float]:
+        """Saturation limits in units of the LSB."""
+        return self.min_value / self.lsb, self.max_value / self.lsb
 
 
 def quantize(x: np.ndarray, fmt: FxpFormat) -> np.ndarray:
     """Round-to-nearest-even quantization with saturation; idempotent.
-    Works in place: a complex input needs one complex and one real
-    temporary array, which bounds the fixed-point detector's peak memory."""
+
+    Returns one fresh array and leaves ``x`` as it is. A complex input is
+    quantized in one pass as the two lanes of its float64 view
+    (``denoise.real_view``), the result read back as complex128.
+    """
     x = np.asarray(x)
-    if np.iscomplexobj(x):
-        out = np.multiply(1j, quantize(x.imag, fmt))
-        return np.add(quantize(x.real, fmt), out, out=out)
+    lanes = x.dtype.kind == "c"
+    if lanes:
+        x = denoise.real_view(x)
+    lo, hi = fmt.code_bounds
     codes = np.divide(x, fmt.lsb, out=np.empty(x.shape))
     np.rint(codes, out=codes)
-    lo = fmt.min_value / fmt.lsb
-    hi = fmt.max_value / fmt.lsb
-    np.clip(codes, lo, hi, out=codes)
-    return np.multiply(codes, fmt.lsb, out=codes)
+    np.maximum(codes, lo, out=codes)
+    np.minimum(codes, hi, out=codes)
+    np.multiply(codes, fmt.lsb, out=codes)
+    return codes.view(np.complex128)[..., 0] if lanes else codes
 
 
 # Datapath word lengths of the modeled design; fraction bits frozen from

@@ -28,8 +28,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import detector
-from .channel import (gen_channel, noise_variance_for_snr, receive,
-                      unit_normals)
+from .channel import (gen_channel, is_noiseless, noise_variance_for_snr,
+                      receive, unit_normals)
 from .constellation import Constellation, make_constellation
 from .denoise import LlrParams
 
@@ -104,12 +104,14 @@ def transmit_samples(B: int, U: int, condition: str, const: Constellation,
 
     Per sample the random stream is consumed as by ``gen_channel`` followed
     by ``transmit`` with T = 1: [LOS angles,] H, the symbols, the noise
-    (none when snr_db is infinite). Only these draws run per sample, straight
-    into the stacked buffers; N0 and the transmit tail run once per stack.
+    (none when snr_db is +inf; NaN and -inf raise ValueError before any
+    draw). Only these draws run per sample, straight into the stacked
+    buffers; N0 and the transmit tail run once per stack.
     """
     H = np.empty((n, B, U), dtype=np.complex128)
     idx = np.empty((n, U, 1), dtype=np.int64)
-    w = None if np.isinf(snr_db) else np.empty((n, B, 1), dtype=np.complex128)
+    w = None if is_noiseless(snr_db) else np.empty((n, B, 1),
+                                                   dtype=np.complex128)
     for i in range(n):
         H[i] = gen_channel(B, U, condition, rng, k_factor=k_factor,
                            min_sep_deg=min_sep_deg).H

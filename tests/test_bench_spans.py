@@ -1,19 +1,109 @@
 """The benchmark's tracer wraps gbcd functions by name: every name it lists
-must still resolve, or each traced run fails at install time."""
+must still resolve, or each traced run fails at install time, and every
+span a workload predicts must fire, or each traced operation of that
+workload fails."""
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+import pytest
+
+from gbcd import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def test_every_span_name_resolves_to_a_gbcd_callable():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans")
     assert spans.SPANS
     for name in spans.SPANS:
         mod_name, fn_name = name.rsplit(".", 1)
         module = importlib.import_module(f"gbcd.{mod_name}")
         assert callable(getattr(module, fn_name, None)), name
+
+
+def _count_calls(names, monkeypatch):
+    """Wrap each named gbcd function at every binding inside gbcd, as the
+    tracer does, with a call counter."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "gbcd" or n.startswith("gbcd."))]
+    for name in names:
+        mod_name, fn_name = name.rsplit(".", 1)
+        fn = getattr(importlib.import_module(f"gbcd.{mod_name}"), fn_name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _tiny_sweep(tmp_path, Q, uncoded, passes):
+    """Each pass (detectors, fixed point) of a small ``gbcd simulate``."""
+    scen = {"B": 8, "U": 4, "K": 2, "Q": Q, "condition": "nonlos",
+            "snr_db": 6.0}
+    store = _write(tmp_path / "store.json", {"records": [{
+        "scenario": scen, "rho": [2.0, 4.0], "beta": [0.3, 0.3],
+        "alpha": 0.1, "meta": {}}]})
+    for i, (detectors, fixed) in enumerate(passes):
+        cfg = _write(tmp_path / f"cfg{i}.json", dict(
+            scen, snr_db=[6.0], T=120, seed=5, trials=2, uncoded=uncoded,
+            min_block_errors=10**6, params_path=store,
+            detectors=list(detectors)))
+        argv = ["simulate", "--config", cfg, "--out",
+                str(tmp_path / f"out{i}.csv")]
+        assert cli.main(argv + (["--fixed-point"] if fixed else [])) == 0
+
+
+def _tiny_train(tmp_path):
+    cfg = _write(tmp_path / "train.json", {
+        "scenario": {"B": 8, "U": 4, "Q": 4, "snr_db": 6.0,
+                     "condition": "nonlos"},
+        "K": 2, "training": {"n_train": 20, "n_val": 20, "batch_size": 10,
+                             "max_epochs": 1, "seed": 3}})
+    assert cli.main(["train", "--config", cfg, "--out",
+                     str(tmp_path / "store.json")]) == 0
+
+
+# each workload's operation in miniature: the same CLI paths and detectors
+RUNS = {
+    "coded-256qam": lambda d: _tiny_sweep(
+        d, 256, False, [(("gbcd-box", "lmmse"), False)]),
+    "uncoded-16qam": lambda d: _tiny_sweep(
+        d, 16, True, [(("gbcd-box", "gbcd-pme", "lmmse", "ocd"), False),
+                      (("gbcd-box", "gbcd-pme"), True)]),
+    "train-qpsk16": _tiny_train,
+}
+
+
+@pytest.mark.parametrize("workload", list(RUNS))
+def test_every_predicted_span_fires(workload, tmp_path, monkeypatch):
+    spans = _load("workloads").WORKLOADS[workload].spans
+    calls = _count_calls(spans, monkeypatch)
+    RUNS[workload](tmp_path)
+    assert [name for name in spans if calls[name] == 0] == []

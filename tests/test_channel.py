@@ -5,6 +5,7 @@ from gbcd.channel import (apply_channel, dump_matrix, estimate_channel,
                           gen_channel, load_matrix, noise_variance_for_snr,
                           transmit)
 from gbcd.detector import gram
+from gbcd.unfolding import make_batch, transmit_samples
 
 from channel_reference import (_apply_channel_reference,
                                _gen_channel_reference,
@@ -79,6 +80,24 @@ def test_noiseless_limit(qam16, rng):
     b = transmit(ch.H, qam16, 3, np.inf, rng)
     assert np.array_equal(b.Y, ch.H @ b.S)
     assert b.N0 == 0.0
+
+
+@pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+def test_nan_and_minus_inf_snr_rejected(snr_db, qam16, rng):
+    # -inf dB is not the noiseless case and NaN is no SNR at all
+    H = gen_channel(16, 4, "nonlos", rng).H
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="snr_db"):
+        noise_variance_for_snr(H, snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        noise_variance_for_snr(np.stack([H, H]), snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        transmit(H, qam16, 3, snr_db, rng)
+    with pytest.raises(ValueError, match="snr_db"):
+        transmit_samples(16, 4, "nonlos", qam16, 2, snr_db, rng)
+    with pytest.raises(ValueError, match="snr_db"):
+        make_batch(16, 4, qam16, snr_db, "nonlos", 2, rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
 
 
 def test_noise_only_variance(qam16, rng):

@@ -4,6 +4,9 @@ import pytest
 from gbcd import denoise
 from gbcd.constellation import make_constellation
 
+from datapath_reference import (LAYOUTS, _box_denoise_reference,
+                                _pme_apply_reference, probe)
+
 
 # ---------------------------------------------------------------------------
 # box
@@ -215,6 +218,73 @@ def test_pme_denoiser_table_vs_direct(qam256, rng):
         denoise.pme_piecewise(v.real, rho[0], beta[0], qam256.order)
         + 1j * denoise.pme_piecewise(v.imag, rho[0], beta[0], qam256.order))
     assert np.max(np.abs(den.apply(v, 0) - direct)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the denoisers on the float64 view against the frozen split-part oracle
+
+def _saturating(const):
+    """Values on and beyond the box edge, zeros of both signs."""
+    a = const.max_amplitude
+    edge = [a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), a + 1.0,
+            10.0 * a, 1e300]
+    return np.concatenate([edge, np.negative(edge), [0.0, -0.0]])
+
+
+def _check_unchanged_and_fresh(v, before, outs):
+    assert np.array_equal(v, before)
+    assert v.tobytes() == before.tobytes()
+    for out in outs:
+        assert out.dtype == np.complex128
+        assert not np.shares_memory(out, v)
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_box_denoise_matches_split_reference(layout, qam16, rng):
+    v = LAYOUTS[layout](probe(rng, _saturating(qam16)))
+    before = v.copy()
+    ref = _box_denoise_reference(v, qam16)
+    den = denoise.box_denoiser(qam16)
+    outs = [denoise.box_denoise(v, qam16)] + [den.apply(v, k) for k in range(4)]
+    for out in outs:
+        assert out.shape == np.shape(ref)
+        assert np.array_equal(out, ref)
+    _check_unchanged_and_fresh(v, before, outs)
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_pme_denoiser_matches_split_reference(order, layout, rng):
+    const = make_constellation(order)
+    den = denoise.pme_denoiser(const, np.array([1.0, 2.0, 4.0]) / const.scale,
+                               const.scale * np.array([1.0, 0.9, 1.1]))
+    # every table's breakpoints, so each lands exactly on a bin edge
+    breaks = np.concatenate([t.boundaries for t in den.tables])
+    v = LAYOUTS[layout](probe(rng, np.concatenate([breaks,
+                                                   _saturating(const)])))
+    before = v.copy()
+    outs = []
+    for k in range(den.rho.size):
+        ref = _pme_apply_reference(den, v, k)
+        out = den.apply(v, k)
+        assert out.shape == np.shape(ref), k
+        assert np.array_equal(out, ref), k
+        outs.append(out)
+    _check_unchanged_and_fresh(v, before, outs)
+    with pytest.raises(IndexError):
+        den.apply(v, den.rho.size)
+
+
+def test_real_view_shares_contiguous_input(rng):
+    v = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    x = denoise.real_view(v)
+    assert x.shape == (3, 5, 2) and np.shares_memory(x, v)
+    assert np.array_equal(x[..., 0], v.real)
+    assert np.array_equal(x[..., 1], v.imag)
+    for other in (v.T, v[:, ::2], v.real):
+        x = denoise.real_view(other)
+        assert x.flags.c_contiguous and not np.shares_memory(x, v)
+        assert np.array_equal(x.view(np.complex128)[..., 0], other)
 
 
 # ---------------------------------------------------------------------------

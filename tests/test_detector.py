@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gbcd.constellation import draw_symbols, make_constellation
 from gbcd.counting import MultCounter
 
 from conftest import random_channel
+from datapath_reference import _gbcd_equalize_reference
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +430,27 @@ def test_batched_equalize_matches_loop(qam16, rng):
             pre, detector.matched_filter(H, Y[:, t]), 3, den)
         assert np.max(np.abs(batch.z[:, t] - single.z)) < 1e-12
         assert np.max(np.abs(batch.v_last[:, t] - single.v_last)) < 1e-12
+
+
+@pytest.mark.parametrize("T", [None, 1, 5])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_equalizer_matches_take_along_axis_reference(lead, T, qam16, rng):
+    # the flat row gathers into and out of update order against the
+    # take_along_axis permutations, float and fixed point, box and PME
+    B, U, K = 12, 6, 3
+    H = random_channel(rng, math.prod(lead) * B, U).reshape(lead + (B, U))
+    shape = lead + (B,) if T is None else lead + (B, T)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pre = detector.preprocess(H, rng.uniform(0.05, 0.2, lead))
+    y_mf = detector.matched_filter(H, y)
+    pme = denoise.pme_denoiser(qam16, [1.0, 2.0, 3.0], [0.3, 0.3, 0.35])
+    for numerics in (detector.FLOAT, hwmodel.FIXED_POINT):
+        for den in (denoise.box_denoiser(qam16), pme):
+            got = detector.gbcd_equalize(pre, y_mf, K, den, numerics=numerics)
+            want = _gbcd_equalize_reference(pre, y_mf, K, den, numerics)
+            for field in ("z", "r", "v_last"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.shape == b.shape and np.array_equal(a, b), field
 
 
 def test_detect_end_to_end_noiseless(qam16, rng):

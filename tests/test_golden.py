@@ -26,6 +26,8 @@ GOLDEN = {
         "e215e605409dcdbd3adcbc5d3c8e7a168f1de2c8b1a115d8ce743eb8e3fa9154",
     "uncoded_los_fixed":
         "c6059f217b3b09f26bb415f19cddc421c75e3df9afe525af786ed3cb697e09b5",
+    "uncoded_pme_fixed":
+        "29c96b7bd53f8cb28401a4743db7f7ff3095ca2f2b59f69b5ece0576e1a20d41",
     "ablate_los":
         "46bb3c8e41bca8abd7ed111a7c596b1db91c6f1f9d75d5e8cdd06717e48d6cdf",
 }
@@ -73,6 +75,13 @@ def outputs(tmp_path_factory):
     out["uncoded_los_fixed"] = d / "uncoded_los_fixed.csv"
     _run("simulate", "--out", str(out["uncoded_los_fixed"]), "--config", los,
          "--fixed-point")
+
+    out["uncoded_pme_fixed"] = d / "uncoded_pme_fixed.csv"
+    _run("simulate", "--out", str(out["uncoded_pme_fixed"]), "--config",
+         _write(d / "pme_fixed.json", dict(
+             SCEN, snr_db=[6.0, 12.0], condition="nonlos", uncoded=True,
+             trials=3, params_path=str(store),
+             detectors=["gbcd-box", "gbcd-pme"])), "--fixed-point")
 
     los_store = d / "los_store.json"
     unfolding.ParamStore([unfolding.TrainedParams(

@@ -521,10 +521,17 @@ def test_cli_config_error_exit_code(tmp_path):
                             "condition": "nonlos", "bogus": 1},
                "K": 2, "training": {"n_train": 40, "n_val": 40,
                                     "batch_size": 20, "max_epochs": 1}}),
+    ("simulate", base_config(snr_db=[-np.inf, float("nan")])),
+    ("simulate", base_config(snr_db=[12.0, -np.inf])),
+    ("simulate", base_config(snr_db=float("nan"), uncoded=True)),
+    ("ablate", base_config(snr_db=[-np.inf])),
+    ("simulate", base_config(snr_db=["12"])),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
         "train-missing-file", "hwmodel-missing-file", "train-K0",
         "train-snr-30", "threads-key", "chunk-size-key", "trace-csv-key",
-        "scenario-seed-key", "scenario-bogus-key"])
+        "scenario-seed-key", "scenario-bogus-key", "snr-minus-inf-and-nan",
+        "snr-minus-inf", "snr-nan-uncoded", "ablate-snr-minus-inf",
+        "snr-string"])
 def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     cfgp = tmp_path / "cfg.json"
     if cfg is not None:

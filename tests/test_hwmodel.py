@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from gbcd.constellation import make_constellation
 from gbcd.counting import MultCounter
 
 from conftest import random_channel
+from datapath_reference import (LAYOUTS, _box_denoise_reference,
+                                _pme_apply_reference, _quantize_reference,
+                                probe)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +253,36 @@ def test_quantize_complex(rng):
     assert np.array_equal(q.imag, hwmodel.quantize(z.imag, fmt))
 
 
+FORMATS = dict(hwmodel.DEFAULT_FORMATS,
+               unsigned=hwmodel.FxpFormat(8, 3, signed=False))
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("name", list(FORMATS))
+def test_quantize_matches_split_reference(name, layout, rng):
+    fmt = FORMATS[name]
+    lsb = fmt.lsb
+    steps = np.arange(-4.0, 5.0)
+    special = np.concatenate([
+        steps * lsb, (steps + 0.5) * lsb,                  # codes and ties
+        fmt.max_value + lsb * np.array([0.0, 0.5, 1.0, 1e6]),
+        fmt.min_value - lsb * np.array([0.0, 0.5, 1.0, 1e6]),
+        [1e300, -1e300, 0.0, -0.0]])
+    v = LAYOUTS[layout](probe(rng, special, scale=1.5 * fmt.max_value))
+    for x in (v, v.real):
+        before = x.copy()
+        got = hwmodel.quantize(x, fmt)
+        if x.ndim == 0 and np.iscomplexobj(x):
+            # the split reference cannot write a 0-d complex result
+            ref = _quantize_reference(x.reshape(1), fmt).reshape(())
+        else:
+            ref = _quantize_reference(x, fmt)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, x)
+
+
 # ---------------------------------------------------------------------------
 # lookup reciprocal
 
@@ -345,6 +380,35 @@ def test_fixed_point_matches_reference(Q, L):
                 assert np.array_equal(got.v_final, ref.v_final), case
                 assert np.array_equal(got.params.mu, ref.params.mu), case
                 assert np.array_equal(got.params.xi, ref.params.xi), case
+
+
+@pytest.mark.parametrize("mode", ["box", "pme"])
+def test_fixed_point_matches_frozen_datapath(mode, qam16, rng):
+    # every quantized signal and denoiser output against the split-part
+    # oracle, on a stack of channels detected in one call
+    formats = hwmodel.DEFAULT_FORMATS
+    K = 3
+    pme = denoise.pme_denoiser(qam16, np.array([1.0, 2.0, 4.0]) / qam16.scale,
+                               np.full(K, qam16.scale))
+    live, ref = {
+        "box": (None, lambda v, k: _box_denoise_reference(v, qam16)),
+        "pme": (pme, lambda v, k: _pme_apply_reference(pme, v, k)),
+    }[mode]
+    frozen = detector.Numerics(
+        lambda signal, x: _quantize_reference(x, formats[signal]),
+        hwmodel.lut_reciprocal)
+    H = np.stack([gen_channel(16, 6, "nonlos", rng).H for _ in range(3)])
+    b = [transmit(h, qam16, 7, 8.0, rng) for h in H]
+    Y = np.stack([x.Y for x in b])
+    N0 = np.array([x.N0 for x in b])
+    got, st, _ = detector.gbcd_detect(H, Y, N0, qam16, K, denoiser=live,
+                                      numerics=hwmodel.FIXED_POINT)
+    want, st_ref, _ = detector.gbcd_detect(
+        H, Y, N0, qam16, K, denoiser=SimpleNamespace(apply=ref),
+        numerics=frozen)
+    assert np.array_equal(got.llrs, want.llrs)
+    for field in ("z", "r", "v_last"):
+        assert np.array_equal(getattr(st, field), getattr(st_ref, field)), field
 
 
 def test_float_numerics_is_the_identity():
