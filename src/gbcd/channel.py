@@ -31,6 +31,7 @@ _BAND_LO = 10.0 ** (-POWER_BAND_DB / 10.0)
 _BAND_HI = 10.0 ** (POWER_BAND_DB / 10.0)
 _BAND_RATIO = 10 ** (2 * POWER_BAND_DB / 10.0) * (1 + 1e-12)
 _SQRT2 = np.sqrt(2.0)
+_ANGLE_SPAN_DEG = 120.0   # LOS UE angles are drawn uniformly over +/- 60 deg
 
 _MAGIC = b"CPLXMAT\x00"
 
@@ -80,11 +81,25 @@ def steering_vector(B: int, theta_rad: float | np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * n * np.sin(theta)[None, :])
 
 
-def _draw_angles(U: int, rng: np.random.Generator, min_sep_deg: float,
-                 span_deg: float = 120.0) -> np.ndarray:
-    if U * min_sep_deg >= span_deg:
-        raise ValueError("cannot place UEs with the requested angular separation")
-    half = span_deg / 2.0
+def _check_angle_separation(U: int, min_sep_deg: float) -> None:
+    if not (min_sep_deg >= 0.0 and U * min_sep_deg < _ANGLE_SPAN_DEG):
+        raise ValueError(f"cannot place U={U} UEs min_sep_deg={min_sep_deg} "
+                         f"apart: need 0 <= U * min_sep_deg < "
+                         f"{_ANGLE_SPAN_DEG:g} deg")
+
+
+def check_los_params(U: int, k_factor: float, min_sep_deg: float) -> None:
+    """Raise ValueError unless the Rician K-factor is >= 0 (inf: pure LOS)
+    and U angles ``min_sep_deg`` apart fit in the LOS angular sector."""
+    if not k_factor >= 0.0:
+        raise ValueError(f"k_factor must be >= 0 or Infinity, got {k_factor}")
+    _check_angle_separation(U, min_sep_deg)
+
+
+def _draw_angles(U: int, rng: np.random.Generator,
+                 min_sep_deg: float) -> np.ndarray:
+    _check_angle_separation(U, min_sep_deg)
+    half = _ANGLE_SPAN_DEG / 2.0
     for _ in range(1000):
         deg = rng.uniform(-half, half, size=U)
         if U == 1:

@@ -8,6 +8,7 @@ stage replace full alphabet scans with sqrt(Q)-point scans per axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,13 +56,23 @@ class Constellation:
         """Half-width of the clipping box enclosing the alphabet."""
         return float(self.pam_points[-1])
 
+    @functools.cached_property
+    def _pam_bit_subsets(self) -> tuple:
+        """Per axis bit: read-only indices into pam_points with that bit 0 / 1."""
+        g = _gray(self.n_pam)
+        subsets = []
+        for shift in range(self.axis_bits - 1, -1, -1):
+            mask = (g >> shift) & 1
+            pair = np.flatnonzero(mask == 0), np.flatnonzero(mask == 1)
+            for cols in pair:
+                cols.flags.writeable = False
+            subsets.append(pair)
+        return tuple(subsets)
+
     def pam_bit_indices(self, axis_bit: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices into pam_points whose Gray label has the given axis bit
-        equal to 0 / 1."""
-        g = _gray(self.n_pam)
-        shift = self.axis_bits - 1 - axis_bit
-        mask = (g >> shift) & 1
-        return np.flatnonzero(mask == 0), np.flatnonzero(mask == 1)
+        equal to 0 / 1 (read-only, computed once per constellation)."""
+        return self._pam_bit_subsets[axis_bit]
 
     def pam_bit_values(self, axis_bit: int) -> tuple[np.ndarray, np.ndarray]:
         """PAM levels whose Gray label has the given axis bit equal to 0 / 1."""

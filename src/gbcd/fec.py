@@ -180,22 +180,16 @@ def _butterfly_signs():
     return sgn[0, :_HALF, 0, None], sgn[1, :_HALF, 0, None]
 
 
-def _offset_rows():
-    """(2, 32, 2) rows of the table [s, d, -d, -s] (s = l0 + l1,
-    d = l0 - l1) holding the offset m[2k + j] receives on its way to
-    successor k + 32*c: +bm for j == c and -bm otherwise, where butterfly k's
-    branch metric bm = l0*SA[k] + l1*SB[k] sits in row 2*(SA < 0) + (SB < 0).
-    Negation and rounding are symmetric in IEEE arithmetic, so each row
-    holds bm or -bm exactly, up to the sign of a zero."""
+def _metric_rows():
+    """(32,) row of butterfly k's branch metric bm = l0*SA[k] + l1*SB[k] in
+    the table [s, d, -d, -s] (s = l0 + l1, d = l0 - l1): 2*(SA < 0) + (SB < 0).
+    Negation and rounding are symmetric in IEEE arithmetic, so the row holds
+    bm exactly, up to the sign of a zero."""
     sa, sb = _butterfly_signs()
-    row = 2 * (sa[:, 0] < 0) + (sb[:, 0] < 0)
-    rows = np.empty((2, _HALF, 2), dtype=np.intp)
-    rows[0, :, 0] = rows[1, :, 1] = row
-    rows[0, :, 1] = rows[1, :, 0] = 3 - row
-    return rows
+    return 2 * (sa[:, 0] < 0) + (sb[:, 0] < 0)
 
 
-_OFFSET_ROWS = _offset_rows()
+_METRIC_ROWS = _metric_rows()
 _CHUNK = 8                       # trellis steps per branch-metric/decision chunk
 # multiplying 8 bytes of 0/1 by this puts byte j's bit at bit 56 + j
 _PACK_BYTE = np.uint64(0x0102040810204080)
@@ -205,26 +199,36 @@ def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
     """Max-log Viterbi over (n_blocks, n_steps, 2) LLR pairs; zero-state
     start and end (terminated blocks). Returns decoded inputs (n_blocks, n_steps).
 
-    Radix-2 butterflies over metrics laid out (state, block). Butterfly k has
-    the branch metric bm = l0*SA[k] + l1*SB[k]; its successors take
-    new[k] = max(m[2k] + bm, m[2k+1] - bm) and
-    new[k+32] = max(m[2k] - bm, m[2k+1] + bm), choosing 2k+1 only when its
-    candidate is strictly larger. Each step gathers its candidate offsets
-    from a per-step table [s, d, -d, -s] and takes one add, one compare and
-    one maximum, so every survivor equals that of a per-state argmax over
-    both predecessors. Decisions are packed to one 64-bit word per step and
-    block, and the traceback steps back with
+    Radix-2 butterflies over metrics laid out (parity, state // 2, block), so
+    the even predecessors 2k and the odd ones 2k+1 are each contiguous.
+    Butterfly k has the branch metric b = l0*SA[k] + l1*SB[k]; its successors
+    take new[k] = max(m[2k] + b, m[2k+1] - b) and
+    new[k+32] = max(m[2k] - b, m[2k+1] + b), choosing 2k+1 only when its
+    candidate is strictly larger. Each step gathers b from a per-chunk table
+    [s, d, -d, -s], forms the four candidate planes with two adds and two
+    subtracts, then takes one compare and one maximum, whose output lands
+    back in the (parity, state // 2) layout through a strided view. IEEE
+    subtraction is addition of the negation, so every survivor equals that
+    of a per-state argmax over both predecessors. Decisions are written
+    state-major, transposed once per chunk, and packed to one 64-bit word per
+    step and block; the traceback steps back with
     state = 2*(state % 32) + decision bit.
     """
     nb, n_steps, _ = llr_pairs.shape
-    metric = np.full((_N_STATES, nb), -1e30)
-    metric[0] = 0.0
-    pairs = metric.reshape(_HALF, 2, nb)      # predecessors 2k, 2k+1
-    new = metric.reshape(2, _HALF, nb)        # successors k, k+32
+    metric = np.full((2, _HALF, nb), -1e30)   # [j, k] holds state 2k + j
+    metric[0, 0] = 0.0
+    even, odd = metric
+    # successor k + 32*c, k = 2h + j, as [c, h, j] of the same memory
+    new = metric.transpose(1, 0, 2).reshape(2, _HALF // 2, 2, nb)
     table = np.empty((_CHUNK, 4, nb))         # s, d, -d, -s per step
-    cand = np.empty((2, _HALF, 2, nb))        # successor half, k, j
+    bm = np.empty((_HALF, nb))
+    cand = np.empty((2, 2, _HALF, nb))        # [j, c, k]: 2k + j -> k + 32c
+    from_even, from_odd = cand
+    (even_lo, even_hi), (odd_lo, odd_hi) = cand
+    even_chj, odd_chj = cand.reshape(2, 2, _HALF // 2, 2, nb)   # indexed as new
+    dec_by_state = np.empty((_CHUNK, _N_STATES, nb), dtype=bool)
+    step_dec = dec_by_state.reshape(_CHUNK, 2, _HALF, nb)
     dec = np.empty((_CHUNK, nb, _N_STATES), dtype=bool)   # state-minor
-    dec_by_state = dec.transpose(0, 2, 1).reshape(_CHUNK, 2, _HALF, nb)
     packed = np.empty((_CHUNK, nb, _N_STATES // 8), dtype=np.uint64)
     words = np.empty((n_steps, nb), dtype="<u8")
     l0 = llr_pairs[:, :, 0].T
@@ -236,10 +240,15 @@ def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
         np.subtract(l0[steps], l1[steps], out=table[:n, 1])
         np.negative(table[:n, 1::-1], out=table[:n, 2:])
         for i in range(n):
-            np.take(table[i], _OFFSET_ROWS, axis=0, out=cand)
-            np.add(cand, pairs, out=cand)
-            np.greater(cand[:, :, 1], cand[:, :, 0], out=dec_by_state[i])
-            np.maximum(cand[:, :, 0], cand[:, :, 1], out=new)
+            # the rows are valid; mode="raise" would buffer `out`
+            np.take(table[i], _METRIC_ROWS, axis=0, out=bm, mode="clip")
+            np.add(even, bm, out=even_lo)
+            np.subtract(even, bm, out=even_hi)
+            np.subtract(odd, bm, out=odd_lo)
+            np.add(odd, bm, out=odd_hi)
+            np.greater(from_odd, from_even, out=step_dec[i])
+            np.maximum(even_chj, odd_chj, out=new)
+        np.copyto(dec[:n], dec_by_state[:n].transpose(0, 2, 1))
         # bool bytes are 0/1: each group of 8 states packs into one byte
         np.multiply(dec[:n].view("<u8"), _PACK_BYTE, out=packed[:n])
         np.right_shift(packed[:n], np.uint64(56), out=packed[:n])

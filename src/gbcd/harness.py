@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, denoise, detector, fec, hwmodel, unfolding
-from .channel import (CONDITIONS, apply_channel, gen_channel, is_noiseless,
-                      noise_variance_for_snr)
+from .channel import (CONDITIONS, apply_channel, check_los_params, gen_channel,
+                      is_noiseless, noise_variance_for_snr)
 from .constellation import (SUPPORTED_ORDERS, hard_decision_indices,
                             make_constellation, symbol_indices_from_bits)
 
@@ -147,6 +147,10 @@ class ExperimentConfig:
                                   f"(noiseless), got {snr!r}") from e
         if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
             raise ConfigError("T must be divisible by coherence_groups")
+        try:
+            check_los_params(self.U, self.k_factor, self.min_sep_deg)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(str(e)) from e
         check_design(self.B, self.U, self.Q, self.condition, self.K,
                      [DETECTOR_SPECS[d]["L"] for d in self.detectors
                       if DETECTOR_SPECS[d]["kind"] == "gbcd"])

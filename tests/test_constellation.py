@@ -41,6 +41,20 @@ def test_gray_adjacency_per_axis(order):
         assert bin(gray[i] ^ gray[i + 1]).count("1") == 1
 
 
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_pam_bit_indices_follow_real_axis_labels(order):
+    # the real-axis PAM level i sits at points[i * n_pam]; its axis bit j is
+    # label bit j of that point
+    c = make_constellation(order)
+    for j in range(c.axis_bits):
+        axis_labels = c.bit_labels[::c.n_pam, j]
+        i0, i1 = c.pam_bit_indices(j)
+        assert np.array_equal(i0, np.flatnonzero(axis_labels == 0))
+        assert np.array_equal(i1, np.flatnonzero(axis_labels == 1))
+        assert c.pam_bit_indices(j)[0] is i0             # computed once
+        assert not (i0.flags.writeable or i1.flags.writeable)
+
+
 def test_qpsk_normalizer():
     c = make_constellation(4)
     assert np.allclose(c.pam_points / c.scale, [-1.0, 1.0])

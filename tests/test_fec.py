@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,36 @@ def test_butterfly_decoder_uneven_chunks(rng):
     for n_steps in (1, fec._CHUNK - 1, fec._CHUNK, fec._CHUNK + 1, 7 * fec._CHUNK + 3):
         pairs = rng.standard_normal((5, n_steps, 2))
         assert np.array_equal(fec._viterbi_batch(pairs), _viterbi_reference(pairs))
+
+
+@pytest.mark.parametrize("n_blocks", [128, 130])
+@pytest.mark.parametrize("kind", ["float", "integer", "zero"])
+def test_butterfly_decoder_matches_reference_at_design_size(kind, n_blocks, rng):
+    # a full decode group, and one past it, over an uneven last chunk
+    shape = (n_blocks, 483, 2)
+    if kind == "float":
+        pairs = 3.0 * rng.standard_normal(shape)
+    elif kind == "integer":
+        pairs = rng.integers(-2, 3, shape).astype(np.float64)
+    else:
+        pairs = np.zeros(shape)
+    assert np.array_equal(fec._viterbi_batch(pairs), _viterbi_reference(pairs))
+
+
+def test_decode_batch_memory_peak(rng):
+    # 128 blocks x 960 rate-1/2 LLRs, a full decode group at 256-QAM: the
+    # traced peak stays within 128 KB of the 971 KB the gather-based
+    # decoder held
+    cfg = make_cfg("1/2", n_coded=960)
+    llrs = 3.0 * rng.standard_normal((128, cfg.n_coded))
+    fec.decode_batch(llrs[:2], cfg)
+    tracemalloc.start()
+    try:
+        fec.decode_batch(llrs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (971 + 128) * 1024
 
 
 def test_generators_must_tap_newest_and_oldest_bit(monkeypatch):

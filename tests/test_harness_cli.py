@@ -526,12 +526,19 @@ def test_cli_config_error_exit_code(tmp_path):
     ("simulate", base_config(snr_db=float("nan"), uncoded=True)),
     ("ablate", base_config(snr_db=[-np.inf])),
     ("simulate", base_config(snr_db=["12"])),
+    ("simulate", base_config(condition="los", k_factor=-0.5)),
+    ("simulate", base_config(condition="los", k_factor=float("nan"))),
+    ("simulate", base_config(condition="los", min_sep_deg=90.0)),
+    ("simulate", base_config(condition="los", min_sep_deg=float("nan"))),
+    ("simulate", base_config(condition="los", min_sep_deg=-1.0)),
+    ("simulate", base_config(condition="los", U=4, min_sep_deg=30.0)),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
         "train-missing-file", "hwmodel-missing-file", "train-K0",
         "train-snr-30", "threads-key", "chunk-size-key", "trace-csv-key",
         "scenario-seed-key", "scenario-bogus-key", "snr-minus-inf-and-nan",
         "snr-minus-inf", "snr-nan-uncoded", "ablate-snr-minus-inf",
-        "snr-string"])
+        "snr-string", "los-k-negative", "los-k-nan", "los-sep-90",
+        "los-sep-nan", "los-sep-negative", "los-sep-at-span"])
 def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     cfgp = tmp_path / "cfg.json"
     if cfg is not None:
