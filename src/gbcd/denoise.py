@@ -11,8 +11,12 @@ Three denoisers are provided:
   rescales it by the constellation scale factor.
 
 Both piecewise denoisers and the per-bit distance maps can be rendered as
-slope/bias lookup tables (``PlmTable``), the evaluation form used by the
-fixed-point model.
+slope/bias lookup tables (``PlmTable``); ``PmeDenoiser`` evaluates its
+iterations through them.
+
+The max-log soft outputs take each Gray bit's minima over the distances of
+``_gray_subsets``; the deep-unfolding trainer takes its metric and argmins
+from the same pass.
 
 LLR sign convention, fixed package-wide: positive LLR means bit 1 is more
 likely; ``llr_to_prob`` maps LLR to P(bit = 1).
@@ -22,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
@@ -307,22 +313,33 @@ class SoftOutput:
     flags: dict = field(default_factory=dict)
 
 
-def _axis_llrs(x: np.ndarray, mu: np.ndarray, const: Constellation):
-    """Per-axis bit metrics for every axis bit; x is (..., U) or (..., U, T)
-    with gains mu (..., U).
+def _gray_subsets(x: np.ndarray, mu: np.ndarray, const: Constellation,
+                  reduce):
+    """Per axis bit, in order, the pair ``(reduce(d0, i0), reduce(d1, i1))``:
+    d0 and d1 are the squared distances of x to the gain-scaled PAM levels
+    of the bit's Gray subsets 0 and 1, and i0 and i1 those subsets'
+    ``pam_points`` indices. x is (..., U) or (..., U, T) with gains mu
+    (..., U); d0 and d1 are x's shape plus the subset size.
 
-    The (..., sqrt Q) distances to the gain-scaled PAM levels are computed
-    once; each bit takes its two minima over the column subsets of its
-    Gray labels.
+    This is the max-log stage's one distance pass: the LLRs reduce each
+    subset to its min, the trainer to its argmin as well. The distances to
+    all sqrt(Q) levels are computed once; the pairs are generated lazily
+    and each subset's copy lives only for its ``reduce`` call.
     """
     mu_b = mu[..., None] if x.ndim > mu.ndim else mu
     dist = x[..., None] - mu_b[..., None] * const.pam_points
     np.square(dist, out=dist)
-    out = []
     for j in range(const.axis_bits):
-        i0, i1 = const.pam_bit_indices(j)
-        out.append(dist[..., i0].min(axis=-1) - dist[..., i1].min(axis=-1))
-    return out
+        yield tuple(reduce(dist[..., cols], cols)
+                    for cols in const.pam_bit_indices(j))
+
+
+def _axis_llrs(x: np.ndarray, mu: np.ndarray, const: Constellation):
+    """Per-axis bit metrics min d0 - min d1 for every axis bit; shapes as in
+    ``_gray_subsets``. ``starmap`` drops each bit's two minima before the
+    next bit's are taken."""
+    return list(starmap(operator.sub, _gray_subsets(
+        x, mu, const, lambda d, _: d.min(axis=-1))))
 
 
 def compute_llrs_with_params(v_final: np.ndarray, params: LlrParams,

@@ -145,6 +145,8 @@ class ExperimentConfig:
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"snr_db must hold numbers or +Infinity "
                                   f"(noiseless), got {snr!r}") from e
+        if self.T < 1:
+            raise ConfigError(f"T must be >= 1, got {self.T}")
         if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
             raise ConfigError("T must be divisible by coherence_groups")
         try:

@@ -11,8 +11,11 @@ differentiate through the argmin branch).
 The forward pass is ``detector.gbcd_equalize`` on the stack of samples, with
 a denoiser that evaluates both axes in one clipped-ramp pass and records the
 block estimates, and the LLR gains of ``denoise.LlrParams.from_gram``. The
-backward pass evaluates the ramps' reductions once per outer iteration and
-runs in the equalizer's update order, where each block is a slice.
+max-log metric takes each Gray bit's subset minima, and the argmins the
+backward pass needs, from ``denoise._gray_subsets``, the distance pass
+behind the detectors' LLRs, so the stage exists once. The backward pass
+evaluates the ramps' reductions once per outer iteration and runs in
+the equalizer's update order, where each block is a slice.
 
 Positivity is enforced by reparameterization: slopes and spacings live in
 the log domain, the normalizer in the softplus domain.
@@ -27,11 +30,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import detector
+from . import denoise, detector
 from .channel import (gen_channel, is_noiseless, noise_variance_for_snr,
                       receive, unit_normals)
 from .constellation import Constellation, make_constellation
-from .denoise import LlrParams
 
 LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
 PREPROCESS_SLICE = 256       # samples stacked per preprocessing call
@@ -174,38 +176,13 @@ def _plm_forward(x: np.ndarray, rho: float, beta: float, offsets: np.ndarray):
     return out, cnt, svb, s2t
 
 
-def _subset_min(diff: np.ndarray, d2: np.ndarray, pam: np.ndarray,
-                cols: np.ndarray):
-    """Min squared distance over the PAM columns ``cols``, with the residual
-    and level at the argmin."""
-    idx = cols[np.argmin(d2[..., cols], axis=-1)]
-    dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
-    e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
-    return dmin, e, pam[idx]
-
-
-def _axis_minima(x: np.ndarray, mu: np.ndarray, const: Constellation):
-    """Per Gray bit of one axis: the metric d0 - d1 and the argmin residuals
-    and levels the backward pass needs.
-
-    The (..., sqrt Q) distances to the gain-scaled PAM levels are computed
-    once; each bit takes its minima over the column subsets of its labels.
-    """
-    pam = const.pam_points
-    diff = x[..., None] - mu[..., None] * pam
-    d2 = diff ** 2
-    metrics, mins = [], []
-    for j in range(const.axis_bits):
-        i0, i1 = const.pam_bit_indices(j)
-        d0, e0, a0 = _subset_min(diff, d2, pam, i0)
-        d1, e1, a1 = _subset_min(diff, d2, pam, i1)
-        metrics.append(d0 - d1)
-        mins.append((e0, a0, e1, a1))
-    return metrics, mins
-
-
 def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
                       batch: TrainBatch, K: int, want_cache: bool):
+    for name, p in (("slope", rho), ("half-spacing", beta)):
+        if p.size != K:
+            raise ValueError(f"need {K} {name} parameters, got {p.size}")
+    if batch.n == 0:
+        raise ValueError("empty batch")
     const = batch.const
     gamma = const.n_pam // 2 - 1
     offsets = np.arange(-gamma, gamma + 1, dtype=np.float64)
@@ -226,15 +203,22 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
                                      SimpleNamespace(apply=apply)).v_last
 
     # soft-output stage (unit symbol energy throughout the package)
-    gains = LlrParams.from_gram(batch.G, alpha)
+    gains = denoise.LlrParams.from_gram(batch.G, alpha)
     mu = gains.mu
     inv_xi = 1.0 / gains.xi
 
+    # per Gray bit: the metric d0 - d1, and the residual x - mu a and level a
+    # at each subset's argmin for the backward pass
+    def argmin(d, cols):
+        i = np.argmin(d, axis=-1)
+        return (np.take_along_axis(d, i[..., None], axis=-1)[..., 0],
+                const.pam_points[cols[i]])
+
     metrics, mins = [], []
-    for axis_vals in (v_final.real, v_final.imag):
-        axis_metrics, axis_mins = _axis_minima(axis_vals, mu, const)
-        metrics += axis_metrics
-        mins += axis_mins
+    for ax in (v_final.real, v_final.imag):
+        for (d0, a0), (d1, a1) in denoise._gray_subsets(ax, mu, const, argmin):
+            metrics.append(d0 - d1)
+            mins.append((ax - mu * a0, a0, ax - mu * a1, a1))
     metric = np.stack(metrics, axis=-1)          # (n, U, m) [re bits, im bits]
     llr = metric * inv_xi[..., None]
 
@@ -268,10 +252,6 @@ def _params_arrays(params) -> tuple[np.ndarray, np.ndarray, float]:
 def forward_loss(params, batch: TrainBatch, K: int) -> float:
     """Mean over the batch of the per-transmission bitwise BCE."""
     rho, beta, alpha = _params_arrays(params)
-    if rho.size != K:
-        raise ValueError(f"need {K} slope parameters, got {rho.size}")
-    if batch.n == 0:
-        raise ValueError("empty batch")
     loss, _ = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=False)
     return loss
 
@@ -367,17 +347,15 @@ def forward_diagnostics(params, batch: TrainBatch, K: int) -> dict:
         pre = rho[k] * (c["x"][:, k, ..., None] + 2.0 * beta[k] * c["offsets"])
         kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
     # gap between the two smallest distances of each bit's label subset
-    const = batch.const
-    pam = const.pam_points
-    argmin_gap = np.inf
-    for ax in (c["v_final"].real, c["v_final"].imag):
-        d2 = (ax[..., None] - c["mu"][..., None] * pam) ** 2
-        for j in range(const.axis_bits):
-            for cols in const.pam_bit_indices(j):
-                if cols.size > 1:
-                    two = np.partition(d2[..., cols], 1, axis=-1)
-                    argmin_gap = min(argmin_gap, float(np.min(
-                        two[..., 1] - two[..., 0])))
+    def gap(d, cols):
+        if cols.size == 1:
+            return np.inf
+        two = np.partition(d, 1, axis=-1)
+        return float(np.min(two[..., 1] - two[..., 0]))
+
+    argmin_gap = min(min(pair) for ax in (c["v_final"].real, c["v_final"].imag)
+                     for pair in denoise._gray_subsets(ax, c["mu"], batch.const,
+                                                       gap))
     sgn = 1.0 - 2.0 * c["X"]
     cap_distance = float(np.min(np.abs(sgn * c["llr"] - LOSS_CAP)))
     return {"min_kink_distance": kink,
@@ -405,6 +383,12 @@ class TrainConfig:
                                      # initial denoiser identical to the box
     init_beta: float | None = None   # defaults to the constellation scale
     init_alpha: float | None = None  # defaults to the median N0 of the set
+
+    def __post_init__(self):
+        for name in ("n_train", "n_val", "batch_size", "L"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
 
 
 class _Adam:

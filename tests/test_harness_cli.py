@@ -532,13 +532,16 @@ def test_cli_config_error_exit_code(tmp_path):
     ("simulate", base_config(condition="los", min_sep_deg=float("nan"))),
     ("simulate", base_config(condition="los", min_sep_deg=-1.0)),
     ("simulate", base_config(condition="los", U=4, min_sep_deg=30.0)),
+    ("simulate", base_config(T=0, uncoded=True)),
+    ("simulate", base_config(T=-4, uncoded=True)),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
         "train-missing-file", "hwmodel-missing-file", "train-K0",
         "train-snr-30", "threads-key", "chunk-size-key", "trace-csv-key",
         "scenario-seed-key", "scenario-bogus-key", "snr-minus-inf-and-nan",
         "snr-minus-inf", "snr-nan-uncoded", "ablate-snr-minus-inf",
         "snr-string", "los-k-negative", "los-k-nan", "los-sep-90",
-        "los-sep-nan", "los-sep-negative", "los-sep-at-span"])
+        "los-sep-nan", "los-sep-negative", "los-sep-at-span",
+        "T-zero-uncoded", "T-negative-uncoded"])
 def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     cfgp = tmp_path / "cfg.json"
     if cfg is not None:
@@ -547,6 +550,24 @@ def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["n_train", "n_val", "batch_size", "L"])
+def test_cli_train_size_below_one_exits_2_and_writes_no_store(key, tmp_path):
+    training = {"n_train": 40, "n_val": 40, "batch_size": 20,
+                "max_epochs": 1, key: 0}
+    cfgp = tmp_path / "train.json"
+    cfgp.write_text(json.dumps({
+        "scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                     "condition": "nonlos"},
+        "K": 2, "training": training}))
+    store = tmp_path / "params.json"
+    proc = run_cli("train", "--config", str(cfgp), "--out", str(store))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert f"{key} must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not store.exists()
 
 
 def test_cli_overrides_are_validated(tmp_path):

@@ -14,9 +14,10 @@ N = 5   # channels per stack
 K = 3
 
 
-def _stack(Q, U, T):
+def _stack(Q, U, T, dup=None):
     """N channels (N, 2U, U) with their own noise variances; T = 1 gives
-    one receive vector (N, 2U) per channel, otherwise a block (N, 2U, T)."""
+    one receive vector (N, 2U) per channel, otherwise a block (N, 2U, T).
+    In channel ``dup``, if given, UE 1 shares UE 0's column."""
     rng = np.random.default_rng([Q, U, T])
     const = make_constellation(Q)
     B = 2 * U
@@ -25,6 +26,8 @@ def _stack(Q, U, T):
     N0 = np.empty(N)
     for n in range(N):
         H[n] = gen_channel(B, U, "nonlos", rng).H
+        if n == dup:
+            H[n, :, 1] = H[n, :, 0]
         N0[n] = noise_variance_for_snr(H[n], rng.uniform(0.0, 20.0))
         idx = rng.integers(0, Q, size=(U, T))
         Y[n] = apply_channel(H[n], const.points[idx], N0[n], rng)
@@ -61,12 +64,9 @@ def _assert_soft_equal(got, want):
                               getattr(want.params, field)), field
 
 
-@pytest.mark.parametrize("T", [1, 120])
-@pytest.mark.parametrize("U", [4, 16])
-@pytest.mark.parametrize("Q", [4, 16, 64, 256])
-@pytest.mark.parametrize("name", DETECTORS)
-def test_stack_equals_per_channel_detection(name, Q, U, T):
-    const, H, Y, N0 = _stack(Q, U, T)
+def _assert_stack_equals_per_channel(name, const, H, Y, N0):
+    U = H.shape[-1]
+    T = 1 if Y.ndim == 2 else Y.shape[-1]
     detect = DETECTORS[name]
     c_stack = MultCounter()
     soft = detect(H, Y, N0, const, c_stack)
@@ -81,6 +81,28 @@ def test_stack_equals_per_channel_detection(name, Q, U, T):
                               soft.params.xi_floored[n]))
         _assert_soft_equal(stacked, one)
     assert c_stack.total == N * c_one.total
+
+
+@pytest.mark.parametrize("T", [1, 120])
+@pytest.mark.parametrize("U", [4, 6, 16])
+@pytest.mark.parametrize("Q", [4, 16, 64, 256])
+@pytest.mark.parametrize("name", DETECTORS)
+def test_stack_equals_per_channel_detection(name, Q, U, T):
+    _assert_stack_equals_per_channel(name, *_stack(Q, U, T))
+
+
+@pytest.mark.parametrize("T", [1, 120])
+@pytest.mark.parametrize("Q", [4, 16, 64, 256])
+@pytest.mark.parametrize("name", DETECTORS)
+def test_stack_with_regularized_block_equals_per_channel_detection(name, Q,
+                                                                   T):
+    const, H, Y, N0 = _stack(Q, 4, T, dup=2)
+    # UEs 0 and 1 of channel 2 tie on the largest reciprocal SINR, so the
+    # sort puts them in that channel's last 2x2 block, which is singular
+    pre = detector.preprocess(H, N0)
+    assert pre.regularized == [2 * 2 + 1]   # flat index: channel 2, block 1
+    assert sorted(pre.blocks[2, -1]) == [0, 1]
+    _assert_stack_equals_per_channel(name, const, H, Y, N0)
 
 
 def test_default_alpha_is_per_channel_noise():

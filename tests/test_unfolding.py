@@ -183,6 +183,28 @@ def test_forward_loss_validates_inputs(rng):
                                 "alpha": 0.1}, batch, 3)
 
 
+@pytest.mark.parametrize("fn", [unfolding.forward_loss, unfolding.grad,
+                                unfolding.forward_diagnostics],
+                         ids=["forward_loss", "grad", "forward_diagnostics"])
+@pytest.mark.parametrize("case, match", [
+    ("rho-4", "need 3 slope parameters, got 4"),
+    ("beta-4", "need 3 half-spacing parameters, got 4"),
+    ("beta-2", "need 3 half-spacing parameters, got 2"),
+    ("empty", "empty batch"),
+], ids=["rho-4", "beta-4", "beta-2", "empty"])
+def test_trainer_entry_points_check_arguments(fn, case, match, rng):
+    batch, const = small_batch(rng, n=3)
+    params = rand_params(rng, 3, const)
+    if case == "empty":
+        batch = unfolding.TrainBatch(
+            const, *(getattr(batch, f)[:0] for f in BATCH_FIELDS))
+    else:
+        name, size = case.split("-")
+        params[name] = np.full(int(size), params[name][0])
+    with pytest.raises(ValueError, match=match):
+        fn(params, batch, 3)
+
+
 # ---------------------------------------------------------------------------
 # gradient
 
@@ -227,25 +249,13 @@ def test_gradient_matches_finite_differences(rng):
     assert checked >= 20
 
 
-def _axis_min_per_bit(x, mu, pam_subset):
-    """Distances to one Gray bit's PAM subset, built for that bit alone."""
-    diff = x[..., None] - mu[..., None] * pam_subset
-    d2 = diff ** 2
-    idx = np.argmin(d2, axis=-1)
-    dmin = np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
-    e = np.take_along_axis(diff, idx[..., None], axis=-1)[..., 0]
-    return dmin, e, pam_subset[idx]
-
-
-def _axis_minima_per_bit(x, mu, const):
-    metrics, mins = [], []
+def _gray_subsets_per_bit(x, mu, const, reduce):
+    """The shared distance pass with each Gray bit's subset distances built
+    for that bit alone."""
     for j in range(const.axis_bits):
-        pam0, pam1 = const.pam_bit_values(j)
-        d0, e0, a0 = _axis_min_per_bit(x, mu, pam0)
-        d1, e1, a1 = _axis_min_per_bit(x, mu, pam1)
-        metrics.append(d0 - d1)
-        mins.append((e0, a0, e1, a1))
-    return metrics, mins
+        yield tuple(reduce((x[..., None] - mu[..., None]
+                            * const.pam_points[cols]) ** 2, cols)
+                    for cols in const.pam_bit_indices(j))
 
 
 @pytest.mark.parametrize("Q", [4, 16, 64, 256])
@@ -256,13 +266,21 @@ def test_forward_and_grad_match_per_bit_distances(Q, monkeypatch):
     loss = unfolding.forward_loss(params, batch, 3)
     loss_g, g = unfolding.grad(params, batch, 3)
     diag = unfolding.forward_diagnostics(params, batch, 3)
-    monkeypatch.setattr(unfolding, "_axis_minima", _axis_minima_per_bit)
+    calls = []
+
+    def per_bit(x, mu, const, reduce):
+        calls.append(x.shape)
+        return _gray_subsets_per_bit(x, mu, const, reduce)
+
+    monkeypatch.setattr(denoise, "_gray_subsets", per_bit)
     assert loss == unfolding.forward_loss(params, batch, 3)
     ref_loss, ref_g = unfolding.grad(params, batch, 3)
     assert loss_g == ref_loss
     for name in ("rho", "beta", "alpha"):
         assert np.array_equal(g[name], ref_g[name]), name
     assert diag == unfolding.forward_diagnostics(params, batch, 3)
+    # both axes in each forward pass, and again for the diagnostics' gaps
+    assert calls == [(16, 4)] * 8
 
 
 # the gradient as it was computed before the backward pass ran in update
