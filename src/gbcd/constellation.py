@@ -139,12 +139,37 @@ def hard_decision_indices(const: Constellation, v: np.ndarray,
     """Nearest-symbol decision per axis against the gain-scaled PAM grid.
 
     `gain` broadcasts against `v` (per-UE channel gains, typically mu).
+    Per axis value x the index is the first i minimizing |x - g a_i| over
+    the ascending levels a_i, found without an argmin: for g >= 0 the
+    differences s_i = x - g a_i are nonincreasing in i, because IEEE
+    rounding is monotone, so the first minimizer is the count of s_i above
+    m = min_j |s_j|, and s_i > m holds exactly when s_i > 0 and
+    |s_i| > m. A negative gain is folded into x: -x - |g| a_i is exactly
+    -s_i, with the same magnitudes. The count equals the argmin for every
+    x and gain, NaN and infinities included, except when x is infinite and
+    some g a_i overflows (only there can s mix NaN with numbers).
     """
     v = np.asarray(v)
     g = np.asarray(gain, dtype=np.float64)
+    shape = np.broadcast_shapes(v.shape, g.shape)
+    g = np.broadcast_to(g, shape)
+    sign = np.where(g < 0, -1.0, 1.0)
+    g_abs = np.abs(g).reshape(-1)
+    levels = const.pam_points[:, None]
 
     def nearest(axis):
-        d = axis[..., None] - g[..., None] * const.pam_points
-        return np.argmin(np.abs(d, out=d), axis=-1)
+        # level-major (sqrt Q, size), one float buffer alive at a time: the
+        # product is remade per axis, as a second buffer of this size costs
+        # more in allocation than the product (README, "Hard decisions")
+        s = np.multiply(levels, g_abs)
+        np.subtract(np.multiply(axis, sign).reshape(-1), s, out=s)
+        above = s > 0
+        np.abs(s, out=s)
+        above &= s > np.minimum.reduce(s, axis=0)
+        # at most sqrt(Q) - 1 <= 15 levels lie above: uint8 counts exactly
+        return np.add.reduce(above.view(np.uint8), axis=0, dtype=np.uint8)
 
-    return nearest(v.real) * const.n_pam + nearest(v.imag)
+    idx = nearest(v.real).astype(np.intp)
+    idx *= const.n_pam
+    idx += nearest(v.imag)
+    return idx.reshape(shape)

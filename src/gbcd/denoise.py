@@ -16,7 +16,12 @@ iterations through them.
 
 The max-log soft outputs take each Gray bit's minima over the distances of
 ``_gray_subsets``; the deep-unfolding trainer takes its metric and argmins
-from the same pass.
+from the same pass. The distances are level-major, (sqrt Q,) + x.shape, so
+a subset's minimum is an elementwise reduce over whole planes rather than a
+scan along a trailing axis only sqrt(Q) = 2..16 long; the hard decisions of
+``constellation.hard_decision_indices`` are level-major for the same
+reason, and count the levels above the nearest one instead of taking an
+argmin (exact because x - g a is monotone in the level).
 
 LLR sign convention, fixed package-wide: positive LLR means bit 1 is more
 likely; ``llr_to_prob`` maps LLR to P(bit = 1).
@@ -317,20 +322,22 @@ def _gray_subsets(x: np.ndarray, mu: np.ndarray, const: Constellation,
                   reduce):
     """Per axis bit, in order, the pair ``(reduce(d0, i0), reduce(d1, i1))``:
     d0 and d1 are the squared distances of x to the gain-scaled PAM levels
-    of the bit's Gray subsets 0 and 1, and i0 and i1 those subsets'
-    ``pam_points`` indices. x is (..., U) or (..., U, T) with gains mu
-    (..., U); d0 and d1 are x's shape plus the subset size.
+    of the bit's Gray subsets 0 and 1, level-major, and i0 and i1 those
+    subsets' ``pam_points`` indices. x is (..., U) or (..., U, T) with gains
+    mu (..., U); d0 and d1 are the subset size plus x's shape, so a reduce
+    over the levels runs along axis 0.
 
     This is the max-log stage's one distance pass: the LLRs reduce each
     subset to its min, the trainer to its argmin as well. The distances to
-    all sqrt(Q) levels are computed once; the pairs are generated lazily
-    and each subset's copy lives only for its ``reduce`` call.
+    all sqrt(Q) levels are computed once, mu a before x - mu a as in the
+    elementwise formula; the pairs are generated lazily and each subset's
+    copy lives only for its ``reduce`` call.
     """
     mu_b = mu[..., None] if x.ndim > mu.ndim else mu
-    dist = x[..., None] - mu_b[..., None] * const.pam_points
+    dist = x - const.pam_points.reshape((-1,) + (1,) * mu_b.ndim) * mu_b
     np.square(dist, out=dist)
     for j in range(const.axis_bits):
-        yield tuple(reduce(dist[..., cols], cols)
+        yield tuple(reduce(dist[cols], cols)
                     for cols in const.pam_bit_indices(j))
 
 
@@ -339,7 +346,7 @@ def _axis_llrs(x: np.ndarray, mu: np.ndarray, const: Constellation):
     ``_gray_subsets``. ``starmap`` drops each bit's two minima before the
     next bit's are taken."""
     return list(starmap(operator.sub, _gray_subsets(
-        x, mu, const, lambda d, _: d.min(axis=-1))))
+        x, mu, const, lambda d, _: np.minimum.reduce(d, axis=0))))
 
 
 def compute_llrs_with_params(v_final: np.ndarray, params: LlrParams,

@@ -130,6 +130,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.min_block_errors < 1:
+            raise ConfigError(f"min_block_errors must be >= 1, "
+                              f"got {self.min_block_errors}")
+        if not isinstance(self.detectors, (list, tuple)):
+            raise ConfigError(f"detectors must be a list of detector names, "
+                              f"got {self.detectors!r}")
         if not self.detectors:
             raise ConfigError("detector list must not be empty")
         if self.seed is None:

@@ -210,8 +210,8 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
     # per Gray bit: the metric d0 - d1, and the residual x - mu a and level a
     # at each subset's argmin for the backward pass
     def argmin(d, cols):
-        i = np.argmin(d, axis=-1)
-        return (np.take_along_axis(d, i[..., None], axis=-1)[..., 0],
+        i = np.argmin(d, axis=0)
+        return (np.take_along_axis(d, i[None], axis=0)[0],
                 const.pam_points[cols[i]])
 
     metrics, mins = [], []
@@ -350,8 +350,8 @@ def forward_diagnostics(params, batch: TrainBatch, K: int) -> dict:
     def gap(d, cols):
         if cols.size == 1:
             return np.inf
-        two = np.partition(d, 1, axis=-1)
-        return float(np.min(two[..., 1] - two[..., 0]))
+        two = np.partition(d, 1, axis=0)
+        return float(np.min(two[1] - two[0]))
 
     argmin_gap = min(min(pair) for ax in (c["v_final"].real, c["v_final"].imag)
                      for pair in denoise._gray_subsets(ax, c["mu"], batch.const,
@@ -385,10 +385,16 @@ class TrainConfig:
     init_alpha: float | None = None  # defaults to the median N0 of the set
 
     def __post_init__(self):
-        for name in ("n_train", "n_val", "batch_size", "L"):
+        for name in ("n_train", "n_val", "batch_size", "L", "max_epochs",
+                     "patience", "lr_decay_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, "
                                  f"got {getattr(self, name)}")
+        # a config that cannot take or keep a step would train nothing
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
 
 
 class _Adam:

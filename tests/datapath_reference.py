@@ -1,11 +1,12 @@
 """Frozen symbol-wise datapath oracle: the box and PME denoisers, the
 quantizer and the GBCD equalizer as they were written when they split every
 complex block into its real and imaginary parts and permuted the equalizer
-state with ``take_along_axis``.
+state with ``take_along_axis``; the max-log LLRs and the hard decisions as
+they were written when both scanned the PAM levels along a trailing axis.
 
-The live versions run on the float64 view of the estimates and permute with
-flat row gathers; they must give the same values as these for every input
-layout, and leave their input as it was.
+The live versions run on the float64 view of the estimates, permute with
+flat row gathers and put the level axis first; they must give the same
+values as these for every input layout, and leave their input as it was.
 """
 
 import numpy as np
@@ -102,3 +103,38 @@ def _gbcd_equalize_reference(pre, y_mf, K, denoiser, numerics=FLOAT):
     if single:
         return EqualizerState(z[..., 0], r[..., 0], v_last[..., 0], K)
     return EqualizerState(z, r, v_last, K)
+
+
+def _trailing_axis_llrs_reference(x, mu, const):
+    """Per-axis bit metrics min d0 - min d1 from one trailing-axis distance
+    pass: d (..., sqrt Q), each Gray subset taken by a fancy index."""
+    mu_b = mu[..., None] if x.ndim > mu.ndim else mu
+    dist = x[..., None] - mu_b[..., None] * const.pam_points
+    np.square(dist, out=dist)
+    return [dist[..., i0].min(axis=-1) - dist[..., i1].min(axis=-1)
+            for i0, i1 in map(const.pam_bit_indices, range(const.axis_bits))]
+
+
+def _llrs_reference(v, params, const):
+    """The LLRs of ``compute_llrs_with_params(v, params, const)``."""
+    v = np.asarray(v, dtype=np.complex128)
+    mu = params.mu
+    inv_xi = np.reciprocal(params.xi)
+    if v.ndim > mu.ndim:
+        inv_xi = inv_xi[..., None]
+    metrics = (_trailing_axis_llrs_reference(v.real, mu, const)
+               + _trailing_axis_llrs_reference(v.imag, mu, const))
+    return np.stack([d * inv_xi for d in metrics], axis=mu.ndim)
+
+
+def _hard_decision_indices_reference(const, v, gain=1.0):
+    """``hard_decision_indices`` as the first argmin of |x - g a| over a
+    trailing level axis."""
+    v = np.asarray(v)
+    g = np.asarray(gain, dtype=np.float64)
+
+    def nearest(axis):
+        d = axis[..., None] - g[..., None] * const.pam_points
+        return np.argmin(np.abs(d, out=d), axis=-1)
+
+    return nearest(v.real) * const.n_pam + nearest(v.imag)

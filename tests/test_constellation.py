@@ -5,6 +5,8 @@ from gbcd.constellation import (SUPPORTED_ORDERS, draw_symbols,
                                 hard_decision_indices, make_constellation,
                                 map_bits, symbol_indices_from_bits)
 
+from datapath_reference import LAYOUTS, _hard_decision_indices_reference
+
 
 @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
 def test_unit_energy(order):
@@ -108,6 +110,54 @@ def test_hard_decisions_recover_symbols(qam16, rng):
     assert np.array_equal(hard_decision_indices(qam16, noisy), idx)
     # gain scaling moves the decision grid
     assert np.array_equal(hard_decision_indices(qam16, 0.5 * pts, gain=0.5), idx)
+
+
+# gains the nearest-level count must handle as the argmin does: the
+# harness's range, a subnormal-scale one, zero and a negative one
+GAINS = (1.0, 0.37, 1e-300, 0.0, -0.6)
+
+
+def _edge_probe(rng, levels):
+    """(4, 6, 10) complex values whose real parts hold the scaled levels,
+    the midpoints between neighbours and those midpoints one ulp either
+    side, signed zeros, huge values, NaN and infinities, each once, and
+    uniform draws on [-3, 3]; the imaginary parts are the same values
+    shuffled. Parts are assigned, not summed, so -0.0 and the non-finite
+    values stay on the axis they were put on."""
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    parts = np.concatenate([levels, mids, np.nextafter(mids, np.inf),
+                            np.nextafter(mids, -np.inf),
+                            [0.0, -0.0, 1e20, -1e20, np.nan, np.inf, -np.inf]])
+    parts = np.concatenate([parts, rng.uniform(-3.0, 3.0, 240 - parts.size)])
+    v = np.empty(240, dtype=np.complex128)
+    v.real, v.imag = parts, rng.permutation(parts)
+    return v.reshape(4, 6, 10)
+
+
+@pytest.mark.parametrize("gain", GAINS)
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_hard_decisions_match_argmin_reference(order, layout, gain, rng):
+    const = make_constellation(order)
+    v = LAYOUTS[layout](_edge_probe(rng, gain * const.pam_points))
+    before = v.copy()
+    got = hard_decision_indices(const, v, gain)
+    assert np.array_equal(got, _hard_decision_indices_reference(const, v,
+                                                                gain))
+    assert np.array_equal(v, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_stacked_hard_decisions_with_per_ue_gains_match_argmin_reference(
+        order, rng):
+    const = make_constellation(order)
+    gains = np.concatenate([GAINS, rng.uniform(0.05, 1.0, 7)]).reshape(2, 6)
+    v = np.stack([_edge_probe(rng, g * const.pam_points).reshape(-1)
+                  for g in gains.ravel()]).reshape(2, 6, 240)
+    got = hard_decision_indices(const, v, gains[..., None])
+    assert got.shape == v.shape
+    assert np.array_equal(got, _hard_decision_indices_reference(
+        const, v, gains[..., None]))
 
 
 def test_symbols_roughly_uniform(qam16, rng):

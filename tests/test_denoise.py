@@ -5,7 +5,8 @@ from gbcd import denoise
 from gbcd.constellation import make_constellation
 
 from datapath_reference import (LAYOUTS, _box_denoise_reference,
-                                _pme_apply_reference, probe)
+                                _llrs_reference, _pme_apply_reference,
+                                _trailing_axis_llrs_reference, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,33 @@ def test_axis_llrs_shared_distances_match_per_bit_formula(order, shape, rng):
     assert len(got) == len(want) == const.axis_bits
     for g, w in zip(got, want):
         assert g.shape == shape
+        assert np.array_equal(g, w)
+
+
+# one channel's vector and block, and every layout of LAYOUTS (its
+# "c-contiguous" entry is the stack of blocks), each cut from (4, 6, 10)
+LLR_INPUTS = {"vector": lambda v: v[0, :, 0], "block": lambda v: v[0],
+              **LAYOUTS}
+
+
+@pytest.mark.parametrize("name", list(LLR_INPUTS))
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+def test_llrs_match_trailing_axis_reference(order, name, rng):
+    const = make_constellation(order)
+    v = LLR_INPUTS[name](probe(rng, np.concatenate(
+        [[0.0], const.pam_points, 0.4 * const.pam_points])))
+    # one gain per UE; a vector shares its channel's gains with each entry
+    lead = v.shape if name == "vector" else v.shape[:-1]
+    params = denoise.LlrParams.from_mu(rng.uniform(0.05, 1.0, lead), 0.1)
+    before = v.copy()
+    got = denoise.compute_llrs_with_params(v, params, const).llrs
+    want = _llrs_reference(v, params, const)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(v, before)
+    x = np.asarray(v).real
+    for g, w in zip(denoise._axis_llrs(x, params.mu, const),
+                    _trailing_axis_llrs_reference(x, params.mu, const)):
         assert np.array_equal(g, w)
 
 

@@ -30,6 +30,12 @@ GOLDEN = {
         "29c96b7bd53f8cb28401a4743db7f7ff3095ca2f2b59f69b5ece0576e1a20d41",
     "ablate_los":
         "46bb3c8e41bca8abd7ed111a7c596b1db91c6f1f9d75d5e8cdd06717e48d6cdf",
+    "coded_256qam":
+        "e3637cb7c4272574333dee852ea7372185ab857627c69841cbd2a3c029c99040",
+    "uncoded_4qam":
+        "8e2017e3380d1a0b524a7e1dd032d32c6dc6f89d7a5d6ea9e8dffaf39c82656a",
+    "uncoded_64qam":
+        "1b75a575c2db08cbf7dcf2ba647a623e47f0fa179b8319aaea1d27632a153a31",
 }
 
 
@@ -94,6 +100,20 @@ def outputs(tmp_path_factory):
              SCEN, snr_db=[12.0], condition="los", k_factor=5.0,
              min_sep_deg=3.0, trials=2, detectors=["gbcd-box"],
              params_path=str(los_store))))
+
+    # the soft-output and hard-decision stages at the other orders
+    out["coded_256qam"] = d / "coded_256qam.csv"
+    _run("simulate", "--out", str(out["coded_256qam"]), "--config",
+         _write(d / "coded_256.json", dict(
+             SCEN, Q=256, snr_db=[14.0, 20.0], condition="nonlos", trials=3,
+             detectors=["gbcd-box", "lmmse"])))
+    for Q, snrs in ((4, [0.0, 6.0]), (64, [12.0, 20.0])):
+        name = f"uncoded_{Q}qam"
+        out[name] = d / f"{name}.csv"
+        _run("simulate", "--out", str(out[name]), "--config",
+             _write(d / f"{name}.json", dict(
+                 SCEN, Q=Q, snr_db=snrs, condition="nonlos",
+                 uncoded=True, trials=3, detectors=["gbcd-box", "lmmse"])))
     return out
 
 

@@ -570,6 +570,42 @@ def test_cli_train_size_below_one_exits_2_and_writes_no_store(key, tmp_path):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr", 0.0), ("lr", -1.0), ("max_epochs", 0), ("patience", 0),
+    ("lr_decay_patience", 0), ("lr_decay", 0.0), ("lr_decay", 2.0),
+])
+def test_cli_train_config_that_cannot_train_exits_2(key, value, tmp_path):
+    training = {"n_train": 40, "n_val": 40, "batch_size": 20,
+                "max_epochs": 1, key: value}
+    cfgp = tmp_path / "train.json"
+    cfgp.write_text(json.dumps({
+        "scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                     "condition": "nonlos"},
+        "K": 2, "training": training}))
+    store = tmp_path / "params.json"
+    proc = run_cli("train", "--config", str(cfgp), "--out", str(store))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert f"{key} must" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("min_block_errors", 0), ("min_block_errors", -1), ("detectors", "lmmse"),
+])
+def test_cli_simulate_bad_key_exits_2_naming_it(key, value, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(base_config(trials=1, **{key: value})))
+    out = tmp_path / "rows.csv"
+    proc = run_cli("simulate", "--config", str(cfgp), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_overrides_are_validated(tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(base_config(trials=1)))

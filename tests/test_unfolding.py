@@ -251,10 +251,11 @@ def test_gradient_matches_finite_differences(rng):
 
 def _gray_subsets_per_bit(x, mu, const, reduce):
     """The shared distance pass with each Gray bit's subset distances built
-    for that bit alone."""
+    for that bit alone, handed over level-major as the pass hands them."""
     for j in range(const.axis_bits):
-        yield tuple(reduce((x[..., None] - mu[..., None]
-                            * const.pam_points[cols]) ** 2, cols)
+        yield tuple(reduce(np.moveaxis((x[..., None] - mu[..., None]
+                                        * const.pam_points[cols]) ** 2,
+                                       -1, 0), cols)
                     for cols in const.pam_bit_indices(j))
 
 
