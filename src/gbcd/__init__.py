@@ -5,7 +5,8 @@ Symbols have unit average energy throughout the package."""
 
 from .baselines import lmmse_detect, ocd_detect
 from .channel import (ChannelRealization, TransmissionBatch, dump_matrix,
-                      estimate_channel, gen_channel, load_matrix, transmit)
+                      gen_channel, load_matrix, transmit)
+from .config import Scenario
 from .constellation import Constellation, make_constellation
 from .counting import MultCounter
 from .denoise import (PlmTable, SoftOutput, box_denoise, build_plm_table,
@@ -17,7 +18,6 @@ from .harness import ExperimentConfig, run_ablation, run_sweep
 from .hwmodel import (ComplexityReport, FxpFormat, complexity_gbcd,
                       complexity_lmmse, complexity_ocd, detect_fixed_point,
                       fit_power, quantize, throughput, utilization)
-from .scenario import Scenario
 from .unfolding import ParamStore, TrainConfig, TrainedParams, train
 
 __version__ = "0.1.0"

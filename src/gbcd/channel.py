@@ -81,24 +81,18 @@ def steering_vector(B: int, theta_rad: float | np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * n * np.sin(theta)[None, :])
 
 
-def _check_angle_separation(U: int, min_sep_deg: float) -> None:
+def check_angle_separation(U: int, min_sep_deg: float) -> None:
+    """Raise ValueError unless U angles ``min_sep_deg`` apart fit in the LOS
+    angular sector."""
     if not (min_sep_deg >= 0.0 and U * min_sep_deg < _ANGLE_SPAN_DEG):
         raise ValueError(f"cannot place U={U} UEs min_sep_deg={min_sep_deg} "
                          f"apart: need 0 <= U * min_sep_deg < "
                          f"{_ANGLE_SPAN_DEG:g} deg")
 
 
-def check_los_params(U: int, k_factor: float, min_sep_deg: float) -> None:
-    """Raise ValueError unless the Rician K-factor is >= 0 (inf: pure LOS)
-    and U angles ``min_sep_deg`` apart fit in the LOS angular sector."""
-    if not k_factor >= 0.0:
-        raise ValueError(f"k_factor must be >= 0 or Infinity, got {k_factor}")
-    _check_angle_separation(U, min_sep_deg)
-
-
 def _draw_angles(U: int, rng: np.random.Generator,
                  min_sep_deg: float) -> np.ndarray:
-    _check_angle_separation(U, min_sep_deg)
+    check_angle_separation(U, min_sep_deg)
     half = _ANGLE_SPAN_DEG / 2.0
     for _ in range(1000):
         deg = rng.uniform(-half, half, size=U)
@@ -220,19 +214,6 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
     Y = apply_channel(H, S, N0, rng)
     return TransmissionBatch(S, const.bit_labels[idx], Y, N0, T, Y - H @ S,
                              idx)
-
-
-def estimate_channel(H: np.ndarray, N0: float, U: int | None,
-                     rng: np.random.Generator) -> ChannelRealization:
-    """Least-squares channel estimate model: H + E, E i.i.d. CN(0, N0/U)."""
-    if N0 < 0:
-        raise ValueError("N0 must be >= 0")
-    if U is None:
-        U = H.shape[1]
-    var = N0 / U
-    E = np.sqrt(var / 2.0) * (rng.standard_normal(H.shape)
-                              + 1j * rng.standard_normal(H.shape))
-    return ChannelRealization(H + E, "estimated")
 
 
 def dump_matrix(path, M: np.ndarray) -> None:

@@ -11,24 +11,18 @@ import dataclasses
 import sys
 
 from . import hwmodel, unfolding
-from .harness import (ABLATE_COLUMNS, SWEEP_COLUMNS, ConfigError,
-                      ExperimentConfig, check_design, read_json, run_ablation,
-                      run_sweep, _write_csv)
-from .scenario import Scenario
+from .config import ConfigError, HwmodelConfig, from_dict, read_json
+from .harness import (ABLATE_COLUMNS, SWEEP_COLUMNS, ExperimentConfig,
+                      run_ablation, run_sweep, _write_csv)
 
 HWMODEL_COLUMNS = ("algorithm", "B", "U", "K", "T", "pre_mults", "eq_mults",
                    "total", "theta_bps", "eta", "p_watts_fit")
-
-# measured dynamic-power fit constants of the fabricated design (idle+static
-# and equalizer shares, watts)
-DEFAULT_P_IDLE = 0.420
-DEFAULT_P_EQU = 0.367
 
 
 def _load_config(args) -> ExperimentConfig:
     """Load a config and apply the command-line overrides; the result is
     validated again."""
-    cfg = ExperimentConfig.from_json(args.config)
+    cfg = ExperimentConfig.from_dict(read_json(args.config))
     overrides = {"seed": args.seed, "out": args.out,
                  "fixed_point": True if args.fixed_point else None}
     return dataclasses.replace(
@@ -52,21 +46,11 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw = read_json(args.config)
-    try:
-        scen = Scenario.from_dict(raw["scenario"])
-        K = int(raw["K"])
-        config = unfolding.TrainConfig(**raw.get("training", {}))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad training config: {e}") from e
-    check_design(scen.B, scen.U, scen.Q, scen.condition, K, (config.L,))
-    lo, hi = unfolding.TRAIN_SNR_RANGE_DB
-    if not lo <= scen.snr_db <= hi:
-        raise ConfigError(f"training snr_db={scen.snr_db:g} lies outside "
-                          f"[{lo:g}, {hi:g}] dB")
+    job = from_dict(unfolding.TrainJob, read_json(args.config))
+    training = job.training
     if args.seed is not None:
-        config.seed = args.seed
-    params = unfolding.train(scen, config, K)
+        training = dataclasses.replace(training, seed=args.seed)
+    params = unfolding.train(job.scenario, training, job.K)
     out = args.out or "trained_params.json"
     try:
         store = unfolding.ParamStore.load(out)
@@ -80,18 +64,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_hwmodel(args) -> int:
-    raw = read_json(args.config)
-    try:
-        B = int(raw["B"])
-        U = int(raw["U"])
-        K = int(raw["K"])
-        Q = int(raw.get("Q", 256))
-        f_clk = float(raw.get("f_clk", 887e6))
-        Ts = [int(t) for t in raw["T"]]
-        p_idle = float(raw.get("p_idle_watts", DEFAULT_P_IDLE))
-        p_equ = float(raw.get("p_equ_watts", DEFAULT_P_EQU))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad hwmodel config: {e}") from e
+    cfg = from_dict(HwmodelConfig, read_json(args.config))
+    B, U, K, Q = cfg.B, cfg.U, cfg.K, cfg.Q
     reports = {
         "gbcd": hwmodel.complexity_gbcd(B, U, K),
         "ocd": hwmodel.complexity_ocd(B, U, K),
@@ -99,7 +73,7 @@ def _cmd_hwmodel(args) -> int:
     }
     rows = []
     for name, rep in reports.items():
-        for T in Ts:
+        for T in cfg.T:
             eta = hwmodel.utilization(T, U, B)
             rows.append({
                 "algorithm": name, "B": B, "U": U,
@@ -108,15 +82,11 @@ def _cmd_hwmodel(args) -> int:
                 "pre_mults": rep.preprocessing_mults,
                 "eq_mults": rep.per_transmission_mults,
                 "total": rep.total(T),
-                "theta_bps": hwmodel.throughput(T, Q, U, f_clk, B),
+                "theta_bps": hwmodel.throughput(T, Q, U, cfg.f_clk, B),
                 "eta": eta,
-                "p_watts_fit": p_idle + eta * p_equ,
+                "p_watts_fit": cfg.p_idle_watts + eta * cfg.p_equ_watts,
             })
-    out = args.out
-    if out:
-        _write_csv(out, rows, HWMODEL_COLUMNS)
-    else:
-        _write_csv(sys.stdout, rows, HWMODEL_COLUMNS)
+    _write_csv(args.out or sys.stdout, rows, HWMODEL_COLUMNS)
     return 0
 
 

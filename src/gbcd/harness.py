@@ -20,16 +20,18 @@ runs in fixed point when the config asks for it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, denoise, detector, fec, hwmodel, unfolding
-from .channel import (CONDITIONS, apply_channel, check_los_params, gen_channel,
-                      is_noiseless, noise_variance_for_snr)
+from .channel import (CONDITIONS, apply_channel, check_angle_separation,
+                      gen_channel, noise_variance_for_snr)
+from .config import (SNR_DB_MAX, ConfigError, check, check_design, from_dict,
+                     key)
 from .constellation import (SUPPORTED_ORDERS, hard_decision_indices,
                             make_constellation, symbol_indices_from_bits)
 
@@ -69,97 +71,48 @@ DECODE_BLOCKS = 128
 DETECT_SAMPLES = 2 * 128 * 120
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def check_design(B, U, Q, condition, K, block_sizes=()) -> None:
-    """Raise ConfigError unless B >= U >= 2, Q and the channel condition are
-    supported, K >= 1 and every detector block size divides U."""
-    if not B >= U >= 2:
-        raise ConfigError(f"need B >= U >= 2, got B={B}, U={U}")
-    if Q not in SUPPORTED_ORDERS:
-        raise ConfigError(f"unsupported Q={Q}; use one of {SUPPORTED_ORDERS}")
-    if str(condition).lower() not in CONDITIONS:
-        raise ConfigError(f"unknown condition {condition!r}; use one of "
-                          f"{CONDITIONS}")
-    if K < 1:
-        raise ConfigError(f"K must be >= 1, got {K}")
-    for L in block_sizes:
-        if U % L != 0:
-            raise ConfigError(f"U={U} must be divisible by the detector "
-                              f"block size L={L}")
-
-
-def read_json(path):
-    """Parse a JSON config file; a missing or malformed file is a ConfigError."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-
-
 @dataclass
 class ExperimentConfig:
+    """A ``gbcd simulate`` or ``gbcd ablate`` config; its keys' types and
+    ranges are checked as ``config`` describes."""
+
     B: int
     U: int
-    Q: int
-    snr_db: list
-    condition: str
-    detectors: list
-    K: int
-    seed: int
-    code_rate: str = "1/2"
-    T: int = 120
-    trials: int = 200
-    min_block_errors: int = 200
+    Q: int = key(choices=SUPPORTED_ORDERS)
+    snr_db: list[float] = key(lt=SNR_DB_MAX, inf=True)   # Infinity: noiseless
+    condition: str = key(choices=CONDITIONS)
+    detectors: list[str] = key(choices=DETECTORS, unique=True)
+    K: int = key(ge=1)
+    seed: int = key(ge=0)
+    code_rate: str = key("1/2", choices=fec.RATES)
+    T: int = key(120, ge=1)
+    trials: int = key(200, ge=1)
+    min_block_errors: int = key(200, ge=1)
     fixed_point: bool = False
     out: str | None = None
     params_path: str | None = None
     allow_box_fallback: bool = False
     uncoded: bool = False
-    k_factor: float = 10.0
-    min_sep_deg: float = 1.0
-    coherence_groups: int = 1   # independent channels per coherence block
+    k_factor: float = key(10.0, ge=0, inf=True)
+    min_sep_deg: float = key(1.0, ge=0)
+    coherence_groups: int = key(1, ge=1)   # independent channels per coherence block
 
     @property
     def group_len(self) -> int:
         return self.T // self.coherence_groups
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.min_block_errors < 1:
-            raise ConfigError(f"min_block_errors must be >= 1, "
-                              f"got {self.min_block_errors}")
-        if not isinstance(self.detectors, (list, tuple)):
-            raise ConfigError(f"detectors must be a list of detector names, "
-                              f"got {self.detectors!r}")
-        if not self.detectors:
-            raise ConfigError("detector list must not be empty")
-        if self.seed is None:
-            raise ConfigError("seed is mandatory")
-        for d in self.detectors:
-            if d not in DETECTORS:
-                raise ConfigError(f"unknown detector {d!r}; choose from {DETECTORS}")
-        if not self.snr_db:
-            raise ConfigError("snr_db list must not be empty")
-        for snr in self.snr_db:
-            try:
-                is_noiseless(snr)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"snr_db must hold numbers or +Infinity "
-                                  f"(noiseless), got {snr!r}") from e
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.coherence_groups < 1 or self.T % self.coherence_groups != 0:
-            raise ConfigError("T must be divisible by coherence_groups")
+        if not isinstance(self.snr_db, (list, tuple)):
+            self.snr_db = [self.snr_db]     # a number is a one-point sweep
+        check(self)
+        if self.T % self.coherence_groups != 0:
+            raise ConfigError(f"T={self.T} must be divisible by "
+                              f"coherence_groups={self.coherence_groups}")
         try:
-            check_los_params(self.U, self.k_factor, self.min_sep_deg)
-        except (TypeError, ValueError) as e:
+            check_angle_separation(self.U, self.min_sep_deg)
+        except ValueError as e:
             raise ConfigError(str(e)) from e
-        check_design(self.B, self.U, self.Q, self.condition, self.K,
+        check_design(self.B, self.U,
                      [DETECTOR_SPECS[d]["L"] for d in self.detectors
                       if DETECTOR_SPECS[d]["kind"] == "gbcd"])
         self.code   # builds the code: a ConfigError if T*log2(Q) misfits the rate
@@ -177,27 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"T={self.T} at Q={self.Q} gives {n_coded} "
                               f"coded bits: {e}") from e
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "snr_db" in d and not isinstance(d["snr_db"], (list, tuple)):
-            d["snr_db"] = [d["snr_db"]]
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"B", "U", "Q", "snr_db", "condition", "detectors", "K",
-                   "seed"} - set(d)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(str(e)) from e
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_json(path))
+    from_dict = classmethod(from_dict)
 
 
 def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
@@ -410,20 +343,12 @@ def _rows_from_totals(snr_db, totals, trials, columns):
 
 
 def _write_csv(path_or_buf, rows, columns):
-    close = False
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        f = open(path_or_buf, "w", newline="")
-        close = True
-    else:
-        f = path_or_buf
-    try:
+    """Write ``rows`` as CSV to a path or an open text stream."""
+    with (open(path_or_buf, "w", newline="") if isinstance(path_or_buf, str)
+          else contextlib.nullcontext(path_or_buf)) as f:
         w = csv.DictWriter(f, fieldnames=columns)
         w.writeheader()
-        for r in rows:
-            w.writerow(r)
-    finally:
-        if close:
-            f.close()
+        w.writerows(rows)
 
 
 def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
@@ -476,8 +401,7 @@ def run_ablation(cfg: ExperimentConfig, variants=None):
     """
     spec_map = dict(ABLATION_VARIANTS)
     specs = {v: spec_map[v] for v in variants or spec_map}
-    check_design(cfg.B, cfg.U, cfg.Q, cfg.condition, cfg.K,
-                 [spec["L"] for spec in specs.values()])
+    check_design(cfg.B, cfg.U, [spec["L"] for spec in specs.values()])
     return _run(cfg, specs, _ablation_pme_params, ABLATE_COLUMNS)
 
 

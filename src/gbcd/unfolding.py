@@ -33,12 +33,11 @@ import numpy as np
 from . import denoise, detector
 from .channel import (gen_channel, is_noiseless, noise_variance_for_snr,
                       receive, unit_normals)
+from .config import TRAIN_SNR_RANGE_DB, Scenario, check, check_design, key
 from .constellation import Constellation, make_constellation
 
 LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
 PREPROCESS_SLICE = 256       # samples stacked per preprocessing call
-# SNRs (dB) parameters are trained at; the store falls back outside it
-TRAIN_SNR_RANGE_DB = (0.0, 25.0)
 
 
 class MissingParamsError(KeyError):
@@ -369,32 +368,40 @@ def forward_diagnostics(params, batch: TrainBatch, K: int) -> dict:
 
 @dataclass
 class TrainConfig:
-    n_train: int = 2000
-    n_val: int = 2000
-    batch_size: int = 100
-    lr: float = 1e-2
-    max_epochs: int = 150
-    patience: int = 10           # early-stopping window on the validation loss
-    lr_decay_patience: int = 5
-    lr_decay: float = 0.5
-    seed: int = 0
-    L: int = 2
-    init_rho: float | None = None    # defaults to 1/init_beta, which makes the
-                                     # initial denoiser identical to the box
-    init_beta: float | None = None   # defaults to the constellation scale
-    init_alpha: float | None = None  # defaults to the median N0 of the set
+    """The ``training`` section of a train config."""
+
+    n_train: int = key(2000, ge=1)
+    n_val: int = key(2000, ge=1)
+    batch_size: int = key(100, ge=1)
+    lr: float = key(1e-2, gt=0)
+    max_epochs: int = key(150, ge=1)
+    patience: int = key(10, ge=1)   # early-stopping window on the validation loss
+    lr_decay_patience: int = key(5, ge=1)
+    lr_decay: float = key(0.5, gt=0, le=1)
+    seed: int = key(0, ge=0)
+    L: int = key(2, ge=1)
+    # None: 1/init_beta (the initial denoiser is the box), the constellation
+    # scale and the median N0 of the training set
+    init_rho: float | None = key(None, gt=0)
+    init_beta: float | None = key(None, gt=0)
+    init_alpha: float | None = key(None, gt=0)
 
     def __post_init__(self):
-        for name in ("n_train", "n_val", "batch_size", "L", "max_epochs",
-                     "patience", "lr_decay_patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, "
-                                 f"got {getattr(self, name)}")
-        # a config that cannot take or keep a step would train nothing
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
+        check(self)
+
+
+@dataclass
+class TrainJob:
+    """A ``gbcd train`` config: the scenario to train for, the iteration
+    count K and the training settings."""
+
+    scenario: Scenario
+    K: int = key(ge=1)
+    training: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        check(self)
+        check_design(self.scenario.B, self.scenario.U, (self.training.L,))
 
 
 class _Adam:
@@ -435,18 +442,14 @@ def _theta_to_params(theta: np.ndarray, K: int):
 def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
     """Train (rho, beta, alpha) for one scenario by unrolled gradient descent.
 
-    ``scenario`` needs fields B, U, Q, snr_db, condition. Training and
+    ``scenario`` is a ``Scenario``, so its snr_db lies in
+    ``TRAIN_SNR_RANGE_DB``. Training and
     validation sets come from disjoint seed streams. Adam runs on
     mini-batches; the learning rate halves after ``lr_decay_patience``
     epochs without validation improvement and training stops after
     ``patience`` such epochs, returning the best parameters seen.
     """
-    snr = float(scenario.snr_db)
-    lo, hi = TRAIN_SNR_RANGE_DB
-    if not (lo <= snr <= hi):
-        raise ValueError(f"training SNR must lie in [{lo:g}, {hi:g}] dB; "
-                         "outside this range the store falls back (high) or "
-                         "uses the box denoiser (low)")
+    snr = scenario.snr_db
     const = make_constellation(scenario.Q)
     ss = np.random.SeedSequence(config.seed)
     s_train, s_val, s_shuffle = ss.spawn(3)
@@ -464,7 +467,7 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
     theta = np.concatenate([
         np.full(K, math.log(init_rho)),
         np.full(K, math.log(init_beta)),
-        [_softplus_inv(max(init_alpha, 1e-8))],
+        [_softplus_inv(init_alpha)],
     ])
     adam = _Adam(theta.size, config.lr)
     shuffle_rng = np.random.default_rng(s_shuffle)

@@ -27,11 +27,15 @@ LAYOUTS = {
 def probe(rng, special, scale=3.0):
     """(4, 6, 10) complex values: the real parts hold every value of
     ``special`` (at most 240) once and uniform draws on [-scale, scale];
-    the imaginary parts are the same values shuffled."""
+    the imaginary parts are the same values shuffled. The parts are
+    assigned, not added, so -0.0, inf and NaN reach each axis as given."""
     special = np.asarray(special, dtype=np.float64)
     parts = np.concatenate([special,
                             rng.uniform(-scale, scale, 240 - special.size)])
-    return (parts + 1j * rng.permutation(parts)).reshape(4, 6, 10)
+    v = np.empty(240, dtype=np.complex128)
+    v.real = parts
+    v.imag = rng.permutation(parts)
+    return v.reshape(4, 6, 10)
 
 
 def _box_denoise_reference(v, const):

@@ -13,7 +13,7 @@ from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import (hard_decision_indices, make_constellation,
                                 symbol_indices_from_bits)
 from gbcd.harness import ExperimentConfig, run_sweep
-from gbcd.scenario import Scenario
+from gbcd.config import Scenario
 
 DESK_TRAIN_SNR = 10.0  # criterion 6/9 operating point (B=16, U=4, 16-QAM)
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gbcd.channel import (apply_channel, dump_matrix, estimate_channel,
-                          gen_channel, load_matrix, noise_variance_for_snr,
-                          transmit)
+from gbcd.channel import (apply_channel, dump_matrix, gen_channel,
+                          load_matrix, noise_variance_for_snr, transmit)
 from gbcd.detector import gram
 from gbcd.unfolding import make_batch, transmit_samples
 
@@ -135,38 +134,6 @@ def test_snr_definition(qam16, rng):
     assert abs(10 * np.log10(sig / N0) - snr_db) < 1e-12
 
 
-def test_estimate_channel_exact_when_noiseless(rng):
-    ch = gen_channel(8, 4, "nonlos", rng)
-    est = estimate_channel(ch.H, 0.0, 4, rng)
-    assert np.array_equal(est.H, ch.H)
-
-
-def test_estimate_channel_error_variance(rng):
-    B, U = 64, 8
-    ch = gen_channel(B, U, "nonlos", rng)
-    reps = 200  # 64*8*200 > 1e5 entries
-    errs = []
-    for _ in range(reps):
-        est = estimate_channel(ch.H, N0=U * 1.0, U=U, rng=rng)
-        errs.append(est.H - ch.H)
-    errs = np.stack(errs)
-    emp = np.mean(np.abs(errs) ** 2)
-    assert abs(emp - 1.0) < 0.05
-
-
-def test_estimate_error_scales_inverse_u(rng):
-    B = 32
-    out = {}
-    for U in (4, 8):
-        ch = gen_channel(B, U, "nonlos", rng)
-        errs = []
-        for _ in range(300):
-            est = estimate_channel(ch.H, N0=1.0, U=U, rng=rng)
-            errs.append(est.H - ch.H)
-        out[U] = np.mean(np.abs(np.stack(errs)) ** 2)
-    assert abs(out[4] / out[8] - 2.0) < 0.2
-
-
 def test_matrix_dump_round_trip(tmp_path, rng):
     M = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     path = tmp_path / "m.cmat"
@@ -189,8 +156,6 @@ def test_transmit_preconditions(qam16, rng):
         transmit(ch.H, qam16, 0, 10.0, rng)
     with pytest.raises(ValueError):
         transmit(ch.H, qam16, 2, float("nan"), rng)
-    with pytest.raises(ValueError):
-        estimate_channel(ch.H, -1.0, 4, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbcd import denoise, fec, harness, unfolding
+from gbcd import cli, denoise, fec, harness, unfolding
 from gbcd.harness import (ABLATION_VARIANTS, ConfigError, ExperimentConfig,
                           run_ablation, run_sweep, _write_csv, SWEEP_COLUMNS)
 
@@ -611,6 +611,109 @@ def test_cli_overrides_are_validated(tmp_path):
     cfgp.write_text(json.dumps(base_config(trials=1)))
     proc = run_cli("simulate", "--config", str(cfgp), "--threads", "0")
     assert proc.returncode == 2, proc.stderr
+    for command, cfg in (("simulate", base_config(trials=1)),
+                         ("train", train_config())):
+        cfgp.write_text(json.dumps(cfg))
+        out = tmp_path / f"{command}.out"
+        proc = run_cli(command, "--config", str(cfgp), "--seed", "-1",
+                       "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: seed must be >= 0")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+def train_config(scenario=(), training=(), **top):
+    """A small valid train config with the given keys replaced."""
+    cfg = {"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                        "condition": "nonlos", **dict(scenario)},
+           "K": 2,
+           "training": {"n_train": 40, "n_val": 40, "batch_size": 20,
+                        "max_epochs": 1, **dict(training)}}
+    cfg.update(top)
+    return cfg
+
+
+def hwmodel_config(**over):
+    return {"B": 128, "U": 16, "K": 3, "T": [6, 54], **over}
+
+
+# Configs that crashed with a traceback or ran on a wrong reading before the
+# schema checked types: each must exit 2 naming its key.
+# (command, config, extra argv, the key the message names)
+SCHEMA_CASES = {
+    "sim-trials-float": ("simulate", base_config(trials=2.5), (), "trials"),
+    "sim-K-float": ("simulate", base_config(K=2.5), (), "K"),
+    "sim-U-float": ("simulate", base_config(U=4.0), (), "U"),
+    "sim-T-float": ("simulate", base_config(T=120.0), (), "T"),
+    "sim-groups-float": ("simulate", base_config(coherence_groups=1.5), (),
+                         "coherence_groups"),
+    "sim-seed-negative": ("simulate", base_config(seed=-1), (), "seed"),
+    "sim-seed-float": ("simulate", base_config(seed=4.2), (), "seed"),
+    "sim-snr-overflow": ("simulate", base_config(snr_db=[1e308]), (),
+                         "snr_db"),
+    "sim-json-list": ("simulate", [base_config()], (), "config"),
+    "sim-seed-flag": ("simulate", base_config(), ("--seed", "-1"), "seed"),
+    "train-seed-negative": ("train", train_config(training={"seed": -3}), (),
+                            "seed"),
+    "train-seed-flag": ("train", train_config(), ("--seed", "-1"), "seed"),
+    "train-batch-float": ("train", train_config(training={"batch_size": 20.5}),
+                          (), "batch_size"),
+    "train-n-float": ("train", train_config(training={"n_train": 40.5}), (),
+                      "n_train"),
+    "train-rho-negative": ("train", train_config(training={"init_rho": -1.0}),
+                           (), "init_rho"),
+    "train-beta-negative": ("train",
+                            train_config(training={"init_beta": -1.0}), (),
+                            "init_beta"),
+    "hw-K0": ("hwmodel", hwmodel_config(K=0), (), "K"),
+    "hw-T0": ("hwmodel", hwmodel_config(T=[0]), (), "T"),
+    "sim-uncoded-string": ("simulate", base_config(uncoded="no"), (),
+                           "uncoded"),
+    "sim-fixed-string": ("simulate", base_config(fixed_point="yes"), (),
+                         "fixed_point"),
+    "sim-fallback-string": ("simulate", base_config(allow_box_fallback="no"),
+                            (), "allow_box_fallback"),
+    "sim-snr-bool": ("simulate", base_config(snr_db=[True]), (), "snr_db"),
+    "sim-errors-float": ("simulate", base_config(min_block_errors=2.5), (),
+                         "min_block_errors"),
+    "sim-detector-twice": ("simulate",
+                           base_config(detectors=["lmmse", "lmmse"]), (),
+                           "detectors"),
+    "train-K-float": ("train", train_config(K=2.5), (), "K"),
+    "train-K-string": ("train", train_config(K="2"), (), "K"),
+    "train-Q-float": ("train", train_config(scenario={"Q": 16.5}), (), "Q"),
+    "train-snr-string": ("train", train_config(scenario={"snr_db": "12"}), (),
+                         "snr_db"),
+    "train-alpha-negative": ("train",
+                             train_config(training={"init_alpha": -1.0}), (),
+                             "init_alpha"),
+    "train-unknown-key": ("train", train_config(bogus=1), (), "bogus"),
+    "hw-U-above-B": ("hwmodel", hwmodel_config(B=8, U=16), (), "U"),
+    "hw-U1": ("hwmodel", hwmodel_config(U=1), (), "U"),
+    "hw-Q3": ("hwmodel", hwmodel_config(Q=3), (), "Q"),
+    "hw-B-float": ("hwmodel", hwmodel_config(B=128.7), (), "B"),
+    "hw-fclk-zero": ("hwmodel", hwmodel_config(f_clk=0), (), "f_clk"),
+    "hw-unknown-key": ("hwmodel", hwmodel_config(bogus=1), (), "bogus"),
+    "train-json-list": ("train", [train_config()], (), "config"),
+    "hw-json-list": ("hwmodel", [hwmodel_config()], (), "config"),
+    "ablate-json-list": ("ablate", [base_config()], (), "config"),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_CASES)
+def test_cli_config_schema_exits_2_naming_the_key(case, tmp_path, capsys):
+    command, cfg, argv, key = SCHEMA_CASES[case]
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfgp), "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error:")
+    assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])

@@ -7,7 +7,7 @@ import pytest
 from gbcd import denoise, detector, unfolding
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
-from gbcd.scenario import Scenario
+from gbcd.config import Scenario
 
 from channel_reference import _gen_channel_reference, _transmit_reference
 
