@@ -194,23 +194,16 @@ def apply_channel(H: np.ndarray, S: np.ndarray, N0: float,
 
 
 def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
-             rng: np.random.Generator, *, all_zero: bool = False) -> TransmissionBatch:
+             rng: np.random.Generator) -> TransmissionBatch:
     """Draw i.i.d. uniform symbols and push them through the channel.
 
-    ``all_zero`` replaces the symbols with zeros (noise-only debug mode);
-    N0 is still derived from the nominal unit symbol energy. The returned
-    noise is the exact residual Y - H S, so the reconstruction identity
-    holds bitwise for anyone recomputing the product.
+    The returned noise is the exact residual Y - H S, so the reconstruction
+    identity holds bitwise for anyone recomputing the product.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    U = H.shape[1]
     N0 = noise_variance_for_snr(H, snr_db)
-    if all_zero:
-        idx = np.zeros((U, T), dtype=np.int64)
-        S = np.zeros((U, T), dtype=np.complex128)
-    else:
-        idx, S = draw_symbols(const, (U, T), rng)
+    idx, S = draw_symbols(const, (H.shape[1], T), rng)
     Y = apply_channel(H, S, N0, rng)
     return TransmissionBatch(S, const.bit_labels[idx], Y, N0, T, Y - H @ S,
                              idx)

@@ -33,6 +33,10 @@ from .constellation import SUPPORTED_ORDERS
 TRAIN_SNR_RANGE_DB = (0.0, 25.0)
 # sweep SNRs (dB) at and above this have no finite linear SNR 10**(snr/10)
 SNR_DB_MAX = 10.0 * math.log10(sys.float_info.max)
+# sweep SNRs (dB) below this are refused: N0 = |H|^2 / (B 10**(snr/10))
+# must stay finite, and far enough from overflow that the detectors'
+# arithmetic on it does too
+SNR_DB_MIN = -300.0
 
 _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
            "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
@@ -187,4 +191,4 @@ class HwmodelConfig:
 
     def __post_init__(self):
         check(self)
-        check_design(self.B, self.U)
+        check_design(self.B, self.U, (2,))   # the GBCD row's block size

@@ -36,7 +36,6 @@ class Constellation:
     bit_labels: np.ndarray   # (Q, log2 Q) uint8, real-axis bits first
     pam_points: np.ndarray   # (sqrt Q,) ascending real levels, scaled
     scale: float             # multiplier taking the odd-integer grid to pam_points
-    bit_subsets: tuple       # per bit b: (indices with bit b = 0, indices with bit b = 1)
     label_to_index: np.ndarray  # label integer -> point index
 
     @property
@@ -74,11 +73,6 @@ class Constellation:
         equal to 0 / 1 (read-only, computed once per constellation)."""
         return self._pam_bit_subsets[axis_bit]
 
-    def pam_bit_values(self, axis_bit: int) -> tuple[np.ndarray, np.ndarray]:
-        """PAM levels whose Gray label has the given axis bit equal to 0 / 1."""
-        i0, i1 = self.pam_bit_indices(axis_bit)
-        return self.pam_points[i0], self.pam_points[i1]
-
 
 def make_constellation(order: int) -> Constellation:
     """Build the Gray-mapped square QAM alphabet of the given order."""
@@ -100,16 +94,12 @@ def make_constellation(order: int) -> Constellation:
          _bits_msb_first(gray[im_idx], axis_bits)],
         axis=1,
     )
-    subsets = tuple(
-        (np.flatnonzero(labels[:, b] == 0), np.flatnonzero(labels[:, b] == 1))
-        for b in range(2 * axis_bits)
-    )
     weights = 1 << np.arange(2 * axis_bits - 1, -1, -1)
     label_ints = labels @ weights
     label_to_index = np.empty(order, dtype=np.int64)
     label_to_index[label_ints] = np.arange(order)
 
-    return Constellation(order, points, labels, pam, float(scale), subsets,
+    return Constellation(order, points, labels, pam, float(scale),
                          label_to_index)
 
 
@@ -121,11 +111,6 @@ def symbol_indices_from_bits(const: Constellation, bits: np.ndarray) -> np.ndarr
     weights = 1 << np.arange(m - 1, -1, -1)
     label_ints = bits.astype(np.int64) @ weights
     return const.label_to_index[label_ints]
-
-
-def map_bits(const: Constellation, bits: np.ndarray) -> np.ndarray:
-    """Map bit groups (..., log2 Q) to complex symbols."""
-    return const.points[symbol_indices_from_bits(const, bits)]
 
 
 def draw_symbols(const: Constellation, shape, rng: np.random.Generator):

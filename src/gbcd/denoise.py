@@ -10,9 +10,9 @@ Three denoisers are provided:
   ``beta``. Its raw output lives on the odd-integer PAM grid; the detector
   rescales it by the constellation scale factor.
 
-Both piecewise denoisers and the per-bit distance maps can be rendered as
-slope/bias lookup tables (``PlmTable``); ``PmeDenoiser`` evaluates its
-iterations through them.
+``build_plm_table`` renders the piecewise posterior mean as a slope/bias
+lookup table (``PlmTable``), the form a fixed-point datapath evaluates;
+``PmeDenoiser`` evaluates its iterations through such tables.
 
 The max-log soft outputs take each Gray bit's minima over the distances of
 ``_gray_subsets``; the deep-unfolding trainer takes its metric and argmins
@@ -29,7 +29,6 @@ likely; ``llr_to_prob`` maps LLR to P(bit = 1).
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -112,7 +111,6 @@ class PlmTable:
     boundaries: np.ndarray   # (n_bins - 1,) strictly increasing
     slopes: np.ndarray       # (n_bins,)
     biases: np.ndarray       # (n_bins,)
-    mode: str
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -126,109 +124,24 @@ class PlmTable:
     def n_bins(self) -> int:
         return self.slopes.size
 
-    def to_text(self) -> str:
-        return json.dumps(
-            {"mode": self.mode,
-             "boundaries": self.boundaries.tolist(),
-             "slopes": self.slopes.tolist(),
-             "biases": self.biases.tolist()},
-            indent=2, sort_keys=True)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PlmTable":
-        d = json.loads(text)
-        return cls(np.asarray(d["boundaries"], dtype=np.float64),
-                   np.asarray(d["slopes"], dtype=np.float64),
-                   np.asarray(d["biases"], dtype=np.float64),
-                   d["mode"])
+def build_plm_table(rho: float, beta: float, order: int) -> PlmTable:
+    """``pme_piecewise(., rho, beta, order)`` as a slope/bias lookup table.
 
-
-def _segment_probes(breaks: np.ndarray) -> np.ndarray:
-    """One probe point inside every segment, including the two outer ones."""
-    pad = 1.0 + (breaks[-1] - breaks[0])
-    return np.concatenate([[breaks[0] - pad],
-                           (breaks[:-1] + breaks[1:]) / 2.0,
-                           [breaks[-1] + pad]])
-
-
-def _table_from_breakpoints(breaks: np.ndarray, fn, slope_fn, mode: str) -> PlmTable:
-    """Build a PlmTable for a piecewise-affine fn; slope_fn(probe) must return
-    the exact slope of the segment containing the probe."""
-    b = np.unique(breaks)
-    probes = _segment_probes(b)
-    slopes = slope_fn(probes)
-    biases = fn(probes) - slopes * probes
-    return PlmTable(b, slopes, biases, mode)
-
-
-def build_plm_table(mode: str, rho: float | None = None,
-                    beta: float | None = None,
-                    const: Constellation | None = None,
-                    order: int | None = None) -> PlmTable:
-    """Render a denoiser as a slope/bias lookup table.
-
-    ``box`` mode needs the constellation; ``pme`` mode needs (rho, beta) and
-    the order (taken from the constellation when given).
+    The breakpoints are where a ramp leaves [-1, 1]; each segment's slope
+    (rho times its active ramps) and bias are read at one probe point
+    inside it, the two outer probes beyond the outermost breakpoints.
     """
-    mode = mode.lower()
-    if mode == "box":
-        if const is None:
-            raise ValueError("box mode requires the constellation")
-        a = const.max_amplitude
-        return PlmTable(np.array([-a, a]),
-                        np.array([0.0, 1.0, 0.0]),
-                        np.array([-a, 0.0, a]), "box")
-    if mode == "pme":
-        if rho is None or beta is None:
-            raise ValueError("pme mode requires rho and beta")
-        if order is None:
-            if const is None:
-                raise ValueError("pme mode requires the order or a constellation")
-            order = const.order
-        gamma = math.isqrt(order) // 2 - 1
-        shifts = 2.0 * beta * np.arange(-gamma, gamma + 1)
-        breaks = np.concatenate([-1.0 / rho - shifts, 1.0 / rho - shifts])
-
-        def fn(x):
-            return pme_piecewise(x, rho, beta, order)
-
-        def slope_fn(x):
-            x = np.asarray(x, dtype=np.float64)
-            active = np.abs(rho * (x[..., None] + shifts)) < 1.0
-            return rho * active.sum(axis=-1)
-
-        return _table_from_breakpoints(np.sort(breaks), fn, slope_fn, "pme")
-    raise ValueError(f"unknown table mode {mode!r}")
-
-
-def build_llr_table(const: Constellation, axis_bit: int,
-                    mu: float) -> PlmTable:
-    """Per-axis bit metric min_{a0}(x - mu a0)^2 - min_{a1}(x - mu a1)^2 as a
-    piecewise-linear table (the quadratic terms cancel on every segment)."""
-    pam0, pam1 = const.pam_bit_values(axis_bit)
-
-    def nearest(x, pts):
-        return pts[np.argmin(np.abs(x[..., None] - mu * pts), axis=-1)]
-
-    def fn(x):
-        x = np.asarray(x, dtype=np.float64)
-        d0 = np.min((x[..., None] - mu * pam0) ** 2, axis=-1)
-        d1 = np.min((x[..., None] - mu * pam1) ** 2, axis=-1)
-        return d0 - d1
-
-    def slope_fn(x):
-        # (x - mu a0)^2 - (x - mu a1)^2 = 2 mu (a1 - a0) x + mu^2 (a0^2 - a1^2)
-        x = np.asarray(x, dtype=np.float64)
-        return 2.0 * mu * (nearest(x, pam1) - nearest(x, pam0))
-
-    # argmin switches at midpoints between scaled PAM points of each subset
-    mids = []
-    for pts in (pam0, pam1):
-        sp = np.sort(mu * pts)
-        if sp.size > 1:
-            mids.append((sp[:-1] + sp[1:]) / 2.0)
-    breaks = np.sort(np.concatenate(mids)) if mids else np.array([0.0])
-    return _table_from_breakpoints(breaks, fn, slope_fn, "llr-distance")
+    gamma = math.isqrt(order) // 2 - 1
+    shifts = 2.0 * beta * np.arange(-gamma, gamma + 1)
+    b = np.unique(np.concatenate([-1.0 / rho - shifts, 1.0 / rho - shifts]))
+    pad = 1.0 + (b[-1] - b[0])
+    probes = np.concatenate([[b[0] - pad], (b[:-1] + b[1:]) / 2.0,
+                             [b[-1] + pad]])
+    active = np.abs(rho * (probes[:, None] + shifts)) < 1.0
+    slopes = rho * active.sum(axis=-1)
+    biases = pme_piecewise(probes, rho, beta, order) - slopes * probes
+    return PlmTable(b, slopes, biases)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +171,7 @@ class PmeDenoiser:
         self.beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
         if self.rho.shape != self.beta.shape:
             raise ValueError("rho and beta schedules must have equal length")
-        self.tables = [build_plm_table("pme", r, b, order=const.order)
+        self.tables = [build_plm_table(r, b, const.order)
                        for r, b in zip(self.rho, self.beta)]
 
     def apply(self, v: np.ndarray, k: int) -> np.ndarray:
@@ -350,15 +263,14 @@ def _axis_llrs(x: np.ndarray, mu: np.ndarray, const: Constellation):
 
 
 def compute_llrs_with_params(v_final: np.ndarray, params: LlrParams,
-                             const: Constellation, *, method: str = "axis",
+                             const: Constellation, *,
                              recip_fn=np.reciprocal) -> SoftOutput:
     """Max-log LLRs from the unconstrained estimates and explicit gains.
 
     ``v_final`` holds one vector (..., U) or a block (..., U, T) per
     channel of ``params`` (mu (..., U)); the LLRs are (..., U, bits) or
-    (..., U, bits, T). ``axis`` exploits the per-axis Gray labeling
-    (sqrt(Q)-point scans); ``exhaustive`` scans the full alphabet and serves
-    as the reference.
+    (..., U, bits, T). The per-axis Gray labeling turns the full-alphabet
+    search into sqrt(Q)-level minima per axis (``_gray_subsets``).
     """
     v = np.asarray(v_final, dtype=np.complex128)
     mu, xi = params.mu, params.xi
@@ -367,19 +279,7 @@ def compute_llrs_with_params(v_final: np.ndarray, params: LlrParams,
     inv_xi = recip_fn(xi)
     inv_xi_b = inv_xi[..., None] if block else inv_xi
 
-    if method == "axis":
-        metrics = (_axis_llrs(v.real, mu, const)
-                   + _axis_llrs(v.imag, mu, const))
-    elif method == "exhaustive":
-        mu_b = mu[..., None] if block else mu
-        dist = np.abs(v[..., None] - mu_b[..., None] * const.points) ** 2
-        metrics = []
-        for b in range(m):
-            i0, i1 = const.bit_subsets[b]
-            metrics.append(dist[..., i0].min(axis=-1)
-                           - dist[..., i1].min(axis=-1))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    metrics = _axis_llrs(v.real, mu, const) + _axis_llrs(v.imag, mu, const)
     llrs = np.empty(mu.shape + (m,) + v.shape[mu.ndim:])
     for j, d in enumerate(metrics):
         np.multiply(d, inv_xi_b, out=llrs[..., j, :] if block else llrs[..., j])
@@ -390,13 +290,11 @@ def compute_llrs_with_params(v_final: np.ndarray, params: LlrParams,
 
 def compute_llrs(v_final: np.ndarray, G: np.ndarray,
                  alpha: float | np.ndarray, const: Constellation, *,
-                 method: str = "axis",
                  recip_fn=np.reciprocal) -> SoftOutput:
     """Max-log LLRs with Neumann-approximated gains mu = G_uu / (G_uu + alpha);
     shapes as in ``compute_llrs_with_params``, with G (..., U, U)."""
     params = LlrParams.from_gram(G, alpha, recip_fn=recip_fn)
-    return compute_llrs_with_params(v_final, params, const, method=method,
-                                    recip_fn=recip_fn)
+    return compute_llrs_with_params(v_final, params, const, recip_fn=recip_fn)
 
 
 def llr_to_prob(llr: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ import numpy as np
 from . import baselines, denoise, detector, fec, hwmodel, unfolding
 from .channel import (CONDITIONS, apply_channel, check_angle_separation,
                       gen_channel, noise_variance_for_snr)
-from .config import (SNR_DB_MAX, ConfigError, check, check_design, from_dict,
-                     key)
+from .config import (SNR_DB_MAX, SNR_DB_MIN, ConfigError, check, check_design,
+                     from_dict, key)
 from .constellation import (SUPPORTED_ORDERS, hard_decision_indices,
                             make_constellation, symbol_indices_from_bits)
 
@@ -79,7 +79,8 @@ class ExperimentConfig:
     B: int
     U: int
     Q: int = key(choices=SUPPORTED_ORDERS)
-    snr_db: list[float] = key(lt=SNR_DB_MAX, inf=True)   # Infinity: noiseless
+    # Infinity: noiseless
+    snr_db: list[float] = key(ge=SNR_DB_MIN, lt=SNR_DB_MAX, inf=True)
     condition: str = key(choices=CONDITIONS)
     detectors: list[str] = key(choices=DETECTORS, unique=True)
     K: int = key(ge=1)

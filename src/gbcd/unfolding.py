@@ -60,10 +60,6 @@ class TrainedParams:
     def K(self) -> int:
         return int(self.rho.size)
 
-    @property
-    def n_params(self) -> int:
-        return 2 * self.K + 1
-
     def to_record(self) -> dict:
         return {"scenario": self.scenario,
                 "rho": [float(x) for x in self.rho],
@@ -160,19 +156,17 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
 # unrolled forward / backward
 
 def _plm_forward(x: np.ndarray, rho: float, beta: float, offsets: np.ndarray):
-    """Clipped-ramp sum over the offsets; returns the raw value and the
-    reductions the backward pass needs (active count, active-argument sum,
-    active-offset-derivative sum). ``grad`` calls it once per outer
+    """The reductions the backward pass needs of the clipped-ramp sum over
+    the offsets: the active count, active-argument sum and
+    active-offset-derivative sum. ``grad`` calls it once per outer
     iteration, on that iteration's M block estimates in update order with
     the real and imaginary parts stacked last."""
     arg = x[..., None] + 2.0 * beta * offsets
-    pre = rho * arg
-    active = np.abs(pre) < 1.0
-    out = np.clip(pre, -1.0, 1.0).sum(axis=-1)
+    active = np.abs(rho * arg) < 1.0
     cnt = active.sum(axis=-1).astype(np.float64)
     svb = np.where(active, arg, 0.0).sum(axis=-1)
     s2t = np.where(active, 2.0 * offsets, 0.0).sum(axis=-1)
-    return out, cnt, svb, s2t
+    return cnt, svb, s2t
 
 
 def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
@@ -272,7 +266,7 @@ def grad(params, batch: TrainBatch, K: int):
     scale = const.scale
 
     # loss stage: d loss / d llr = (P - X) / n, zero where the cap is active
-    P = 0.5 * (1.0 + np.tanh(0.5 * c["llr"]))
+    P = denoise.llr_to_prob(c["llr"])
     gllr = np.where(c["capped"], 0.0, P - c["X"]) / n
 
     inv_xi = c["inv_xi"]
@@ -310,8 +304,8 @@ def grad(params, batch: TrainBatch, K: int):
     grho = np.zeros(K)
     gbeta = np.zeros(K)
     for k in reversed(range(K)):
-        _, cnt, svb, s2t = _plm_forward(c["x"][:, k], rho[k], beta[k],
-                                        c["offsets"])
+        cnt, svb, s2t = _plm_forward(c["x"][:, k], rho[k], beta[k],
+                                     c["offsets"])
         for m in reversed(range(M)):
             A = slice(m * L, (m + 1) * L)
             gdz = -np.einsum("nul,nu->nl", Gc[m], gr)

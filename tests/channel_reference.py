@@ -72,14 +72,10 @@ def _apply_channel_reference(H, S, N0, rng):
     return y, y - hs
 
 
-def _transmit_reference(H, const, T, snr_db, rng, *, all_zero=False):
+def _transmit_reference(H, const, T, snr_db, rng):
     U = H.shape[1]
     N0 = _noise_variance_for_snr_reference(H, snr_db)
-    if all_zero:
-        idx = np.zeros((U, T), dtype=np.int64)
-        S = np.zeros((U, T), dtype=np.complex128)
-    else:
-        idx, S = draw_symbols(const, (U, T), rng)
+    idx, S = draw_symbols(const, (U, T), rng)
     Y, noise = _apply_channel_reference(H, S, N0, rng)
     bits = const.bit_labels[idx]
     return TransmissionBatch(S, bits, Y, float(N0), T, noise, idx)

@@ -7,6 +7,10 @@ they were written when both scanned the PAM levels along a trailing axis.
 The live versions run on the float64 view of the estimates, permute with
 flat row gathers and put the level axis first; they must give the same
 values as these for every input layout, and leave their input as it was.
+
+The max-log LLRs by a search over the full alphabet are here too, as the
+oracle of the per-axis Gray search; they agree with it to rounding (the
+complex squared distance is not split per axis), not bitwise.
 """
 
 import numpy as np
@@ -129,6 +133,29 @@ def _llrs_reference(v, params, const):
     metrics = (_trailing_axis_llrs_reference(v.real, mu, const)
                + _trailing_axis_llrs_reference(v.imag, mu, const))
     return np.stack([d * inv_xi for d in metrics], axis=mu.ndim)
+
+
+def _bit_subsets_reference(const):
+    """Per bit b of the labels: the alphabet indices whose label has bit b
+    equal to 0, and those with it equal to 1."""
+    return [(np.flatnonzero(col == 0), np.flatnonzero(col == 1))
+            for col in const.bit_labels.T]
+
+
+def _llrs_exhaustive_reference(v, params, const):
+    """The LLRs of ``compute_llrs_with_params(v, params, const)`` by a
+    search over the full alphabet: per bit, the smallest squared distance
+    of v to the gain-scaled points labelled 0 minus that to those labelled
+    1, with no use of the per-axis Gray structure."""
+    v = np.asarray(v, dtype=np.complex128)
+    mu = params.mu
+    inv_xi = np.reciprocal(params.xi)
+    if v.ndim > mu.ndim:
+        mu, inv_xi = mu[..., None], inv_xi[..., None]
+    dist = np.abs(v[..., None] - mu[..., None] * const.points) ** 2
+    return np.stack([(dist[..., i0].min(axis=-1) - dist[..., i1].min(axis=-1))
+                     * inv_xi for i0, i1 in _bit_subsets_reference(const)],
+                    axis=params.mu.ndim)
 
 
 def _hard_decision_indices_reference(const, v, gain=1.0):

@@ -652,6 +652,9 @@ SCHEMA_CASES = {
     "sim-seed-float": ("simulate", base_config(seed=4.2), (), "seed"),
     "sim-snr-overflow": ("simulate", base_config(snr_db=[1e308]), (),
                          "snr_db"),
+    "sim-snr-underflow": ("simulate", base_config(B=8, uncoded=True,
+                                                  snr_db=[-5000.0]), (),
+                          "snr_db"),
     "sim-json-list": ("simulate", [base_config()], (), "config"),
     "sim-seed-flag": ("simulate", base_config(), ("--seed", "-1"), "seed"),
     "train-seed-negative": ("train", train_config(training={"seed": -3}), (),
@@ -691,6 +694,7 @@ SCHEMA_CASES = {
     "train-unknown-key": ("train", train_config(bogus=1), (), "bogus"),
     "hw-U-above-B": ("hwmodel", hwmodel_config(B=8, U=16), (), "U"),
     "hw-U1": ("hwmodel", hwmodel_config(U=1), (), "U"),
+    "hw-U-odd": ("hwmodel", hwmodel_config(B=16, U=7, T=[6]), (), "U"),
     "hw-Q3": ("hwmodel", hwmodel_config(Q=3), (), "Q"),
     "hw-B-float": ("hwmodel", hwmodel_config(B=128.7), (), "B"),
     "hw-fclk-zero": ("hwmodel", hwmodel_config(f_clk=0), (), "f_clk"),

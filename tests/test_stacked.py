@@ -10,6 +10,8 @@ from gbcd.channel import apply_channel, gen_channel, noise_variance_for_snr
 from gbcd.constellation import make_constellation
 from gbcd.counting import MultCounter
 
+from datapath_reference import _llrs_exhaustive_reference
+
 N = 5   # channels per stack
 K = 3
 
@@ -111,10 +113,13 @@ def test_default_alpha_is_per_channel_noise():
     assert np.array_equal(soft.params.alpha, N0)
 
 
-@pytest.mark.parametrize("method", ["axis", "exhaustive"])
+@pytest.mark.parametrize("oracle", ["axis", "exhaustive"])
 @pytest.mark.parametrize("T", [1, 120])
 @pytest.mark.parametrize("Q", [4, 16, 64, 256])
-def test_llrs_with_params_per_channel_alpha(Q, T, method):
+def test_llrs_with_params_per_channel_alpha(Q, T, oracle):
+    """A stack with one alpha per channel against each channel alone
+    ("axis", exact) and against the full-alphabet search over the whole
+    stack ("exhaustive", to 1e-10)."""
     rng = np.random.default_rng([Q, T])
     const = make_constellation(Q)
     U = 4
@@ -126,10 +131,14 @@ def test_llrs_with_params_per_channel_alpha(Q, T, method):
         G[n] = detector.gram(Hn)
     alpha = rng.uniform(0.01, 1.0, N)
     params = denoise.LlrParams.from_gram(G, alpha)
-    soft = denoise.compute_llrs_with_params(v, params, const, method=method)
+    soft = denoise.compute_llrs_with_params(v, params, const)
+    if oracle == "exhaustive":
+        want = _llrs_exhaustive_reference(v, params, const)
+        assert soft.llrs.shape == want.shape
+        assert np.max(np.abs(soft.llrs - want)) < 1e-10
+        return
     for n in range(N):
-        one = denoise.compute_llrs(v[n], G[n], alpha[n], const,
-                                   method=method)
+        one = denoise.compute_llrs(v[n], G[n], alpha[n], const)
         assert one.params.alpha == alpha[n]
         stacked = denoise.SoftOutput(
             soft.llrs[n], soft.v_final[n],
