@@ -56,5 +56,5 @@ with tempfile.NamedTemporaryFile(suffix=".json") as f:
     store = ParamStore.load(f.name)
     for q in (10.0, 17.0, 30.0, -5.0):
         res = store.lookup(16, 4, K, 16, "nonlos", q)
-        print(f"lookup at {q:5.1f} dB -> mode {res.mode:4s} "
-              f"fallback={res.fallback}")
+        mode = "BOX" if res.params is None else "PME"
+        print(f"lookup at {q:5.1f} dB -> {mode} fallback={res.fallback}")

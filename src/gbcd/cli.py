@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import hwmodel, unfolding
@@ -19,14 +20,22 @@ HWMODEL_COLUMNS = ("algorithm", "B", "U", "K", "T", "pre_mults", "eq_mults",
                    "total", "theta_bps", "eta", "p_watts_fit")
 
 
+def _check_out(path) -> None:
+    """An output path (None: stdout) must lie in an existing directory."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output directory of {path} does not exist")
+
+
 def _load_config(args) -> ExperimentConfig:
     """Load a config and apply the command-line overrides; the result is
     validated again."""
     cfg = ExperimentConfig.from_dict(read_json(args.config))
     overrides = {"seed": args.seed, "out": args.out,
                  "fixed_point": True if args.fixed_point else None}
-    return dataclasses.replace(
+    cfg = dataclasses.replace(
         cfg, **{k: v for k, v in overrides.items() if v is not None})
+    _check_out(cfg.out)
+    return cfg
 
 
 def _cmd_simulate(args) -> int:
@@ -50,21 +59,23 @@ def _cmd_train(args) -> int:
     training = job.training
     if args.seed is not None:
         training = dataclasses.replace(training, seed=args.seed)
-    params = unfolding.train(job.scenario, training, job.K)
     out = args.out or "trained_params.json"
-    try:
-        store = unfolding.ParamStore.load(out)
-    except FileNotFoundError:
-        store = unfolding.ParamStore()
+    _check_out(out)
+    store = (unfolding.ParamStore.load(out) if os.path.exists(out)
+             else unfolding.ParamStore())
+    params = unfolding.train(job.scenario, training, job.K)
     store.add(params)
     store.save(out)
-    print(f"trained scenario {params.scenario} -> {out} "
+    shown = {k: getattr(params.scenario, k)      # the line's fixed key order
+             for k in ("B", "U", "K", "Q", "condition", "snr_db")}
+    print(f"trained scenario {shown} -> {out} "
           f"(val loss {params.meta['final_val_loss']:.4f})")
     return 0
 
 
 def _cmd_hwmodel(args) -> int:
     cfg = from_dict(HwmodelConfig, read_json(args.config))
+    _check_out(args.out)
     B, U, K, Q = cfg.B, cfg.U, cfg.K, cfg.Q
     reports = {
         "gbcd": hwmodel.complexity_gbcd(B, U, K),

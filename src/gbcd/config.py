@@ -1,15 +1,16 @@
-"""What a valid config is. Every CLI config is a dataclass whose fields
-declare each key's type (the annotation) and range (``key``) once; ``check``
-enforces both first thing in each ``__post_init__``, so configs built in
-code and ``dataclasses.replace`` overrides are checked as JSON ones are.
-``from_dict`` loads a parsed JSON object, sections included. Rules that tie
-keys together follow ``check``: ``check_design`` here, and the coherence
-groups, LOS sector and code rate in ``harness.ExperimentConfig``.
+"""What a valid config is. Every CLI config and parameter-store record is a
+dataclass whose fields declare each key's type (the annotation) and range
+(``key``) once; ``check`` enforces both first thing in each
+``__post_init__``, so configs built in code and ``dataclasses.replace``
+overrides are checked as JSON ones are. ``from_dict`` loads a parsed JSON
+object, sections included. Rules that tie keys together follow ``check``
+in the same ``__post_init__``, through ``check_design`` for the design.
 
 An int is an integral number and a float a real one (an int is stored as a
 float), neither a bool; a bool is only true or false; numpy scalars count.
-A list is non-empty and checked element by element. A float is finite
-unless its key admits Infinity; bounds apply to finite values.
+A list is non-empty and checked element by element, a dict is any JSON
+object. A float is finite unless its key admits Infinity; bounds apply to
+finite values.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .constellation import SUPPORTED_ORDERS
 
 # SNRs (dB) parameters are trained at; the parameter store falls back outside
 TRAIN_SNR_RANGE_DB = (0.0, 25.0)
+# block size L of the GBCD ASIC, its hwmodel row, detectors and PME records
+GBCD_L = 2
 # sweep SNRs (dB) at and above this have no finite linear SNR 10**(snr/10)
 SNR_DB_MAX = 10.0 * math.log10(sys.float_info.max)
 # sweep SNRs (dB) below this are refused: N0 = |H|^2 / (B 10**(snr/10))
@@ -42,7 +45,8 @@ _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
            "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 # per type: what a value must be, and the classes it takes besides bools
 _KINDS = {bool: ("true or false", ()), int: ("an integer", numbers.Integral),
-          float: ("a number", numbers.Real), str: ("a string", str)}
+          float: ("a number", numbers.Real), str: ("a string", str),
+          dict: ("a JSON object", dict)}
 
 
 class ConfigError(ValueError):
@@ -138,12 +142,12 @@ def from_dict(cls, raw, where: str = "config"):
 
 
 def read_json(path):
-    """Parse a JSON config file; a missing or malformed file is a ConfigError."""
+    """Parse a JSON file; a missing or malformed file is a ConfigError."""
     try:
         with open(path) as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ConfigError(f"cannot read {path}: {e}") from e
 
 
 def check_design(B: int, U: int, block_sizes=()) -> None:
@@ -191,4 +195,4 @@ class HwmodelConfig:
 
     def __post_init__(self):
         check(self)
-        check_design(self.B, self.U, (2,))   # the GBCD row's block size
+        check_design(self.B, self.U, (GBCD_L,))

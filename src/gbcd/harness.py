@@ -30,8 +30,8 @@ import numpy as np
 from . import baselines, denoise, detector, fec, hwmodel, unfolding
 from .channel import (CONDITIONS, apply_channel, check_angle_separation,
                       gen_channel, noise_variance_for_snr)
-from .config import (SNR_DB_MAX, SNR_DB_MIN, ConfigError, check, check_design,
-                     from_dict, key)
+from .config import (GBCD_L, SNR_DB_MAX, SNR_DB_MIN, ConfigError, check,
+                     check_design, from_dict, key)
 from .constellation import (SUPPORTED_ORDERS, hard_decision_indices,
                             make_constellation, symbol_indices_from_bits)
 
@@ -40,8 +40,8 @@ ABLATE_COLUMNS = ("snr_db", "variant", "bler", "ser", "trials", "block_errors",
                   "data_hash")
 
 DETECTOR_SPECS = {
-    "gbcd-box": dict(kind="gbcd", L=2, sort=True),
-    "gbcd-pme": dict(kind="gbcd", L=2, sort=True, source="trained"),
+    "gbcd-box": dict(kind="gbcd", L=GBCD_L, sort=True),
+    "gbcd-pme": dict(kind="gbcd", L=GBCD_L, sort=True, source="trained"),
     "lmmse": dict(kind="lmmse"),
     "ocd": dict(kind="ocd"),
 }
@@ -50,11 +50,12 @@ DETECTORS = tuple(DETECTOR_SPECS)
 ABLATION_VARIANTS = (
     ("cd-box", dict(kind="gbcd", L=1, sort=False)),
     ("cd-box+sort", dict(kind="gbcd", L=1, sort=True)),
-    ("gbcd-box", dict(kind="gbcd", L=2, sort=False)),
-    ("gbcd-box+sort", dict(kind="gbcd", L=2, sort=True)),
-    ("gbcd-pme-empirical", dict(kind="gbcd", L=2, sort=True,
+    ("gbcd-box", dict(kind="gbcd", L=GBCD_L, sort=False)),
+    ("gbcd-box+sort", dict(kind="gbcd", L=GBCD_L, sort=True)),
+    ("gbcd-pme-empirical", dict(kind="gbcd", L=GBCD_L, sort=True,
                                 source="empirical")),
-    ("gbcd-pme-trained", dict(kind="gbcd", L=2, sort=True, source="trained")),
+    ("gbcd-pme-trained", dict(kind="gbcd", L=GBCD_L, sort=True,
+                              source="trained")),
 )
 
 # Codeword blocks per fec.decode_batch call. The decoder's cost per block
@@ -140,22 +141,19 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
 
 
 def _resolve_pme(cfg: ExperimentConfig, const, store, snr_db: float):
-    """Trained-parameter lookup with the documented fallback ladder, as a
-    (denoiser, alpha) pair; the BOX fallback keeps the default alpha."""
+    """The store's lookup, which follows the documented fallback ladder, as
+    a (denoiser, alpha) pair; the BOX denoiser keeps the default alpha."""
     box = (denoise.box_denoiser(const), None)
-    if snr_db < unfolding.TRAIN_SNR_RANGE_DB[0]:
-        return box
     try:
-        if store is None:
-            raise unfolding.MissingParamsError(
-                "gbcd-pme requested but no params_path configured")
-        res = store.lookup(cfg.B, cfg.U, cfg.K, cfg.Q, cfg.condition, snr_db)
-    except unfolding.MissingParamsError:
+        p = store.lookup(cfg.B, cfg.U, cfg.K, cfg.Q, cfg.condition,
+                         snr_db).params
+    except unfolding.MissingParamsError as e:
         if cfg.allow_box_fallback:
             return box
-        raise
-    return (denoise.pme_denoiser(const, res.params.rho, res.params.beta),
-            res.params.alpha)
+        raise unfolding.MissingParamsError(
+            f"{e.args[0]} (params_path: {cfg.params_path or 'not set'})") from e
+    return box if p is None else (denoise.pme_denoiser(const, p.rho, p.beta),
+                                  p.alpha)
 
 
 def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
@@ -355,18 +353,14 @@ def _write_csv(path_or_buf, rows, columns):
 def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
     """Run every SNR point for the named detector specs. Before the first
     trial, ``pme_sources(cfg, const, store, snr_db, sources)`` resolves the
-    PME sources the specs name at every SNR, from the store read once; an
-    unreadable or malformed store is a ConfigError."""
+    PME sources the specs name at every SNR, from the store read once (or
+    an empty one); an unreadable or malformed store is a ConfigError."""
     const = make_constellation(cfg.Q)
     code = cfg.code
     sources = {spec["source"] for spec in specs.values() if "source" in spec}
-    store = None
+    store = unfolding.ParamStore()
     if sources and cfg.params_path is not None:
-        try:
-            store = unfolding.ParamStore.load(cfg.params_path)
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            raise ConfigError(f"cannot read params_path {cfg.params_path}: "
-                              f"{e}") from e
+        store = unfolding.ParamStore.load(cfg.params_path)
     pme = [pme_sources(cfg, const, store, float(snr_db), sources)
            if sources else {} for snr_db in cfg.snr_db]
     rows = []

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import baselines, denoise, detector
-from .constellation import Constellation
+from . import baselines, config, denoise, detector
+from .constellation import Constellation, make_constellation
 from .counting import MultCounter
 
 
@@ -67,8 +67,6 @@ def complexity_lmmse(B: int, U: int) -> ComplexityReport:
     instrumenting one matched filter plus forward/backward substitution."""
     pre = 2 * B * U * U + (2 * U ** 3 - 2 * U) // 3
     H, y = _random_instance(B, U)
-    from .constellation import make_constellation
-
     const = make_constellation(4)
     c_all = MultCounter()
     baselines.lmmse_detect(H, y, 0.1, const, counter=c_all)
@@ -84,8 +82,6 @@ def complexity_ocd(B: int, U: int, K: int) -> ComplexityReport:
     Every task works from (H, y) directly, so the column norms are part of
     the per-transmission cost and the preprocessing intercept is zero.
     """
-    from .constellation import make_constellation
-
     H, y = _random_instance(B, U)
     const = make_constellation(4)
     c = MultCounter()
@@ -95,12 +91,10 @@ def complexity_ocd(B: int, U: int, K: int) -> ComplexityReport:
 
 def measured_gbcd_counts(B: int, U: int, K: int, seed: int = 0):
     """Instrumented (preprocessing, per-transmission) counts for one run."""
-    from .constellation import make_constellation
-
     H, y = _random_instance(B, U, seed)
     const = make_constellation(4)
     c_pre = MultCounter()
-    pre = detector.preprocess(H, 0.1, L=2, counter=c_pre)
+    pre = detector.preprocess(H, 0.1, L=config.GBCD_L, counter=c_pre)
     c_eq = MultCounter()
     y_mf = detector.matched_filter(H, y, c_eq)
     detector.gbcd_equalize(pre, y_mf, K, denoise.box_denoiser(const), counter=c_eq)
@@ -273,7 +267,6 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     counts for ``z``); the remaining bits (one reserved for the sign) are
     fractional.
     """
-    from .constellation import make_constellation
     from .unfolding import PREPROCESS_SLICE, transmit_samples
 
     widths = {"h": 12, "y": 12, "g": 15, "ymf": 18, "z": 11, "llr": 18}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +33,8 @@ import numpy as np
 from . import denoise, detector
 from .channel import (gen_channel, is_noiseless, noise_variance_for_snr,
                       receive, unit_normals)
-from .config import TRAIN_SNR_RANGE_DB, Scenario, check, check_design, key
+from .config import (GBCD_L, TRAIN_SNR_RANGE_DB, ConfigError, Scenario,
+                     check, check_design, from_dict, key, read_json)
 from .constellation import Constellation, make_constellation
 
 LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
@@ -48,31 +49,29 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+@dataclass(frozen=True)
+class TrainedScenario(Scenario):
+    """A stored record's ``scenario``: a training scenario and its K."""
+
+    K: int = key(ge=1)
+
+
 @dataclass
 class TrainedParams:
-    rho: np.ndarray          # (K,) positive slopes
-    beta: np.ndarray         # (K,) positive half-spacings
-    alpha: float             # soft-output normalizer, >= 0
-    scenario: dict           # B, U, K, Q, condition, snr_db
+    """One parameter-store record: the schedule trained for a scenario, one
+    slope and one half-spacing per iteration; checked when built or loaded."""
+
+    rho: list[float] = key(gt=0)         # (K,) slopes
+    beta: list[float] = key(gt=0)        # (K,) half-spacings
+    alpha: float = key(ge=0)             # soft-output normalizer
+    scenario: TrainedScenario
     meta: dict = field(default_factory=dict)
 
-    @property
-    def K(self) -> int:
-        return int(self.rho.size)
-
-    def to_record(self) -> dict:
-        return {"scenario": self.scenario,
-                "rho": [float(x) for x in self.rho],
-                "beta": [float(x) for x in self.beta],
-                "alpha": float(self.alpha),
-                "meta": self.meta}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "TrainedParams":
-        return cls(np.asarray(rec["rho"], dtype=np.float64),
-                   np.asarray(rec["beta"], dtype=np.float64),
-                   float(rec["alpha"]), dict(rec["scenario"]),
-                   dict(rec.get("meta", {})))
+    def __post_init__(self):
+        check(self)
+        if not len(self.rho) == len(self.beta) == self.scenario.K:
+            raise ConfigError(f"rho and beta need K={self.scenario.K} "
+                              f"entries, got {len(self.rho)} and {len(self.beta)}")
 
 
 @dataclass
@@ -121,9 +120,9 @@ def transmit_samples(B: int, U: int, condition: str, const: Constellation,
 
 def make_batch(B: int, U: int, const: Constellation, snr_db: float,
                condition: str, n: int, rng: np.random.Generator, *,
-               L: int = 2, sort: bool = True, k_factor: float = 10.0,
-               min_sep_deg: float = 1.0) -> TrainBatch:
-    """Generate n samples, each with its own channel, symbols, and noise.
+               k_factor: float = 10.0, min_sep_deg: float = 1.0) -> TrainBatch:
+    """Generate n samples, each with its own channel, symbols, and noise,
+    preprocessed as ``gbcd-pme`` detects: block size GBCD_L, sorted.
 
     ``k_factor`` and ``min_sep_deg`` shape LOS channels as in
     ``gen_channel``. Each slice of up to PREPROCESS_SLICE samples comes from
@@ -131,7 +130,7 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     stream does not depend on PREPROCESS_SLICE; the transmit tail, the bit
     labels and preprocessing run once per slice.
     """
-    M = U // L
+    M, L = U // GBCD_L, GBCD_L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
     G = np.empty((n, U, U), dtype=np.complex128)
     y_mf = np.empty((n, U), dtype=np.complex128)
@@ -144,7 +143,7 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
             B, U, condition, const, stop - start, snr_db, rng,
             k_factor=k_factor, min_sep_deg=min_sep_deg)
         bits[start:stop] = const.bit_labels[idx[..., 0]]
-        pre = detector.preprocess(H, N0[start:stop], L=L, sort=sort)
+        pre = detector.preprocess(H, N0[start:stop], L=L)
         G[start:stop] = pre.G
         y_mf[start:stop] = detector.matched_filter(H, Y[..., 0])
         blocks[start:stop] = pre.blocks
@@ -235,8 +234,6 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
 
 
 def _params_arrays(params) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(params, TrainedParams):
-        return params.rho, params.beta, params.alpha
     return (np.asarray(params["rho"], dtype=np.float64),
             np.asarray(params["beta"], dtype=np.float64),
             float(params["alpha"]))
@@ -373,7 +370,6 @@ class TrainConfig:
     lr_decay_patience: int = key(5, ge=1)
     lr_decay: float = key(0.5, gt=0, le=1)
     seed: int = key(0, ge=0)
-    L: int = key(2, ge=1)
     # None: 1/init_beta (the initial denoiser is the box), the constellation
     # scale and the median N0 of the training set
     init_rho: float | None = key(None, gt=0)
@@ -395,7 +391,7 @@ class TrainJob:
 
     def __post_init__(self):
         check(self)
-        check_design(self.scenario.B, self.scenario.U, (self.training.L,))
+        check_design(self.scenario.B, self.scenario.U, (GBCD_L,))
 
 
 class _Adam:
@@ -421,8 +417,7 @@ def _softplus(x: float) -> float:
 
 
 def _softplus_inv(y: float) -> float:
-    if y <= 0:
-        raise ValueError("softplus inverse needs a positive argument")
+    """Inverse softplus of y > 0 (init_alpha's schema, or a median N0)."""
     return float(y + np.log(-np.expm1(-y))) if y > 1e-10 else float(np.log(np.expm1(y)))
 
 
@@ -437,11 +432,10 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
     """Train (rho, beta, alpha) for one scenario by unrolled gradient descent.
 
     ``scenario`` is a ``Scenario``, so its snr_db lies in
-    ``TRAIN_SNR_RANGE_DB``. Training and
-    validation sets come from disjoint seed streams. Adam runs on
-    mini-batches; the learning rate halves after ``lr_decay_patience``
-    epochs without validation improvement and training stops after
-    ``patience`` such epochs, returning the best parameters seen.
+    ``TRAIN_SNR_RANGE_DB``. Training and validation sets come from disjoint
+    seed streams. Adam runs on mini-batches; the learning rate halves after
+    ``lr_decay_patience`` epochs without validation improvement and training
+    stops after ``patience`` such epochs, returning the best parameters seen.
     """
     snr = scenario.snr_db
     const = make_constellation(scenario.Q)
@@ -449,10 +443,10 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
     s_train, s_val, s_shuffle = ss.spawn(3)
     train_set = make_batch(scenario.B, scenario.U, const, snr,
                            scenario.condition, config.n_train,
-                           np.random.default_rng(s_train), L=config.L)
+                           np.random.default_rng(s_train))
     val_set = make_batch(scenario.B, scenario.U, const, snr,
                          scenario.condition, config.n_val,
-                         np.random.default_rng(s_val), L=config.L)
+                         np.random.default_rng(s_val))
 
     init_beta = config.init_beta if config.init_beta is not None else const.scale
     init_rho = config.init_rho if config.init_rho is not None else 1.0 / init_beta
@@ -515,9 +509,8 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
     meta = {"epochs_run": len(history) - 1, "best_epoch": best_epoch,
             "final_val_loss": best_loss, "seed": config.seed,
             "val_history": [float(v) for v in history]}
-    scen = {"B": scenario.B, "U": scenario.U, "K": K, "Q": scenario.Q,
-            "condition": scenario.condition, "snr_db": snr}
-    return TrainedParams(rho, beta, float(alpha), scen, meta)
+    return TrainedParams(rho.tolist(), beta.tolist(), alpha,
+                         TrainedScenario(K=K, **vars(scenario)), meta)
 
 
 def grid_search_pme(batch: TrainBatch, K: int, rho_grid, beta_grid,
@@ -539,8 +532,7 @@ def grid_search_pme(batch: TrainBatch, K: int, rho_grid, beta_grid,
 
 @dataclass
 class LookupResult:
-    mode: str                       # "pme" | "box"
-    params: TrainedParams | None
+    params: TrainedParams | None    # None: the box denoiser
     fallback: str | None            # None when the match is exact
 
 
@@ -550,18 +542,14 @@ class ParamStore:
     def __init__(self, records: list[TrainedParams] | None = None):
         self.records = list(records or [])
 
-    @staticmethod
-    def _key(scen: dict) -> tuple:
-        return (scen["B"], scen["U"], scen["K"], scen["Q"], scen["condition"])
-
     def add(self, params: TrainedParams) -> None:
-        full = self._key(params.scenario) + (params.scenario["snr_db"],)
+        """Add a record, replacing any of the same scenario."""
         self.records = [r for r in self.records
-                        if self._key(r.scenario) + (r.scenario["snr_db"],) != full]
+                        if r.scenario != params.scenario]
         self.records.append(params)
 
     def save(self, path) -> None:
-        payload = {"records": sorted((r.to_record() for r in self.records),
+        payload = {"records": sorted((asdict(r) for r in self.records),
                                      key=lambda d: json.dumps(d["scenario"],
                                                               sort_keys=True))}
         with open(path, "w") as f:
@@ -570,30 +558,42 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        with open(path) as f:
-            payload = json.load(f)
-        return cls([TrainedParams.from_record(r) for r in payload["records"]])
+        """Read a store; a missing or malformed file or record is a
+        ConfigError that names the store and the record."""
+        where = f"parameter store {path}"
+        try:
+            payload = read_json(path)
+            records = (payload.get("records") if isinstance(payload, dict)
+                       else None)
+            if not isinstance(records, list):
+                raise ConfigError("records must be a list")
+            for i, r in enumerate(records):
+                where = f"parameter store {path}, record {i}"
+                records[i] = from_dict(TrainedParams, r, "record")
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}") from e
+        return cls(records)
 
     def lookup(self, B: int, U: int, K: int, Q: int, condition: str,
                snr_db: float) -> LookupResult:
-        """Resolve parameters for a scenario.
-
-        Below ``TRAIN_SNR_RANGE_DB`` the box denoiser is mandated; above it
+        """Resolve parameters for a scenario: the one place that picks PME
+        or BOX. Below ``TRAIN_SNR_RANGE_DB`` BOX is mandated; above it
         the highest trained SNR is reused; otherwise the nearest trained SNR
         is used, flagged unless exact. Raises MissingParamsError when no
         record matches (B, U, K, Q, condition).
         """
         lo, hi = TRAIN_SNR_RANGE_DB
         if snr_db < lo:
-            return LookupResult("box", None, "snr-below-training-range")
+            return LookupResult(None, "snr-below-training-range")
         key = (B, U, K, Q, condition)
-        cands = [r for r in self.records if self._key(r.scenario) == key]
+        cands = [r for r in self.records if key == tuple(
+            getattr(r.scenario, k) for k in ("B", "U", "K", "Q", "condition"))]
         if not cands:
             raise MissingParamsError(f"no trained parameters for {key}")
-        snrs = np.array([r.scenario["snr_db"] for r in cands])
+        snrs = np.array([r.scenario.snr_db for r in cands])
         if snr_db > hi:
             idx = int(np.argmax(snrs))
-            return LookupResult("pme", cands[idx], "snr-above-training-range")
+            return LookupResult(cands[idx], "snr-above-training-range")
         idx = int(np.argmin(np.abs(snrs - snr_db)))
         fallback = None if snrs[idx] == snr_db else "nearest-trained-snr"
-        return LookupResult("pme", cands[idx], fallback)
+        return LookupResult(cands[idx], fallback)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gbcd import cli
+from gbcd import cli, unfolding
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -107,3 +107,11 @@ def test_every_predicted_span_fires(workload, tmp_path, monkeypatch):
     calls = _count_calls(spans, monkeypatch)
     RUNS[workload](tmp_path)
     assert [name for name in spans if calls[name] == 0] == []
+
+
+def test_benchmark_pme_store_loads_as_a_checked_record(tmp_path):
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(_load("workloads")._PME_STORE))
+    (record,) = unfolding.ParamStore.load(path).records
+    assert record.meta == {"source": "fixed benchmark schedule"}
+    assert len(record.rho) == len(record.beta) == record.scenario.K

@@ -1,6 +1,6 @@
-"""The config schema: one checker for every config key's type and range,
-one loader, and the README's key tables and examples kept in step with
-both."""
+"""The config schema: one checker for every config and parameter-store
+record key's type and range, one loader, and the README's key tables and
+examples kept in step with both."""
 
 import dataclasses
 import json
@@ -13,14 +13,15 @@ import pytest
 
 from gbcd.config import (ConfigError, HwmodelConfig, Scenario, from_dict)
 from gbcd.harness import ExperimentConfig
-from gbcd.unfolding import TrainConfig, TrainJob
+from gbcd.unfolding import TrainConfig, TrainedParams, TrainJob
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # README table heading -> the config its rows describe
 TABLES = {"simulate and ablate keys": ExperimentConfig,
           "train keys": TrainJob,
-          "hwmodel keys": HwmodelConfig}
+          "hwmodel keys": HwmodelConfig,
+          "parameter-store record keys": TrainedParams}
 # first comment line of a README example -> its loader
 EXAMPLES = {"simulate / ablate config": ExperimentConfig.from_dict,
             "train config": lambda d: from_dict(TrainJob, d),
@@ -129,9 +130,9 @@ def test_infinity_only_where_the_range_allows_it():
     ({"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 6.0,
                    "condition": "nonlos", "k_factor": 5.0}, "K": 2},
      r"unknown scenario keys: \['k_factor'\]"),
-    ({"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 6.0,
-                   "condition": "nonlos"}, "K": 2, "training": {"L": 3}},
-     "divisible by the detector block size L=3"),
+    ({"scenario": {"B": 8, "U": 5, "Q": 16, "snr_db": 6.0,
+                   "condition": "nonlos"}, "K": 2},
+     "divisible by the detector block size L=2"),
     ({"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 25.5,
                    "condition": "nonlos"}, "K": 2},
      "snr_db must be >= 0 and <= 25"),

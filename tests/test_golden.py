@@ -9,7 +9,6 @@ that states which results it changes and why.
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from gbcd import cli, unfolding
@@ -91,9 +90,9 @@ def outputs(tmp_path_factory):
 
     los_store = d / "los_store.json"
     unfolding.ParamStore([unfolding.TrainedParams(
-        np.array([3.0, 4.0]), np.full(2, 0.316), 0.05,
-        {"B": 8, "U": 4, "K": 2, "Q": 16, "condition": "los",
-         "snr_db": 12.0}, {})]).save(los_store)
+        [3.0, 4.0], [0.316] * 2, 0.05, unfolding.TrainedScenario(
+            B=8, U=4, K=2, Q=16, condition="los", snr_db=12.0))]
+    ).save(los_store)
     out["ablate_los"] = d / "ablate_los.csv"
     _run("ablate", "--out", str(out["ablate_los"]), "--config",
          _write(d / "ablate.json", dict(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gbcd import cli, denoise, fec, harness, unfolding
+from gbcd.config import from_dict
 from gbcd.harness import (ABLATION_VARIANTS, ConfigError, ExperimentConfig,
                           run_ablation, run_sweep, _write_csv, SWEEP_COLUMNS)
 
@@ -278,14 +279,21 @@ def test_box_fallback_when_permitted():
 # ---------------------------------------------------------------------------
 # PME parameter resolution
 
+def tiny_record(scenario=(), **over):
+    """The record of ``tiny_store`` as a JSON object, with the given record
+    and scenario keys replaced."""
+    return {"scenario": {"B": 16, "U": 4, "K": 3, "Q": 16,
+                         "condition": "nonlos", "snr_db": 12.0,
+                         **dict(scenario)},
+            "rho": [4.0, 5.0, 6.0], "beta": [0.316] * 3, "alpha": 0.05,
+            "meta": {}, **over}
+
+
 @pytest.fixture(scope="module")
 def tiny_store(tmp_path_factory):
     path = tmp_path_factory.mktemp("params") / "store.json"
     store = unfolding.ParamStore()
-    scen = {"B": 16, "U": 4, "K": 3, "Q": 16, "condition": "nonlos",
-            "snr_db": 12.0}
-    store.add(unfolding.TrainedParams(np.array([4.0, 5.0, 6.0]),
-                                      np.full(3, 0.316), 0.05, scen, {}))
+    store.add(from_dict(unfolding.TrainedParams, tiny_record()))
     store.save(path)
     return str(path)
 
@@ -338,11 +346,9 @@ def test_params_resolved_once_per_run(variants, tiny_store, monkeypatch):
 def test_empirical_search_draws_the_configured_los_channel(tmp_path,
                                                            monkeypatch):
     path = tmp_path / "los.json"
-    scen = {"B": 16, "U": 4, "K": 3, "Q": 16, "condition": "los",
-            "snr_db": 12.0}
-    unfolding.ParamStore([unfolding.TrainedParams(
-        np.array([4.0, 5.0, 6.0]), np.full(3, 0.316), 0.05, scen,
-        {})]).save(path)
+    unfolding.ParamStore([from_dict(
+        unfolding.TrainedParams,
+        tiny_record(scenario={"condition": "los"}))]).save(path)
     seen = []
     gen_channel = unfolding.gen_channel
 
@@ -552,7 +558,15 @@ def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("key", ["n_train", "n_val", "batch_size", "L"])
+# the message each key set to 0 gives; L is no key: the record's reader,
+# gbcd-pme, runs block size 2
+SIZE_ERRORS = {"n_train": "n_train must be >= 1",
+               "n_val": "n_val must be >= 1",
+               "batch_size": "batch_size must be >= 1",
+               "L": "unknown training keys: ['L']"}
+
+
+@pytest.mark.parametrize("key", list(SIZE_ERRORS))
 def test_cli_train_size_below_one_exits_2_and_writes_no_store(key, tmp_path):
     training = {"n_train": 40, "n_val": 40, "batch_size": 20,
                 "max_epochs": 1, key: 0}
@@ -565,7 +579,7 @@ def test_cli_train_size_below_one_exits_2_and_writes_no_store(key, tmp_path):
     proc = run_cli("train", "--config", str(cfgp), "--out", str(store))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:")
-    assert f"{key} must be >= 1" in proc.stderr
+    assert SIZE_ERRORS[key] in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not store.exists()
 
@@ -754,23 +768,104 @@ def test_cli_missing_params_exit_code(tmp_path):
     cfgp.write_text(json.dumps(base_config(detectors=["gbcd-pme"], trials=1)))
     proc = run_cli("simulate", "--config", str(cfgp))
     assert proc.returncode == 3
+    assert "(params_path: not set)" in proc.stderr
+
+
+def _store_text(**over):
+    return json.dumps({"records": [tiny_record(**over)]})
+
+
+# stores that cannot be read, and records that do not pass the schema; the
+# record cases match the sweep's scenario, so each would otherwise be used
+BAD_STORES = {
+    "missing": (None, "cannot read"),
+    "not-json": ("{not json", "cannot read"),
+    "bad-record": ('{"records": [{"rho": [1.0]}]}', "missing record keys"),
+    "rho-shorter-than-K": (_store_text(rho=[4.0, 5.0]),
+                           "need K=3 entries, got 2 and 3"),
+    "rho-zero": (_store_text(rho=[4.0, 0.0, 6.0]), "rho must be > 0"),
+    "alpha-nan": (_store_text(alpha=float("nan")),
+                  "alpha must be a finite number"),
+    "alpha-negative": (_store_text(alpha=-0.05), "alpha must be >= 0"),
+    "snr-string": (_store_text(scenario={"snr_db": "12"}),
+                   "snr_db must be a number"),
+    "snr-30": (_store_text(scenario={"snr_db": 30.0}),
+               "snr_db must be >= 0 and <= 25"),
+    "K-zero": (_store_text(scenario={"K": 0}), "K must be >= 1"),
+    "records-not-list": ('{"records": {}}', "must be a list"),
+}
 
 
 @pytest.mark.parametrize("command", ["simulate", "ablate"])
-@pytest.mark.parametrize("content", [None, "{not json",
-                                     '{"records": [{"rho": [1.0]}]}'],
-                         ids=["missing", "not-json", "bad-record"])
-def test_cli_unreadable_params_store_exits_2(command, content, tmp_path):
+@pytest.mark.parametrize("case", BAD_STORES)
+def test_cli_unreadable_params_store_exits_2(command, case, tmp_path):
+    content, message = BAD_STORES[case]
     store = tmp_path / "store.json"
     if content is not None:
         store.write_text(content)
     cfgp = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
     cfgp.write_text(json.dumps(base_config(detectors=["gbcd-pme"], trials=1,
                                            params_path=str(store))))
-    proc = run_cli(command, "--config", str(cfgp))
+    proc = run_cli(command, "--config", str(cfgp), "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert message in proc.stderr
+    assert f"parameter store {store}" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["not-json", "rho-zero", "records-not-list"])
+def test_cli_train_reads_existing_store_before_any_epoch(case, tmp_path,
+                                                         monkeypatch, capsys):
+    store = tmp_path / "params.json"
+    store.write_text(BAD_STORES[case][0])
+    before = store.read_bytes()
+    monkeypatch.setattr(unfolding, "train", lambda *a: pytest.fail("trained"))
+    cfgp = tmp_path / "train.json"
+    cfgp.write_text(json.dumps(train_config()))
+    rc = cli.main(["train", "--config", str(cfgp), "--out", str(store)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error:") and BAD_STORES[case][1] in err
+    assert f"parameter store {store}" in err
+    assert store.read_bytes() == before
+
+
+# (command, config, where the output path goes: "flag" for --out, "key" for
+# the config's out key)
+NO_DIR_CASES = {
+    "simulate": ("simulate", base_config(trials=1), "flag"),
+    "simulate-out-key": ("simulate", base_config(trials=1), "key"),
+    "ablate": ("ablate", base_config(trials=1), "flag"),
+    "train": ("train", train_config(), "flag"),
+    "hwmodel": ("hwmodel", hwmodel_config(), "flag"),
+}
+
+
+@pytest.mark.parametrize("case", NO_DIR_CASES)
+def test_cli_output_in_missing_directory_exits_2_before_any_work(
+        case, tmp_path, monkeypatch, capsys):
+    command, cfg, where = NO_DIR_CASES[case]
+    out = tmp_path / "missing" / "out"
+    monkeypatch.setattr(harness, "_run_point",
+                        lambda *a: pytest.fail("ran a trial"))
+    monkeypatch.setattr(unfolding, "train", lambda *a: pytest.fail("trained"))
+    cfgp = tmp_path / "cfg.json"
+    argv = [command, "--config", str(cfgp)]
+    if where == "key":
+        cfg = dict(cfg, out=str(out))
+    else:
+        argv += ["--out", str(out)]
+    cfgp.write_text(json.dumps(cfg))
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error:") and "does not exist" in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def test_cli_missing_record_exits_3(tmp_path, tiny_store):

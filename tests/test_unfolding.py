@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from gbcd import denoise, detector, unfolding
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
-from gbcd.config import Scenario
+from gbcd.config import ConfigError, Scenario
 
 from channel_reference import _gen_channel_reference, _transmit_reference
 
@@ -446,8 +447,8 @@ def _assert_matches_reference(params, batch, K):
 def test_grad_matches_gather_reference(Q, U, L, sort, K):
     rng = np.random.default_rng([Q, U, L, K, sort])
     const = make_constellation(Q)
-    batch = unfolding.make_batch(U + 4, U, const, 8.0, "nonlos", 10, rng,
-                                 L=L, sort=sort)
+    batch = _make_batch_reference(U + 4, U, const, 8.0, "nonlos", 10, rng,
+                                  L=L, sort=sort)
     _assert_matches_reference(rand_params(rng, K, const), batch, K)
 
 
@@ -509,9 +510,10 @@ def test_train_deterministic_and_well_formed():
                                 max_epochs=4, seed=5)
     a = unfolding.train(scen, cfg, K=2)
     b = unfolding.train(scen, cfg, K=2)
-    assert a.to_record() == b.to_record()
-    assert a.rho.shape == a.beta.shape == (2,) and type(a.alpha) is float
-    assert np.all(a.rho > 0) and np.all(a.beta > 0) and a.alpha >= 0
+    assert a == b
+    assert len(a.rho) == len(a.beta) == a.scenario.K == 2
+    assert type(a.alpha) is float
+    assert min(a.rho + a.beta) > 0 and a.alpha >= 0
 
 
 def test_train_improves_validation_loss():
@@ -555,10 +557,10 @@ def test_grid_search_returns_best_cell(rng):
 # parameter store
 
 def make_params(snr, B=8, U=4, K=2, Q=16, cond="nonlos"):
-    return unfolding.TrainedParams(np.array([1.5, 2.5]), np.array([0.3, 0.31]),
-                                   0.05, {"B": B, "U": U, "K": K, "Q": Q,
-                                          "condition": cond, "snr_db": snr},
-                                   {"seed": 0})
+    return unfolding.TrainedParams(
+        [1.5, 2.5], [0.3, 0.31], 0.05,
+        unfolding.TrainedScenario(B=B, U=U, K=K, Q=Q, condition=cond,
+                                  snr_db=snr), {"seed": 0})
 
 
 def test_store_round_trip_bit_identical(tmp_path):
@@ -573,20 +575,22 @@ def test_store_round_trip_bit_identical(tmp_path):
 def test_store_lookup_rules(tmp_path):
     store = unfolding.ParamStore([make_params(10.0), make_params(25.0)])
     exact = store.lookup(8, 4, 2, 16, "nonlos", 10.0)
-    assert exact.mode == "pme" and exact.fallback is None
-    assert exact.params.scenario["snr_db"] == 10.0
+    assert exact.fallback is None
+    assert exact.params.scenario.snr_db == 10.0
 
     high = store.lookup(8, 4, 2, 16, "nonlos", 30.0)
-    assert high.mode == "pme"
-    assert high.params.scenario["snr_db"] == 25.0
+    assert high.params.scenario.snr_db == 25.0
     assert high.fallback == "snr-above-training-range"
 
+    # below the training range: the box denoiser, whatever the store holds
     low = store.lookup(8, 4, 2, 16, "nonlos", -5.0)
-    assert low.mode == "box" and low.params is None
+    assert low.params is None and low.fallback == "snr-below-training-range"
+    low = store.lookup(8, 4, 2, 64, "nonlos", -5.0)
+    assert low.params is None and low.fallback == "snr-below-training-range"
 
     near = store.lookup(8, 4, 2, 16, "nonlos", 12.0)
     assert near.fallback == "nearest-trained-snr"
-    assert near.params.scenario["snr_db"] == 10.0
+    assert near.params.scenario.snr_db == 10.0
 
     with pytest.raises(unfolding.MissingParamsError):
         store.lookup(8, 4, 2, 64, "nonlos", 10.0)
@@ -594,11 +598,24 @@ def test_store_lookup_rules(tmp_path):
 
 def test_store_add_replaces_same_key():
     store = unfolding.ParamStore([make_params(10.0)])
-    newer = make_params(10.0)
-    newer.alpha = 0.9
-    store.add(newer)
+    store.add(dataclasses.replace(make_params(10.0), alpha=0.9))
     assert len(store.records) == 1
     assert store.records[0].alpha == 0.9
+    store.add(make_params(12.0))
+    assert [r.scenario.snr_db for r in store.records] == [10.0, 12.0]
+
+
+@pytest.mark.parametrize("over, message", [
+    (dict(rho=[1.5]), "rho and beta need K=2 entries, got 1 and 2"),
+    (dict(beta=[0.3, 0.31, 0.32]), "got 2 and 3"),
+    (dict(rho=np.array([1.5, 2.5])), "rho must be a non-empty list"),
+    (dict(beta=[0.3, -0.31]), "beta must be > 0"),
+    (dict(alpha=math.nan), "alpha must be a finite number"),
+    (dict(meta=[]), "meta must be a JSON object"),
+])
+def test_record_is_checked(over, message):
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(make_params(10.0), **over)
 
 
 def test_early_stop_returns_best_validation_epoch():
