@@ -1,6 +1,6 @@
 """Hardware cost models: multiplication counts, timing, power, fixed point.
 
-Reproduces the closed-form complexity accounting against instrumented runs,
+Prints the closed-form real-multiplication counts of GBCD, OCD and LMMSE,
 evaluates the throughput/utilization model, fits the two-parameter power
 curve, and runs the quantized detector against the float one.
 """
@@ -17,13 +17,12 @@ print("=== Real-multiplication counts (preprocessing + T x equalization) ===")
 gb = hwmodel.complexity_gbcd(B, U, K)
 oc = hwmodel.complexity_ocd(B, U, K)
 lm = hwmodel.complexity_lmmse(B, U)
-pre_meas, eq_meas = hwmodel.measured_gbcd_counts(B, U, K)
-print(f"gbcd : pre {gb.preprocessing_mults:6d} (instrumented {pre_meas}), "
-      f"per-vector {gb.per_transmission_mults:6d} (instrumented {eq_meas})")
-print(f"ocd  : pre {oc.preprocessing_mults:6d}, per-vector "
-      f"{oc.per_transmission_mults:6d}")
-print(f"lmmse: pre {lm.preprocessing_mults:6d}, per-vector "
-      f"{lm.per_transmission_mults:6d}")
+print(f"gbcd : pre {gb.preprocessing_mults:6d} = 2BU^2 + U(2U+2) + 3U, "
+      f"per-vector {gb.per_transmission_mults:6d} = 4BU + 8KU + 4KU^2")
+print(f"ocd  : pre {oc.preprocessing_mults:6d}, "
+      f"per-vector {oc.per_transmission_mults:6d} = 2BU + U + KU(8B+2)")
+print(f"lmmse: pre {lm.preprocessing_mults:6d} = 2BU^2 + (2U^3-2U)/3, "
+      f"per-vector {lm.per_transmission_mults:6d} = 4BU + 4U^2")
 print("\ntotal multiplications vs transmissions per coherence block:")
 print(f"{'T':>6} {'gbcd':>12} {'ocd':>12} {'ocd/gbcd':>9}")
 for T in (1, 5, 11, 50, 500):

@@ -8,7 +8,6 @@ from .channel import (ChannelRealization, TransmissionBatch, dump_matrix,
                       gen_channel, load_matrix, transmit)
 from .config import Scenario
 from .constellation import Constellation, make_constellation
-from .counting import MultCounter
 from .denoise import (PlmTable, SoftOutput, box_denoise, build_plm_table,
                       compute_llrs, llr_to_prob, pme_exact, pme_piecewise)
 from .detector import (EqualizerState, PreprocOutput, gbcd_detect,

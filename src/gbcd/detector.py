@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .counting import MultCounter
-
 
 @dataclass(frozen=True)
 class Numerics:
@@ -74,45 +72,33 @@ class EqualizerState:
     z: np.ndarray            # denoised estimates, (..., U) or (..., U, T)
     r: np.ndarray            # final residual, same shape as z
     v_last: np.ndarray       # unconstrained estimates of the final iteration
-    k: int                   # number of outer iterations performed
 
 
 def _hermitian(H: np.ndarray) -> np.ndarray:
     return H.conj().swapaxes(-1, -2)
 
 
-def gram(H: np.ndarray, counter: MultCounter | None = None) -> np.ndarray:
+def gram(H: np.ndarray) -> np.ndarray:
     """Hermitian Gram matrix of H (..., B, U); upper triangle computed, lower
     filled by conjugation."""
-    B, U = H.shape[-2:]
+    U = H.shape[-1]
     F = _hermitian(H) @ H
     G = np.triu(F, 1)
     G = G + _hermitian(G)
     d = np.arange(U)
     G[..., d, d] = F[..., d, d].real
-    if counter is not None:
-        n = math.prod(H.shape[:-2])
-        counter.abs2(n * B * U)                 # diagonal entries are norms
-        counter.cmul(n * B * U * (U - 1) // 2)  # strict upper triangle
     return G
 
 
-def matched_filter(H: np.ndarray, y: np.ndarray,
-                   counter: MultCounter | None = None) -> np.ndarray:
+def matched_filter(H: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y_mf = H^H y for H (..., B, U) and one vector (..., B) or a block of
     vectors (..., B, T) per channel."""
-    vector = y.ndim == H.ndim - 1
-    if counter is not None:
-        B, U = H.shape[-2:]
-        T = 1 if vector else y.shape[-1]
-        counter.cmul(math.prod(H.shape[:-2]) * B * U * T)
-    if vector:
+    if y.ndim == H.ndim - 1:
         return (_hermitian(H) @ y[..., None])[..., 0]
     return _hermitian(H) @ y
 
 
 def reciprocal_sinr(G: np.ndarray, N0: float | np.ndarray,
-                    counter: MultCounter | None = None,
                     recip_fn=np.reciprocal) -> np.ndarray:
     """Per-UE reciprocal SINR: row interference over squared diagonal plus
     the noise term scaled by the diagonal reciprocal. ``N0`` is a scalar or
@@ -128,11 +114,6 @@ def reciprocal_sinr(G: np.ndarray, N0: float | np.ndarray,
     r = recip_fn(d)
     a = r * r
     b = np.asarray(N0, dtype=np.float64)[..., None] * r
-    if counter is not None:
-        n = math.prod(G.shape[:-2])
-        counter.abs2(n * U * (U - 1))  # each UE squares its own row
-        counter.rdiv(n * U)            # diagonal reciprocals
-        counter.rmul(n * 3 * U)        # square of reciprocal, noise term, product
     return lam * a + b
 
 
@@ -166,7 +147,6 @@ def _permuted_gram(G: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def block_inverses(G: np.ndarray, blocks: np.ndarray,
-                   counter: MultCounter | None = None,
                    recip_fn=np.reciprocal,
                    regularized: list | None = None) -> np.ndarray:
     """Inverses of the L x L Gram submatrices, (..., M, L, L).
@@ -178,20 +158,16 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
     L = blocks.shape[-1]
     # Gb[..., m, i, j] = G[..., blocks[..., m, i], blocks[..., m, j]]
     Gb = _gather(G, blocks[..., :, None], blocks[..., None, :])
-    n_blocks = math.prod(blocks.shape[:-1])
     flagged = np.zeros(blocks.shape[:-1], dtype=bool)
     if L == 1:
         g = Gb[..., 0, 0].real
         flagged = np.abs(g) < 1e-300
         kinv = recip_fn(np.where(flagged, g + 1e-6, g))[..., None, None]
         kinv = kinv.astype(np.complex128)
-        if counter is not None:
-            counter.rdiv(n_blocks)
     elif L == 2:
         g11 = Gb[..., 0, 0].real
         g22 = Gb[..., 1, 1].real
         g12 = Gb[..., 0, 1]
-        # |g12|^2 is reused from the interference stage; not recounted.
         abs2_12 = g12.real ** 2 + g12.imag ** 2
         det = g11 * g22 - abs2_12
         tr = g11 + g22
@@ -207,11 +183,6 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
         kinv[..., 1, 1] = g11 * d
         kinv[..., 0, 1] = -g12 * d
         kinv[..., 1, 0] = -np.conj(g12) * d
-        if counter is not None:
-            counter.rmul(n_blocks)       # g11 * g22
-            counter.rdiv(n_blocks)       # 1 / det
-            counter.rmul(2 * n_blocks)   # diagonal scaling
-            counter.cmul_real(n_blocks)  # off-diagonal scaling
     else:
         try:
             kinv = np.linalg.inv(Gb)
@@ -233,7 +204,6 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
 
 def preprocess(H: np.ndarray, N0: float | np.ndarray, *,
                L: int = 2, sort: bool = True,
-               counter: MultCounter | None = None,
                numerics: Numerics = FLOAT) -> PreprocOutput:
     """Run the once-per-channel stage: Gram, reciprocal SINR, ordering, inverses.
 
@@ -241,19 +211,18 @@ def preprocess(H: np.ndarray, N0: float | np.ndarray, *,
     is a scalar or holds one value per channel.
     """
     U = H.shape[-1]
-    G = numerics.quantize("g", gram(H, counter))
-    inv_sinr = reciprocal_sinr(G, N0, counter, numerics.recip)
+    G = numerics.quantize("g", gram(H))
+    inv_sinr = reciprocal_sinr(G, N0, numerics.recip)
     perm = sort_ues(inv_sinr) if sort else \
         np.broadcast_to(np.arange(U), inv_sinr.shape).copy()
     blocks = make_blocks(perm, L)
     regularized: list = []
-    kinv = block_inverses(G, blocks, counter, numerics.recip, regularized)
+    kinv = block_inverses(G, blocks, numerics.recip, regularized)
     N0 = float(N0) if np.ndim(N0) == 0 else np.asarray(N0, dtype=np.float64)
     return PreprocOutput(G, inv_sinr, blocks, kinv, N0, regularized)
 
 
 def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
-                  counter: MultCounter | None = None,
                   trace_hook=None,
                   numerics: Numerics = FLOAT) -> EqualizerState:
     """K outer iterations of block least squares plus denoising.
@@ -303,22 +272,18 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
             dz = z_new - z[..., A, :]
             z[..., A, :] = z_new
             r -= Gp[..., :, A] @ dz
-            if counter is not None:
-                counter.cmul(n * L * L * T)  # block solve
-                counter.cmul(n * U * L * T)  # residual update
             if trace_hook is not None:
                 trace_hook(k, m, ue_order(z), ue_order(r))
     r, z, v_last = ue_order(state)
     if single:
-        return EqualizerState(z[..., 0], r[..., 0], v_last[..., 0], K)
-    return EqualizerState(z, r, v_last, K)
+        return EqualizerState(z[..., 0], r[..., 0], v_last[..., 0])
+    return EqualizerState(z, r, v_last)
 
 
 def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
                 const, K: int, *, denoiser=None,
                 alpha: float | np.ndarray | None = None, L: int = 2,
-                sort: bool = True, counter: MultCounter | None = None,
-                numerics: Numerics = FLOAT):
+                sort: bool = True, numerics: Numerics = FLOAT):
     """End-to-end detection: preprocessing, equalization, soft outputs.
 
     ``H`` is one channel (B, U) or a stack (..., B, U); ``y`` holds one
@@ -327,8 +292,7 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     ``apply(v, k)``, such as ``denoise.pme_denoiser``; it defaults to
     ``denoise.box_denoiser(const)``. ``alpha`` defaults to N0 per
     channel. The LLRs are (..., U, bits[, T]) and every channel of a stack
-    gets what detecting it alone gives; multiplication counts add up over
-    the channels.
+    gets what detecting it alone gives.
 
     ``numerics`` also quantizes ``h`` and ``y`` on entry, ``ymf`` and the
     LLRs.
@@ -337,13 +301,11 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
 
     H = numerics.quantize("h", H)
     y = numerics.quantize("y", y)
-    pre = preprocess(H, N0, L=L, sort=sort, counter=counter,
-                     numerics=numerics)
+    pre = preprocess(H, N0, L=L, sort=sort, numerics=numerics)
     if denoiser is None:
         denoiser = box_denoiser(const)
-    y_mf = numerics.quantize("ymf", matched_filter(H, y, counter))
-    state = gbcd_equalize(pre, y_mf, K, denoiser, counter=counter,
-                          numerics=numerics)
+    y_mf = numerics.quantize("ymf", matched_filter(H, y))
+    state = gbcd_equalize(pre, y_mf, K, denoiser, numerics=numerics)
     if alpha is None:
         alpha = pre.N0
     soft = compute_llrs(state.v_last, pre.G, alpha, const,

@@ -1,8 +1,10 @@
 """Analytical hardware models: multiplication counts, timing, power, fixed point.
 
-Complexity is measured in real-valued multiplications (divisions count the
-same); see ``counting`` for the per-operation costs. The closed forms cover
-the block-size-2 detector datapath up to the unconstrained estimates; the
+Complexity is measured in real-valued multiplications, with divisions
+costing the same: a complex product is 4, a complex-by-real product, a
+squared magnitude or a complex-by-real division is 2, and a real product or
+reciprocal is 1; additions, comparisons and conjugations are free. The
+closed forms cover each datapath up to the unconstrained estimates; the
 soft-output unit is common to all detectors and excluded everywhere.
 
 Timing: one equalized vector leaves the pipeline every ``U`` clock cycles,
@@ -25,9 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import baselines, config, denoise, detector
+from . import denoise, detector
 from .constellation import Constellation, make_constellation
-from .counting import MultCounter
 
 
 # ---------------------------------------------------------------------------
@@ -49,56 +50,39 @@ class ComplexityReport:
 
 
 def complexity_gbcd(B: int, U: int, K: int) -> ComplexityReport:
-    """Closed-form counts for the block-size-2 detector."""
+    """Closed-form counts for the block-size-2 detector. Preprocessing: the
+    Gram matrix (B U squared magnitudes, B U (U-1)/2 complex products), the
+    reciprocal SINR (U (U-1) squared magnitudes, U reciprocals, 3U real
+    products) and U/2 2x2 inverses (a determinant product, its reciprocal,
+    two real and one complex-by-real scaling; |g12|^2 comes from the SINR
+    stage). Per vector: the matched filter (B U complex products), then per
+    iteration and block a 2x2 solve (4) and a residual update (2U)."""
     pre = 2 * B * U * U + U * (2 * U + 2) + 3 * U
     per = 4 * B * U + 8 * K * U + 4 * K * U * U
     return ComplexityReport("gbcd", B, U, K, pre, per)
 
 
-def _random_instance(B: int, U: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    H = (rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))) / np.sqrt(2)
-    y = rng.standard_normal(B) + 1j * rng.standard_normal(B)
-    return H, y
-
-
 def complexity_lmmse(B: int, U: int) -> ComplexityReport:
-    """Preprocessing from the closed form; per-transmission cost measured by
-    instrumenting one matched filter plus forward/backward substitution."""
+    """Closed-form counts for the implicit LMMSE detector. Preprocessing:
+    the Gram matrix (2 B U^2) and the Cholesky factor of G + N0 I, whose
+    column j costs j squared magnitudes plus, per entry below the diagonal,
+    j complex products and one complex-by-real division (square roots
+    uncounted). Per vector: the matched filter (B U complex products) and
+    two substitutions (U (U-1)/2 complex products, U divisions each)."""
     pre = 2 * B * U * U + (2 * U ** 3 - 2 * U) // 3
-    H, y = _random_instance(B, U)
-    const = make_constellation(4)
-    c_all = MultCounter()
-    baselines.lmmse_detect(H, y, 0.1, const, counter=c_all)
-    c_pre = MultCounter()
-    baselines.lmmse_preprocess(H, 0.1, counter=c_pre)
-    per = c_all.total - c_pre.total
+    per = 4 * B * U + 4 * U * U
     return ComplexityReport("lmmse", B, U, None, pre, per)
 
 
 def complexity_ocd(B: int, U: int, K: int) -> ComplexityReport:
-    """Instrumented counts for one channel-domain detection task.
-
-    Every task works from (H, y) directly, so the column norms are part of
-    the per-transmission cost and the preprocessing intercept is zero.
-    """
-    H, y = _random_instance(B, U)
-    const = make_constellation(4)
-    c = MultCounter()
-    baselines.ocd_equalize(H, y, K, const, counter=c)
-    return ComplexityReport("ocd", B, U, K, 0, c.total)
-
-
-def measured_gbcd_counts(B: int, U: int, K: int, seed: int = 0):
-    """Instrumented (preprocessing, per-transmission) counts for one run."""
-    H, y = _random_instance(B, U, seed)
-    const = make_constellation(4)
-    c_pre = MultCounter()
-    pre = detector.preprocess(H, 0.1, L=config.GBCD_L, counter=c_pre)
-    c_eq = MultCounter()
-    y_mf = detector.matched_filter(H, y, c_eq)
-    detector.gbcd_equalize(pre, y_mf, K, denoise.box_denoiser(const), counter=c_eq)
-    return c_pre.total, c_eq.total
+    """Closed-form counts for one channel-domain detection task. Every task
+    works from (H, y), so the column norms (B U squared magnitudes, U
+    reciprocals) are per-transmission cost and the preprocessing intercept
+    is zero. Each of the K U column steps costs a correlation h^H r (B
+    complex products), its scaling by the reciprocal norm (one
+    complex-by-real product) and the residual update (B complex products)."""
+    per = 2 * B * U + U + K * U * (8 * B + 2)
+    return ComplexityReport("ocd", B, U, K, 0, per)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +248,12 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     For each signal the integer bits cover the requested percentile of the
     per-realization peak |real part| / |imaginary part|, read through a
     recording numeric context of the float detector (every denoiser output
-    counts for ``z``); the remaining bits (one reserved for the sign) are
-    fractional.
+    counts for ``z``); the remaining bits of its ``DEFAULT_FORMATS`` word
+    length (one reserved for the sign) are fractional.
     """
     from .unfolding import PREPROCESS_SLICE, transmit_samples
 
-    widths = {"h": 12, "y": 12, "g": 15, "ymf": 18, "z": 11, "llr": 18}
-    maxima = {k: [] for k in widths}
+    maxima = {k: [] for k in DEFAULT_FORMATS}
     peak = {}
 
     def record(signal, x):
@@ -299,7 +282,7 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     for key, vals in maxima.items():
         level = float(np.percentile(vals, percentile))
         int_bits = max(0, math.ceil(math.log2(level + 1e-12)))
-        frac = widths[key] - 1 - int_bits
+        width = DEFAULT_FORMATS[key].total_bits
         out[key] = {"percentile_level": level, "int_bits": int_bits,
-                    "format": FxpFormat(widths[key], frac)}
+                    "format": FxpFormat(width, width - 1 - int_bits)}
     return out

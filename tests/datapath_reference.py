@@ -109,8 +109,8 @@ def _gbcd_equalize_reference(pre, y_mf, K, denoiser, numerics=FLOAT):
             r -= Gp[..., :, A] @ dz
     z, r, v_last = ue_order(z), ue_order(r), ue_order(v_last)
     if single:
-        return EqualizerState(z[..., 0], r[..., 0], v_last[..., 0], K)
-    return EqualizerState(z, r, v_last, K)
+        return EqualizerState(z[..., 0], r[..., 0], v_last[..., 0])
+    return EqualizerState(z, r, v_last)
 
 
 def _trailing_axis_llrs_reference(x, mu, const):

@@ -15,6 +15,8 @@ from gbcd.constellation import (hard_decision_indices, make_constellation,
 from gbcd.harness import ExperimentConfig, run_sweep
 from gbcd.config import Scenario
 
+from conftest import random_channel
+from counted_reference import gbcd_reference, ocd_reference
 from datapath_reference import _llrs_exhaustive_reference
 
 DESK_TRAIN_SNR = 10.0  # criterion 6/9 operating point (B=16, U=4, 16-QAM)
@@ -71,17 +73,23 @@ def test_criterion_01_throughput_formula():
 def test_criterion_02_complexity_crossover():
     def check():
         B, U, K = 128, 16, 3
+        rng = np.random.default_rng(2)
+        H = random_channel(rng, B, U)
+        y = rng.standard_normal(B) + 1j * rng.standard_normal(B)
+        const = make_constellation(4)
         rep = hwmodel.complexity_gbcd(B, U, K)
-        pre, eq = hwmodel.measured_gbcd_counts(B, U, K)
+        pre, eq = gbcd_reference(H, y, 0.1, K, const)[2]
         assert pre == rep.preprocessing_mults == 66128
         assert eq == rep.per_transmission_mults == 11648
         ocd = hwmodel.complexity_ocd(B, U, K)
+        assert ocd_reference(H, y, K, const)[3] == (
+            0, ocd.per_transmission_mults)
         # ratio is increasing in T (zero intercept vs positive intercept),
         # so T = 11 plus spot checks covers all T > 10
         for T in (11, 12, 13, 20, 50, 200, 10 ** 4):
             assert 3 * rep.total(T) < ocd.total(T)
 
-    _report(2, "instrumented counts equal closed forms; >3x vs OCD for T > 10",
+    _report(2, "counted runs equal closed forms; >3x vs OCD for T > 10",
             check)
 
 

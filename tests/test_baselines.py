@@ -4,9 +4,9 @@ import pytest
 from gbcd import baselines, denoise, detector
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import draw_symbols
-from gbcd.counting import MultCounter
 
 from conftest import random_channel
+from counted_reference import lmmse_reference
 
 
 # ---------------------------------------------------------------------------
@@ -15,7 +15,7 @@ from conftest import random_channel
 def test_cholesky_matches_numpy(rng):
     H = random_channel(rng, 12, 5)
     A = detector.gram(H) + 0.3 * np.eye(5)
-    L = baselines.cholesky_lower(A).L
+    L = baselines.cholesky_lower(A)
     assert np.max(np.abs(L @ L.conj().T - A)) < 1e-10
     assert np.max(np.abs(L - np.linalg.cholesky(A))) < 1e-10
     assert np.all(L.diagonal().real > 0)
@@ -33,19 +33,16 @@ def test_substitution_vs_dense_inverse(rng):
         H = random_channel(rng, 10, 4)
         A = detector.gram(H) + 0.2 * np.eye(4)
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        chol = baselines.cholesky_lower(A)
-        x = baselines.lmmse_equalize(chol, b)
+        x = baselines.lmmse_equalize(baselines.cholesky_lower(A), b)
         assert np.max(np.abs(x - np.linalg.inv(A) @ b)) < 1e-8
 
 
 def test_substitution_pair_count_4u_squared(rng):
-    U = 4
-    H = random_channel(rng, 8, U)
-    A = detector.gram(H) + 0.1 * np.eye(U)
-    chol = baselines.cholesky_lower(A)
-    c = MultCounter()
-    baselines.lmmse_equalize(chol, np.ones(U, dtype=complex), counter=c)
-    assert c.total == 4 * U * U
+    B, U = 8, 4
+    H = random_channel(rng, B, U)
+    _, per = lmmse_reference(H, np.ones(B, dtype=complex), 0.1)[1]
+    # the matched filter's B U complex products, then the substitution pair
+    assert per - 4 * B * U == 4 * U * U
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from gbcd import denoise, detector, hwmodel
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import draw_symbols, make_constellation
-from gbcd.counting import MultCounter
 
 from conftest import random_channel
 from datapath_reference import _gbcd_equalize_reference
@@ -255,14 +254,6 @@ def test_batched_matched_filter_matches_per_channel(rng):
         assert np.array_equal(mat[i], detector.matched_filter(H[i], Y[i]))
 
 
-def test_batched_counts_scale_with_channels(rng):
-    H = np.stack([random_channel(rng, 16, 8) for _ in range(3)])
-    one, three = MultCounter(), MultCounter()
-    detector.preprocess(H[0], 0.1, counter=one)
-    detector.preprocess(H, np.full(3, 0.1), counter=three)
-    assert three.total == 3 * one.total
-
-
 @pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
 @pytest.mark.parametrize("T", [1, 5])
 @pytest.mark.parametrize("U, L", [(6, 1), (6, 2), (12, 1), (12, 2), (12, 4)])
@@ -281,31 +272,28 @@ def test_stacked_equalizer_matches_per_channel(U, L, T, fixed, qam16, rng):
     den = denoise.pme_denoiser(qam16, [2.0, 3.0, 4.0],
                                qam16.scale * np.array([0.9, 1.0, 1.1]))
 
-    def run(pre, y, counter):
+    def run(pre, y):
         snaps = []
         st = detector.gbcd_equalize(
-            pre, y, 3, den, counter=counter, numerics=numerics,
+            pre, y, 3, den, numerics=numerics,
             trace_hook=lambda k, m, z, r: snaps.append((k, m, z, r)))
         return st, snaps
 
     pre = detector.preprocess(H, N0, L=L, numerics=numerics)
     if L == 2:
         assert 3 * (U // 2) in pre.regularized
-    stacked, per_channel = MultCounter(), MultCounter()
-    st, snaps = run(pre, y_mf, stacked)
+    st, snaps = run(pre, y_mf)
     assert st.z.shape == y_mf.shape
     assert [s[:2] for s in snaps] == [(k, m) for k in range(3)
                                       for m in range(U // L)]
     for i in range(n):
         one = detector.preprocess(H[i], N0[i], L=L, numerics=numerics)
-        st_i, snaps_i = run(one, y_mf[i], per_channel)
+        st_i, snaps_i = run(one, y_mf[i])
         for f in ("z", "r", "v_last"):
             assert np.array_equal(getattr(st, f)[i], getattr(st_i, f)), f
         assert [s[:2] for s in snaps_i] == [s[:2] for s in snaps]
         for (_, _, z, r), (_, _, z_i, r_i) in zip(snaps, snaps_i):
             assert np.array_equal(z[i], z_i) and np.array_equal(r[i], r_i)
-    assert stacked.total == per_channel.total
-    assert stacked.total == n * 3 * (U // L) * 4 * (L * L + U * L) * T
 
 
 def test_indivisible_block_size(rng):

@@ -35,6 +35,10 @@ GOLDEN = {
         "8e2017e3380d1a0b524a7e1dd032d32c6dc6f89d7a5d6ea9e8dffaf39c82656a",
     "uncoded_64qam":
         "1b75a575c2db08cbf7dcf2ba647a623e47f0fa179b8319aaea1d27632a153a31",
+    "hwmodel_128x16":
+        "2f35ac2530efa549d90e10a81758aae5dd11f56d0a8ea101ba4adb9df6e14733",
+    "hwmodel_96x12":
+        "32666fc2523f2d563d9a0de8c09fb3a14fa0a849a80ab0a4b007fa87974c42b1",
 }
 
 
@@ -113,6 +117,15 @@ def outputs(tmp_path_factory):
              _write(d / f"{name}.json", dict(
                  SCEN, Q=Q, snr_db=snrs, condition="nonlos",
                  uncoded=True, trials=3, detectors=["gbcd-box", "lmmse"])))
+
+    # the complexity, throughput and power tables
+    for name, hw in (("hwmodel_128x16", {"B": 128, "U": 16, "K": 3,
+                                         "T": [1, 9, 54]}),
+                     ("hwmodel_96x12", {"B": 96, "U": 12, "K": 4,
+                                        "T": [1, 6, 54, 1000]})):
+        out[name] = d / f"{name}.csv"
+        _run("hwmodel", "--out", str(out[name]), "--config",
+             _write(d / f"{name}.json", hw))
     return out
 
 

@@ -6,9 +6,9 @@ import pytest
 from gbcd import baselines, denoise, detector, hwmodel
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
-from gbcd.counting import MultCounter
 
 from conftest import random_channel
+from counted_reference import gbcd_reference, lmmse_reference, ocd_reference
 from datapath_reference import (LAYOUTS, _box_denoise_reference,
                                 _pme_apply_reference, _quantize_reference,
                                 probe)
@@ -49,23 +49,84 @@ def test_lmmse_measured_per_transmission(rng):
 
 
 # ---------------------------------------------------------------------------
-# instrumented counters vs closed forms
+# counted scalar references vs closed forms and the library's detectors
 
-@pytest.mark.parametrize("B,U,K", [(8, 4, 1), (16, 8, 2), (32, 8, 3),
-                                   (128, 16, 3), (24, 6, 4)])
+GRID = [(8, 4, 1), (16, 8, 2), (32, 8, 3), (128, 16, 3), (24, 6, 4)]
+
+
+def _instance(B, U, seed=0):
+    rng = np.random.default_rng([B, U, seed])
+    return (random_channel(rng, B, U),
+            rng.standard_normal(B) + 1j * rng.standard_normal(B))
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("B,U,K", GRID)
 def test_instrumented_gbcd_matches_closed_form(B, U, K):
-    pre, eq = hwmodel.measured_gbcd_counts(B, U, K)
+    H, y = _instance(B, U)
+    const = make_constellation(4)
+    z, v_last, (pre, eq) = gbcd_reference(H, y, 0.1, K, const)
     rep = hwmodel.complexity_gbcd(B, U, K)
     assert pre == rep.preprocessing_mults
     assert eq == rep.per_transmission_mults
+    st = detector.gbcd_equalize(detector.preprocess(H, 0.1),
+                                detector.matched_filter(H, y), K,
+                                denoise.box_denoiser(const))
+    _assert_close(z, st.z)
+    _assert_close(v_last, st.v_last)
+
+
+@pytest.mark.parametrize("B,U", sorted({(B, U) for B, U, _ in GRID}))
+def test_counted_lmmse_matches_closed_form_and_detector(B, U):
+    H, y = _instance(B, U)
+    s_hat, counts = lmmse_reference(H, y, 0.1)
+    rep = hwmodel.complexity_lmmse(B, U)
+    assert counts == (rep.preprocessing_mults, rep.per_transmission_mults)
+    _, L, _ = baselines.lmmse_preprocess(H, 0.1)
+    _assert_close(s_hat, baselines.lmmse_equalize(
+        L, detector.matched_filter(H, y)))
+
+
+@pytest.mark.parametrize("B,U,K", GRID)
+def test_counted_ocd_matches_closed_form_and_detector(B, U, K):
+    H, y = _instance(B, U)
+    const = make_constellation(4)
+    *out, counts = ocd_reference(H, y, K, const)
+    rep = hwmodel.complexity_ocd(B, U, K)
+    assert counts == (rep.preprocessing_mults, rep.per_transmission_mults)
+    for got, want in zip(out, baselines.ocd_equalize(H, y, K, const)):
+        _assert_close(got, want)
+
+
+def test_counted_references_match_closed_forms_on_the_size_grid():
+    # every U up to min(B, 33): odd U, single UEs and single antennas too
+    const = make_constellation(4)
+    for B in (1, 2, 3, 8, 17, 128, 256):
+        for U in range(1, min(B, 33) + 1):
+            H, y = _instance(B, U)
+            lm = hwmodel.complexity_lmmse(B, U)
+            assert lmmse_reference(H, y, 0.1)[1] == (
+                lm.preprocessing_mults, lm.per_transmission_mults), (B, U)
+            for K in (1, 2, 5):
+                oc = hwmodel.complexity_ocd(B, U, K)
+                assert ocd_reference(H, y, K, const)[3] == (
+                    0, oc.per_transmission_mults), (B, U, K)
+                if U % 2 == 0:
+                    gb = hwmodel.complexity_gbcd(B, U, K)
+                    assert gbcd_reference(H, y, 0.1, K, const)[2] == (
+                        gb.preprocessing_mults,
+                        gb.per_transmission_mults), (B, U, K)
 
 
 def test_instrumented_lmmse_preprocessing_matches_formula(rng):
     B, U = 16, 4
     H = random_channel(rng, B, U)
-    c = MultCounter()
-    baselines.lmmse_preprocess(H, 0.1, counter=c)
-    assert c.total == 2 * B * U * U + (2 * U ** 3 - 2 * U) // 3
+    y = rng.standard_normal(B) + 1j * rng.standard_normal(B)
+    pre, _ = lmmse_reference(H, y, 0.1)[1]
+    assert pre == 2 * B * U * U + (2 * U ** 3 - 2 * U) // 3
 
 
 def test_ocd_single_run_self_consistency(rng):
@@ -74,10 +135,9 @@ def test_ocd_single_run_self_consistency(rng):
     const = make_constellation(4)
     H = random_channel(rng, B, U)
     y = rng.standard_normal(B) + 1j * rng.standard_normal(B)
-    c = MultCounter()
-    baselines.ocd_equalize(H, y, K, const, counter=c)
-    assert c.total == rep.per_transmission_mults
-    assert rep.preprocessing_mults == 0
+    pre, per = ocd_reference(H, y, K, const)[3]
+    assert per == rep.per_transmission_mults
+    assert pre == rep.preprocessing_mults == 0
 
 
 def test_ocd_intercept_below_gbcd():
