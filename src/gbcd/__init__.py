@@ -12,7 +12,7 @@ from .denoise import (PlmTable, SoftOutput, box_denoise, build_plm_table,
                       compute_llrs, llr_to_prob, pme_exact, pme_piecewise)
 from .detector import (EqualizerState, PreprocOutput, gbcd_detect,
                        gbcd_equalize, gram, matched_filter, preprocess)
-from .fec import CodeConfig, decode, deinterleave_llrs, encode, interleave
+from .fec import CodeConfig, deinterleave_llrs, encode, interleave
 from .harness import ExperimentConfig, run_ablation, run_sweep
 from .hwmodel import (ComplexityReport, FxpFormat, complexity_gbcd,
                       complexity_lmmse, complexity_ocd, detect_fixed_point,

@@ -85,18 +85,18 @@ def _cmd_hwmodel(args) -> int:
     rows = []
     for name, rep in reports.items():
         for T in cfg.T:
-            eta = hwmodel.utilization(T, U, B)
-            rows.append({
-                "algorithm": name, "B": B, "U": U,
-                "K": rep.K if rep.K is not None else "",
-                "T": T,
-                "pre_mults": rep.preprocessing_mults,
-                "eq_mults": rep.per_transmission_mults,
-                "total": rep.total(T),
-                "theta_bps": hwmodel.throughput(T, Q, U, cfg.f_clk, B),
-                "eta": eta,
-                "p_watts_fit": cfg.p_idle_watts + eta * cfg.p_equ_watts,
-            })
+            row = {"algorithm": name, "B": B, "U": U,
+                   "K": rep.K if rep.K is not None else "", "T": T,
+                   "pre_mults": rep.preprocessing_mults,
+                   "eq_mults": rep.per_transmission_mults,
+                   "total": rep.total(T),
+                   "theta_bps": "", "eta": "", "p_watts_fit": ""}
+            if name == "gbcd":   # the timing and power models are the ASIC's
+                eta = hwmodel.utilization(T, U, B)
+                row.update(theta_bps=hwmodel.throughput(T, Q, U, cfg.f_clk, B),
+                           eta=eta,
+                           p_watts_fit=cfg.p_idle_watts + eta * cfg.p_equ_watts)
+            rows.append(row)
     _write_csv(args.out or sys.stdout, rows, HWMODEL_COLUMNS)
     return 0
 

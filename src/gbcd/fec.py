@@ -291,9 +291,3 @@ def decode_batch(llrs: np.ndarray, cfg: CodeConfig,
         ok = np.all(payload == truth, axis=1)
     return payload, ok
 
-
-def decode(llrs: np.ndarray, cfg: CodeConfig, truth: np.ndarray | None = None):
-    """Single-block convenience wrapper around decode_batch."""
-    payload, ok = decode_batch(llrs[None, :], cfg,
-                               None if truth is None else truth[None, :])
-    return payload[0], (None if ok is None else bool(ok[0]))

@@ -98,8 +98,9 @@ def throughput(T: int, order: int, U: int = 16, f_clk: float = 887e6,
     return T / (cycles_per_vector * T + idle_cycles) * math.log2(order) * U * f_clk
 
 
-def throughput_asymptote(order: int, U: int = 16, f_clk: float = 887e6) -> float:
-    return math.log2(order) * U * f_clk / U
+def throughput_asymptote(order: int, f_clk: float = 887e6) -> float:
+    """The T -> infinity limit of ``throughput``; U cancels out of it."""
+    return math.log2(order) * f_clk
 
 
 def utilization(T: int, U: int = 16, B: int = 128) -> float:
@@ -273,8 +274,7 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
                 B, U, "nonlos", const,
                 min(PREPROCESS_SLICE, per_point - start), snr, rng)
             for h, y, n0 in zip(H, Y, N0):
-                detector.gbcd_detect(h, y, n0, const, 3, alpha=n0,
-                                     numerics=probe)
+                detector.gbcd_detect(h, y, n0, const, 3, numerics=probe)
                 for key, level in peak.items():
                     maxima[key].append(level)
                 peak.clear()

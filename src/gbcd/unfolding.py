@@ -226,7 +226,7 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
         # every step's estimate, (n, K, U, [re, im]) in update order
         n, U = batch.y_mf.shape
         x = np.concatenate(steps, axis=1).view(np.float64).reshape(n, K, U, 2)
-        cache = {"x": x, "v_final": v_final, "mu": mu,
+        cache = {"x": x, "mu": mu,
                  "floored": gains.xi_floored, "llr": llr, "mins": mins,
                  "capped": capped, "X": X, "offsets": offsets,
                  "inv_xi": inv_xi}
@@ -320,38 +320,6 @@ def grad(params, batch: TrainBatch, K: int):
             grf[flat[m]] += np.einsum("nji,nj->ni", kc[m], gv)
 
     return loss, {"rho": grho, "beta": gbeta, "alpha": galpha}
-
-
-def forward_diagnostics(params, batch: TrainBatch, K: int) -> dict:
-    """Distances to the nearest nondifferentiable point, used to pick
-    smooth-region evaluations for finite-difference checks.
-
-    Capped loss terms themselves are differentiation-consistent (both sides
-    see zero); only terms sitting close to the cap boundary can flip under a
-    finite-difference step, so the distance to the cap is what matters.
-    """
-    rho, beta, alpha = _params_arrays(params)
-    _, c = _unrolled_forward(rho, beta, alpha, batch, K, want_cache=True)
-    kink = np.inf
-    for k in range(K):
-        pre = rho[k] * (c["x"][:, k, ..., None] + 2.0 * beta[k] * c["offsets"])
-        kink = min(kink, float(np.min(np.abs(np.abs(pre) - 1.0))))
-    # gap between the two smallest distances of each bit's label subset
-    def gap(d, cols):
-        if cols.size == 1:
-            return np.inf
-        two = np.partition(d, 1, axis=0)
-        return float(np.min(two[1] - two[0]))
-
-    argmin_gap = min(min(pair) for ax in (c["v_final"].real, c["v_final"].imag)
-                     for pair in denoise._gray_subsets(ax, c["mu"], batch.const,
-                                                       gap))
-    sgn = 1.0 - 2.0 * c["X"]
-    cap_distance = float(np.min(np.abs(sgn * c["llr"] - LOSS_CAP)))
-    return {"min_kink_distance": kink,
-            "min_argmin_gap": argmin_gap,
-            "min_cap_distance": cap_distance,
-            "n_floored": int(c["floored"].sum())}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ fixtures; everything else is self-contained.
 import numpy as np
 import pytest
 
-from gbcd import baselines, denoise, detector, fec, hwmodel, unfolding
+from gbcd import denoise, detector, fec, hwmodel, unfolding
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import (hard_decision_indices, make_constellation,
                                 symbol_indices_from_bits)
@@ -18,6 +18,7 @@ from gbcd.config import Scenario
 from conftest import random_channel
 from counted_reference import gbcd_reference, ocd_reference
 from datapath_reference import _llrs_exhaustive_reference
+from unfolding_reference import forward_diagnostics
 
 DESK_TRAIN_SNR = 10.0  # criterion 6/9 operating point (B=16, U=4, 16-QAM)
 
@@ -60,7 +61,7 @@ def square_qpsk_store(tmp_path_factory):
 
 def test_criterion_01_throughput_formula():
     def check():
-        asym = hwmodel.throughput_asymptote(256, 16, 887e6)
+        asym = hwmodel.throughput_asymptote(256, 887e6)
         assert round(asym / 1e9, 4) == 7.0960
         ratio = hwmodel.throughput(54, 256, 16, 887e6) / asym
         assert ratio == 54 / 63
@@ -260,7 +261,7 @@ def test_criterion_08_gradient_correctness():
             params = {"rho": rng.uniform(1.0, 4.0, K),
                       "beta": qam.scale * rng.uniform(0.8, 1.2, K),
                       "alpha": float(rng.uniform(0.02, 0.2))}
-            diag = unfolding.forward_diagnostics(params, batch, K)
+            diag = forward_diagnostics(params, batch, K)
             if (diag["min_kink_distance"] < 1e-3
                     or diag["min_argmin_gap"] < 1e-4
                     or diag["min_cap_distance"] < 0.05

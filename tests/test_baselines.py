@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gbcd import baselines, denoise, detector
-from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import draw_symbols
 
 from conftest import random_channel
@@ -10,32 +9,7 @@ from counted_reference import lmmse_reference
 
 
 # ---------------------------------------------------------------------------
-# Cholesky and substitution
-
-def test_cholesky_matches_numpy(rng):
-    H = random_channel(rng, 12, 5)
-    A = detector.gram(H) + 0.3 * np.eye(5)
-    L = baselines.cholesky_lower(A)
-    assert np.max(np.abs(L @ L.conj().T - A)) < 1e-10
-    assert np.max(np.abs(L - np.linalg.cholesky(A))) < 1e-10
-    assert np.all(L.diagonal().real > 0)
-    assert np.all(L.diagonal().imag == 0)
-
-
-def test_cholesky_rejects_indefinite():
-    A = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
-    with pytest.raises(np.linalg.LinAlgError):
-        baselines.cholesky_lower(A)
-
-
-def test_substitution_vs_dense_inverse(rng):
-    for _ in range(20):
-        H = random_channel(rng, 10, 4)
-        A = detector.gram(H) + 0.2 * np.eye(4)
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = baselines.lmmse_equalize(baselines.cholesky_lower(A), b)
-        assert np.max(np.abs(x - np.linalg.inv(A) @ b)) < 1e-8
-
+# LMMSE detector
 
 def test_substitution_pair_count_4u_squared(rng):
     B, U = 8, 4
@@ -45,8 +19,21 @@ def test_substitution_pair_count_4u_squared(rng):
     assert per - 4 * B * U == 4 * U * U
 
 
-# ---------------------------------------------------------------------------
-# LMMSE detector
+def test_lmmse_matches_dense_inverse(qam16, rng):
+    # one receive vector and a block of 6
+    for shape in [(10,)] * 10 + [(10, 6)] * 10:
+        H = random_channel(rng, 10, 4)
+        N0 = rng.uniform(0.05, 0.5)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        soft = baselines.lmmse_detect(H, y, N0, qam16)
+        G = detector.gram(H)
+        A_inv = np.linalg.inv(G + N0 * np.eye(4))
+        want = A_inv @ detector.matched_filter(H, y)
+        assert soft.v_final.shape == want.shape
+        assert np.max(np.abs(soft.v_final - want)) < 1e-8
+        assert np.max(np.abs(soft.params.mu
+                             - np.diagonal(A_inv @ G).real)) < 1e-12
+
 
 def test_lmmse_noiseless_orthogonal_recovery(qam16, rng):
     q, _ = np.linalg.qr(random_channel(rng, 16, 4))

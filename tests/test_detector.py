@@ -5,7 +5,7 @@ import pytest
 
 from gbcd import denoise, detector, hwmodel
 from gbcd.channel import gen_channel, transmit
-from gbcd.constellation import draw_symbols, make_constellation
+from gbcd.constellation import draw_symbols
 
 from conftest import random_channel
 from datapath_reference import _gbcd_equalize_reference

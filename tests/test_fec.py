@@ -163,15 +163,16 @@ def test_zero_llrs_produce_some_valid_path(rng):
 
 
 def test_single_block_wrapper(rng):
+    # one block decodes as a one-row batch
     cfg = make_cfg()
     payload = rng.integers(0, 2, cfg.payload_bits).astype(np.uint8)
-    coded = fec.encode(payload, cfg)
-    bits, ok = fec.decode(20.0 * (2.0 * coded - 1.0), cfg, payload)
-    assert ok is True
-    assert np.array_equal(bits, payload)
-    bits2, ok2 = fec.decode(20.0 * (2.0 * coded - 1.0), cfg)
+    llrs = 20.0 * (2.0 * fec.encode(payload, cfg) - 1.0)
+    bits, ok = fec.decode_batch(llrs[None], cfg, payload[None])
+    assert ok.tolist() == [True]
+    assert np.array_equal(bits, payload[None])
+    bits2, ok2 = fec.decode_batch(llrs[None], cfg)
     assert ok2 is None
-    assert np.array_equal(bits2, payload)
+    assert np.array_equal(bits2, payload[None])
 
 
 def _hard_viterbi_oracle(hard_bits, cfg):
@@ -218,7 +219,7 @@ def test_soft_decoder_matches_hard_oracle(rng):
         flips = rng.choice(cfg.n_coded, size=3, replace=False)
         noisy[flips] ^= 1
         llrs = 2.0 * noisy - 1.0
-        soft_bits, _ = fec.decode(llrs, cfg)
+        soft_bits = fec.decode_batch(llrs[None], cfg)[0][0]
         hard_bits = _hard_viterbi_oracle(noisy, cfg)[:cfg.payload_bits]
         assert np.array_equal(soft_bits, hard_bits)
 
@@ -352,4 +353,4 @@ def test_decode_batch_rejects_non_finite_llrs(bad, rng):
     with pytest.raises(ValueError, match="non-finite LLR in block 2"):
         fec.decode_batch(llrs, cfg, payload)
     with pytest.raises(ValueError, match="non-finite LLR in block 0"):
-        fec.decode(llrs[3], cfg, payload[3])
+        fec.decode_batch(llrs[3:], cfg, payload[3:])

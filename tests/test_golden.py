@@ -36,9 +36,9 @@ GOLDEN = {
     "uncoded_64qam":
         "1b75a575c2db08cbf7dcf2ba647a623e47f0fa179b8319aaea1d27632a153a31",
     "hwmodel_128x16":
-        "2f35ac2530efa549d90e10a81758aae5dd11f56d0a8ea101ba4adb9df6e14733",
+        "201322c958373d2fb887d48487d99c93b05e731e06f54e9cf5093aa53ae53ed6",
     "hwmodel_96x12":
-        "32666fc2523f2d563d9a0de8c09fb3a14fa0a849a80ab0a4b007fa87974c42b1",
+        "83f67cb9aa0fd977414c8ca80431e4b7690f646ea1c434e6435f5ccaf9dbdd34",
 }
 
 

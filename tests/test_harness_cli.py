@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -914,6 +915,35 @@ def test_cli_hwmodel_table(tmp_path):
     assert lines[0] == ("algorithm,B,U,K,T,pre_mults,eq_mults,total,"
                         "theta_bps,eta,p_watts_fit")
     assert len(lines) == 1 + 3 * 2
+
+
+def test_cli_hwmodel_timing_and_power_only_on_gbcd_rows(tmp_path):
+    # the throughput, utilization and power models are the GBCD ASIC's
+    cfgp = tmp_path / "hw.json"
+    cfgp.write_text(json.dumps({"B": 96, "U": 12, "K": 4, "T": [1, 54]}))
+    out = tmp_path / "hw.csv"
+    assert cli.main(["hwmodel", "--config", str(cfgp), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [r["algorithm"] for r in rows] == ["gbcd"] * 2 + ["ocd"] * 2 \
+        + ["lmmse"] * 2
+    timing = ("theta_bps", "eta", "p_watts_fit")
+    for r in rows:
+        assert r["pre_mults"] and r["eq_mults"] and r["total"]
+        if r["algorithm"] == "gbcd":
+            assert all(float(r[c]) > 0 for c in timing)
+        else:
+            assert all(r[c] == "" for c in timing)
+    assert [r["K"] for r in rows] == ["4", "4", "4", "4", "", ""]
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy takes about as long as a short run's whole setup
+    code = ("import sys, gbcd.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_fixed_point_flag(tmp_path):

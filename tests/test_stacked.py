@@ -142,47 +142,6 @@ def test_llrs_with_params_per_channel_alpha(Q, T, oracle):
         _assert_soft_equal(stacked, one)
 
 
-def test_cholesky_rejects_stack_with_one_indefinite_matrix():
-    A = np.stack([np.eye(2, dtype=complex),
-                  np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)])
-    with pytest.raises(np.linalg.LinAlgError):
-        baselines.cholesky_lower(A)
-
-
-def _cholesky_loop(A):
-    """Complex Cholesky of one matrix, one element at a time."""
-    n = A.shape[0]
-    L = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        L[j, j] = np.sqrt(A[j, j].real - np.sum(np.abs(L[j, :j]) ** 2))
-        for i in range(j + 1, n):
-            L[i, j] = ((A[i, j] - np.dot(L[i, :j], L[j, :j].conj()))
-                       / L[j, j].real)
-    return L
-
-
-def _forward_loop(L, b):
-    """Forward substitution for one matrix, one row at a time."""
-    x = b.astype(complex)
-    for i in range(L.shape[0]):
-        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i].real
-    return x
-
-
-@pytest.mark.parametrize("T", [1, 120])
-def test_lmmse_stack_keeps_per_element_operation_order(T):
-    # vectorizing over the rows of L instead of the channels reorders the
-    # dot products and moves the result by ulps
-    _, H, Y, N0 = _stack(16, 16, T)
-    A = detector.gram(H) + N0[:, None, None] * np.eye(16)
-    L = baselines.cholesky_lower(A)
-    y_mf = detector.matched_filter(H, Y)
-    x = baselines.solve_lower(L, y_mf)
-    for n in range(N):
-        assert np.array_equal(L[n], _cholesky_loop(A[n]))
-        assert np.array_equal(x[n], _forward_loop(L[n], y_mf[n]))
-
-
 @pytest.mark.parametrize("name", ["gbcd-box", "lmmse", "ocd"])
 def test_noiseless_channels_in_a_noisy_stack(name):
     # N0 = 0 (snr_db = inf) gives alpha = 0, unit gains and a zero

@@ -11,6 +11,7 @@ from gbcd.constellation import make_constellation
 from gbcd.config import ConfigError, Scenario
 
 from channel_reference import _gen_channel_reference, _transmit_reference
+from unfolding_reference import forward_diagnostics
 
 
 def small_batch(rng, n=12, B=8, U=4, snr=12.0, Q=16):
@@ -153,7 +154,7 @@ def test_forward_and_grad_run_through_the_detector_equalizer(rng,
     monkeypatch.setattr(detector, "gbcd_equalize", counting)
     unfolding.forward_loss(params, batch, 3)
     unfolding.grad(params, batch, 3)
-    unfolding.forward_diagnostics(params, batch, 3)
+    forward_diagnostics(params, batch, 3)
     assert calls == [((5, 2, 2), (5, 4), 3)] * 3
 
 
@@ -185,7 +186,7 @@ def test_forward_loss_validates_inputs(rng):
 
 
 @pytest.mark.parametrize("fn", [unfolding.forward_loss, unfolding.grad,
-                                unfolding.forward_diagnostics],
+                                forward_diagnostics],
                          ids=["forward_loss", "grad", "forward_diagnostics"])
 @pytest.mark.parametrize("case, match", [
     ("rho-4", "need 3 slope parameters, got 4"),
@@ -217,7 +218,7 @@ def test_gradient_matches_finite_differences(rng):
         batch, const = small_batch(np.random.default_rng(1000 + attempts), n=4)
         K = 3
         params = rand_params(np.random.default_rng(2000 + attempts), K, const)
-        diag = unfolding.forward_diagnostics(params, batch, K)
+        diag = forward_diagnostics(params, batch, K)
         if (diag["min_kink_distance"] < 1e-3 or diag["min_argmin_gap"] < 1e-4
                 or diag["min_cap_distance"] < 0.05 or diag["n_floored"]):
             continue
@@ -267,7 +268,7 @@ def test_forward_and_grad_match_per_bit_distances(Q, monkeypatch):
     params = rand_params(rng, 3, const)
     loss = unfolding.forward_loss(params, batch, 3)
     loss_g, g = unfolding.grad(params, batch, 3)
-    diag = unfolding.forward_diagnostics(params, batch, 3)
+    diag = forward_diagnostics(params, batch, 3)
     calls = []
 
     def per_bit(x, mu, const, reduce):
@@ -280,7 +281,7 @@ def test_forward_and_grad_match_per_bit_distances(Q, monkeypatch):
     assert loss_g == ref_loss
     for name in ("rho", "beta", "alpha"):
         assert np.array_equal(g[name], ref_g[name]), name
-    assert diag == unfolding.forward_diagnostics(params, batch, 3)
+    assert diag == forward_diagnostics(params, batch, 3)
     # both axes in each forward pass, and again for the diagnostics' gaps
     assert calls == [(16, 4)] * 8
 
@@ -437,7 +438,7 @@ def _assert_matches_reference(params, batch, K):
     for name in ("rho", "beta", "alpha"):
         assert np.array_equal(g[name], ref_g[name]), name
     assert unfolding.forward_loss(params, batch, K) == ref_loss
-    assert unfolding.forward_diagnostics(params, batch, K) == ref_diag
+    assert forward_diagnostics(params, batch, K) == ref_diag
 
 
 @pytest.mark.parametrize("K", [1, 4])
