@@ -30,27 +30,27 @@ for i in (0, 1, 5, 15):
     print(f"  {i:2d}: {bits} -> {c16.points[i]:+.3f}")
 
 print("\n=== Channel conditions ===")
-ch_iid = gen_channel(64, 8, "nonlos", rng)
-ch_los = gen_channel(64, 8, "los", rng, k_factor=20.0)
-for name, ch in (("nonlos", ch_iid), ("los", ch_los)):
-    w = np.linalg.eigvalsh(gram(ch.H))
-    p = np.sum(np.abs(ch.H) ** 2, axis=0)
+H_iid = gen_channel(64, 8, "nonlos", rng)
+H_los = gen_channel(64, 8, "los", rng, k_factor=20.0)
+for name, H in (("nonlos", H_iid), ("los", H_los)):
+    w = np.linalg.eigvalsh(gram(H))
+    p = np.sum(np.abs(H) ** 2, axis=0)
     print(f"{name:7s}: Gram eigenvalue spread {w[-1] / w[0]:8.1f}, "
           f"per-UE power ratio {10 * np.log10(p.max() / p.min()):.2f} dB "
           f"(power control keeps it within 6 dB)")
 
 print("\n=== Transmission and the SNR definition ===")
-batch = transmit(ch_iid.H, c16, T=100, snr_db=15.0, rng=rng)
-sig = np.sum(np.abs(ch_iid.H) ** 2) / 64
+batch = transmit(H_iid, c16, T=100, snr_db=15.0, rng=rng)
+sig = np.sum(np.abs(H_iid) ** 2) / 64
 print(f"snr 15 dB -> N0 = {batch.N0:.4f}; "
       f"realized ||H||_F^2/(B*N0) = "
       f"{10 * np.log10(sig / batch.N0):.2f} dB")
 print(f"reconstruction residual ||Y - HS - N|| = "
-      f"{np.max(np.abs(batch.Y - ch_iid.H @ batch.S - batch.noise))}")
+      f"{np.max(np.abs(batch.Y - H_iid @ batch.S - batch.noise))}")
 
 print("\n=== Matrix dump format ===")
 with tempfile.NamedTemporaryFile(suffix=".cmat") as f:
-    dump_matrix(f.name, ch_iid.H[:4, :3])
+    dump_matrix(f.name, H_iid[:4, :3])
     back = load_matrix(f.name)
-    print(f"round trip exact: {np.array_equal(back, ch_iid.H[:4, :3])} "
+    print(f"round trip exact: {np.array_equal(back, H_iid[:4, :3])} "
           f"(16-byte header + interleaved little-endian float64 re/im)")

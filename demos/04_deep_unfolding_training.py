@@ -38,10 +38,10 @@ rng = np.random.default_rng(999)
 err = {"box": 0, "pme": 0}
 total = 0
 for _ in range(100):
-    ch = gen_channel(16, 4, "nonlos", rng)
-    b = transmit(ch.H, const, 50, 10.0, rng)
+    H = gen_channel(16, 4, "nonlos", rng)
+    b = transmit(H, const, 50, 10.0, rng)
     for mode, kw in (("box", {}), ("pme", trained)):
-        soft, _, _ = gbcd_detect(ch.H, b.Y, b.N0, const, K, **kw)
+        soft, _, _ = gbcd_detect(H, b.Y, b.N0, const, K, **kw)
         hard = hard_decision_indices(const, soft.v_final,
                                      soft.params.mu[:, None])
         err[mode] += int(np.sum(hard != b.symbol_indices))

@@ -53,10 +53,10 @@ const = make_constellation(16)
 rng = np.random.default_rng(5)
 agree = tot = 0
 for _ in range(10):
-    ch = gen_channel(16, 4, "nonlos", rng)
-    b = transmit(ch.H, const, 50, 12.0, rng)
-    sf, _, _ = gbcd_detect(ch.H, b.Y, b.N0, const, 3)
-    sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, const, 3)
+    H = gen_channel(16, 4, "nonlos", rng)
+    b = transmit(H, const, 50, 12.0, rng)
+    sf, _, _ = gbcd_detect(H, b.Y, b.N0, const, 3)
+    sq = hwmodel.detect_fixed_point(H, b.Y, b.N0, const, 3)
     agree += int(np.sum(np.sign(sf.llrs) == np.sign(sq.llrs)))
     tot += sf.llrs.size
 print(f"LLR sign agreement quantized vs float: {agree / tot:.4%}")

@@ -5,7 +5,9 @@ Two synthetic propagation conditions are provided:
 * ``nonlos`` -- i.i.d. circularly-symmetric complex Gaussian entries.
 * ``los``    -- per-UE planar-wavefront steering vectors over a uniform
   linear array, mixed with a scattered Rayleigh component through a
-  configurable Rician K-factor.
+  configurable Rician K-factor. The UE angles are uniform over the sets of
+  U angles in [-60, 60] deg that lie at least ``min_sep_deg`` apart, in
+  exchangeable UE order; they come from exactly U uniform draws.
 
 Receive-power control clips every UE's column energy into a +/-3 dB band
 around the mean, mirroring a basestation power-control loop.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, draw_symbols
+from .constellation import Constellation
 
 CONDITIONS = ("nonlos", "los")
 POWER_BAND_DB = 3.0   # receive-power control band around the mean, +/- dB
@@ -31,23 +33,9 @@ _BAND_LO = 10.0 ** (-POWER_BAND_DB / 10.0)
 _BAND_HI = 10.0 ** (POWER_BAND_DB / 10.0)
 _BAND_RATIO = 10 ** (2 * POWER_BAND_DB / 10.0) * (1 + 1e-12)
 _SQRT2 = np.sqrt(2.0)
-_ANGLE_SPAN_DEG = 120.0   # LOS UE angles are drawn uniformly over +/- 60 deg
+_ANGLE_SPAN_DEG = 120.0   # LOS UE angles lie within +/- 60 deg
 
 _MAGIC = b"CPLXMAT\x00"
-
-
-@dataclass
-class ChannelRealization:
-    H: np.ndarray            # (B, U) complex128
-    condition: str
-
-    @property
-    def B(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def U(self) -> int:
-        return self.H.shape[1]
 
 
 @dataclass
@@ -56,7 +44,6 @@ class TransmissionBatch:
     bits: np.ndarray         # (U, T, log2 Q) bit labels of S
     Y: np.ndarray            # (B, T) receive vectors
     N0: float
-    T: int
     noise: np.ndarray        # (B, T), retained so Y == H S + noise is checkable
     symbol_indices: np.ndarray  # (U, T)
 
@@ -92,23 +79,20 @@ def check_angle_separation(U: int, min_sep_deg: float) -> None:
 
 def _draw_angles(U: int, rng: np.random.Generator,
                  min_sep_deg: float) -> np.ndarray:
+    """U angles (rad) as the module doc says: U uniforms on the sector cut
+    short by (U - 1) * min_sep_deg, each moved up by its rank times
+    min_sep_deg, a one-to-one map with unit Jacobian onto the allowed sets."""
     check_angle_separation(U, min_sep_deg)
     half = _ANGLE_SPAN_DEG / 2.0
-    for _ in range(1000):
-        deg = rng.uniform(-half, half, size=U)
-        if U == 1:
-            return np.deg2rad(deg)
-        d = np.abs(deg[:, None] - deg[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() >= min_sep_deg:
-            return np.deg2rad(deg)
-    raise RuntimeError("angle sampling failed to satisfy minimum separation")
+    deg = rng.uniform(-half, half - (U - 1) * min_sep_deg, size=U)
+    deg += min_sep_deg * np.argsort(np.argsort(deg))
+    return np.deg2rad(deg)
 
 
 def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
                 k_factor: float = 10.0, min_sep_deg: float = 1.0,
-                angles_rad: np.ndarray | None = None) -> ChannelRealization:
-    """Generate one channel realization with receive-power control applied."""
+                angles_rad: np.ndarray | None = None) -> np.ndarray:
+    """One channel realization H (B, U) with receive-power control applied."""
     if U < 2 or B < U:
         raise ValueError(f"invalid dimensions B={B}, U={U} (need B >= U >= 2)")
     condition = condition.lower()
@@ -132,7 +116,7 @@ def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
     H = _power_control(H)
     if not np.isfinite(H).all():
         raise ValueError("channel contains non-finite entries")
-    return ChannelRealization(H, condition)
+    return H
 
 
 def is_noiseless(snr_db: float) -> bool:
@@ -203,10 +187,10 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
     if T < 1:
         raise ValueError("T must be >= 1")
     N0 = noise_variance_for_snr(H, snr_db)
-    idx, S = draw_symbols(const, (H.shape[1], T), rng)
+    idx = rng.integers(0, const.order, size=(H.shape[1], T))
+    S = const.points[idx]
     Y = apply_channel(H, S, N0, rng)
-    return TransmissionBatch(S, const.bit_labels[idx], Y, N0, T, Y - H @ S,
-                             idx)
+    return TransmissionBatch(S, const.bit_labels[idx], Y, N0, Y - H @ S, idx)
 
 
 def dump_matrix(path, M: np.ndarray) -> None:

@@ -11,6 +11,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import hwmodel, unfolding
 from .config import ConfigError, HwmodelConfig, from_dict, read_json
 from .harness import (ABLATE_COLUMNS, SWEEP_COLUMNS, ExperimentConfig,
@@ -63,7 +65,9 @@ def _cmd_train(args) -> int:
     _check_out(out)
     store = (unfolding.ParamStore.load(out) if os.path.exists(out)
              else unfolding.ParamStore())
-    params = unfolding.train(job.scenario, training, job.K)
+    # a run whose loss diverges is reported once, as TrainingDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = unfolding.train(job.scenario, training, job.K)
     store.add(params)
     store.save(out)
     shown = {k: getattr(params.scenario, k)      # the line's fixed key order

@@ -113,12 +113,6 @@ def symbol_indices_from_bits(const: Constellation, bits: np.ndarray) -> np.ndarr
     return const.label_to_index[label_ints]
 
 
-def draw_symbols(const: Constellation, shape, rng: np.random.Generator):
-    """Draw i.i.d. uniform symbols; returns (indices, symbols)."""
-    idx = rng.integers(0, const.order, size=shape)
-    return idx, const.points[idx]
-
-
 def hard_decision_indices(const: Constellation, v: np.ndarray,
                           gain: float | np.ndarray = 1.0) -> np.ndarray:
     """Nearest-symbol decision per axis against the gain-scaled PAM grid.

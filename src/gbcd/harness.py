@@ -232,15 +232,14 @@ def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
     digest = hashlib.sha256(S.tobytes()) if hashed else None
     for g in range(G):
         c = slot * G + g
-        ch = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
-                         k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
-        N0 = noise_variance_for_snr(ch.H, snr_db)
-        stack.H[c] = ch.H
+        H = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
+                        k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
+        N0 = noise_variance_for_snr(H, snr_db)
+        stack.H[c] = H
         stack.N0[c] = N0
-        stack.Y[c] = apply_channel(ch.H, S[:, g * glen:(g + 1) * glen], N0,
-                                   rng)
+        stack.Y[c] = apply_channel(H, S[:, g * glen:(g + 1) * glen], N0, rng)
         if hashed:
-            digest.update(ch.H.tobytes())
+            digest.update(H.tobytes())
             digest.update(stack.Y[c].tobytes())
     return digest.hexdigest()[:16] if hashed else None
 

@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import denoise, detector
+from .channel import gen_channel, transmit
 from .constellation import Constellation, make_constellation
 
 
@@ -252,8 +253,6 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     counts for ``z``); the remaining bits of its ``DEFAULT_FORMATS`` word
     length (one reserved for the sign) are fractional.
     """
-    from .unfolding import PREPROCESS_SLICE, transmit_samples
-
     maxima = {k: [] for k in DEFAULT_FORMATS}
     peak = {}
 
@@ -269,15 +268,14 @@ def profile_formats(B: int = 128, U: int = 16, orders=(4, 16, 64, 256),
     per_point = max(1, n // len(grid))
     for q, snr in grid:
         const = consts[q]
-        for start in range(0, per_point, PREPROCESS_SLICE):
-            H, _, Y, N0 = transmit_samples(
-                B, U, "nonlos", const,
-                min(PREPROCESS_SLICE, per_point - start), snr, rng)
-            for h, y, n0 in zip(H, Y, N0):
-                detector.gbcd_detect(h, y, n0, const, 3, numerics=probe)
-                for key, level in peak.items():
-                    maxima[key].append(level)
-                peak.clear()
+        for _ in range(per_point):
+            H = gen_channel(B, U, "nonlos", rng)
+            batch = transmit(H, const, 1, snr, rng)
+            detector.gbcd_detect(H, batch.Y, batch.N0, const, 3,
+                                 numerics=probe)
+            for key, level in peak.items():
+                maxima[key].append(level)
+            peak.clear()
     out = {}
     for key, vals in maxima.items():
         level = float(np.percentile(vals, percentile))

@@ -45,8 +45,8 @@ class MissingParamsError(KeyError):
     """No trained parameters stored for the requested scenario."""
 
 
-class TrainingDiverged(RuntimeError):
-    pass
+class TrainingDiverged(ConfigError):
+    """The training loss became non-finite; a smaller ``lr`` may train."""
 
 
 @dataclass(frozen=True)
@@ -91,33 +91,6 @@ class TrainBatch:
         return self.bits.shape[0]
 
 
-def transmit_samples(B: int, U: int, condition: str, const: Constellation,
-                     n: int, snr_db: float, rng: np.random.Generator, *,
-                     k_factor: float = 10.0, min_sep_deg: float = 1.0):
-    """n independent samples, each with its own channel, one symbol vector
-    and noise, stacked on a leading axis: (H, idx, Y, N0) of shapes
-    (n, B, U), (n, U, 1), (n, B, 1) and (n,).
-
-    Per sample the random stream is consumed as by ``gen_channel`` followed
-    by ``transmit`` with T = 1: [LOS angles,] H, the symbols, the noise
-    (none when snr_db is +inf; NaN and -inf raise ValueError before any
-    draw). Only these draws run per sample, straight into the stacked
-    buffers; N0 and the transmit tail run once per stack.
-    """
-    H = np.empty((n, B, U), dtype=np.complex128)
-    idx = np.empty((n, U, 1), dtype=np.int64)
-    w = None if is_noiseless(snr_db) else np.empty((n, B, 1),
-                                                   dtype=np.complex128)
-    for i in range(n):
-        H[i] = gen_channel(B, U, condition, rng, k_factor=k_factor,
-                           min_sep_deg=min_sep_deg).H
-        idx[i] = rng.integers(0, const.order, size=(U, 1))
-        if w is not None:
-            unit_normals(rng, w[i])
-    N0 = noise_variance_for_snr(H, snr_db)
-    return H, idx, receive(H, const.points[idx], w, N0), N0
-
-
 def make_batch(B: int, U: int, const: Constellation, snr_db: float,
                condition: str, n: int, rng: np.random.Generator, *,
                k_factor: float = 10.0, min_sep_deg: float = 1.0) -> TrainBatch:
@@ -125,10 +98,13 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     preprocessed as ``gbcd-pme`` detects: block size GBCD_L, sorted.
 
     ``k_factor`` and ``min_sep_deg`` shape LOS channels as in
-    ``gen_channel``. Each slice of up to PREPROCESS_SLICE samples comes from
-    ``transmit_samples``, whose draws run sample by sample, so the random
-    stream does not depend on PREPROCESS_SLICE; the transmit tail, the bit
-    labels and preprocessing run once per slice.
+    ``gen_channel``. Per sample the random stream is consumed as by
+    ``gen_channel`` followed by ``transmit`` with T = 1: [LOS angles,] H,
+    the symbols, the noise (none when snr_db is +inf; NaN and -inf raise
+    ValueError before any draw). Only these draws run per sample, straight
+    into stacked buffers of up to PREPROCESS_SLICE samples, so the random
+    stream does not depend on PREPROCESS_SLICE; N0, the transmit tail, the
+    bit labels and preprocessing run once per slice.
     """
     M, L = U // GBCD_L, GBCD_L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
@@ -139,9 +115,18 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     N0 = np.empty(n)
     for start in range(0, n, PREPROCESS_SLICE):
         stop = min(n, start + PREPROCESS_SLICE)
-        H, idx, Y, N0[start:stop] = transmit_samples(
-            B, U, condition, const, stop - start, snr_db, rng,
-            k_factor=k_factor, min_sep_deg=min_sep_deg)
+        H = np.empty((stop - start, B, U), dtype=np.complex128)
+        idx = np.empty((stop - start, U, 1), dtype=np.int64)
+        w = None if is_noiseless(snr_db) else np.empty((stop - start, B, 1),
+                                                       dtype=np.complex128)
+        for i in range(stop - start):
+            H[i] = gen_channel(B, U, condition, rng, k_factor=k_factor,
+                               min_sep_deg=min_sep_deg)
+            idx[i] = rng.integers(0, const.order, size=(U, 1))
+            if w is not None:
+                unit_normals(rng, w[i])
+        N0[start:stop] = noise_variance_for_snr(H, snr_db)
+        Y = receive(H, const.points[idx], w, N0[start:stop])
         bits[start:stop] = const.bit_labels[idx[..., 0]]
         pre = detector.preprocess(H, N0[start:stop], L=L)
         G[start:stop] = pre.G
@@ -449,7 +434,8 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
             rho, beta, alpha = _theta_to_params(theta, K)
             loss, g = grad({"rho": rho, "beta": beta, "alpha": alpha}, mb, K)
             if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
+                raise TrainingDiverged(f"training diverged: loss {loss} at "
+                                       f"epoch {epoch} with lr {config.lr}")
             # chain rule through the positivity reparameterization
             g_theta = np.concatenate([
                 g["rho"] * rho,

@@ -2,16 +2,39 @@
 ``noise_variance_for_snr``, ``apply_channel`` and ``transmit`` written one
 channel and one call at a time, with the library's random-stream order.
 
-The stacked generators (``unfolding.transmit_samples`` and the transmit
+``unfolding.make_batch`` (its per-sample draws and the stacked transmit
 tail ``channel.receive``) must give bitwise what these give, and leave the
-generator in the same state.
+generator in the same state. ``draw_symbols`` is the symbol draw that
+``transmit`` makes.
+
+``_draw_angles_rejection`` redraws all U LOS angles uniformly on
+[-60, 60] deg until every pair lies ``min_sep_deg`` apart. It samples by
+construction the distribution ``channel._draw_angles`` must give (uniform
+over the allowed angle sets, in exchangeable UE order) and is its
+statistical oracle; it fails at crowded settings, where almost every draw
+is rejected.
 """
 
 import numpy as np
 
-from gbcd.channel import (CONDITIONS, POWER_BAND_DB, ChannelRealization,
-                          TransmissionBatch, _draw_angles, steering_vector)
-from gbcd.constellation import draw_symbols
+from gbcd.channel import (CONDITIONS, POWER_BAND_DB, TransmissionBatch,
+                          _draw_angles, steering_vector)
+
+
+def draw_symbols(const, shape, rng):
+    """Draw i.i.d. uniform symbols; returns (indices, symbols)."""
+    idx = rng.integers(0, const.order, size=shape)
+    return idx, const.points[idx]
+
+
+def _draw_angles_rejection(U, rng, min_sep_deg):
+    for _ in range(1000):
+        deg = rng.uniform(-60.0, 60.0, size=U)
+        d = np.abs(deg[:, None] - deg[None, :])
+        np.fill_diagonal(d, np.inf)
+        if d.min() >= min_sep_deg:
+            return np.deg2rad(deg)
+    raise RuntimeError("angle sampling failed to satisfy minimum separation")
 
 
 def _power_control_reference(H):
@@ -48,7 +71,7 @@ def _gen_channel_reference(B, U, condition, rng, *, k_factor=10.0,
     H = _power_control_reference(H)
     if not np.all(np.isfinite(H)):
         raise ValueError("channel contains non-finite entries")
-    return ChannelRealization(H, condition)
+    return H
 
 
 def _noise_variance_for_snr_reference(H, snr_db):
@@ -78,4 +101,4 @@ def _transmit_reference(H, const, T, snr_db, rng):
     idx, S = draw_symbols(const, (U, T), rng)
     Y, noise = _apply_channel_reference(H, S, N0, rng)
     bits = const.bit_labels[idx]
-    return TransmissionBatch(S, bits, Y, float(N0), T, noise, idx)
+    return TransmissionBatch(S, bits, Y, float(N0), noise, idx)

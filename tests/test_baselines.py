@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gbcd import baselines, denoise, detector
-from gbcd.constellation import draw_symbols
 
+from channel_reference import draw_symbols
 from conftest import random_channel
 from counted_reference import lmmse_reference
 

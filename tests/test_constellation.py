@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gbcd.constellation import (SUPPORTED_ORDERS, draw_symbols,
-                                hard_decision_indices, make_constellation,
-                                symbol_indices_from_bits)
+from gbcd.constellation import (SUPPORTED_ORDERS, hard_decision_indices,
+                                make_constellation, symbol_indices_from_bits)
 
+from channel_reference import draw_symbols
 from datapath_reference import (LAYOUTS, _bit_subsets_reference,
                                 _hard_decision_indices_reference)
 

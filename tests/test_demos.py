@@ -1,4 +1,5 @@
-"""Demos 01-05 run to completion as scripts.
+"""Demos 01-05 run to completion as scripts, and README's "Library tour"
+block runs as written.
 
 Demo 06, a coded BLER sweep, is left out: it alone takes longer than the
 other five together.
@@ -28,3 +29,9 @@ def test_demo_exits_cleanly(demo, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_tour_runs():
+    tour = (ROOT / "README.md").read_text().split("## Library tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library tour)", "exec"), {})

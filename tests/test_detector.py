@@ -5,8 +5,8 @@ import pytest
 
 from gbcd import denoise, detector, hwmodel
 from gbcd.channel import gen_channel, transmit
-from gbcd.constellation import draw_symbols
 
+from channel_reference import draw_symbols
 from conftest import random_channel
 from datapath_reference import _gbcd_equalize_reference
 
@@ -442,9 +442,9 @@ def test_equalizer_matches_take_along_axis_reference(lead, T, qam16, rng):
 
 
 def test_detect_end_to_end_noiseless(qam16, rng):
-    ch = gen_channel(16, 4, "nonlos", rng)
-    b = transmit(ch.H, qam16, 6, 60.0, rng)
-    soft, st, pre = detector.gbcd_detect(ch.H, b.Y, b.N0, qam16, 3)
+    H = gen_channel(16, 4, "nonlos", rng)
+    b = transmit(H, qam16, 6, 60.0, rng)
+    soft, st, pre = detector.gbcd_detect(H, b.Y, b.N0, qam16, 3)
     signs = soft.llrs > 0
     bits = np.moveaxis(b.bits, 2, 1).astype(bool)  # (U, m, T)
     assert np.array_equal(signs, bits)

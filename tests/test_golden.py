@@ -22,13 +22,13 @@ GOLDEN = {
     "coded_groups":
         "7976b30ba1309782cda79bedcb839e71bb913fde65ce7bbef442da827fb63001",
     "uncoded_los":
-        "e215e605409dcdbd3adcbc5d3c8e7a168f1de2c8b1a115d8ce743eb8e3fa9154",
+        "6001bb736bf6b829cbdd58ad489a1508729bc558bf95f0afce9b95c18c5ac9ed",
     "uncoded_los_fixed":
-        "c6059f217b3b09f26bb415f19cddc421c75e3df9afe525af786ed3cb697e09b5",
+        "ba0f5350889552d1173306a6c483787c15f939b56a8868f085be8c413c2a37bd",
     "uncoded_pme_fixed":
         "29c96b7bd53f8cb28401a4743db7f7ff3095ca2f2b59f69b5ece0576e1a20d41",
     "ablate_los":
-        "46bb3c8e41bca8abd7ed111a7c596b1db91c6f1f9d75d5e8cdd06717e48d6cdf",
+        "ffc2d335b4f76af746af6bf1552a304c6d643b1712bb37a0abe7930dc908129c",
     "coded_256qam":
         "e3637cb7c4272574333dee852ea7372185ab857627c69841cbd2a3c029c99040",
     "uncoded_4qam":

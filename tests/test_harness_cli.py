@@ -606,6 +606,40 @@ def test_cli_train_config_that_cannot_train_exits_2(key, value, tmp_path):
     assert not store.exists()
 
 
+def test_cli_train_that_diverges_exits_2_with_one_line(tmp_path):
+    # lr 100 still trains this scenario; at 1000 the loss turns NaN
+    cfgp = tmp_path / "train.json"
+    cfgp.write_text(json.dumps({
+        "scenario": {"B": 8, "U": 4, "Q": 4, "snr_db": 6.0,
+                     "condition": "nonlos"},
+        "K": 2, "training": {"n_train": 20, "n_val": 20, "batch_size": 10,
+                             "max_epochs": 3, "seed": 3, "lr": 1000}}))
+    store = tmp_path / "params.json"
+    proc = run_cli("train", "--config", str(cfgp), "--out", str(store))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: training diverged:")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("B, U, min_sep_deg", [
+    (64, 32, None),   # the default min_sep_deg, 1 deg
+    (32, 16, 7.0),
+])
+def test_cli_simulate_los_with_crowded_angles_exits_0(B, U, min_sep_deg,
+                                                      tmp_path):
+    cfg = base_config(B=B, U=U, Q=4, condition="los", uncoded=True, T=4,
+                      trials=4, detectors=["gbcd-box"])
+    if min_sep_deg is not None:
+        cfg["min_sep_deg"] = min_sep_deg
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["simulate", "--config", str(cfgp), "--out",
+                     str(out)]) == 0
+    assert out.read_text().startswith("snr_db,detector,")
+
+
 @pytest.mark.parametrize("key, value", [
     ("min_block_errors", 0), ("min_block_errors", -1), ("detectors", "lmmse"),
 ])

@@ -363,19 +363,19 @@ def test_lut_reciprocal_rejects_zero():
 def test_fixed_point_pipeline_tracks_float(qam16, rng):
     agree = tot = 0
     for _ in range(20):
-        ch = gen_channel(16, 4, "nonlos", rng)
-        b = transmit(ch.H, qam16, 20, 12.0, rng)
-        sf, _, _ = detector.gbcd_detect(ch.H, b.Y, b.N0, qam16, 3)
-        sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, qam16, 3)
+        H = gen_channel(16, 4, "nonlos", rng)
+        b = transmit(H, qam16, 20, 12.0, rng)
+        sf, _, _ = detector.gbcd_detect(H, b.Y, b.N0, qam16, 3)
+        sq = hwmodel.detect_fixed_point(H, b.Y, b.N0, qam16, 3)
         agree += np.sum(np.sign(sf.llrs) == np.sign(sq.llrs))
         tot += sf.llrs.size
     assert agree / tot > 0.99
 
 
 def test_fixed_point_outputs_quantized(qam16, rng):
-    ch = gen_channel(16, 4, "nonlos", rng)
-    b = transmit(ch.H, qam16, 4, 12.0, rng)
-    sq = hwmodel.detect_fixed_point(ch.H, b.Y, b.N0, qam16, 3)
+    H = gen_channel(16, 4, "nonlos", rng)
+    b = transmit(H, qam16, 4, 12.0, rng)
+    sq = hwmodel.detect_fixed_point(H, b.Y, b.N0, qam16, 3)
     fmt = hwmodel.DEFAULT_FORMATS["llr"]
     assert np.array_equal(hwmodel.quantize(sq.llrs, fmt), sq.llrs)
 
@@ -425,12 +425,12 @@ def test_fixed_point_matches_reference(Q, L):
     pme = denoise.pme_denoiser(const, rho, beta)
     for (B, U), condition in (((32, 8), "nonlos"), ((16, 4), "los"),
                               ((8, 8), "nonlos")):
-        ch = gen_channel(B, U, condition, rng)
-        b = transmit(ch.H, const, 6, 8.0, rng)
+        H = gen_channel(B, U, condition, rng)
+        b = transmit(H, const, 6, 8.0, rng)
         for sort in (False, True):
             for mode, kw in (("box", {}),
                              ("pme", dict(denoiser=pme, alpha=0.5 * b.N0))):
-                args = (ch.H, b.Y, b.N0, const, K)
+                args = (H, b.Y, b.N0, const, K)
                 kw = dict(kw, L=L, sort=sort)
                 got = hwmodel.detect_fixed_point(*args, **kw)
                 ref = _detect_fixed_point_reference(*args, **kw)
@@ -456,7 +456,7 @@ def test_fixed_point_matches_frozen_datapath(mode, qam16, rng):
     frozen = detector.Numerics(
         lambda signal, x: _quantize_reference(x, formats[signal]),
         hwmodel.lut_reciprocal)
-    H = np.stack([gen_channel(16, 6, "nonlos", rng).H for _ in range(3)])
+    H = np.stack([gen_channel(16, 6, "nonlos", rng) for _ in range(3)])
     b = [transmit(h, qam16, 7, 8.0, rng) for h in H]
     Y = np.stack([x.Y for x in b])
     N0 = np.array([x.N0 for x in b])
@@ -478,8 +478,8 @@ def test_float_numerics_is_the_identity():
 
 
 def test_profile_formats_matches_recorded_levels():
-    # recorded with per-sample gen_channel + transmit draws; the stacked
-    # draws must reproduce them exactly
+    # recorded with per-sample gen_channel + transmit draws, which
+    # profile_formats makes; the levels must stay exact
     recorded = {
         50.0: {"h": 2.0197646605805977, "y": 3.083358507496304,
                "g": 18.843049361972895, "ymf": 18.220969185533935,

@@ -25,7 +25,7 @@ def _stack(Q, U, T, dup=None):
     Y = np.empty((N, B, T), dtype=complex)
     N0 = np.empty(N)
     for n in range(N):
-        H[n] = gen_channel(B, U, "nonlos", rng).H
+        H[n] = gen_channel(B, U, "nonlos", rng)
         if n == dup:
             H[n, :, 1] = H[n, :, 0]
         N0[n] = noise_variance_for_snr(H[n], rng.uniform(0.0, 20.0))
@@ -153,7 +153,7 @@ def test_noiseless_channels_in_a_noisy_stack(name):
     H = np.empty((3, B, U), dtype=complex)
     Y = np.empty((3, B), dtype=complex)
     for n in range(3):
-        H[n] = gen_channel(B, U, "nonlos", rng).H
+        H[n] = gen_channel(B, U, "nonlos", rng)
         if n == 1:
             N0[n] = noise_variance_for_snr(H[n], 10.0)
         idx = rng.integers(0, 16, size=(U, 1))

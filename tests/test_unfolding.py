@@ -37,12 +37,12 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
     kinv = np.empty((n, M, L, L), dtype=np.complex128)
     N0 = np.empty(n)
     for i in range(n):
-        ch = _gen_channel_reference(B, U, condition, rng, **channel)
-        batch = _transmit_reference(ch.H, const, 1, snr_db, rng)
-        pre = detector.preprocess(ch.H, batch.N0, L=L, sort=sort)
+        H = _gen_channel_reference(B, U, condition, rng, **channel)
+        batch = _transmit_reference(H, const, 1, snr_db, rng)
+        pre = detector.preprocess(H, batch.N0, L=L, sort=sort)
         bits[i] = batch.bits[:, 0, :]
         G[i] = pre.G
-        y_mf[i] = detector.matched_filter(ch.H, batch.Y[:, 0])
+        y_mf[i] = detector.matched_filter(H, batch.Y[:, 0])
         blocks[i] = pre.blocks
         kinv[i] = pre.kinv
         N0[i] = batch.N0
@@ -419,7 +419,7 @@ def _regularized_batch(const):
     """Six samples at L = 2 without sorting; the first sample's UEs 0 and 1
     share a channel column, so its first 2x2 block is singular."""
     rng = np.random.default_rng(5)
-    H = np.stack([gen_channel(8, 4, "nonlos", rng).H for _ in range(6)])
+    H = np.stack([gen_channel(8, 4, "nonlos", rng) for _ in range(6)])
     H[0, :, 1] = H[0, :, 0]
     tx = [transmit(h, const, 1, 10.0, rng) for h in H]
     N0 = np.array([t.N0 for t in tx])
