@@ -11,7 +11,6 @@ import numpy as np
 
 from gbcd import (dump_matrix, gen_channel, load_matrix, make_constellation,
                   transmit)
-from gbcd.channel import noise_variance_for_snr
 from gbcd.detector import gram
 
 rng = np.random.default_rng(1)

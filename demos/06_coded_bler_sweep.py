@@ -10,8 +10,6 @@ cannot change them.
 
 import tempfile
 
-import numpy as np
-
 from gbcd import ExperimentConfig, Scenario, TrainConfig, run_sweep, train
 from gbcd.harness import run_ablation
 from gbcd.unfolding import ParamStore

@@ -7,7 +7,9 @@ Two synthetic propagation conditions are provided:
   linear array, mixed with a scattered Rayleigh component through a
   configurable Rician K-factor. The UE angles are uniform over the sets of
   U angles in [-60, 60] deg that lie at least ``min_sep_deg`` apart, in
-  exchangeable UE order; they come from exactly U uniform draws.
+  exchangeable UE order; they come from exactly U uniform draws. A config
+  needs (U - 1) * min_sep_deg < 120: at equality only one set is allowed,
+  and every draw would collapse to it.
 
 Receive-power control clips every UE's column energy into a +/-3 dB band
 around the mean, mirroring a basestation power-control loop.
@@ -34,6 +36,8 @@ _BAND_HI = 10.0 ** (POWER_BAND_DB / 10.0)
 _BAND_RATIO = 10 ** (2 * POWER_BAND_DB / 10.0) * (1 + 1e-12)
 _SQRT2 = np.sqrt(2.0)
 _ANGLE_SPAN_DEG = 120.0   # LOS UE angles lie within +/- 60 deg
+LOS_K_FACTOR = 10.0       # default Rician K-factor of LOS channels
+LOS_MIN_SEP_DEG = 1.0     # default minimum LOS UE angle separation, deg
 
 _MAGIC = b"CPLXMAT\x00"
 
@@ -70,10 +74,10 @@ def steering_vector(B: int, theta_rad: float | np.ndarray) -> np.ndarray:
 
 def check_angle_separation(U: int, min_sep_deg: float) -> None:
     """Raise ValueError unless U angles ``min_sep_deg`` apart fit in the LOS
-    angular sector."""
-    if not (min_sep_deg >= 0.0 and U * min_sep_deg < _ANGLE_SPAN_DEG):
+    angular sector with room to draw them."""
+    if not (min_sep_deg >= 0.0 and (U - 1) * min_sep_deg < _ANGLE_SPAN_DEG):
         raise ValueError(f"cannot place U={U} UEs min_sep_deg={min_sep_deg} "
-                         f"apart: need 0 <= U * min_sep_deg < "
+                         f"apart: need 0 <= (U - 1) * min_sep_deg < "
                          f"{_ANGLE_SPAN_DEG:g} deg")
 
 
@@ -90,7 +94,8 @@ def _draw_angles(U: int, rng: np.random.Generator,
 
 
 def gen_channel(B: int, U: int, condition: str, rng: np.random.Generator, *,
-                k_factor: float = 10.0, min_sep_deg: float = 1.0,
+                k_factor: float = LOS_K_FACTOR,
+                min_sep_deg: float = LOS_MIN_SEP_DEG,
                 angles_rad: np.ndarray | None = None) -> np.ndarray:
     """One channel realization H (B, U) with receive-power control applied."""
     if U < 2 or B < U:

@@ -9,13 +9,13 @@ identical channels, symbols, and noise, and results are byte-reproducible.
 Trials run in one thread, in groups whose codewords are decoded together;
 within a group, each detector sees several trials' channels in one call.
 A coded sweep point stops at the first trial at which every detector has
-accumulated the requested number of block errors.
+the requested number of block errors, always a decode group's last trial.
 
 Every detector, sweep or ablation, is built from one spec: ``kind`` (gbcd,
 lmmse or ocd) and, for GBCD, its block size ``L``, ``sort`` and, for a PME
-denoiser, the ``source`` of its parameters; without one it uses BOX. Each
-SNR point builds every GBCD denoiser once, before its first trial. GBCD
-runs in fixed point when the config asks for it.
+denoiser, the ``source`` of its parameters (``_pme``); without one it uses
+BOX. Each SNR point builds every GBCD denoiser once, before its first trial.
+GBCD runs in fixed point when the config asks for it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, denoise, detector, fec, hwmodel, unfolding
-from .channel import (CONDITIONS, apply_channel, check_angle_separation,
-                      gen_channel, noise_variance_for_snr)
+from .channel import (CONDITIONS, LOS_K_FACTOR, LOS_MIN_SEP_DEG,
+                      apply_channel, check_angle_separation, gen_channel,
+                      noise_variance_for_snr)
 from .config import (GBCD_L, SNR_DB_MAX, SNR_DB_MIN, ConfigError, check,
                      check_design, from_dict, key)
 from .constellation import (SUPPORTED_ORDERS, hard_decision_indices,
@@ -41,7 +42,7 @@ ABLATE_COLUMNS = ("snr_db", "variant", "bler", "ser", "trials", "block_errors",
 
 DETECTOR_SPECS = {
     "gbcd-box": dict(kind="gbcd", L=GBCD_L, sort=True),
-    "gbcd-pme": dict(kind="gbcd", L=GBCD_L, sort=True, source="trained"),
+    "gbcd-pme": dict(kind="gbcd", L=GBCD_L, sort=True, source="store"),
     "lmmse": dict(kind="lmmse"),
     "ocd": dict(kind="ocd"),
 }
@@ -57,6 +58,8 @@ ABLATION_VARIANTS = (
     ("gbcd-pme-trained", dict(kind="gbcd", L=GBCD_L, sort=True,
                               source="trained")),
 )
+# PME sources in resolution order: a missing record fails before any search
+PME_SOURCES = ("store", "trained", "empirical")
 
 # Codeword blocks per fec.decode_batch call. The decoder's cost per block
 # falls as the batch grows, but the group's LLR buffer and the decoder's
@@ -95,8 +98,8 @@ class ExperimentConfig:
     params_path: str | None = None
     allow_box_fallback: bool = False
     uncoded: bool = False
-    k_factor: float = key(10.0, ge=0, inf=True)
-    min_sep_deg: float = key(1.0, ge=0)
+    k_factor: float = key(LOS_K_FACTOR, ge=0, inf=True)
+    min_sep_deg: float = key(LOS_MIN_SEP_DEG, ge=0)
     coherence_groups: int = key(1, ge=1)   # independent channels per coherence block
 
     @property
@@ -140,27 +143,11 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(snr_idx, trial)))
 
 
-def _resolve_pme(cfg: ExperimentConfig, const, store, snr_db: float):
-    """The store's lookup, which follows the documented fallback ladder, as
-    a (denoiser, alpha) pair; the BOX denoiser keeps the default alpha."""
-    box = (denoise.box_denoiser(const), None)
-    try:
-        p = store.lookup(cfg.B, cfg.U, cfg.K, cfg.Q, cfg.condition,
-                         snr_db).params
-    except unfolding.MissingParamsError as e:
-        if cfg.allow_box_fallback:
-            return box
-        raise unfolding.MissingParamsError(
-            f"{e.args[0]} (params_path: {cfg.params_path or 'not set'})") from e
-    return box if p is None else (denoise.pme_denoiser(const, p.rho, p.beta),
-                                  p.alpha)
-
-
-def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
+def _runner(spec: dict, cfg: ExperimentConfig, const, pme, snr_idx: int):
     """Detector of one spec as a function (H, Y, N0) -> (llrs, hard indices)
     over a stack of channels H (N, B, U), receive blocks Y (N, B, glen) and
     noise variances N0 (N,); the LLRs are (N, U, m, glen). ``pme`` maps each
-    PME source to its (denoiser, alpha) pair resolved at this SNR."""
+    PME source to its (denoiser, alpha) pairs, one per SNR."""
     kind = spec["kind"]
     if kind == "lmmse":
         def detect(H, Y, N0):
@@ -169,7 +156,7 @@ def _runner(spec: dict, cfg: ExperimentConfig, const, pme: dict):
         def detect(H, Y, N0):
             return baselines.ocd_detect(H, Y, N0, cfg.K, const)
     else:
-        denoiser, alpha = (pme[spec["source"]] if "source" in spec
+        denoiser, alpha = (pme[spec["source"]][snr_idx] if "source" in spec
                            else (denoise.box_denoiser(const), None))
         kw = dict(denoiser=denoiser, alpha=alpha, L=spec["L"],
                   sort=spec["sort"])
@@ -250,16 +237,16 @@ def _detect(cfg: ExperimentConfig, code: fec.CodeConfig | None,
 
     When coded, each runner's U codeword LLR streams per trial are
     deinterleaved into its rows of ``llrs`` (n, runners * U, n_coded),
-    runner-major. Returns the symbol errors (n, runners).
+    runner-major. Returns each runner's symbol errors over the stack.
     """
     G, U, glen = cfg.coherence_groups, cfg.U, cfg.group_len
     channels = slice(0, n * G)
-    sym_errors = np.empty((n, len(runners)), dtype=np.int64)
+    sym_errors = np.empty(len(runners), dtype=np.int64)
     for r, runner in enumerate(runners.values()):
         soft, hard = runner(stack.H[channels], stack.Y[channels],
                             stack.N0[channels])
-        sym_errors[:, r] = np.sum(hard.reshape(n, G, U, glen)
-                                  != stack.idx[:n], axis=(1, 2, 3))
+        sym_errors[r] = np.count_nonzero(hard.reshape(n, G, U, glen)
+                                         != stack.idx[:n])
         if code is not None:
             # (n*G, U, m, glen) in codeword order (n, U, G, glen, m): one
             # transposed copy, deinterleaved into the runner's rows
@@ -281,11 +268,14 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
 
     A coded point stops at the first trial at which every runner has
     reached ``min_block_errors``. A runner gains at most U block errors per
-    trial, so a group never holds more trials than the runner furthest
-    from the stop still needs; no trial past the stop is drawn, and
-    grouping changes no result. Trial data is hashed only when ``hashed``
-    (a column reports it)."""
-    totals = {name: [0, 0, 0, 0, None] for name in runners}
+    trial, and a group holds at most ceil(short / U) trials, where short is
+    what the runner furthest from the stop still needs. So the stop can
+    only fall on a group's last trial: errors are summed per group and the
+    stop is checked once per group, no trial past it is drawn, and grouping
+    changes no result. Trial data is hashed only when ``hashed``.
+
+    Returns the runners' block and symbol errors (int64, runner order), the
+    trials run and the last trial's data hash."""
     n_rows = len(runners) * cfg.U
     per_call = max(1, min(DETECT_SAMPLES // (cfg.B * cfg.T), cfg.trials))
     group = per_call if code is None else \
@@ -296,48 +286,28 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
     else:
         llrs = np.empty((group, n_rows, code.n_coded))
         truth = np.empty((group, n_rows, code.payload_bits), dtype=np.uint8)
-    trial = 0
-    while trial < cfg.trials:
+    block_errors, sym_errors = np.zeros((2, len(runners)), dtype=np.int64)
+    trial, data_hash = 0, None
+    while trial < cfg.trials and (
+            code is None or block_errors.min() < cfg.min_block_errors):
         n = min(group, cfg.trials - trial)
         if code is not None:
-            short = cfg.min_block_errors - min(t[0] for t in totals.values())
-            n = min(n, max(1, -(-short // cfg.U)))
-        hashes = []
-        errors = np.zeros((n, len(runners)), dtype=np.int64)
-        sym_errors = np.empty((n, len(runners)), dtype=np.int64)
+            short = cfg.min_block_errors - int(block_errors.min())
+            n = min(n, -(-short // cfg.U))
         for a in range(0, n, per_call):
             b = min(n, a + per_call)
-            hashes += [_draw_trial(cfg, const, code, snr_idx, trial + i,
-                                   stack, i - a, truth[i], hashed)
-                       for i in range(a, b)]
-            sym_errors[a:b] = _detect(cfg, code, runners, stack, b - a,
-                                      llrs[a:b])
+            for i in range(a, b):
+                data_hash = _draw_trial(cfg, const, code, snr_idx, trial + i,
+                                        stack, i - a, truth[i], hashed)
+            sym_errors += _detect(cfg, code, runners, stack, b - a,
+                                  llrs[a:b])
         if code is not None:
             _, ok = fec.decode_batch(llrs[:n].reshape(n * n_rows, -1), code,
                                      truth[:n].reshape(n * n_rows, -1))
-            errors = np.sum(~ok.reshape(n, len(runners), cfg.U), axis=2)
-        for data_hash, trial_errors, trial_sym in zip(
-                hashes, errors.tolist(), sym_errors.tolist()):
-            trial += 1
-            for name, be, se in zip(runners, trial_errors, trial_sym):
-                tot = totals[name]
-                tot[0] += be
-                tot[1] += 0 if code is None else cfg.U
-                tot[2] += se
-                tot[3] += cfg.U * cfg.T
-                tot[4] = data_hash
-            if code is not None and all(t[0] >= cfg.min_block_errors
-                                        for t in totals.values()):
-                return totals, trial
-    return totals, trial
-
-
-def _rows_from_totals(snr_db, totals, trials, columns):
-    """One row per runner; the sweep's columns end before the data hash."""
-    return [dict(zip(columns, (snr_db, name,
-                               be / blocks if blocks else float("nan"),
-                               se / syms, trials, be, h)))
-            for name, (be, blocks, se, syms, h) in totals.items()]
+            block_errors += np.sum(~ok.reshape(n, len(runners), cfg.U),
+                                   axis=(0, 2))
+        trial += n
+    return block_errors, sym_errors, trial, data_hash
 
 
 def _write_csv(path_or_buf, rows, columns):
@@ -349,27 +319,66 @@ def _write_csv(path_or_buf, rows, columns):
         w.writerows(rows)
 
 
-def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
+def _pme(cfg: ExperimentConfig, const, store, snr_db: float, source: str):
+    """(denoiser, alpha) of one PME source at one SNR; BOX has alpha None.
+    ``store`` follows the store's fallback ladder, BOX included, and gives
+    BOX for a missing record if ``allow_box_fallback``; ``trained`` needs a
+    PME record; ``empirical`` grid-searches one (rho, beta) pair for all
+    iterations and reads no record."""
+    if source == "empirical":
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=cfg.seed, spawn_key=(0xAB1A7E, int(round(snr_db * 100)))))
+        batch = unfolding.make_batch(
+            cfg.B, cfg.U, const, snr_db, cfg.condition, 200, rng,
+            k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
+        alpha = float(np.median(batch.N0))
+        r, b = unfolding.grid_search_pme(
+            batch, cfg.K, np.array([0.5, 1.0, 2.0, 4.0, 8.0]) / const.scale,
+            const.scale * np.array([0.6, 0.8, 1.0, 1.2, 1.5]), alpha)
+        return (denoise.pme_denoiser(const, np.full(cfg.K, r),
+                                     np.full(cfg.K, b)), alpha)
+    try:
+        p = store.lookup(cfg.B, cfg.U, cfg.K, cfg.Q, cfg.condition,
+                         snr_db).params
+    except unfolding.MissingParamsError as e:
+        if source == "trained" or not cfg.allow_box_fallback:
+            raise unfolding.MissingParamsError(
+                f"{e.args[0]} (params_path: {cfg.params_path or 'not set'})"
+            ) from e
+        p = None
+    if p is not None:
+        return denoise.pme_denoiser(const, p.rho, p.beta), p.alpha
+    if source == "trained":
+        raise unfolding.MissingParamsError(
+            "ablation needs trained parameters at every sweep SNR")
+    return denoise.box_denoiser(const), None
+
+
+def _run(cfg: ExperimentConfig, specs: dict, columns):
     """Run every SNR point for the named detector specs. Before the first
-    trial, ``pme_sources(cfg, const, store, snr_db, sources)`` resolves the
-    PME sources the specs name at every SNR, from the store read once (or
-    an empty one); an unreadable or malformed store is a ConfigError."""
+    trial, the specs' PME sources are resolved at every SNR, in PME_SOURCES
+    order, from the store read once (or an empty one); an unreadable or
+    malformed store is a ConfigError."""
     const = make_constellation(cfg.Q)
     code = cfg.code
-    sources = {spec["source"] for spec in specs.values() if "source" in spec}
+    sources = [s for s in PME_SOURCES
+               if any(spec.get("source") == s for spec in specs.values())]
     store = unfolding.ParamStore()
     if sources and cfg.params_path is not None:
         store = unfolding.ParamStore.load(cfg.params_path)
-    pme = [pme_sources(cfg, const, store, float(snr_db), sources)
-           if sources else {} for snr_db in cfg.snr_db]
+    pme = {s: [_pme(cfg, const, store, float(snr_db), s)
+               for snr_db in cfg.snr_db] for s in sources}
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_db):
-        runners = {name: _runner(spec, cfg, const, pme[snr_idx])
+        runners = {name: _runner(spec, cfg, const, pme, snr_idx)
                    for name, spec in specs.items()}
-        totals, trials = _run_point(cfg, const, code, snr_idx, runners,
-                                    "data_hash" in columns)
-        rows.extend(_rows_from_totals(float(snr_db), totals, trials,
-                                      columns))
+        be, se, trials, data_hash = _run_point(cfg, const, code, snr_idx,
+                                               runners, "data_hash" in columns)
+        blocks = 0 if code is None else trials * cfg.U
+        rows += [dict(zip(columns, (
+            float(snr_db), name, b / blocks if blocks else float("nan"),
+            s / (trials * cfg.U * cfg.T), trials, b, data_hash)))
+            for name, b, s in zip(runners, be.tolist(), se.tolist())]
     if cfg.out:
         _write_csv(cfg.out, rows, columns)
     return rows
@@ -378,45 +387,13 @@ def _run(cfg: ExperimentConfig, specs: dict, pme_sources, columns):
 def run_sweep(cfg: ExperimentConfig):
     """Monte-Carlo BLER/SER sweep; returns CSV rows and writes cfg.out if set."""
     return _run(cfg, {d: DETECTOR_SPECS[d] for d in cfg.detectors},
-                _sweep_pme_sources, SWEEP_COLUMNS)
-
-
-def _sweep_pme_sources(cfg: ExperimentConfig, const, store, snr_db: float,
-                       sources) -> dict:
-    return {"trained": _resolve_pme(cfg, const, store, snr_db)}
+                SWEEP_COLUMNS)
 
 
 def run_ablation(cfg: ExperimentConfig, variants=None):
-    """Incremental-technique comparison on identical per-trial data.
-
-    The PME variants need trained parameters for every sweep SNR; the
-    empirical pair comes from a coarse grid search, run once per SNR when
-    ``gbcd-pme-empirical`` is selected.
-    """
+    """Incremental-technique comparison on identical per-trial data; of
+    the variants, only ``gbcd-pme-trained`` reads the store (``_pme``)."""
     spec_map = dict(ABLATION_VARIANTS)
     specs = {v: spec_map[v] for v in variants or spec_map}
     check_design(cfg.B, cfg.U, [spec["L"] for spec in specs.values()])
-    return _run(cfg, specs, _ablation_pme_params, ABLATE_COLUMNS)
-
-
-def _ablation_pme_params(cfg: ExperimentConfig, const, store, snr_db: float,
-                         sources) -> dict:
-    trained = _resolve_pme(cfg, const, store, snr_db)
-    if isinstance(trained[0], denoise.BoxDenoiser):
-        raise unfolding.MissingParamsError(
-            "ablation needs trained parameters at every sweep SNR")
-    if "empirical" not in sources:
-        return {"trained": trained}
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=cfg.seed, spawn_key=(0xAB1A7E, int(round(snr_db * 100)))))
-    batch = unfolding.make_batch(cfg.B, cfg.U, const, snr_db, cfg.condition,
-                                 200, rng, k_factor=cfg.k_factor,
-                                 min_sep_deg=cfg.min_sep_deg)
-    alpha = float(np.median(batch.N0))
-    scale = const.scale
-    rho_grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) / scale
-    beta_grid = scale * np.array([0.6, 0.8, 1.0, 1.2, 1.5])
-    r, b = unfolding.grid_search_pme(batch, cfg.K, rho_grid, beta_grid, alpha)
-    return {"trained": trained,
-            "empirical": (denoise.pme_denoiser(const, np.full(cfg.K, r),
-                                               np.full(cfg.K, b)), alpha)}
+    return _run(cfg, specs, ABLATE_COLUMNS)

@@ -31,8 +31,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import denoise, detector
-from .channel import (gen_channel, is_noiseless, noise_variance_for_snr,
-                      receive, unit_normals)
+from .channel import (LOS_K_FACTOR, LOS_MIN_SEP_DEG, gen_channel,
+                      is_noiseless, noise_variance_for_snr, receive,
+                      unit_normals)
 from .config import (GBCD_L, TRAIN_SNR_RANGE_DB, ConfigError, Scenario,
                      check, check_design, from_dict, key, read_json)
 from .constellation import Constellation, make_constellation
@@ -93,7 +94,8 @@ class TrainBatch:
 
 def make_batch(B: int, U: int, const: Constellation, snr_db: float,
                condition: str, n: int, rng: np.random.Generator, *,
-               k_factor: float = 10.0, min_sep_deg: float = 1.0) -> TrainBatch:
+               k_factor: float = LOS_K_FACTOR,
+               min_sep_deg: float = LOS_MIN_SEP_DEG) -> TrainBatch:
     """Generate n samples, each with its own channel, symbols, and noise,
     preprocessed as ``gbcd-pme`` detects: block size GBCD_L, sorted.
 

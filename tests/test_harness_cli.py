@@ -431,6 +431,29 @@ def test_trial_data_hashed_only_for_the_data_hash_column(ablate, tiny_store,
     assert ("data_hash" in rows[0]) == ablate
 
 
+def test_ablation_empirical_variant_needs_no_params_path():
+    # the grid search reads no trained record
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=[10.0, 14.0], detectors=["gbcd-box"], trials=1))
+    rows = run_ablation(cfg, ["gbcd-pme-empirical"])
+    assert [(r["snr_db"], r["variant"]) for r in rows] == [
+        (10.0, "gbcd-pme-empirical"), (14.0, "gbcd-pme-empirical")]
+    assert all(r["trials"] == 1 for r in rows)
+
+
+def test_ablation_missing_record_fails_before_any_grid_search(tiny_store,
+                                                              monkeypatch):
+    # 12 dB has a record; -5 dB, below the training range, has none that
+    # the ablation accepts, and fails before the 12 dB grid search
+    monkeypatch.setattr(unfolding, "grid_search_pme",
+                        lambda *a: pytest.fail("grid search ran"))
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=[12.0, -5.0], detectors=["gbcd-box"], trials=1,
+        params_path=tiny_store))
+    with pytest.raises(unfolding.MissingParamsError):
+        run_ablation(cfg, ["gbcd-pme-empirical", "gbcd-pme-trained"])
+
+
 def test_ablation_first_variant_is_plain_coordinate_descent(tiny_store):
     # cd-box rows equal an ocd sweep on the same seeds (same algorithm)
     cfg = ExperimentConfig.from_dict(base_config(
@@ -538,7 +561,7 @@ def test_cli_config_error_exit_code(tmp_path):
     ("simulate", base_config(condition="los", min_sep_deg=90.0)),
     ("simulate", base_config(condition="los", min_sep_deg=float("nan"))),
     ("simulate", base_config(condition="los", min_sep_deg=-1.0)),
-    ("simulate", base_config(condition="los", U=4, min_sep_deg=30.0)),
+    ("simulate", base_config(condition="los", U=4, min_sep_deg=40.0)),
     ("simulate", base_config(T=0, uncoded=True)),
     ("simulate", base_config(T=-4, uncoded=True)),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
@@ -625,6 +648,8 @@ def test_cli_train_that_diverges_exits_2_with_one_line(tmp_path):
 @pytest.mark.parametrize("B, U, min_sep_deg", [
     (64, 32, None),   # the default min_sep_deg, 1 deg
     (32, 16, 7.0),
+    (16, 4, 30.0),    # (U - 1) * 30 = 90 < 120
+    (16, 2, 60.0),
 ])
 def test_cli_simulate_los_with_crowded_angles_exits_0(B, U, min_sep_deg,
                                                       tmp_path):
