@@ -14,11 +14,12 @@ import numpy as np
 from .constellation import Constellation
 from .denoise import (LlrParams, SoftOutput, box_denoise, compute_llrs,
                       compute_llrs_with_params)
-from .detector import gram, matched_filter
+from .detector import FLOAT, FrontEnd, front_end
 
 
 def lmmse_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
-                 const: Constellation) -> SoftOutput:
+                 const: Constellation, *,
+                 front: FrontEnd | None = None) -> SoftOutput:
     """Implicit LMMSE detection with exact per-UE gains and variances.
 
     ``H`` is one channel (B, U) or a stack (..., B, U); ``y`` holds one
@@ -26,12 +27,15 @@ def lmmse_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     is a scalar or one value per channel. One solve of A X = [G | y_mf],
     with A = G + N0 I, gives the gains diag(A^{-1} G) and the estimates
     A^{-1} y_mf. The LLRs are (..., U, bits[, T]); every channel of a stack
-    gets what detecting it alone gives.
+    gets what detecting it alone gives. G and y_mf come from ``front``, a
+    float ``detector.FrontEnd`` of these inputs that other detectors may
+    share; without one, the call builds its own.
     """
-    G = gram(H)
+    front = front_end(H, y, N0, FLOAT, front)
+    G = front.G
     U = G.shape[-1]
     A = G + np.asarray(N0, dtype=np.float64)[..., None, None] * np.eye(U)
-    y_mf = matched_filter(H, y)
+    y_mf = front.y_mf
     vector = y_mf.ndim == G.ndim - 1
     X = np.linalg.solve(A, np.concatenate(
         [G, y_mf[..., None] if vector else y_mf], axis=-1))
@@ -96,12 +100,14 @@ def ocd_equalize(H: np.ndarray, y: np.ndarray, K: int, const: Constellation):
 
 
 def ocd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
-               K: int, const: Constellation) -> SoftOutput:
+               K: int, const: Constellation, *,
+               front: FrontEnd | None = None) -> SoftOutput:
     """Coordinate-descent detection with Neumann-approximated LLR gains.
 
     Shapes as in ``lmmse_detect``: one channel or a stack (..., B, U), with
-    per-channel ``N0``.
+    per-channel ``N0``. The gains read the Gram matrix of ``front`` as
+    ``lmmse_detect`` does; the equalizer works on H and y themselves.
     """
+    front = front_end(H, y, N0, FLOAT, front)
     v_last = ocd_equalize(H, y, K, const)[1]
-    G = gram(H)
-    return compute_llrs(v_last, G, N0, const)
+    return compute_llrs(v_last, front.G, N0, const)

@@ -7,12 +7,17 @@ then runs K outer iterations of per-block least squares plus denoising on
 each receive vector, tracking interference through a residual recursion in
 the Gram domain instead of touching the channel matrix again. Float and
 fixed-point detection share this path and differ only by their ``Numerics``.
+
+A ``FrontEnd`` holds the channel-dependent inputs of one channel or stack
+in one numeric context (Gram matrix, matched filter, preprocessing), each
+built once, so that several detectors of the same data share them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -204,14 +209,18 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
 
 def preprocess(H: np.ndarray, N0: float | np.ndarray, *,
                L: int = 2, sort: bool = True,
-               numerics: Numerics = FLOAT) -> PreprocOutput:
+               numerics: Numerics = FLOAT,
+               G: np.ndarray | None = None) -> PreprocOutput:
     """Run the once-per-channel stage: Gram, reciprocal SINR, ordering, inverses.
 
     ``H`` is one channel (B, U) or a stack (..., B, U); for a stack, ``N0``
-    is a scalar or holds one value per channel.
+    is a scalar or holds one value per channel. ``G``, when given, is H's
+    Gram matrix already quantized as ``g`` in ``numerics``, and the stage
+    starts from it.
     """
-    U = H.shape[-1]
-    G = numerics.quantize("g", gram(H))
+    if G is None:
+        G = numerics.quantize("g", gram(H))
+    U = G.shape[-1]
     inv_sinr = reciprocal_sinr(G, N0, numerics.recip)
     perm = sort_ues(inv_sinr) if sort else \
         np.broadcast_to(np.arange(U), inv_sinr.shape).copy()
@@ -220,6 +229,60 @@ def preprocess(H: np.ndarray, N0: float | np.ndarray, *,
     kinv = block_inverses(G, blocks, numerics.recip, regularized)
     N0 = float(N0) if np.ndim(N0) == 0 else np.asarray(N0, dtype=np.float64)
     return PreprocOutput(G, inv_sinr, blocks, kinv, N0, regularized)
+
+
+class FrontEnd:
+    """The channel-dependent detector inputs of one channel or stack
+    ``H`` with receive data ``y`` and noise variances ``N0`` (shapes as in
+    ``gbcd_detect``) in one numeric context. Each is built once, on first
+    use: ``H`` and ``y`` quantized as ``h`` and ``y``, then from them the
+    Gram matrix ``G`` (quantized as ``g``) and the matched filter ``y_mf``
+    (quantized as ``ymf``), and one ``PreprocOutput`` per block size and
+    ordering, all from that one ``G``.
+
+    Detectors handed the same front end read the same arrays, so sharing
+    it changes no result. The arrays are shared, not copied: no reader
+    may write to them.
+    """
+
+    def __init__(self, H: np.ndarray, y: np.ndarray,
+                 N0: float | np.ndarray, numerics: Numerics = FLOAT):
+        self.H, self.y, self.N0, self.numerics = H, y, N0, numerics
+        self._pre: dict = {}
+
+    @cached_property
+    def _quantized(self) -> tuple[np.ndarray, np.ndarray]:
+        return (self.numerics.quantize("h", self.H),
+                self.numerics.quantize("y", self.y))
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self.numerics.quantize("g", gram(self._quantized[0]))
+
+    @cached_property
+    def y_mf(self) -> np.ndarray:
+        return self.numerics.quantize("ymf", matched_filter(*self._quantized))
+
+    def preprocess(self, L: int, sort: bool) -> PreprocOutput:
+        if (L, sort) not in self._pre:
+            self._pre[L, sort] = preprocess(
+                self._quantized[0], self.N0, L=L, sort=sort,
+                numerics=self.numerics, G=self.G)
+        return self._pre[L, sort]
+
+
+def front_end(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
+              numerics: Numerics = FLOAT,
+              front: FrontEnd | None = None) -> FrontEnd:
+    """``front`` once checked to hold these very inputs in this numeric
+    context; without one, a new front end of them."""
+    if front is None:
+        return FrontEnd(H, y, N0, numerics)
+    if (front.H is not H or front.y is not y or front.N0 is not N0
+            or front.numerics != numerics):
+        raise ValueError("front end holds other inputs or another numeric "
+                         "context than the detector call")
+    return front
 
 
 def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
@@ -283,7 +346,8 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
 def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
                 const, K: int, *, denoiser=None,
                 alpha: float | np.ndarray | None = None, L: int = 2,
-                sort: bool = True, numerics: Numerics = FLOAT):
+                sort: bool = True, numerics: Numerics = FLOAT,
+                front: FrontEnd | None = None):
     """End-to-end detection: preprocessing, equalization, soft outputs.
 
     ``H`` is one channel (B, U) or a stack (..., B, U); ``y`` holds one
@@ -295,17 +359,17 @@ def gbcd_detect(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
     gets what detecting it alone gives.
 
     ``numerics`` also quantizes ``h`` and ``y`` on entry, ``ymf`` and the
-    LLRs.
+    LLRs. The Gram matrix, matched filter and preprocessing come from
+    ``front``, a ``FrontEnd`` of these inputs in ``numerics`` that other
+    detectors may share; without one, the call builds its own.
     """
     from .denoise import box_denoiser, compute_llrs
 
-    H = numerics.quantize("h", H)
-    y = numerics.quantize("y", y)
-    pre = preprocess(H, N0, L=L, sort=sort, numerics=numerics)
+    front = front_end(H, y, N0, numerics, front)
+    pre = front.preprocess(L, sort)
     if denoiser is None:
         denoiser = box_denoiser(const)
-    y_mf = numerics.quantize("ymf", matched_filter(H, y))
-    state = gbcd_equalize(pre, y_mf, K, denoiser, numerics=numerics)
+    state = gbcd_equalize(pre, front.y_mf, K, denoiser, numerics=numerics)
     if alpha is None:
         alpha = pre.N0
     soft = compute_llrs(state.v_last, pre.G, alpha, const,

@@ -7,7 +7,9 @@ to per-bit LLRs and soft-decoded. Trial randomness derives from
 (seed, snr index, trial index) only, so detectors and ablation variants see
 identical channels, symbols, and noise, and results are byte-reproducible.
 Trials run in one thread, in groups whose codewords are decoded together;
-within a group, each detector sees several trials' channels in one call.
+within a group, each detector sees several trials' channels in one call,
+and the detectors of one such stack share its Gram matrix, matched filter
+and GBCD preprocessing (``detector.FrontEnd``).
 A coded sweep point stops at the first trial at which every detector has
 the requested number of block errors, always a decode group's last trial.
 
@@ -144,33 +146,40 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
 
 
 def _runner(spec: dict, cfg: ExperimentConfig, const, pme, snr_idx: int):
-    """Detector of one spec as a function (H, Y, N0) -> (llrs, hard indices)
-    over a stack of channels H (N, B, U), receive blocks Y (N, B, glen) and
-    noise variances N0 (N,); the LLRs are (N, U, m, glen). ``pme`` maps each
-    PME source to its (denoiser, alpha) pairs, one per SNR."""
+    """Detector of one spec as a function of a stack's front ends ->
+    (soft output, hard indices). ``front(numerics)`` is the stack's
+    ``detector.FrontEnd`` in a numeric context: channels H (N, B, U),
+    receive blocks Y (N, B, glen) and noise variances N0 (N,); the LLRs
+    are (N, U, m, glen). ``pme`` maps each PME source to its (denoiser,
+    alpha) pairs, one per SNR."""
     kind = spec["kind"]
+    numerics = (hwmodel.FIXED_POINT if kind == "gbcd" and cfg.fixed_point
+                else detector.FLOAT)
     if kind == "lmmse":
-        def detect(H, Y, N0):
-            return baselines.lmmse_detect(H, Y, N0, const)
+        def detect(fe):
+            return baselines.lmmse_detect(fe.H, fe.y, fe.N0, const, front=fe)
     elif kind == "ocd":
-        def detect(H, Y, N0):
-            return baselines.ocd_detect(H, Y, N0, cfg.K, const)
+        def detect(fe):
+            return baselines.ocd_detect(fe.H, fe.y, fe.N0, cfg.K, const,
+                                        front=fe)
     else:
         denoiser, alpha = (pme[spec["source"]][snr_idx] if "source" in spec
                            else (denoise.box_denoiser(const), None))
         kw = dict(denoiser=denoiser, alpha=alpha, L=spec["L"],
                   sort=spec["sort"])
 
-        def detect(H, Y, N0):
+        def detect(fe):
             if cfg.fixed_point:
-                return hwmodel.detect_fixed_point(H, Y, N0, const, cfg.K, **kw)
-            return detector.gbcd_detect(H, Y, N0, const, cfg.K, **kw)[0]
+                return hwmodel.detect_fixed_point(fe.H, fe.y, fe.N0, const,
+                                                  cfg.K, front=fe, **kw)
+            return detector.gbcd_detect(fe.H, fe.y, fe.N0, const, cfg.K,
+                                        front=fe, **kw)[0]
 
-    def run(H, Y, N0):
-        soft = detect(H, Y, N0)
+    def run(front):
+        soft = detect(front(numerics))
         hard = hard_decision_indices(const, soft.v_final,
                                      soft.params.mu[..., None])
-        return soft.llrs, hard
+        return soft, hard
 
     return run
 
@@ -231,28 +240,45 @@ def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
     return digest.hexdigest()[:16] if hashed else None
 
 
+def _front_ends(H: np.ndarray, Y: np.ndarray, N0: np.ndarray):
+    """``front(numerics)``: the one ``detector.FrontEnd`` of (H, Y, N0)
+    in a numeric context, built when first asked for."""
+    fronts = {}
+
+    def front(numerics):
+        if numerics not in fronts:
+            fronts[numerics] = detector.FrontEnd(H, Y, N0, numerics)
+        return fronts[numerics]
+
+    return front
+
+
 def _detect(cfg: ExperimentConfig, code: fec.CodeConfig | None,
             runners: dict, stack: _TrialStack, n: int, llrs):
     """Run every runner once over the first ``n`` trials of ``stack``.
 
+    The runners share one ``detector.FrontEnd`` of those trials per
+    numeric context, built when a runner first asks for it and dropped on
+    return: ``stack``'s buffers are refilled in place for the next stack.
     When coded, each runner's U codeword LLR streams per trial are
     deinterleaved into its rows of ``llrs`` (n, runners * U, n_coded),
     runner-major. Returns each runner's symbol errors over the stack.
     """
     G, U, glen = cfg.coherence_groups, cfg.U, cfg.group_len
     channels = slice(0, n * G)
+    front = _front_ends(stack.H[channels], stack.Y[channels],
+                        stack.N0[channels])
     sym_errors = np.empty(len(runners), dtype=np.int64)
     for r, runner in enumerate(runners.values()):
-        soft, hard = runner(stack.H[channels], stack.Y[channels],
-                            stack.N0[channels])
+        soft, hard = runner(front)
         sym_errors[r] = np.count_nonzero(hard.reshape(n, G, U, glen)
                                          != stack.idx[:n])
         if code is not None:
             # (n*G, U, m, glen) in codeword order (n, U, G, glen, m): one
             # transposed copy, deinterleaved into the runner's rows
-            m = soft.shape[-2]
-            soft = soft.reshape(n, G, U, m, glen).transpose(0, 2, 1, 4, 3)
-            fec.deinterleave_llrs(soft.reshape(n, U, -1),
+            m = soft.llrs.shape[-2]
+            cw = soft.llrs.reshape(n, G, U, m, glen).transpose(0, 2, 1, 4, 3)
+            fec.deinterleave_llrs(cw.reshape(n, U, -1),
                                   code.interleaver_seed,
                                   out=llrs[:, r * U:(r + 1) * U])
     return sym_errors
@@ -319,6 +345,17 @@ def _write_csv(path_or_buf, rows, columns):
         w.writerows(rows)
 
 
+def _snr_key(snr_db: float) -> tuple[int, ...]:
+    """Spawn-key words of an admitted SNR, non-negative as SeedSequence
+    needs: round(100 snr_db) for a finite SNR >= 0, that of -snr_db and
+    a word 1 below 0 dB, and (0, 2) for Infinity."""
+    if snr_db == float("inf"):
+        return 0, 2
+    if snr_db < 0:
+        return int(round(-snr_db * 100)), 1
+    return (int(round(snr_db * 100)),)
+
+
 def _pme(cfg: ExperimentConfig, const, store, snr_db: float, source: str):
     """(denoiser, alpha) of one PME source at one SNR; BOX has alpha None.
     ``store`` follows the store's fallback ladder, BOX included, and gives
@@ -327,7 +364,7 @@ def _pme(cfg: ExperimentConfig, const, store, snr_db: float, source: str):
     iterations and reads no record."""
     if source == "empirical":
         rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(0xAB1A7E, int(round(snr_db * 100)))))
+            entropy=cfg.seed, spawn_key=(0xAB1A7E,) + _snr_key(snr_db)))
         batch = unfolding.make_batch(
             cfg.B, cfg.U, const, snr_db, cfg.condition, 200, rng,
             k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)

@@ -228,15 +228,19 @@ FIXED_POINT = detector.Numerics(
 def detect_fixed_point(H: np.ndarray, y: np.ndarray, N0: float | np.ndarray,
                        const: Constellation, K: int, *,
                        denoiser=None, alpha: float | np.ndarray | None = None,
-                       L: int = 2, sort: bool = True) -> denoise.SoftOutput:
+                       L: int = 2, sort: bool = True,
+                       front: detector.FrontEnd | None = None
+                       ) -> denoise.SoftOutput:
     """GBCD detection in the FIXED_POINT numeric context: the modeled word
     lengths on H, y, G, y_mf, z and the LLRs, and lookup-based reciprocals
     in the SINR, inverse and LLR stages. Takes one channel or a stack and
     the same ``denoiser`` (box by default) and ``alpha`` as
-    ``detector.gbcd_detect``; every denoiser output is quantized as ``z``."""
+    ``detector.gbcd_detect``; every denoiser output is quantized as ``z``.
+    ``front``, if given, is a ``detector.FrontEnd`` of these inputs in
+    FIXED_POINT."""
     return detector.gbcd_detect(H, y, N0, const, K, denoiser=denoiser,
                                 alpha=alpha, L=L, sort=sort,
-                                numerics=FIXED_POINT)[0]
+                                numerics=FIXED_POINT, front=front)[0]
 
 
 # ---------------------------------------------------------------------------

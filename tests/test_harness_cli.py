@@ -441,6 +441,40 @@ def test_ablation_empirical_variant_needs_no_params_path():
     assert all(r["trials"] == 1 for r in rows)
 
 
+def test_ablation_empirical_variant_at_negative_snr_returns_rows():
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=[-2.0], detectors=["gbcd-box"], trials=1))
+    rows = run_ablation(cfg, ["gbcd-pme-empirical"])
+    assert [(r["snr_db"], r["variant"], r["trials"]) for r in rows] == [
+        (-2.0, "gbcd-pme-empirical", 1)]
+
+
+def test_empirical_seed_key_for_every_admitted_snr():
+    # a finite SNR >= 0 keeps the key existing results were made with
+    assert harness._snr_key(12.0) == (1200,)
+    snrs = [0.0, 0.5, -0.5, 3.0, -3.0, np.inf, -300.0, 3000.0]
+    keys = [harness._snr_key(s) for s in snrs]
+    assert len(set(keys)) == len(snrs)
+    assert all(isinstance(w, int) and w >= 0 for k in keys for w in k)
+
+
+def test_cli_noiseless_ablation_exits_0_without_warnings(tmp_path,
+                                                         tiny_store):
+    cfgp, out = tmp_path / "cfg.json", tmp_path / "ablate.csv"
+    cfgp.write_text(json.dumps(base_config(
+        snr_db=[np.inf], trials=1, detectors=["gbcd-box"],
+        params_path=tiny_store)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gbcd.cli",
+                           "ablate", "--config", str(cfgp), "--out",
+                           str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["snr_db"], r["variant"]) for r in rows] == [
+        ("inf", v) for v, _ in ABLATION_VARIANTS]
+
+
 def test_ablation_missing_record_fails_before_any_grid_search(tiny_store,
                                                               monkeypatch):
     # 12 dB has a record; -5 dB, below the training range, has none that
