@@ -81,7 +81,11 @@ def complexity_ocd(B: int, U: int, K: int) -> ComplexityReport:
     reciprocals) are per-transmission cost and the preprocessing intercept
     is zero. Each of the K U column steps costs a correlation h^H r (B
     complex products), its scaling by the reciprocal norm (one
-    complex-by-real product) and the residual update (B complex products)."""
+    complex-by-real product) and the residual update (B complex products).
+    These are the OCD hardware's counts: the float ``baselines.ocd_detect``
+    runs the Gram-domain recursion at block size 1, which gives the same
+    estimates, and ``tests/counted_reference.ocd_reference`` runs this
+    datapath."""
     per = 2 * B * U + U + K * U * (8 * B + 2)
     return ComplexityReport("ocd", B, U, K, 0, per)
 

@@ -5,7 +5,7 @@ from gbcd import baselines, denoise, detector
 
 from channel_reference import draw_symbols
 from conftest import random_channel
-from counted_reference import lmmse_reference
+from counted_reference import lmmse_reference, ocd_reference
 
 
 # ---------------------------------------------------------------------------
@@ -79,25 +79,24 @@ def test_ocd_orthogonal_noiseless_one_sweep(qam16, rng):
     q, _ = np.linalg.qr(random_channel(rng, 16, 4))
     H = np.sqrt(16.0) * q
     idx, s = draw_symbols(qam16, (4,), rng)
-    z, v, r = baselines.ocd_equalize(H, H @ s, 1, qam16)
-    assert np.max(np.abs(z - s)) < 1e-10
+    v = baselines.ocd_detect(H, H @ s, 1e-10, 1, qam16).v_final
+    assert np.max(np.abs(denoise.box_denoise(v, qam16) - s)) < 1e-10
 
 
 def test_ocd_single_user_is_scalar_ls(qam16, rng):
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     H = h[:, None]
     y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    z, v, _ = baselines.ocd_equalize(H, y, 1, qam16)
+    v = baselines.ocd_detect(H, y, 0.1, 1, qam16).v_final
     ls = np.vdot(h, y) / np.sum(np.abs(h) ** 2)
     assert abs(v[0] - ls) < 1e-12
-    assert abs(z[0] - denoise.box_denoise(np.array([ls]), qam16)[0]) < 1e-12
 
 
 def test_ocd_zero_column_rejected(qam16):
     H = np.zeros((4, 2), dtype=complex)
     H[:, 0] = 1.0
-    with pytest.raises(ValueError):
-        baselines.ocd_equalize(H, np.ones(4, complex), 1, qam16)
+    with pytest.raises(ValueError, match="Gram diagonal"):
+        baselines.ocd_detect(H, np.ones(4, complex), 0.1, 1, qam16)
 
 
 def test_ocd_objective_nonincreasing_per_coordinate(qam16, rng):
@@ -119,10 +118,11 @@ def test_ocd_objective_nonincreasing_per_coordinate(qam16, rng):
 
 
 def test_ocd_equals_gbcd_l1_unsorted(qam16, rng):
+    # the channel-domain datapath and the Gram-domain recursion at L = 1
     for _ in range(10):
         H = random_channel(rng, 12, 4)
         y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        z_o, v_o, _ = baselines.ocd_equalize(H, y, 3, qam16)
+        z_o, v_o, _, _ = ocd_reference(H, y, 3, qam16)
         pre = detector.preprocess(H, 0.1, L=1, sort=False)
         st = detector.gbcd_equalize(pre, detector.matched_filter(H, y), 3,
                                     denoise.box_denoiser(qam16))

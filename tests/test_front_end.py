@@ -139,11 +139,11 @@ FRONT_END_WORK = ("detector.gram", "detector.matched_filter",
 # (mode, detectors, fixed point) -> gram, matched filter and preprocess
 # calls per stack: one Gram matrix per numeric context, one matched filter
 # per context whose detectors read it, one preprocessing per (context, L,
-# sort)
+# sort); OCD reads the float (1, unsorted) preprocessing
 PER_STACK = [
-    ("sweep", ["gbcd-box", "gbcd-pme", "lmmse", "ocd"], False, (1, 1, 1)),
-    ("sweep", ["lmmse", "ocd", "gbcd-box", "gbcd-pme"], True, (2, 2, 1)),
-    ("sweep", ["ocd"], False, (1, 0, 0)),
+    ("sweep", ["gbcd-box", "gbcd-pme", "lmmse", "ocd"], False, (1, 1, 2)),
+    ("sweep", ["lmmse", "ocd", "gbcd-box", "gbcd-pme"], True, (2, 2, 2)),
+    ("sweep", ["ocd"], False, (1, 1, 1)),
     ("ablate", None, False, (1, 1, 4)),
     ("ablate", None, True, (1, 1, 4)),
 ]

@@ -488,14 +488,25 @@ def test_ablation_missing_record_fails_before_any_grid_search(tiny_store,
         run_ablation(cfg, ["gbcd-pme-empirical", "gbcd-pme-trained"])
 
 
-def test_ablation_first_variant_is_plain_coordinate_descent(tiny_store):
-    # cd-box rows equal an ocd sweep on the same seeds (same algorithm)
-    cfg = ExperimentConfig.from_dict(base_config(
-        detectors=["ocd"], trials=3, params_path=tiny_store))
-    ab = run_ablation(cfg, variants=["cd-box"])
-    sw = run_sweep(cfg)
-    assert ab[0]["bler"] == sw[0]["bler"]
-    assert ab[0]["ser"] == sw[0]["ser"]
+def test_ablation_first_variant_is_plain_coordinate_descent():
+    # the sweep's ocd rows are the ablation's cd-box rows (unsorted GBCD at
+    # L = 1) on the same trials, coded and uncoded, and ocd stays float
+    # when the sweep runs GBCD in fixed point
+    keys = ("snr_db", "bler", "ser", "trials", "block_errors")
+
+    def rows(table):
+        return [[r[k] for k in keys] for r in table]
+
+    for uncoded in (False, True):
+        over = dict(snr_db=[2.0, 6.0], detectors=["ocd"], uncoded=uncoded)
+        cfg = ExperimentConfig.from_dict(base_config(**over))
+        sweep = rows(run_sweep(cfg))
+        assert all(ser > 0 for _, _, ser, _, _ in sweep)
+        # assert_equal counts the uncoded rows' NaN bler as equal
+        np.testing.assert_equal(rows(run_ablation(cfg, variants=["cd-box"])),
+                                sweep)
+        np.testing.assert_equal(rows(run_sweep(ExperimentConfig.from_dict(
+            base_config(fixed_point=True, **over)))), sweep)
 
 
 @pytest.mark.parametrize("fixed_point", [False, True], ids=["float", "fixed"])

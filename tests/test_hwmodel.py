@@ -93,11 +93,17 @@ def test_counted_lmmse_matches_closed_form_and_detector(B, U):
 def test_counted_ocd_matches_closed_form_and_detector(B, U, K):
     H, y = _instance(B, U)
     const = make_constellation(4)
-    *out, counts = ocd_reference(H, y, K, const)
+    z, v_last, r, counts = ocd_reference(H, y, K, const)
     rep = hwmodel.complexity_ocd(B, U, K)
     assert counts == (rep.preprocessing_mults, rep.per_transmission_mults)
-    for got, want in zip(out, baselines.ocd_equalize(H, y, K, const)):
-        _assert_close(got, want)
+    # the detector runs the Gram-domain recursion: its final-sweep
+    # estimates, their BOX decisions and the receive-domain residual of
+    # those decisions are the channel-domain datapath's v_last, z and r
+    v = baselines.ocd_detect(H, y, 0.1, K, const).v_final
+    z_det = denoise.box_denoise(v, const)
+    _assert_close(v_last, v)
+    _assert_close(z, z_det)
+    _assert_close(r, y - H @ z_det)
 
 
 def test_counted_references_match_closed_forms_on_the_size_grid():

@@ -6,7 +6,7 @@ import pytest
 
 from gbcd import baselines, denoise, detector, hwmodel
 from gbcd.channel import apply_channel, gen_channel, noise_variance_for_snr
-from gbcd.constellation import make_constellation
+from gbcd.constellation import hard_decision_indices, make_constellation
 
 from datapath_reference import _llrs_exhaustive_reference
 
@@ -174,8 +174,9 @@ def test_noiseless_channels_in_a_noisy_stack(name):
 
 
 def _ocd_equalize_reference(H, Y, K, const):
-    """OCD over a stack (N, B, U), (N, B, T), reading H's columns in place
-    and forming each rank-one update with the default ufunc buffers."""
+    """Channel-domain OCD over a stack (N, B, U), (N, B, T), as the hardware
+    datapath runs it: each column step correlates H's column with a
+    receive-domain residual and subtracts its rank-one update."""
     U, T = H.shape[-1], Y.shape[-1]
     inv_norms = 1.0 / np.sum(np.abs(H) ** 2, axis=-2)
     z = np.zeros(Y.shape[:-2] + (U, T), dtype=np.complex128)
@@ -201,10 +202,16 @@ def _ocd_equalize_reference(H, Y, K, const):
 @pytest.mark.parametrize("U", [4, 16])
 @pytest.mark.parametrize("Q", [4, 256])
 def test_ocd_equalize_matches_reference(Q, U, T):
-    const, H, Y, _ = _stack(Q, U, T)
+    # stacked OCD gives the channel-domain loop's estimates to rounding and
+    # its hard decisions, and exactly the unsorted L = 1 GBCD detection
+    const, H, Y, N0 = _stack(Q, U, T)
     Y = Y.reshape(N, 2 * U, T)
-    bufsize = np.getbufsize()
-    got = baselines.ocd_equalize(H, Y, K, const)
-    assert np.getbufsize() == bufsize
-    for a, b in zip(got, _ocd_equalize_reference(H, Y, K, const)):
-        assert np.array_equal(a, b)
+    soft = baselines.ocd_detect(H, Y, N0, K, const)
+    v_ref = _ocd_equalize_reference(H, Y, K, const)[1]
+    assert (np.max(np.abs(soft.v_final - v_ref))
+            <= 1e-12 * np.max(np.abs(v_ref)))
+    gain = soft.params.mu[..., None]
+    assert np.array_equal(hard_decision_indices(const, soft.v_final, gain),
+                          hard_decision_indices(const, v_ref, gain))
+    _assert_soft_equal(soft, detector.gbcd_detect(H, Y, N0, const, K, L=1,
+                                                  sort=False)[0])
