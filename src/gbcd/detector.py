@@ -156,20 +156,23 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
                    regularized: list | None = None) -> np.ndarray:
     """Inverses of the L x L Gram submatrices, (..., M, L, L).
 
-    L = 1 and L = 2 use closed forms (the adjugate for L = 2); other block
-    sizes use a dense inverse. Near-singular blocks get eps*I added and
-    their flat indices into blocks[..., 0] are appended to ``regularized``.
+    The modeled datapath has block sizes L = 1 (a reciprocal) and L = 2
+    (the adjugate); any other L is a ValueError. Near-singular blocks get
+    eps*I added and their flat indices into blocks[..., 0] are appended to
+    ``regularized``.
     """
     L = blocks.shape[-1]
+    if L not in (1, 2):
+        raise ValueError(f"block size L={L} is not modeled: the datapath "
+                         "has L = 1 and L = 2")
     # Gb[..., m, i, j] = G[..., blocks[..., m, i], blocks[..., m, j]]
     Gb = _gather(G, blocks[..., :, None], blocks[..., None, :])
-    flagged = np.zeros(blocks.shape[:-1], dtype=bool)
     if L == 1:
         g = Gb[..., 0, 0].real
         flagged = np.abs(g) < 1e-300
         kinv = recip_fn(np.where(flagged, g + 1e-6, g))[..., None, None]
         kinv = kinv.astype(np.complex128)
-    elif L == 2:
+    else:
         g11 = Gb[..., 0, 0].real
         g22 = Gb[..., 1, 1].real
         g12 = Gb[..., 0, 1]
@@ -188,20 +191,6 @@ def block_inverses(G: np.ndarray, blocks: np.ndarray,
         kinv[..., 1, 1] = g11 * d
         kinv[..., 0, 1] = -g12 * d
         kinv[..., 1, 0] = -np.conj(g12) * d
-    else:
-        try:
-            kinv = np.linalg.inv(Gb)
-        except np.linalg.LinAlgError:
-            flat = Gb.reshape(-1, L, L)
-            kinv = np.empty_like(flat)
-            for i, A in enumerate(flat):
-                try:
-                    kinv[i] = np.linalg.inv(A)
-                except np.linalg.LinAlgError:
-                    tr = A.diagonal().real.sum()
-                    kinv[i] = np.linalg.inv(A + (1e-6 * tr / L) * np.eye(L))
-                    flagged.flat[i] = True
-            kinv = kinv.reshape(Gb.shape)
     if regularized is not None:
         regularized.extend(np.flatnonzero(flagged).tolist())
     return kinv

@@ -17,7 +17,7 @@ Every detector, sweep or ablation, is built from one spec: ``kind`` (gbcd,
 lmmse or ocd) and, for GBCD, its block size ``L``, ``sort`` and, for a PME
 denoiser, the ``source`` of its parameters (``_pme``); without one it uses
 BOX. Each SNR point builds every GBCD denoiser once, before its first trial.
-GBCD runs in fixed point when the config asks for it.
+GBCD runs in fixed point when the config asks for it, at B <= 128 antennas.
 """
 
 from __future__ import annotations
@@ -122,6 +122,11 @@ class ExperimentConfig:
         check_design(self.B, self.U,
                      [DETECTOR_SPECS[d]["L"] for d in self.detectors
                       if DETECTOR_SPECS[d]["kind"] == "gbcd"])
+        if self.fixed_point and self.B > hwmodel.PROFILED_B:
+            raise ConfigError(
+                f"fixed_point word lengths were profiled at the "
+                f"{hwmodel.PROFILED_B}x16 design point and saturate beyond "
+                f"{hwmodel.PROFILED_B} antennas, got B={self.B}")
         self.code   # builds the code: a ConfigError if T*log2(Q) misfits the rate
 
     @property
@@ -394,14 +399,14 @@ def _pme(cfg: ExperimentConfig, const, store, snr_db: float, source: str):
 def _run(cfg: ExperimentConfig, specs: dict, columns):
     """Run every SNR point for the named detector specs. Before the first
     trial, the specs' PME sources are resolved at every SNR, in PME_SOURCES
-    order, from the store read once (or an empty one); an unreadable or
-    malformed store is a ConfigError."""
+    order, from the store read once if a source reads it (or an empty one);
+    an unreadable or malformed store is a ConfigError."""
     const = make_constellation(cfg.Q)
     code = cfg.code
     sources = [s for s in PME_SOURCES
                if any(spec.get("source") == s for spec in specs.values())]
     store = unfolding.ParamStore()
-    if sources and cfg.params_path is not None:
+    if {"store", "trained"} & set(sources) and cfg.params_path is not None:
         store = unfolding.ParamStore.load(cfg.params_path)
     pme = {s: [_pme(cfg, const, store, float(snr_db), s)
                for snr_db in cfg.snr_db] for s in sources}

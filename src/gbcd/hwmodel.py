@@ -144,9 +144,11 @@ def fit_power(samples, *, U: int = 16, B: int = 128) -> tuple[float, float, floa
 
 @dataclass(frozen=True)
 class FxpFormat:
+    """A two's-complement word of ``total_bits`` bits, one of them the
+    sign and ``frac_bits`` fractional, as every datapath word is."""
+
     total_bits: int
     frac_bits: int
-    signed: bool = True
 
     @cached_property
     def lsb(self) -> float:
@@ -154,12 +156,11 @@ class FxpFormat:
 
     @cached_property
     def max_value(self) -> float:
-        codes = 2 ** (self.total_bits - 1) - 1 if self.signed else 2 ** self.total_bits - 1
-        return codes * self.lsb
+        return (2 ** (self.total_bits - 1) - 1) * self.lsb
 
     @cached_property
     def min_value(self) -> float:
-        return -(2 ** (self.total_bits - 1)) * self.lsb if self.signed else 0.0
+        return -(2 ** (self.total_bits - 1)) * self.lsb
 
     @cached_property
     def code_bounds(self) -> tuple[float, float]:
@@ -198,6 +199,9 @@ DEFAULT_FORMATS = {
     "z": FxpFormat(11, 9),
     "llr": FxpFormat(18, 4),
 }
+# the antenna count B those fraction bits were profiled at: the Gram diagonal
+# grows with B and saturates ``g`` beyond it, so fixed point stops there
+PROFILED_B = 128
 
 _LUT_SEGMENTS = 64
 _LUT_X = 0.5 + np.arange(_LUT_SEGMENTS + 1) / (2.0 * _LUT_SEGMENTS)
@@ -205,11 +209,10 @@ _LUT_Y = 1.0 / _LUT_X
 
 
 def lut_reciprocal(x):
-    """Piecewise-linear reciprocal: mantissa lookup over [0.5, 1) in 64
-    segments plus exponent handling. Sign is carried through."""
+    """Piecewise-linear reciprocal of the array ``x``, elementwise: mantissa
+    lookup over [0.5, 1) in 64 segments plus exponent handling. Sign is
+    carried through; a 0-d input gives a float64 scalar."""
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x == 0.0):
         raise ZeroDivisionError("reciprocal of zero")
     sign = np.sign(x)
@@ -220,8 +223,7 @@ def lut_reciprocal(x):
     y0 = _LUT_Y[idx]
     slope = (_LUT_Y[idx + 1] - y0) * (2.0 * _LUT_SEGMENTS)
     rec_m = y0 + (m - x0) * slope
-    out = sign * np.ldexp(rec_m, -e)
-    return out[0] if scalar else out
+    return sign * np.ldexp(rec_m, -e)
 
 
 # the modeled datapath: DEFAULT_FORMATS word lengths, lookup reciprocals

@@ -70,11 +70,8 @@ def _quantize_reference(x, fmt):
         out = np.multiply(1j, _quantize_reference(x.imag, fmt))
         return np.add(_quantize_reference(x.real, fmt), out, out=out)
     lsb = 2.0 ** (-fmt.frac_bits)
-    if fmt.signed:
-        lo = -(2 ** (fmt.total_bits - 1)) * lsb / lsb
-        hi = (2 ** (fmt.total_bits - 1) - 1) * lsb / lsb
-    else:
-        lo, hi = 0.0 / lsb, (2 ** fmt.total_bits - 1) * lsb / lsb
+    lo = -(2 ** (fmt.total_bits - 1)) * lsb / lsb
+    hi = (2 ** (fmt.total_bits - 1) - 1) * lsb / lsb
     codes = np.divide(x, lsb, out=np.empty(x.shape))
     np.rint(codes, out=codes)
     np.clip(codes, lo, hi, out=codes)

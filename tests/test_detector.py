@@ -176,8 +176,7 @@ def _assert_matches_per_channel(pre, H, N0, L, sort):
 
 
 @pytest.mark.parametrize("U, L, sort", [(8, 1, True), (8, 2, True),
-                                        (8, 4, True), (8, 2, False),
-                                        (6, 2, True)])
+                                        (8, 2, False), (6, 2, True)])
 def test_batched_preprocess_matches_per_channel(U, L, sort, rng):
     H = np.stack([random_channel(rng, 16, U) for _ in range(6)])
     N0 = 10 ** rng.uniform(-3, 0, 6)
@@ -205,7 +204,7 @@ def _block_submatrices_reference(G, blocks):
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("L", [1, 2])
 def test_flat_gathers_match_take_along_axis(L, lead, rng):
     # the equalizer's permuted G and the block inverses' submatrices keep
     # the values and the strides (column-major per channel for the
@@ -227,10 +226,10 @@ def test_flat_gathers_match_take_along_axis(L, lead, rng):
     assert got.strides == want.strides
 
 
-@pytest.mark.parametrize("L", [2, 4])
+@pytest.mark.parametrize("L", [2])
 def test_batched_preprocess_flags_singular_blocks_mid_batch(L, rng):
     # Channel 2 has equal all-ones columns: G = 16 * ones exactly, so every
-    # one of its blocks is singular (the dense L = 4 solve hits a zero pivot).
+    # one of its 2x2 blocks has a zero determinant.
     H = np.stack([random_channel(rng, 16, 8) for _ in range(5)])
     H[2] = 1.0
     N0 = np.full(5, 0.1)
@@ -256,7 +255,7 @@ def test_batched_matched_filter_matches_per_channel(rng):
 
 @pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
 @pytest.mark.parametrize("T", [1, 5])
-@pytest.mark.parametrize("U, L", [(6, 1), (6, 2), (12, 1), (12, 2), (12, 4)])
+@pytest.mark.parametrize("U, L", [(6, 1), (6, 2), (12, 1), (12, 2)])
 def test_stacked_equalizer_matches_per_channel(U, L, T, fixed, qam16, rng):
     numerics = hwmodel.FIXED_POINT if fixed else detector.FLOAT
     n = 5
@@ -300,6 +299,19 @@ def test_indivisible_block_size(rng):
     H = random_channel(rng, 8, 5)
     with pytest.raises(ValueError):
         detector.preprocess(H, 0.1, L=2)
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_unmodeled_block_sizes_rejected(L, qam16, rng):
+    # the datapath inverts 1x1 and 2x2 blocks only; L = 3 and 4 tile U = 12
+    H = random_channel(rng, 16, 12)
+    y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    with pytest.raises(ValueError, match="L = 1 and L = 2"):
+        detector.preprocess(H, 0.1, L=L)
+    with pytest.raises(ValueError, match="L = 1 and L = 2"):
+        detector.gbcd_detect(H, y, 0.1, qam16, 3, L=L)
+    with pytest.raises(ValueError, match="L = 1 and L = 2"):
+        hwmodel.detect_fixed_point(H, y, 0.1, qam16, 3, L=L)
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +460,3 @@ def test_detect_end_to_end_noiseless(qam16, rng):
     signs = soft.llrs > 0
     bits = np.moveaxis(b.bits, 2, 1).astype(bool)  # (U, m, T)
     assert np.array_equal(signs, bits)
-
-
-def test_generic_block_size_four(qam16, rng):
-    # the shipped configuration is L=2, but the solver is generic over L
-    H = random_channel(rng, 12, 4)
-    y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    den = denoise.box_denoiser(qam16)
-    pre = detector.preprocess(H, 0.1, L=4)
-    assert pre.M == 1
-    st = detector.gbcd_equalize(pre, detector.matched_filter(H, y), 2, den)
-    z2, v2 = _direct_bcd(H, y, 2, den, pre)
-    assert np.max(np.abs(st.z - z2)) < 1e-8
-    assert np.max(np.abs(st.v_last - v2)) < 1e-8

@@ -339,9 +339,19 @@ def test_params_resolved_once_per_run(variants, tiny_store, monkeypatch):
         params_path=tiny_store))
     rows = run_sweep(cfg) if variants is None else run_ablation(cfg, variants)
     assert len(rows) == 3
-    assert loads == [tiny_store]
     empirical = variants is not None and "gbcd-pme-empirical" in variants
+    # the empirical search reads no record, so the store is not read either
+    assert loads == ([] if empirical else [tiny_store])
     assert len(searches) == (3 if empirical else 0)
+
+
+def test_empirical_ablation_runs_without_a_readable_store(tmp_path):
+    store = tmp_path / "store.json"
+    store.write_text('{"records": 3}')
+    cfg = ExperimentConfig.from_dict(base_config(
+        snr_db=[10.0], trials=1, params_path=str(store)))
+    rows = run_ablation(cfg, ["gbcd-pme-empirical"])
+    assert [r["variant"] for r in rows] == ["gbcd-pme-empirical"]
 
 
 def test_empirical_search_draws_the_configured_los_channel(tmp_path,
@@ -1056,6 +1066,28 @@ def test_cli_fixed_point_flag(tmp_path):
     proc = run_cli("simulate", "--config", str(cfgp), "--fixed-point")
     assert proc.returncode == 0, proc.stderr
     assert "gbcd-box" in proc.stdout
+
+
+@pytest.mark.parametrize("where", ["flag", "key"])
+def test_cli_fixed_point_beyond_profiled_antennas_exits_2(where, tmp_path):
+    # the word lengths were profiled at 128x16; 256 antennas saturate g
+    cfgp = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfgp.write_text(json.dumps(base_config(
+        B=256, U=16, trials=1, uncoded=True, T=4, detectors=["gbcd-box"],
+        fixed_point=where == "key")))
+    argv = ["--fixed-point"] if where == "flag" else []
+    proc = run_cli("simulate", "--config", str(cfgp), "--out", str(out),
+                   *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "128x16" in proc.stderr and "B=256" in proc.stderr
+    assert not out.exists()
+    cfgp.write_text(json.dumps(base_config(
+        B=256, U=16, trials=1, uncoded=True, T=4, detectors=["gbcd-box"])))
+    proc = run_cli("simulate", "--config", str(cfgp), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
 
 
 def test_coherence_groups_split(monkeypatch):
