@@ -1,16 +1,12 @@
 """Constellations, channel models, and the transmission bundle.
 
 Walks through the Gray-mapped QAM alphabets, the two synthetic propagation
-conditions with receive-power control, the package's SNR definition, and
-the binary matrix dump format.
+conditions with receive-power control, and the package's SNR definition.
 """
-
-import tempfile
 
 import numpy as np
 
-from gbcd import (dump_matrix, gen_channel, load_matrix, make_constellation,
-                  transmit)
+from gbcd import gen_channel, make_constellation, transmit
 from gbcd.detector import gram
 
 rng = np.random.default_rng(1)
@@ -46,10 +42,3 @@ print(f"snr 15 dB -> N0 = {batch.N0:.4f}; "
       f"{10 * np.log10(sig / batch.N0):.2f} dB")
 print(f"reconstruction residual ||Y - HS - N|| = "
       f"{np.max(np.abs(batch.Y - H_iid @ batch.S - batch.noise))}")
-
-print("\n=== Matrix dump format ===")
-with tempfile.NamedTemporaryFile(suffix=".cmat") as f:
-    dump_matrix(f.name, H_iid[:4, :3])
-    back = load_matrix(f.name)
-    print(f"round trip exact: {np.array_equal(back, H_iid[:4, :3])} "
-          f"(16-byte header + interleaved little-endian float64 re/im)")

@@ -4,8 +4,7 @@ Monte-Carlo harness, a deep-unfolding trainer, and hardware cost models.
 Symbols have unit average energy throughout the package."""
 
 from .baselines import lmmse_detect, ocd_detect
-from .channel import (TransmissionBatch, dump_matrix, gen_channel,
-                      load_matrix, transmit)
+from .channel import TransmissionBatch, gen_channel, transmit
 from .config import Scenario
 from .constellation import Constellation, make_constellation
 from .denoise import (PlmTable, SoftOutput, box_denoise, build_plm_table,

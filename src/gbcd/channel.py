@@ -21,7 +21,6 @@ antenna over noise power per antenna, evaluated on the realized channel.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,6 @@ _SQRT2 = np.sqrt(2.0)
 _ANGLE_SPAN_DEG = 120.0   # LOS UE angles lie within +/- 60 deg
 LOS_K_FACTOR = 10.0       # default Rician K-factor of LOS channels
 LOS_MIN_SEP_DEG = 1.0     # default minimum LOS UE angle separation, deg
-
-_MAGIC = b"CPLXMAT\x00"
 
 
 @dataclass
@@ -197,28 +194,3 @@ def transmit(H: np.ndarray, const: Constellation, T: int, snr_db: float,
     Y = apply_channel(H, S, N0, rng)
     return TransmissionBatch(S, const.bit_labels[idx], Y, N0, Y - H @ S, idx)
 
-
-def dump_matrix(path, M: np.ndarray) -> None:
-    """Write a complex matrix as little-endian interleaved float64 (re, im)
-    behind a 16-byte header (8-byte magic, uint32 rows, uint32 cols)."""
-    M = np.ascontiguousarray(M, dtype=np.complex128)
-    if M.ndim != 2:
-        raise ValueError("dump_matrix expects a 2-D array")
-    rows, cols = M.shape
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", rows, cols))
-        inter = np.empty((rows, cols, 2), dtype="<f8")
-        inter[..., 0] = M.real
-        inter[..., 1] = M.imag
-        f.write(inter.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _MAGIC:
-            raise ValueError("not a complex-matrix dump file")
-        rows, cols = struct.unpack("<II", f.read(8))
-        inter = np.frombuffer(f.read(), dtype="<f8").reshape(rows, cols, 2)
-    return (inter[..., 0] + 1j * inter[..., 1]).astype(np.complex128)

@@ -1,12 +1,15 @@
 """Command-line front end: simulate / ablate / train / hwmodel.
 
-Configs are JSON files; results are CSV. Exit codes: 0 success, 2 config
-error, 3 missing trained parameters.
+Configs are JSON files; results are CSV, written here alone: to ``--out``,
+or to stdout without it (``train`` writes its store to ``--out``). Exit
+codes: 0 success, 2 config error, 3 missing trained parameters.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import os
 import sys
@@ -16,7 +19,7 @@ import numpy as np
 from . import hwmodel, unfolding
 from .config import ConfigError, HwmodelConfig, from_dict, read_json
 from .harness import (ABLATE_COLUMNS, SWEEP_COLUMNS, ExperimentConfig,
-                      run_ablation, run_sweep, _write_csv)
+                      run_ablation, run_sweep)
 
 HWMODEL_COLUMNS = ("algorithm", "B", "U", "K", "T", "pre_mults", "eq_mults",
                    "total", "theta_bps", "eta", "p_watts_fit")
@@ -28,31 +31,34 @@ def _check_out(path) -> None:
         raise ConfigError(f"output directory of {path} does not exist")
 
 
+def _write_csv(path, rows, columns) -> None:
+    """Write ``rows`` as CSV to ``path``, or to stdout when it is None."""
+    with (open(path, "w", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as f:
+        w = csv.DictWriter(f, fieldnames=columns)
+        w.writeheader()
+        w.writerows(rows)
+
+
 def _load_config(args) -> ExperimentConfig:
     """Load a config and apply the command-line overrides; the result is
-    validated again."""
+    validated again. The output path is checked too."""
     cfg = ExperimentConfig.from_dict(read_json(args.config))
-    overrides = {"seed": args.seed, "out": args.out,
+    overrides = {"seed": args.seed,
                  "fixed_point": True if args.fixed_point else None}
     cfg = dataclasses.replace(
         cfg, **{k: v for k, v in overrides.items() if v is not None})
-    _check_out(cfg.out)
+    _check_out(args.out)
     return cfg
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    rows = run_sweep(cfg)
-    if not cfg.out:
-        _write_csv(sys.stdout, rows, SWEEP_COLUMNS)
+    _write_csv(args.out, run_sweep(_load_config(args)), SWEEP_COLUMNS)
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    rows = run_ablation(cfg)
-    if not cfg.out:
-        _write_csv(sys.stdout, rows, ABLATE_COLUMNS)
+    _write_csv(args.out, run_ablation(_load_config(args)), ABLATE_COLUMNS)
     return 0
 
 
@@ -72,8 +78,10 @@ def _cmd_train(args) -> int:
     store.save(out)
     shown = {k: getattr(params.scenario, k)      # the line's fixed key order
              for k in ("B", "U", "K", "Q", "condition", "snr_db")}
+    meta = params.meta
     print(f"trained scenario {shown} -> {out} "
-          f"(val loss {params.meta['final_val_loss']:.4f})")
+          f"(val loss {meta['final_val_loss']:.4f}, "
+          f"best epoch {meta['best_epoch']} of {meta['epochs_run']})")
     return 0
 
 
@@ -97,11 +105,12 @@ def _cmd_hwmodel(args) -> int:
                    "theta_bps": "", "eta": "", "p_watts_fit": ""}
             if name == "gbcd":   # the timing and power models are the ASIC's
                 eta = hwmodel.utilization(T, U, B)
-                row.update(theta_bps=hwmodel.throughput(T, Q, U, cfg.f_clk, B),
+                row.update(theta_bps=hwmodel.throughput(T, Q, U, B=B),
                            eta=eta,
-                           p_watts_fit=cfg.p_idle_watts + eta * cfg.p_equ_watts)
+                           p_watts_fit=hwmodel.P_IDLE_WATTS
+                           + eta * hwmodel.P_EQU_WATTS)
             rows.append(row)
-    _write_csv(args.out or sys.stdout, rows, HWMODEL_COLUMNS)
+    _write_csv(args.out, rows, HWMODEL_COLUMNS)
     return 0
 
 

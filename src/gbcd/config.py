@@ -180,18 +180,15 @@ class Scenario:
 @dataclass
 class HwmodelConfig:
     """A ``gbcd hwmodel`` config: one design point and the transmission
-    counts T of its complexity, throughput and power table. The power
-    defaults are the fabricated design's measured idle+static and equalizer
-    shares."""
+    counts T of its complexity, throughput and power table. The clock and
+    power are the fabricated ASIC's (``hwmodel.F_CLK_HZ``,
+    ``P_IDLE_WATTS``, ``P_EQU_WATTS``)."""
 
     B: int
     U: int
     K: int = key(ge=1)
     T: list[int] = key(ge=1)
     Q: int = key(256, choices=SUPPORTED_ORDERS)
-    f_clk: float = key(887e6, gt=0)              # Hz
-    p_idle_watts: float = key(0.420, ge=0)
-    p_equ_watts: float = key(0.367, ge=0)
 
     def __post_init__(self):
         check(self)

@@ -22,8 +22,6 @@ GBCD runs in fixed point when the config asks for it, at B <= 128 antennas.
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import hashlib
 from dataclasses import dataclass
 
@@ -96,9 +94,7 @@ class ExperimentConfig:
     trials: int = key(200, ge=1)
     min_block_errors: int = key(200, ge=1)
     fixed_point: bool = False
-    out: str | None = None
     params_path: str | None = None
-    allow_box_fallback: bool = False
     uncoded: bool = False
     k_factor: float = key(LOS_K_FACTOR, ge=0, inf=True)
     min_sep_deg: float = key(LOS_MIN_SEP_DEG, ge=0)
@@ -341,15 +337,6 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
     return block_errors, sym_errors, trial, data_hash
 
 
-def _write_csv(path_or_buf, rows, columns):
-    """Write ``rows`` as CSV to a path or an open text stream."""
-    with (open(path_or_buf, "w", newline="") if isinstance(path_or_buf, str)
-          else contextlib.nullcontext(path_or_buf)) as f:
-        w = csv.DictWriter(f, fieldnames=columns)
-        w.writeheader()
-        w.writerows(rows)
-
-
 def _snr_key(snr_db: float) -> tuple[int, ...]:
     """Spawn-key words of an admitted SNR, non-negative as SeedSequence
     needs: round(100 snr_db) for a finite SNR >= 0, that of -snr_db and
@@ -363,10 +350,11 @@ def _snr_key(snr_db: float) -> tuple[int, ...]:
 
 def _pme(cfg: ExperimentConfig, const, store, snr_db: float, source: str):
     """(denoiser, alpha) of one PME source at one SNR; BOX has alpha None.
-    ``store`` follows the store's fallback ladder, BOX included, and gives
-    BOX for a missing record if ``allow_box_fallback``; ``trained`` needs a
-    PME record; ``empirical`` grid-searches one (rho, beta) pair for all
-    iterations and reads no record."""
+    ``store`` follows the store's fallback ladder, so it runs BOX only
+    where the ladder mandates it, below ``TRAIN_SNR_RANGE_DB``; ``trained``
+    needs a PME record; ``empirical`` grid-searches one (rho, beta) pair for
+    all iterations and reads no record. A scenario the store holds no
+    record of raises MissingParamsError for ``store`` and ``trained``."""
     if source == "empirical":
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=cfg.seed, spawn_key=(0xAB1A7E,) + _snr_key(snr_db)))
@@ -383,11 +371,9 @@ def _pme(cfg: ExperimentConfig, const, store, snr_db: float, source: str):
         p = store.lookup(cfg.B, cfg.U, cfg.K, cfg.Q, cfg.condition,
                          snr_db).params
     except unfolding.MissingParamsError as e:
-        if source == "trained" or not cfg.allow_box_fallback:
-            raise unfolding.MissingParamsError(
-                f"{e.args[0]} (params_path: {cfg.params_path or 'not set'})"
-            ) from e
-        p = None
+        raise unfolding.MissingParamsError(
+            f"{e.args[0]} (params_path: {cfg.params_path or 'not set'})"
+        ) from e
     if p is not None:
         return denoise.pme_denoiser(const, p.rho, p.beta), p.alpha
     if source == "trained":
@@ -421,20 +407,20 @@ def _run(cfg: ExperimentConfig, specs: dict, columns):
             float(snr_db), name, b / blocks if blocks else float("nan"),
             s / (trials * cfg.U * cfg.T), trials, b, data_hash)))
             for name, b, s in zip(runners, be.tolist(), se.tolist())]
-    if cfg.out:
-        _write_csv(cfg.out, rows, columns)
     return rows
 
 
 def run_sweep(cfg: ExperimentConfig):
-    """Monte-Carlo BLER/SER sweep; returns CSV rows and writes cfg.out if set."""
+    """Monte-Carlo BLER/SER sweep; returns the rows of its CSV
+    (``SWEEP_COLUMNS``) and writes nothing."""
     return _run(cfg, {d: DETECTOR_SPECS[d] for d in cfg.detectors},
                 SWEEP_COLUMNS)
 
 
 def run_ablation(cfg: ExperimentConfig, variants=None):
     """Incremental-technique comparison on identical per-trial data; of
-    the variants, only ``gbcd-pme-trained`` reads the store (``_pme``)."""
+    the variants, only ``gbcd-pme-trained`` reads the store (``_pme``).
+    Returns the rows of its CSV (``ABLATE_COLUMNS``)."""
     spec_map = dict(ABLATION_VARIANTS)
     specs = {v: spec_map[v] for v in variants or spec_map}
     check_design(cfg.B, cfg.U, [spec["L"] for spec in specs.values()])

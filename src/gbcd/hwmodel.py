@@ -10,7 +10,9 @@ soft-output unit is common to all detectors and excluded everywhere.
 Timing: one equalized vector leaves the pipeline every ``U`` clock cycles,
 and switching the shared processing-element array to preprocessing idles
 the equalizer for ``B + U`` cycles per coherence block. Both constants are
-exposed so the model generalizes beyond the 128 x 16 design point.
+exposed so the model generalizes beyond the 128 x 16 design point; the
+clock and the power (``F_CLK_HZ``, ``P_IDLE_WATTS``, ``P_EQU_WATTS``) are
+the fabricated ASIC's alone.
 
 The fixed-point mode is a numeric context (``FIXED_POINT``) of the one GBCD
 detection path in ``detector``: every named signal is quantized to its
@@ -93,7 +95,14 @@ def complexity_ocd(B: int, U: int, K: int) -> ComplexityReport:
 # ---------------------------------------------------------------------------
 # timing and power
 
-def throughput(T: int, order: int, U: int = 16, f_clk: float = 887e6,
+# the fabricated ASIC's clock (Hz) and its measured idle+static and
+# equalizer power shares (W), which ``gbcd hwmodel``'s GBCD rows model
+F_CLK_HZ = 887e6
+P_IDLE_WATTS = 0.420
+P_EQU_WATTS = 0.367
+
+
+def throughput(T: int, order: int, U: int = 16, f_clk: float = F_CLK_HZ,
                B: int = 128) -> float:
     """Detector throughput in bits per second for T transmissions per block."""
     if T < 1:
@@ -103,7 +112,7 @@ def throughput(T: int, order: int, U: int = 16, f_clk: float = 887e6,
     return T / (cycles_per_vector * T + idle_cycles) * math.log2(order) * U * f_clk
 
 
-def throughput_asymptote(order: int, f_clk: float = 887e6) -> float:
+def throughput_asymptote(order: int, f_clk: float = F_CLK_HZ) -> float:
     """The T -> infinity limit of ``throughput``; U cancels out of it."""
     return math.log2(order) * f_clk
 

@@ -40,6 +40,7 @@ from .constellation import Constellation, make_constellation
 
 LOSS_CAP = -math.log(1e-12)  # per-bit cap, equivalent to clamping P at 1e-12
 PREPROCESS_SLICE = 256       # samples stacked per preprocessing call
+LR_DECAY = 0.5               # learning-rate factor per lr_decay_patience stall
 
 
 class MissingParamsError(KeyError):
@@ -323,13 +324,7 @@ class TrainConfig:
     max_epochs: int = key(150, ge=1)
     patience: int = key(10, ge=1)   # early-stopping window on the validation loss
     lr_decay_patience: int = key(5, ge=1)
-    lr_decay: float = key(0.5, gt=0, le=1)
     seed: int = key(0, ge=0)
-    # None: 1/init_beta (the initial denoiser is the box), the constellation
-    # scale and the median N0 of the training set
-    init_rho: float | None = key(None, gt=0)
-    init_beta: float | None = key(None, gt=0)
-    init_alpha: float | None = key(None, gt=0)
 
     def __post_init__(self):
         check(self)
@@ -372,8 +367,8 @@ def _softplus(x: float) -> float:
 
 
 def _softplus_inv(y: float) -> float:
-    """Inverse softplus of y > 0 (init_alpha's schema, or a median N0)."""
-    return float(y + np.log(-np.expm1(-y))) if y > 1e-10 else float(np.log(np.expm1(y)))
+    """Inverse softplus of y > 0, accurate for every such y."""
+    return float(y + np.log(-np.expm1(-y)))
 
 
 def _theta_to_params(theta: np.ndarray, K: int):
@@ -388,7 +383,10 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
 
     ``scenario`` is a ``Scenario``, so its snr_db lies in
     ``TRAIN_SNR_RANGE_DB``. Training and validation sets come from disjoint
-    seed streams. Adam runs on mini-batches; the learning rate halves after
+    seed streams. Training starts at the box schedule: rho = 1/scale and
+    beta = scale (the constellation scale) at every iteration, and alpha =
+    the median N0 of the training set; that start is epoch 0. Adam runs on
+    mini-batches; the learning rate is multiplied by LR_DECAY after
     ``lr_decay_patience`` epochs without validation improvement and training
     stops after ``patience`` such epochs, returning the best parameters seen.
     """
@@ -403,14 +401,10 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
                          scenario.condition, config.n_val,
                          np.random.default_rng(s_val))
 
-    init_beta = config.init_beta if config.init_beta is not None else const.scale
-    init_rho = config.init_rho if config.init_rho is not None else 1.0 / init_beta
-    init_alpha = config.init_alpha if config.init_alpha is not None \
-        else float(np.median(train_set.N0))
     theta = np.concatenate([
-        np.full(K, math.log(init_rho)),
-        np.full(K, math.log(init_beta)),
-        [_softplus_inv(init_alpha)],
+        np.full(K, math.log(1.0 / const.scale)),
+        np.full(K, math.log(const.scale)),
+        [_softplus_inv(float(np.median(train_set.N0)))],
     ])
     adam = _Adam(theta.size, config.lr)
     shuffle_rng = np.random.default_rng(s_shuffle)
@@ -457,7 +451,7 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
             stall += 1
             lr_stall += 1
             if lr_stall >= config.lr_decay_patience:
-                adam.lr *= config.lr_decay
+                adam.lr *= LR_DECAY
                 lr_stall = 0
             if stall >= config.patience:
                 break

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from gbcd.channel import (_draw_angles, apply_channel, dump_matrix, gen_channel,
-                          load_matrix, noise_variance_for_snr, transmit)
+from gbcd.channel import (_draw_angles, apply_channel, gen_channel,
+                          noise_variance_for_snr, transmit)
 from gbcd.detector import gram
 from gbcd.unfolding import make_batch
 
@@ -170,22 +170,6 @@ def test_snr_definition(qam16, rng):
     N0 = noise_variance_for_snr(H, snr_db)
     sig = np.sum(np.abs(H) ** 2) / 32
     assert abs(10 * np.log10(sig / N0) - snr_db) < 1e-12
-
-
-def test_matrix_dump_round_trip(tmp_path, rng):
-    M = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    path = tmp_path / "m.cmat"
-    dump_matrix(path, M)
-    assert path.stat().st_size == 16 + 5 * 3 * 16
-    back = load_matrix(path)
-    assert np.array_equal(back, M)
-
-
-def test_matrix_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.cmat"
-    path.write_bytes(b"not a matrix at all")
-    with pytest.raises(ValueError):
-        load_matrix(path)
 
 
 def test_transmit_preconditions(qam16, rng):

@@ -85,9 +85,7 @@ def test_numpy_scalars_are_stored_as_python_types():
     scen = Scenario(B=8, U=4, Q=np.int32(16), snr_db=np.int64(6),
                     condition="nonlos")
     assert type(scen.Q) is int and type(scen.snr_db) is float
-    hw = from_dict(HwmodelConfig, {"B": 128, "U": 16, "K": 3, "T": [6],
-                                   "f_clk": 887000000})
-    assert type(hw.f_clk) is float
+    assert type(from_dict(TrainConfig, {"lr": 1}).lr) is float
 
 
 @pytest.mark.parametrize("over, key", [
@@ -99,7 +97,7 @@ def test_numpy_scalars_are_stored_as_python_types():
     (dict(k_factor=np.nan), "k_factor"),
     (dict(min_sep_deg=np.inf), "min_sep_deg"),
     (dict(uncoded=1), "uncoded"),
-    (dict(out=3), "out"),
+    (dict(params_path=3), "params_path"),    # a str | None key
     (dict(code_rate="7/8", uncoded=True), "code_rate"),
     (dict(detectors=["ocd", "lmmse", "ocd"]), "detectors"),
 ])

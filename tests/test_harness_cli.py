@@ -1,16 +1,20 @@
+import argparse
 import csv
-import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gbcd import cli, denoise, fec, harness, unfolding
 from gbcd.config import from_dict
-from gbcd.harness import (ABLATION_VARIANTS, ConfigError, ExperimentConfig,
-                          run_ablation, run_sweep, _write_csv, SWEEP_COLUMNS)
+from gbcd.constellation import make_constellation
+from gbcd.harness import (ABLATE_COLUMNS, ABLATION_VARIANTS, ConfigError,
+                          ExperimentConfig, run_ablation, run_sweep,
+                          SWEEP_COLUMNS)
 
 
 def base_config(**over):
@@ -69,12 +73,11 @@ def test_config_scalar_snr_promoted():
 # sweeps
 
 def test_sweep_deterministic_csv(tmp_path):
-    rows1 = run_sweep(ExperimentConfig.from_dict(base_config()))
-    rows2 = run_sweep(ExperimentConfig.from_dict(base_config()))
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    _write_csv(buf1, rows1, SWEEP_COLUMNS)
-    _write_csv(buf2, rows2, SWEEP_COLUMNS)
-    assert buf1.getvalue() == buf2.getvalue()
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        rows = run_sweep(ExperimentConfig.from_dict(base_config()))
+        cli._write_csv(str(out), rows, SWEEP_COLUMNS)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_sweep_zero_errors_at_high_snr():
@@ -94,8 +97,8 @@ def test_sweep_early_stop_reaches_error_floor():
 
 def test_sweep_csv_schema(tmp_path):
     out = tmp_path / "sweep.csv"
-    cfg = ExperimentConfig.from_dict(base_config(out=str(out), trials=2))
-    run_sweep(cfg)
+    cfg = ExperimentConfig.from_dict(base_config(trials=2))
+    cli._write_csv(str(out), run_sweep(cfg), SWEEP_COLUMNS)
     header = out.read_text().splitlines()[0]
     assert header == "snr_db,detector,bler,ser,trials,block_errors"
 
@@ -151,11 +154,12 @@ DETECTION_BUDGETS = (1920, 3840, 10**9)
 
 def _csv_bytes(tmp_path, name, cfg_dict, ablate=False):
     out = tmp_path / f"{name}.csv"
-    cfg = ExperimentConfig.from_dict(dict(cfg_dict, out=str(out)))
+    cfg = ExperimentConfig.from_dict(cfg_dict)
     if ablate:
         rows = run_ablation(cfg, variants=["cd-box", "gbcd-box+sort"])
     else:
         rows = run_sweep(cfg)
+    cli._write_csv(str(out), rows, ABLATE_COLUMNS if ablate else SWEEP_COLUMNS)
     return out.read_bytes(), rows
 
 
@@ -267,14 +271,6 @@ def test_missing_params_raise():
     cfg = ExperimentConfig.from_dict(base_config(detectors=["gbcd-pme"]))
     with pytest.raises(unfolding.MissingParamsError):
         run_sweep(cfg)
-
-
-def test_box_fallback_when_permitted():
-    cfg = ExperimentConfig.from_dict(base_config(
-        detectors=["gbcd-pme", "gbcd-box"], allow_box_fallback=True, trials=2))
-    rows = run_sweep(cfg)
-    by_det = {r["detector"]: r for r in rows}
-    assert by_det["gbcd-pme"]["bler"] == by_det["gbcd-box"]["bler"]
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +661,7 @@ def test_cli_train_size_below_one_exits_2_and_writes_no_store(key, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("lr", 0.0), ("lr", -1.0), ("max_epochs", 0), ("patience", 0),
-    ("lr_decay_patience", 0), ("lr_decay", 0.0), ("lr_decay", 2.0),
+    ("lr_decay_patience", 0),
 ])
 def test_cli_train_config_that_cannot_train_exits_2(key, value, tmp_path):
     training = {"n_train": 40, "n_val": 40, "batch_size": 20,
@@ -831,6 +827,15 @@ SCHEMA_CASES = {
     "train-json-list": ("train", [train_config()], (), "config"),
     "hw-json-list": ("hwmodel", [hwmodel_config()], (), "config"),
     "ablate-json-list": ("ablate", [base_config()], (), "config"),
+    # keys that once took these values and are no longer settable: the
+    # output path is --out's, the rest are the design's constants
+    "sim-out-key": ("simulate", base_config(out="rows.csv"), (), "out"),
+    "train-lr-decay": ("train", train_config(training={"lr_decay": 0.5}), (),
+                       "lr_decay"),
+    "hw-p-idle": ("hwmodel", hwmodel_config(p_idle_watts=0.42), (),
+                  "p_idle_watts"),
+    "hw-p-equ": ("hwmodel", hwmodel_config(p_equ_watts=0.367), (),
+                 "p_equ_watts"),
 }
 
 
@@ -876,6 +881,19 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(command, flag,
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
     assert f"unrecognized arguments: {flag}" in proc.stderr
+
+
+def test_readme_usage_lines_name_each_subcommands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+             for line in readme.splitlines()
+             if re.match(r"gbcd \w+ +--config", line)}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {s for a in p._actions for s in a.option_strings
+                         if s.startswith("--") and s != "--help"}
+                  for name, p in sub.choices.items()}
+    assert usage == registered
 
 
 def test_cli_missing_params_exit_code(tmp_path):
@@ -949,33 +967,26 @@ def test_cli_train_reads_existing_store_before_any_epoch(case, tmp_path,
     assert store.read_bytes() == before
 
 
-# (command, config, where the output path goes: "flag" for --out, "key" for
-# the config's out key)
+# (command, config); the output path goes to --out
 NO_DIR_CASES = {
-    "simulate": ("simulate", base_config(trials=1), "flag"),
-    "simulate-out-key": ("simulate", base_config(trials=1), "key"),
-    "ablate": ("ablate", base_config(trials=1), "flag"),
-    "train": ("train", train_config(), "flag"),
-    "hwmodel": ("hwmodel", hwmodel_config(), "flag"),
+    "simulate": ("simulate", base_config(trials=1)),
+    "ablate": ("ablate", base_config(trials=1)),
+    "train": ("train", train_config()),
+    "hwmodel": ("hwmodel", hwmodel_config()),
 }
 
 
 @pytest.mark.parametrize("case", NO_DIR_CASES)
 def test_cli_output_in_missing_directory_exits_2_before_any_work(
         case, tmp_path, monkeypatch, capsys):
-    command, cfg, where = NO_DIR_CASES[case]
+    command, cfg = NO_DIR_CASES[case]
     out = tmp_path / "missing" / "out"
     monkeypatch.setattr(harness, "_run_point",
                         lambda *a: pytest.fail("ran a trial"))
     monkeypatch.setattr(unfolding, "train", lambda *a: pytest.fail("trained"))
     cfgp = tmp_path / "cfg.json"
-    argv = [command, "--config", str(cfgp)]
-    if where == "key":
-        cfg = dict(cfg, out=str(out))
-    else:
-        argv += ["--out", str(out)]
     cfgp.write_text(json.dumps(cfg))
-    rc = cli.main(argv)
+    rc = cli.main([command, "--config", str(cfgp), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("config error:") and "does not exist" in err
@@ -1017,6 +1028,22 @@ def test_cli_train_then_simulate(tmp_path):
     proc = run_cli("simulate", "--config", str(simp), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "gbcd-pme" in out.read_text()
+
+
+def test_cli_train_line_says_whether_training_beat_its_start(tmp_path,
+                                                              capsys):
+    # at lr 1e-300 no step moves theta, so no epoch beats the box start
+    cfgp = tmp_path / "train.json"
+    cfgp.write_text(json.dumps(train_config(
+        training={"lr": 1e-300, "max_epochs": 3})))
+    store = tmp_path / "params.json"
+    assert cli.main(["train", "--config", str(cfgp), "--out", str(store)]) == 0
+    assert "best epoch 0 of 3)" in capsys.readouterr().out
+    (rec,) = unfolding.ParamStore.load(store).records
+    assert rec.meta["val_history"] == [rec.meta["final_val_loss"]] * 4
+    scale = make_constellation(16).scale
+    assert rec.rho == pytest.approx([1.0 / scale] * 2, rel=1e-15)
+    assert rec.beta == pytest.approx([scale] * 2, rel=1e-15)
 
 
 def test_cli_hwmodel_table(tmp_path):

@@ -520,18 +520,21 @@ def test_train_deterministic_and_well_formed():
 def test_train_improves_validation_loss():
     scen = Scenario(B=8, U=4, Q=16, snr_db=12.0, condition="nonlos")
     cfg = unfolding.TrainConfig(n_train=300, n_val=300, batch_size=50,
-                                max_epochs=10, seed=7,
-                                init_rho=1.0)  # start away from the optimum
+                                max_epochs=10, seed=7)
     params = unfolding.train(scen, cfg, K=2)
-    # compare against the loss of the initial parameters on the same data
+    # epoch 0 is the box start on the same data: rho = 1/scale, beta =
+    # scale and alpha = the median N0 of the training set
     const = make_constellation(16)
-    ss = np.random.SeedSequence(7)
-    _, s_val, _ = ss.spawn(3)
-    val = unfolding.make_batch(8, 4, const, 12.0, "nonlos", 300,
-                               np.random.default_rng(s_val))
-    init = {"rho": np.full(2, 1.0), "beta": np.full(2, const.scale),
-            "alpha": float(np.median(val.N0))}
-    assert params.meta["final_val_loss"] < unfolding.forward_loss(init, val, 2)
+    s_train, s_val, _ = np.random.SeedSequence(7).spawn(3)
+    train_set, val = (unfolding.make_batch(8, 4, const, 12.0, "nonlos", 300,
+                                           np.random.default_rng(s))
+                      for s in (s_train, s_val))
+    box = {"rho": np.full(2, 1.0 / const.scale),
+           "beta": np.full(2, const.scale),
+           "alpha": float(np.median(train_set.N0))}
+    start = unfolding.forward_loss(box, val, 2)
+    assert params.meta["val_history"][0] == pytest.approx(start, rel=1e-12)
+    assert params.meta["final_val_loss"] < start
 
 
 def test_train_rejects_out_of_range_snr():
