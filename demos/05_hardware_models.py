@@ -31,10 +31,10 @@ for T in (1, 5, 11, 50, 500):
 
 print("\n=== Timing model ===")
 for T in (9, 54, 1000):
-    th = hwmodel.throughput(T, 256, 16, 887e6)
+    th = hwmodel.throughput(T, 256, 16)
     print(f"T={T:5d}: throughput {th / 1e9:6.3f} Gbps, "
           f"utilization {hwmodel.utilization(T):.3f}")
-print(f"asymptote {hwmodel.throughput_asymptote(256, 887e6) / 1e9:.4f} Gbps")
+print(f"asymptote {hwmodel.throughput_asymptote(256) / 1e9:.4f} Gbps")
 
 print("\n=== Power fit on synthetic measurements ===")
 rng = np.random.default_rng(3)

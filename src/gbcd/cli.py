@@ -26,9 +26,12 @@ HWMODEL_COLUMNS = ("algorithm", "B", "U", "K", "T", "pre_mults", "eq_mults",
 
 
 def _check_out(path) -> None:
-    """An output path (None: stdout) must lie in an existing directory."""
+    """An output path (None: stdout) must lie in an existing directory and
+    not be one."""
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"output directory of {path} does not exist")
+    if path and os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
 
 
 def _write_csv(path, rows, columns) -> None:

@@ -78,7 +78,8 @@ DETECT_SAMPLES = 2 * 128 * 120
 @dataclass
 class ExperimentConfig:
     """A ``gbcd simulate`` or ``gbcd ablate`` config; its keys' types and
-    ranges are checked as ``config`` describes."""
+    ranges are checked as ``config`` describes. Each trial is one
+    coherence block: one channel carries its T transmissions."""
 
     B: int
     U: int
@@ -98,19 +99,11 @@ class ExperimentConfig:
     uncoded: bool = False
     k_factor: float = key(LOS_K_FACTOR, ge=0, inf=True)
     min_sep_deg: float = key(LOS_MIN_SEP_DEG, ge=0)
-    coherence_groups: int = key(1, ge=1)   # independent channels per coherence block
-
-    @property
-    def group_len(self) -> int:
-        return self.T // self.coherence_groups
 
     def __post_init__(self):
         if not isinstance(self.snr_db, (list, tuple)):
             self.snr_db = [self.snr_db]     # a number is a one-point sweep
         check(self)
-        if self.T % self.coherence_groups != 0:
-            raise ConfigError(f"T={self.T} must be divisible by "
-                              f"coherence_groups={self.coherence_groups}")
         try:
             check_angle_separation(self.U, self.min_sep_deg)
         except ValueError as e:
@@ -150,8 +143,8 @@ def _runner(spec: dict, cfg: ExperimentConfig, const, pme, snr_idx: int):
     """Detector of one spec as a function of a stack's front ends ->
     (soft output, hard indices). ``front(numerics)`` is the stack's
     ``detector.FrontEnd`` in a numeric context: channels H (N, B, U),
-    receive blocks Y (N, B, glen) and noise variances N0 (N,); the LLRs
-    are (N, U, m, glen). ``pme`` maps each PME source to its (denoiser,
+    receive blocks Y (N, B, T) and noise variances N0 (N,); the LLRs
+    are (N, U, m, T). ``pme`` maps each PME source to its (denoiser,
     alpha) pairs, one per SNR."""
     kind = spec["kind"]
     numerics = (hwmodel.FIXED_POINT if kind == "gbcd" and cfg.fixed_point
@@ -187,32 +180,30 @@ def _runner(spec: dict, cfg: ExperimentConfig, const, pme, snr_idx: int):
 
 @dataclass
 class _TrialStack:
-    """Detector inputs of up to ``size`` trials along one channel axis:
-    trial i's coherence groups are the channels i*G to (i+1)*G - 1."""
+    """Detector inputs of up to ``size`` trials, one channel per trial."""
 
-    H: np.ndarray            # (size * G, B, U)
-    Y: np.ndarray            # (size * G, B, glen)
-    N0: np.ndarray           # (size * G,)
-    idx: np.ndarray          # (size, G, U, glen) transmitted symbol indices
+    H: np.ndarray            # (size, B, U)
+    Y: np.ndarray            # (size, B, T)
+    N0: np.ndarray           # (size,)
+    idx: np.ndarray          # (size, U, T) transmitted symbol indices
 
     @classmethod
     def empty(cls, cfg: ExperimentConfig, size: int) -> "_TrialStack":
-        G, glen = cfg.coherence_groups, cfg.group_len
-        return cls(np.empty((size * G, cfg.B, cfg.U), dtype=np.complex128),
-                   np.empty((size * G, cfg.B, glen), dtype=np.complex128),
-                   np.empty(size * G),
-                   np.empty((size, G, cfg.U, glen), dtype=np.int64))
+        return cls(np.empty((size, cfg.B, cfg.U), dtype=np.complex128),
+                   np.empty((size, cfg.B, cfg.T), dtype=np.complex128),
+                   np.empty(size),
+                   np.empty((size, cfg.U, cfg.T), dtype=np.int64))
 
 
 def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
                 snr_idx: int, trial: int, stack: _TrialStack, slot: int,
                 truth, hashed: bool) -> str | None:
-    """Draw one trial (one or more coherence groups spanning a codeword)
-    into ``slot`` of ``stack``. When coded, its payloads go to every
-    runner's rows of ``truth`` (runners * U, payload_bits). Returns the
-    trial's data hash when ``hashed``, else None."""
+    """Draw one trial, one channel carrying every UE's codeword, into
+    ``slot`` of ``stack``: the symbols (or the payloads and their
+    codewords), then H, then its noise. When coded, the payloads go to
+    every runner's rows of ``truth`` (runners * U, payload_bits). Returns
+    the hash of the trial's S, H and Y when ``hashed``, else None."""
     rng = _trial_rng(cfg.seed, snr_idx, trial)
-    snr_db = float(cfg.snr_db[snr_idx])
     m = const.bits_per_symbol
     if code is None:
         idx = rng.integers(0, const.order, size=(cfg.U, cfg.T))
@@ -223,22 +214,19 @@ def _draw_trial(cfg: ExperimentConfig, const, code: fec.CodeConfig | None,
         idx = symbol_indices_from_bits(const, inter.reshape(cfg.U, cfg.T, m))
         truth.reshape(-1, cfg.U, code.payload_bits)[...] = payload
     S = const.points[idx]
-
-    G, glen = cfg.coherence_groups, cfg.group_len
-    stack.idx[slot] = idx.reshape(cfg.U, G, glen).swapaxes(0, 1)
-    digest = hashlib.sha256(S.tobytes()) if hashed else None
-    for g in range(G):
-        c = slot * G + g
-        H = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
-                        k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
-        N0 = noise_variance_for_snr(H, snr_db)
-        stack.H[c] = H
-        stack.N0[c] = N0
-        stack.Y[c] = apply_channel(H, S[:, g * glen:(g + 1) * glen], N0, rng)
-        if hashed:
-            digest.update(H.tobytes())
-            digest.update(stack.Y[c].tobytes())
-    return digest.hexdigest()[:16] if hashed else None
+    stack.idx[slot] = idx
+    H = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
+                    k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
+    N0 = noise_variance_for_snr(H, float(cfg.snr_db[snr_idx]))
+    stack.H[slot] = H
+    stack.N0[slot] = N0
+    stack.Y[slot] = apply_channel(H, S, N0, rng)
+    if not hashed:
+        return None
+    digest = hashlib.sha256(S.tobytes())
+    digest.update(H.tobytes())
+    digest.update(stack.Y[slot].tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _front_ends(H: np.ndarray, Y: np.ndarray, N0: np.ndarray):
@@ -265,21 +253,16 @@ def _detect(cfg: ExperimentConfig, code: fec.CodeConfig | None,
     deinterleaved into its rows of ``llrs`` (n, runners * U, n_coded),
     runner-major. Returns each runner's symbol errors over the stack.
     """
-    G, U, glen = cfg.coherence_groups, cfg.U, cfg.group_len
-    channels = slice(0, n * G)
-    front = _front_ends(stack.H[channels], stack.Y[channels],
-                        stack.N0[channels])
+    U = cfg.U
+    front = _front_ends(stack.H[:n], stack.Y[:n], stack.N0[:n])
     sym_errors = np.empty(len(runners), dtype=np.int64)
     for r, runner in enumerate(runners.values()):
         soft, hard = runner(front)
-        sym_errors[r] = np.count_nonzero(hard.reshape(n, G, U, glen)
-                                         != stack.idx[:n])
+        sym_errors[r] = np.count_nonzero(hard != stack.idx[:n])
         if code is not None:
-            # (n*G, U, m, glen) in codeword order (n, U, G, glen, m): one
-            # transposed copy, deinterleaved into the runner's rows
-            m = soft.llrs.shape[-2]
-            cw = soft.llrs.reshape(n, G, U, m, glen).transpose(0, 2, 1, 4, 3)
-            fec.deinterleave_llrs(cw.reshape(n, U, -1),
+            # (n, U, m, T) in codeword order (n, U, T, m): one transposed
+            # copy, deinterleaved into the runner's rows
+            fec.deinterleave_llrs(soft.llrs.swapaxes(-1, -2).reshape(n, U, -1),
                                   code.interleaver_seed,
                                   out=llrs[:, r * U:(r + 1) * U])
     return sym_errors

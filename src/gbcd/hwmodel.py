@@ -102,19 +102,18 @@ P_IDLE_WATTS = 0.420
 P_EQU_WATTS = 0.367
 
 
-def throughput(T: int, order: int, U: int = 16, f_clk: float = F_CLK_HZ,
-               B: int = 128) -> float:
-    """Detector throughput in bits per second for T transmissions per block."""
+def throughput(T: int, order: int, U: int = 16, B: int = 128) -> float:
+    """Bits per second at ``F_CLK_HZ`` for T transmissions per block."""
     if T < 1:
         raise ValueError("T must be >= 1")
     cycles_per_vector = U
     idle_cycles = B + U
-    return T / (cycles_per_vector * T + idle_cycles) * math.log2(order) * U * f_clk
+    return T / (cycles_per_vector * T + idle_cycles) * math.log2(order) * U * F_CLK_HZ
 
 
-def throughput_asymptote(order: int, f_clk: float = F_CLK_HZ) -> float:
+def throughput_asymptote(order: int) -> float:
     """The T -> infinity limit of ``throughput``; U cancels out of it."""
-    return math.log2(order) * f_clk
+    return math.log2(order) * F_CLK_HZ
 
 
 def utilization(T: int, U: int = 16, B: int = 128) -> float:

@@ -61,9 +61,9 @@ def square_qpsk_store(tmp_path_factory):
 
 def test_criterion_01_throughput_formula():
     def check():
-        asym = hwmodel.throughput_asymptote(256, 887e6)
+        asym = hwmodel.throughput_asymptote(256)
         assert round(asym / 1e9, 4) == 7.0960
-        ratio = hwmodel.throughput(54, 256, 16, 887e6) / asym
+        ratio = hwmodel.throughput(54, 256, 16) / asym
         assert ratio == 54 / 63
         assert hwmodel.utilization(54) == 54 / 63
 

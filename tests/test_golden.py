@@ -19,8 +19,8 @@ SCEN = {"B": 8, "U": 4, "K": 2, "Q": 16, "seed": 7, "T": 120,
 GOLDEN = {
     "train":
         "4a510296aefb54ea30be2e002c70035895e0d46c48bd20d3da7019ec0bbcf8c7",
-    "coded_groups":
-        "7976b30ba1309782cda79bedcb839e71bb913fde65ce7bbef442da827fb63001",
+    "coded_all_detectors":
+        "57d7fa0e9985d8c99ed8c316d7e40e514d551c5c66202d31749af4c70dca08cc",
     "uncoded_los":
         "6001bb736bf6b829cbdd58ad489a1508729bc558bf95f0afce9b95c18c5ac9ed",
     "uncoded_los_fixed":
@@ -69,11 +69,11 @@ def outputs(tmp_path_factory):
                      "max_epochs": 2, "seed": 3}}))
     out["train"] = store
 
-    out["coded_groups"] = d / "coded_groups.csv"
-    _run("simulate", "--out", str(out["coded_groups"]), "--config",
+    out["coded_all_detectors"] = d / "coded_all_detectors.csv"
+    _run("simulate", "--out", str(out["coded_all_detectors"]), "--config",
          _write(d / "coded.json", dict(
              SCEN, snr_db=[6.0, 12.0], condition="nonlos", trials=3,
-             coherence_groups=2, params_path=str(store),
+             params_path=str(store),
              detectors=["gbcd-box", "gbcd-pme", "lmmse", "ocd"])))
 
     los = _write(d / "los.json", dict(

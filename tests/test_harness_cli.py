@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from gbcd import cli, denoise, fec, harness, unfolding
+from gbcd.channel import apply_channel, gen_channel, noise_variance_for_snr
 from gbcd.config import from_dict
-from gbcd.constellation import make_constellation
+from gbcd.constellation import make_constellation, symbol_indices_from_bits
 from gbcd.harness import (ABLATE_COLUMNS, ABLATION_VARIANTS, ConfigError,
                           ExperimentConfig, run_ablation, run_sweep,
                           SWEEP_COLUMNS)
@@ -141,7 +142,6 @@ GROUPING_SCENARIOS = {
     "rate-1/2": dict(snr_db=[0.0, 2.0]),
     "rate-3/4": dict(code_rate="3/4", snr_db=[2.0, 4.0]),
     "rate-5/6": dict(code_rate="5/6", Q=64, snr_db=[4.0, 6.0]),
-    "coherence-2": dict(coherence_groups=2, snr_db=[0.0, 2.0]),
     "early-stop": dict(snr_db=[0.0], min_block_errors=12, trials=60),
 }
 # DECODE_BLOCKS caps; every scenario runs two runners of U = 4 codeword
@@ -257,7 +257,7 @@ def test_uncoded_results_independent_of_detection_stack(fixed_point,
                                                         tmp_path,
                                                         monkeypatch):
     cfg = base_config(uncoded=True, snr_db=[0.0, 8.0], trials=5,
-                      coherence_groups=2, fixed_point=fixed_point,
+                      fixed_point=fixed_point,
                       detectors=(["gbcd-box"] if fixed_point
                                  else ["gbcd-box", "lmmse", "ocd"]))
     outs = []
@@ -836,6 +836,9 @@ SCHEMA_CASES = {
                   "p_idle_watts"),
     "hw-p-equ": ("hwmodel", hwmodel_config(p_equ_watts=0.367), (),
                  "p_equ_watts"),
+    # every trial is one coherence block: one channel carries its T vectors
+    "sim-coherence-groups": ("simulate", base_config(coherence_groups=1), (),
+                             "coherence_groups"),
 }
 
 
@@ -994,6 +997,24 @@ def test_cli_output_in_missing_directory_exits_2_before_any_work(
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("case", NO_DIR_CASES)
+def test_cli_output_naming_a_directory_exits_2_before_any_work(
+        case, tmp_path, monkeypatch, capsys):
+    command, cfg = NO_DIR_CASES[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(harness, "_run_point",
+                        lambda *a: pytest.fail("ran a trial"))
+    monkeypatch.setattr(unfolding, "train", lambda *a: pytest.fail("trained"))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(cfgp), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err == f"config error: output path {out} is a directory\n"
+    assert list(out.iterdir()) == []
+
+
 def test_cli_missing_record_exits_3(tmp_path, tiny_store):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(base_config(
@@ -1117,20 +1138,53 @@ def test_cli_fixed_point_beyond_profiled_antennas_exits_2(where, tmp_path):
     assert out.exists()
 
 
-def test_coherence_groups_split(monkeypatch):
-    calls = []
-    real_gen_channel = harness.gen_channel
+@pytest.mark.parametrize("over", [
+    dict(uncoded=True, Q=64, condition="los", snr_db=[8.0, 14.0]),
+    dict(snr_db=[0.0, 6.0], min_block_errors=10**6),
+], ids=["uncoded", "coded"])
+def test_each_trial_draws_readme_stream(over, monkeypatch):
+    # per trial, from its own generator: the symbol indices (uncoded) or
+    # the payloads (coded), then its one H, then that H's noise
+    stacks, channels = [], []
+    front_ends, gen = harness._front_ends, harness.gen_channel
+
+    def recording_front_ends(H, Y, N0):
+        stacks.append((H.copy(), Y.copy(), N0.copy()))
+        return front_ends(H, Y, N0)
 
     def counting_gen_channel(*args, **kwargs):
-        calls.append(args)
-        return real_gen_channel(*args, **kwargs)
+        channels.append(args)
+        return gen(*args, **kwargs)
 
+    monkeypatch.setattr(harness, "_front_ends", recording_front_ends)
     monkeypatch.setattr(harness, "gen_channel", counting_gen_channel)
-    cfg = base_config(trials=2, coherence_groups=3, detectors=["gbcd-box"])
-    rows1 = run_sweep(ExperimentConfig.from_dict(cfg))
-    assert len(calls) == 2 * 3          # one channel per group per trial
-    rows2 = run_sweep(ExperimentConfig.from_dict(cfg))
-    assert rows1 == rows2
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(base_config(
-            trials=1, coherence_groups=7, detectors=["gbcd-box"]))
+    # two trials per stack, so the third starts a second stack
+    monkeypatch.setattr(harness, "DETECT_SAMPLES", 2 * 16 * 120)
+    cfg = ExperimentConfig.from_dict(base_config(
+        trials=3, detectors=["gbcd-box"], **over))
+    rows = run_sweep(cfg)
+    assert [r["trials"] for r in rows] == [3, 3]
+    assert len(channels) == 6           # one channel per trial
+    assert [len(N0) for _, _, N0 in stacks] == [2, 1, 2, 1]
+    H, Y, N0 = (np.concatenate(a) for a in zip(*stacks))
+    const, code = make_constellation(cfg.Q), cfg.code
+    for snr_idx, snr_db in enumerate(cfg.snr_db):
+        for t in range(cfg.trials):
+            rng = harness._trial_rng(cfg.seed, snr_idx, t)
+            if code is None:
+                idx = rng.integers(0, cfg.Q, size=(cfg.U, cfg.T))
+            else:
+                payload = rng.integers(0, 2, size=(cfg.U, code.payload_bits))
+                bits = fec.interleave(fec.encode(payload.astype(np.uint8),
+                                                 code),
+                                      code.interleaver_seed)
+                idx = symbol_indices_from_bits(
+                    const, bits.reshape(cfg.U, cfg.T, const.bits_per_symbol))
+            h = gen_channel(cfg.B, cfg.U, cfg.condition, rng,
+                            k_factor=cfg.k_factor, min_sep_deg=cfg.min_sep_deg)
+            n0 = noise_variance_for_snr(h, snr_db)
+            y = apply_channel(h, const.points[idx], n0, rng)
+            i = snr_idx * cfg.trials + t
+            assert np.array_equal(H[i], h)
+            assert N0[i] == n0
+            assert np.array_equal(Y[i], y)

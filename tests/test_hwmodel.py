@@ -164,26 +164,26 @@ def test_gbcd_beats_ocd_three_fold_past_t10():
 # timing
 
 def test_throughput_asymptote_256qam():
-    asym = hwmodel.throughput_asymptote(256, 887e6)
+    asym = hwmodel.throughput_asymptote(256)
     assert abs(asym - 7.0960e9) < 1e6
-    big = hwmodel.throughput(10 ** 9, 256, 16, 887e6)
+    big = hwmodel.throughput(10 ** 9, 256, 16)
     assert abs(big - asym) / asym < 1e-6
 
 
 def test_throughput_half_at_t9():
-    theta = hwmodel.throughput(9, 256, 16, 887e6)
-    assert abs(theta - 0.5 * hwmodel.throughput_asymptote(256, 887e6)) < 1.0
+    theta = hwmodel.throughput(9, 256, 16)
+    assert abs(theta - 0.5 * hwmodel.throughput_asymptote(256)) < 1.0
 
 
 def test_throughput_qpsk():
-    assert abs(hwmodel.throughput_asymptote(4, 887e6) - 1.774e9) < 1e6
+    assert abs(hwmodel.throughput_asymptote(4) - 1.774e9) < 1e6
 
 
 def test_throughput_monotone_and_below_asymptote():
-    asym = hwmodel.throughput_asymptote(64, 887e6)
+    asym = hwmodel.throughput_asymptote(64)
     prev = 0.0
     for T in range(1, 200):
-        th = hwmodel.throughput(T, 64, 16, 887e6)
+        th = hwmodel.throughput(T, 64, 16)
         assert th > prev
         assert th < asym
         prev = th
