@@ -4,7 +4,9 @@ Rate-1/2 mother code with constraint length 7 and generators (133, 171)
 octal, punctured to 3/4 or 5/6 with the de-facto standard masks, randomly
 interleaved, and decoded with a max-log soft-input Viterbi over the 64-state
 trellis. Blocks are terminated with six tail zeros, which are accounted for
-inside the rate bookkeeping.
+inside the rate bookkeeping. The decoder keeps its path metrics in float32,
+less state 0's metric, which it subtracts once per 8-step chunk, so their
+precision does not depend on the block length.
 
 LLR inputs follow the package convention (positive LLR means bit 1 more
 likely); the branch metric maps bit values to +/-1 accordingly. Punctured
@@ -34,6 +36,10 @@ _PUNCTURE = {
 }
 
 RATES = ("1/2", "3/4", "5/6")
+
+# largest |LLR| decode_batch accepts: far below float32's 3.4e38, and small
+# enough that no path metric sinks to the -1e30 of the unreachable states
+LLR_LIMIT = 1e20
 
 
 def _taps(gen: int) -> np.ndarray:
@@ -207,22 +213,29 @@ def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
     candidate is strictly larger. Each step gathers b from a per-chunk table
     [s, d, -d, -s], forms the four candidate planes with two adds and two
     subtracts, then takes one compare and one maximum, whose output lands
-    back in the (parity, state // 2) layout through a strided view. IEEE
-    subtraction is addition of the negation, so every survivor equals that
-    of a per-state argmax over both predecessors. Decisions are written
-    state-major, transposed once per chunk, and packed to one 64-bit word per
-    step and block; the traceback steps back with
+    back in the (parity, state // 2) layout through a strided view.
+
+    Metrics, table and candidates are float32: s and d are formed from the
+    float64 LLRs and rounded once into the table. After each chunk every
+    metric drops by state 0's, which is finite from the first step on, so
+    the metrics stay within a few chunks' branch metrics of zero however long
+    the block. The survivors are not those of a float64 decoder by
+    construction, since a rounding near a tie can flip one; they equal the
+    float64 per-state argmax oracle on every tested grid, and exactly for
+    integer LLRs, whose sums float32 holds without rounding. Decisions are
+    written state-major, transposed once per chunk, and packed to one 64-bit
+    word per step and block; the traceback steps back with
     state = 2*(state % 32) + decision bit.
     """
     nb, n_steps, _ = llr_pairs.shape
-    metric = np.full((2, _HALF, nb), -1e30)   # [j, k] holds state 2k + j
+    metric = np.full((2, _HALF, nb), -1e30, dtype=np.float32)   # [j, k]: 2k + j
     metric[0, 0] = 0.0
     even, odd = metric
     # successor k + 32*c, k = 2h + j, as [c, h, j] of the same memory
     new = metric.transpose(1, 0, 2).reshape(2, _HALF // 2, 2, nb)
-    table = np.empty((_CHUNK, 4, nb))         # s, d, -d, -s per step
-    bm = np.empty((_HALF, nb))
-    cand = np.empty((2, 2, _HALF, nb))        # [j, c, k]: 2k + j -> k + 32c
+    table = np.empty((_CHUNK, 4, nb), dtype=np.float32)   # s, d, -d, -s
+    bm = np.empty((_HALF, nb), dtype=np.float32)
+    cand = np.empty((2, 2, _HALF, nb), dtype=np.float32)  # 2k + j -> k + 32c
     from_even, from_odd = cand
     (even_lo, even_hi), (odd_lo, odd_hi) = cand
     even_chj, odd_chj = cand.reshape(2, 2, _HALF // 2, 2, nb)   # indexed as new
@@ -231,6 +244,7 @@ def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
     dec = np.empty((_CHUNK, nb, _N_STATES), dtype=bool)   # state-minor
     packed = np.empty((_CHUNK, nb, _N_STATES // 8), dtype=np.uint64)
     words = np.empty((n_steps, nb), dtype="<u8")
+    ref = np.empty(nb, dtype=np.float32)
     l0 = llr_pairs[:, :, 0].T
     l1 = llr_pairs[:, :, 1].T
     for t0 in range(0, n_steps, _CHUNK):
@@ -253,6 +267,9 @@ def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
         np.multiply(dec[:n].view("<u8"), _PACK_BYTE, out=packed[:n])
         np.right_shift(packed[:n], np.uint64(56), out=packed[:n])
         words[steps] = packed[:n].astype(np.uint8).view("<u8")[..., 0]
+        # state 0 is reachable at every step, so its metric is finite
+        np.copyto(ref, even[0])
+        np.subtract(metric, ref, out=metric)
     decoded = np.empty((n_steps, nb), dtype=np.uint8)
     state = np.zeros(nb, dtype=np.uint64)
     bit = np.empty(nb, dtype=np.uint64)
@@ -272,12 +289,18 @@ def decode_batch(llrs: np.ndarray, cfg: CodeConfig,
     """Soft-decode a batch of blocks, (n_blocks, n_coded) LLRs.
 
     Returns (payload bits, block_ok); block_ok is None without ground truth.
-    ``truth`` must hold one payload row per block. Every LLR must be finite.
+    ``truth`` must hold one payload row per block. Every LLR must be finite
+    and within +/-LLR_LIMIT.
     """
     llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    finite = np.isfinite(llrs).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite LLR in block {int(np.argmin(finite))}")
+    # two reductions, false on NaN, with no temporary the size of llrs
+    ok = (llrs.max(axis=1) <= LLR_LIMIT) & (llrs.min(axis=1) >= -LLR_LIMIT)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not np.isfinite(llrs[i]).all():
+            raise ValueError(f"non-finite LLR in block {i}")
+        raise ValueError(f"LLR beyond +/-{LLR_LIMIT:g} in block {i}: float32 "
+                         "path metrics cannot carry it")
     full = depuncture(llrs, cfg)
     pairs = full.reshape(full.shape[0], cfg.n_input, 2)
     u = _viterbi_batch(pairs)

@@ -64,7 +64,9 @@ PME_SOURCES = ("store", "trained", "empirical")
 # Codeword blocks per fec.decode_batch call. The decoder's cost per block
 # falls as the batch grows, but the group's LLR buffer and the decoder's
 # per-call buffers grow with it; 128 blocks keep peak memory within about 2%
-# of decoding one trial per call (README, "FEC decoding").
+# of decoding one trial per call (README, "FEC decoding"). The float32 path
+# metrics shrank the decoder's buffers but not the group's float64 LLRs, so
+# 256 blocks would still cost about 1 MB of peak RSS.
 DECODE_BLOCKS = 128
 
 # Receive samples (B * T per trial) stacked per detector call. Each call
