@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .channel import CONDITIONS
+from .channel import CONDITIONS, LOS_MIN_SEP_DEG, check_angle_separation
 from .constellation import SUPPORTED_ORDERS
 
 # SNRs (dB) parameters are trained at; the parameter store falls back outside
@@ -164,7 +164,9 @@ def check_design(B: int, U: int, block_sizes=()) -> None:
 @dataclass(frozen=True)
 class Scenario:
     """The (B, U, Q, SNR, condition) tuple that, with the iteration count K,
-    keys trained parameters: the ``scenario`` section of a train config."""
+    keys trained parameters: the ``scenario`` section of a train config.
+    A ``los`` scenario must fit U angles LOS_MIN_SEP_DEG apart, the
+    separation its training channels are drawn with."""
 
     B: int
     U: int
@@ -175,6 +177,11 @@ class Scenario:
     def __post_init__(self):
         check(self)
         check_design(self.B, self.U)
+        if self.condition == "los":
+            try:
+                check_angle_separation(self.U, LOS_MIN_SEP_DEG)
+            except ValueError as e:
+                raise ConfigError(str(e)) from e
 
 
 @dataclass

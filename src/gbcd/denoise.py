@@ -212,13 +212,13 @@ class LlrParams:
         return cls(alpha, mu, np.maximum(xi, XI_FLOOR_FACTOR), floored)
 
     @classmethod
-    def from_gram(cls, G: np.ndarray, alpha: float | np.ndarray, *,
-                  recip_fn=np.reciprocal) -> "LlrParams":
-        """Neumann-approximated gains mu = G_uu / (G_uu + alpha); G may be
-        a stack (..., U, U) with a scalar ``alpha`` or one per channel."""
+    def from_diagonal(cls, d: np.ndarray, alpha: float | np.ndarray, *,
+                      recip_fn=np.reciprocal) -> "LlrParams":
+        """Neumann-approximated gains mu = d / (d + alpha) from the real
+        Gram diagonal d (..., U), with a scalar ``alpha`` or one per
+        channel."""
         if np.any(np.asarray(alpha) < 0):
             raise ValueError("alpha must be >= 0")
-        d = G.diagonal(0, -2, -1).real
         a = alpha if np.ndim(alpha) == 0 else np.asarray(alpha)[..., None]
         return cls.from_mu(d * recip_fn(d + a), alpha)
 
@@ -293,7 +293,8 @@ def compute_llrs(v_final: np.ndarray, G: np.ndarray,
                  recip_fn=np.reciprocal) -> SoftOutput:
     """Max-log LLRs with Neumann-approximated gains mu = G_uu / (G_uu + alpha);
     shapes as in ``compute_llrs_with_params``, with G (..., U, U)."""
-    params = LlrParams.from_gram(G, alpha, recip_fn=recip_fn)
+    params = LlrParams.from_diagonal(G.diagonal(0, -2, -1).real, alpha,
+                                     recip_fn=recip_fn)
     return compute_llrs_with_params(v_final, params, const, recip_fn=recip_fn)
 
 

@@ -2,10 +2,11 @@
 
 Preprocessing computes, once per channel realization: the Gram matrix, the
 reciprocal per-UE SINR metric, the SINR-sorted UE ordering and its block
-partition, and the per-block inverses of the Gram submatrices. Equalization
-then runs K outer iterations of per-block least squares plus denoising on
-each receive vector, tracking interference through a residual recursion in
-the Gram domain instead of touching the channel matrix again. Float and
+partition, the per-block inverses of the Gram submatrices, and the Gram
+matrix permuted into that update order. Equalization then runs K outer
+iterations of per-block least squares plus denoising on each receive
+vector, tracking interference through a residual recursion on the permuted
+Gram matrix instead of touching the channel matrix again. Float and
 fixed-point detection share this path and differ only by their ``Numerics``.
 
 A ``FrontEnd`` holds the channel-dependent inputs of one channel or stack
@@ -46,6 +47,8 @@ class PreprocOutput:
     leading axes ``...`` shared by every field."""
 
     G: np.ndarray            # (..., U, U) Hermitian Gram matrices
+    Gp: np.ndarray           # (..., U, U) G[..., perm, perm], each channel
+                             # column-major (``_permuted_gram``)
     inv_sinr: np.ndarray     # (..., U) reciprocal SINR metric
     blocks: np.ndarray       # (..., M, L) UE index blocks in update order
     kinv: np.ndarray         # (..., M, L, L) per-block inverses
@@ -55,7 +58,7 @@ class PreprocOutput:
 
     @property
     def U(self) -> int:
-        return self.G.shape[-1]
+        return self.Gp.shape[-1]
 
     @property
     def L(self) -> int:
@@ -84,14 +87,22 @@ def _hermitian(H: np.ndarray) -> np.ndarray:
 
 
 def gram(H: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix of H (..., B, U); upper triangle computed, lower
-    filled by conjugation."""
+    """Hermitian Gram matrix of H (..., B, U), filled in place from
+    F = H^H H: the upper triangle is F with 0.0 added to its real parts,
+    the lower the conjugate of the upper plus 0.0, the diagonal F's real
+    part. That is bit for bit triu(F, 1) + triu(F, 1)^H with F's real
+    diagonal, signed zeros included."""
     U = H.shape[-1]
-    F = _hermitian(H) @ H
-    G = np.triu(F, 1)
-    G = G + _hermitian(G)
+    G = _hermitian(H) @ H
     d = np.arange(U)
-    G[..., d, d] = F[..., d, d].real
+    diag = G[..., d, d].real
+    G.real += 0.0
+    lo, up = np.tril_indices(U, -1)
+    low = G[..., up, lo]
+    np.conjugate(low, out=low)
+    low += 0.0
+    G[..., lo, up] = low
+    G[..., d, d] = diag
     return G
 
 
@@ -140,8 +151,8 @@ def _gather(G: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     lead, U = G.shape[:-2], G.shape[-1]
     idx = U * rows + cols
     base = U * U * np.arange(math.prod(lead))
-    return G.reshape(-1)[base.reshape(lead + (1,) * (idx.ndim - len(lead)))
-                         + idx]
+    idx += base.reshape(lead + (1,) * (idx.ndim - len(lead)))
+    return G.reshape(-1)[idx]
 
 
 def _permuted_gram(G: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -200,7 +211,8 @@ def preprocess(H: np.ndarray, N0: float | np.ndarray, *,
                L: int = 2, sort: bool = True,
                numerics: Numerics = FLOAT,
                G: np.ndarray | None = None) -> PreprocOutput:
-    """Run the once-per-channel stage: Gram, reciprocal SINR, ordering, inverses.
+    """Run the once-per-channel stage: Gram, reciprocal SINR, ordering,
+    inverses and the Gram matrix in update order.
 
     ``H`` is one channel (B, U) or a stack (..., B, U); for a stack, ``N0``
     is a scalar or holds one value per channel. ``G``, when given, is H's
@@ -217,7 +229,8 @@ def preprocess(H: np.ndarray, N0: float | np.ndarray, *,
     regularized: list = []
     kinv = block_inverses(G, blocks, numerics.recip, regularized)
     N0 = float(N0) if np.ndim(N0) == 0 else np.asarray(N0, dtype=np.float64)
-    return PreprocOutput(G, inv_sinr, blocks, kinv, N0, regularized)
+    return PreprocOutput(G, _permuted_gram(G, perm), inv_sinr, blocks, kinv,
+                         N0, regularized)
 
 
 class FrontEnd:
@@ -286,9 +299,10 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
     estimates of the final iteration are kept for the soft-output stage;
     each denoiser output is quantized as ``z``.
 
-    The recursion runs in update order: G and y_mf are permuted once so
-    that block m is the slice m*L:(m+1)*L. The results and the
-    ``trace_hook`` snapshots (..., U, T) are in UE order.
+    The recursion runs in update order, where block m is the slice
+    m*L:(m+1)*L: it reads the Gram matrix as preprocessing permuted it,
+    ``pre.Gp``, and permutes y_mf once. The results and the ``trace_hook``
+    snapshots (..., U, T) are in UE order.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -308,7 +322,7 @@ def gbcd_equalize(pre: PreprocOutput, y_mf: np.ndarray, K: int, denoiser, *,
     def ue_order(x):
         return x.reshape(-1, n * U, T)[:, ue_rows].reshape(x.shape)
 
-    Gp = _permuted_gram(pre.G, pre.perm)
+    Gp = pre.Gp
     # r, z and v_last in one buffer, restored to UE order by one gather
     state = np.empty((3,) + lead + (U, T), dtype=np.complex128)
     r, z, v_last = state

@@ -8,14 +8,20 @@ reverse-mode pass through the unrolled updates (clipped ramps carry
 subgradient zero outside and at their kinks, the max-log minima
 differentiate through the argmin branch).
 
+Each training and validation set is preprocessed once, when it is built
+(``make_batch``): per sample it keeps the Gram matrix only in the update
+order that preprocessing permuted it to, which the equalizer and the
+backward pass read, plus its diagonal, which the LLR gains read.
+
 The forward pass is ``detector.gbcd_equalize`` on the stack of samples, with
 a denoiser that evaluates both axes in one clipped-ramp pass and records the
-block estimates, and the LLR gains of ``denoise.LlrParams.from_gram``. The
+block estimates, and the LLR gains of ``denoise.LlrParams.from_diagonal``. The
 max-log metric takes each Gray bit's subset minima, and the argmins the
 backward pass needs, from ``denoise._gray_subsets``, the distance pass
 behind the detectors' LLRs, so the stage exists once. The backward pass
 evaluates the ramps' reductions once per outer iteration and runs in
-the equalizer's update order, where each block is a slice.
+the equalizer's update order, where each block is a slice; the ramp
+parameters' sums are taken once per outer iteration too.
 
 Positivity is enforced by reparameterization: slopes and spacings live in
 the log domain, the normalizer in the softplus domain.
@@ -78,11 +84,15 @@ class TrainedParams:
 
 @dataclass
 class TrainBatch:
-    """Per-sample channels and transmissions plus cached preprocessing."""
+    """Per-sample transmissions and their preprocessing, built once per set.
+    Of each sample's Gram matrix G the batch stores one copy, in update
+    order and laid out as ``detector.PreprocOutput.Gp`` (rows of ``Gp``
+    keep that layout), and G's diagonal in UE order."""
 
     const: Constellation
     bits: np.ndarray         # (N, U, log2 Q)
-    G: np.ndarray            # (N, U, U)
+    Gp: np.ndarray           # (N, U, U) G[perm, perm], each column-major
+    diag: np.ndarray         # (N, U) real diagonal of G, UE order
     y_mf: np.ndarray         # (N, U)
     blocks: np.ndarray       # (N, M, L)
     kinv: np.ndarray         # (N, M, L, L)
@@ -111,7 +121,8 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
     """
     M, L = U // GBCD_L, GBCD_L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
-    G = np.empty((n, U, U), dtype=np.complex128)
+    Gp = np.empty((n, U, U), dtype=np.complex128).swapaxes(1, 2)
+    diag = np.empty((n, U))
     y_mf = np.empty((n, U), dtype=np.complex128)
     blocks = np.empty((n, M, L), dtype=np.int64)
     kinv = np.empty((n, M, L, L), dtype=np.complex128)
@@ -132,11 +143,12 @@ def make_batch(B: int, U: int, const: Constellation, snr_db: float,
         Y = receive(H, const.points[idx], w, N0[start:stop])
         bits[start:stop] = const.bit_labels[idx[..., 0]]
         pre = detector.preprocess(H, N0[start:stop], L=L)
-        G[start:stop] = pre.G
+        Gp[start:stop] = pre.Gp
+        diag[start:stop] = pre.G.diagonal(0, 1, 2).real
         y_mf[start:stop] = detector.matched_filter(H, Y[..., 0])
         blocks[start:stop] = pre.blocks
         kinv[start:stop] = pre.kinv
-    return TrainBatch(const, bits, G, y_mf, blocks, kinv, N0)
+    return TrainBatch(const, bits, Gp, diag, y_mf, blocks, kinv, N0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +166,16 @@ def _plm_forward(x: np.ndarray, rho: float, beta: float, offsets: np.ndarray):
     svb = np.where(active, arg, 0.0).sum(axis=-1)
     s2t = np.where(active, 2.0 * offsets, 0.0).sum(axis=-1)
     return cnt, svb, s2t
+
+
+def _block_sums(w: np.ndarray, gzn: np.ndarray) -> np.ndarray:
+    """Per block m, the sum of w[:, A, 0] * gzn[m].real + w[:, A, 1] *
+    gzn[m].imag over its samples and UEs A, each over its own C-contiguous
+    (n, L) product; w is a ramp reduction (n, U, 2) in update order and gzn
+    the block gradients (M, n, L)."""
+    M, n, L = gzn.shape
+    w = np.ascontiguousarray(w.reshape(n, M, L, 2).transpose(3, 1, 0, 2))
+    return (w[0] * gzn.real + w[1] * gzn.imag).reshape(M, -1).sum(axis=1)
 
 
 def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
@@ -175,24 +197,26 @@ def _unrolled_forward(rho: np.ndarray, beta: np.ndarray, alpha: float,
         if want_cache:
             steps.append(v[..., 0])
         x = v.view(np.float64)[..., None]
-        raw = np.clip(rho[k] * (x + 2.0 * beta[k] * offsets), -1.0, 1.0)
+        raw = rho[k] * (x + 2.0 * beta[k] * offsets)
+        np.minimum(raw, 1.0, out=raw)
+        np.maximum(raw, -1.0, out=raw)
         return const.scale * raw.sum(axis=-1).view(np.complex128)
 
-    pre = detector.PreprocOutput(batch.G, None, batch.blocks, batch.kinv, batch.N0)
+    pre = detector.PreprocOutput(None, batch.Gp, None, batch.blocks,
+                                 batch.kinv, batch.N0)
     v_final = detector.gbcd_equalize(pre, batch.y_mf, K,
                                      SimpleNamespace(apply=apply)).v_last
 
     # soft-output stage (unit symbol energy throughout the package)
-    gains = denoise.LlrParams.from_gram(batch.G, alpha)
+    gains = denoise.LlrParams.from_diagonal(batch.diag, alpha)
     mu = gains.mu
     inv_xi = 1.0 / gains.xi
 
     # per Gray bit: the metric d0 - d1, and the residual x - mu a and level a
     # at each subset's argmin for the backward pass
     def argmin(d, cols):
-        i = np.argmin(d, axis=0)
-        return (np.take_along_axis(d, i[None], axis=0)[0],
-                const.pam_points[cols[i]])
+        return (np.minimum.reduce(d, axis=0),
+                const.pam_points[cols[np.argmin(d, axis=0)]])
 
     metrics, mins = [], []
     for ax in (v_final.real, v_final.imag):
@@ -270,22 +294,27 @@ def grad(params, batch: TrainBatch, K: int):
     mu = c["mu"]
     dxi_dmu = np.where(c["floored"], 0.0, 1.0 - 2.0 * mu)
     gmu += gxi * dxi_dmu
-    dmu_dalpha = -mu / (batch.G.diagonal(0, 1, 2).real + alpha)
+    dmu_dalpha = -mu / (batch.diag + alpha)
     galpha = float((gmu * dmu_dalpha).sum())
 
     # per block m: the positions of its UEs in a flattened (n, U) array,
     # and G's columns and the block inverse at those UEs, conjugated, as
-    # contiguous (n, U, L) and (n, L, L) arrays
+    # contiguous (n, U, L) and (n, L, L) arrays; the columns are read from
+    # Gp, whose transpose is C-contiguous, at each UE's update position
     blocks = batch.blocks.transpose(1, 0, 2)
     flat = blocks + U * np.arange(n)[:, None]
-    rows = U * np.arange(n * U).reshape(n, U, 1)
-    Gc = batch.G.reshape(-1)[rows + blocks[:, :, None, :]].conj()
+    pos = np.argsort(batch.blocks.reshape(n, U), axis=1)
+    Gc = batch.Gp.swapaxes(1, 2).reshape(-1)[
+        (U * U * np.arange(n))[:, None, None]
+        + U * np.arange(U).reshape(M, 1, 1, L) + pos[:, :, None]].conj()
     kc = np.ascontiguousarray(batch.kinv.transpose(1, 0, 2, 3)).conj()
     gv_final = (gx + 1j * gy).reshape(-1)[flat]
 
     gz = np.zeros((n, U), dtype=np.complex128)
     gr = np.zeros((n, U), dtype=np.complex128)
     grf = gr.reshape(-1)
+    # one outer iteration's gradients of the block estimates
+    gzn = np.empty((M, n, L), dtype=np.complex128)
     grho = np.zeros(K)
     gbeta = np.zeros(K)
     for k in reversed(range(K)):
@@ -294,18 +323,19 @@ def grad(params, batch: TrainBatch, K: int):
         for m in reversed(range(M)):
             A = slice(m * L, (m + 1) * L)
             gdz = -np.einsum("nul,nu->nl", Gc[m], gr)
-            gzn = gz[:, A] + gdz
-            gre = gzn.real
-            gim = gzn.imag
-            grho[k] += scale * float((svb[:, A, 0] * gre
-                                      + svb[:, A, 1] * gim).sum())
-            gbeta[k] += scale * rho[k] * float((s2t[:, A, 0] * gre
-                                                + s2t[:, A, 1] * gim).sum())
+            np.add(gz[:, A], gdz, out=gzn[m])
+            gre = gzn[m].real
+            gim = gzn[m].imag
             gv = scale * rho[k] * (cnt[:, A, 0] * gre + 1j * cnt[:, A, 1] * gim)
             if k == K - 1:
                 gv = gv + gv_final[m]
             gz[:, A] = -gdz + gv
             grf[flat[m]] += np.einsum("nji,nj->ni", kc[m], gv)
+        # block by block, in the order of the loop above
+        for s_rho, s_beta in zip(_block_sums(svb, gzn)[::-1],
+                                 _block_sums(s2t, gzn)[::-1]):
+            grho[k] += scale * float(s_rho)
+            gbeta[k] += scale * rho[k] * float(s_beta)
 
     return loss, {"rho": grho, "beta": gbeta, "alpha": galpha}
 
@@ -424,9 +454,10 @@ def train(scenario, config: TrainConfig, K: int) -> TrainedParams:
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            mb = TrainBatch(const, train_set.bits[idx], train_set.G[idx],
-                            train_set.y_mf[idx], train_set.blocks[idx],
-                            train_set.kinv[idx], train_set.N0[idx])
+            mb = TrainBatch(const, train_set.bits[idx], train_set.Gp[idx],
+                            train_set.diag[idx], train_set.y_mf[idx],
+                            train_set.blocks[idx], train_set.kinv[idx],
+                            train_set.N0[idx])
             rho, beta, alpha = _theta_to_params(theta, K)
             loss, g = grad({"rho": rho, "beta": beta, "alpha": alpha}, mb, K)
             if not np.isfinite(loss):

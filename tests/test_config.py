@@ -134,10 +134,22 @@ def test_infinity_only_where_the_range_allows_it():
     ({"scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 25.5,
                    "condition": "nonlos"}, "K": 2},
      "snr_db must be >= 0 and <= 25"),
+    ({"scenario": {"B": 256, "U": 128, "Q": 4, "snr_db": 6.0,
+                   "condition": "los"}, "K": 2},
+     r"cannot place U=128 UEs min_sep_deg=1.0 apart"),
 ])
 def test_train_file_sections_load_through_one_loader(raw, message):
     with pytest.raises(ConfigError, match=message):
         from_dict(TrainJob, raw)
+
+
+def test_los_scenario_needs_room_for_its_angles_only():
+    # U angles LOS_MIN_SEP_DEG = 1 deg apart fit the 120 deg sector up to
+    # U = 120; non-LOS channels draw no angles
+    Scenario(B=256, U=120, Q=4, snr_db=6.0, condition="los")
+    Scenario(B=256, U=128, Q=4, snr_db=6.0, condition="nonlos")
+    with pytest.raises(ConfigError, match="cannot place U=122"):
+        Scenario(B=256, U=122, Q=4, snr_db=6.0, condition="los")
 
 
 def test_train_file_defaults():

@@ -370,8 +370,8 @@ def test_xi_floor_flagged(qam16):
 
 def test_llr_params_validation():
     with pytest.raises(ValueError):
-        denoise.LlrParams.from_gram(np.eye(2, dtype=complex), -0.5)
-    p = denoise.LlrParams.from_gram(10 * np.eye(2, dtype=complex), 0.3)
+        denoise.LlrParams.from_diagonal(np.ones(2), -0.5)
+    p = denoise.LlrParams.from_diagonal(np.full(2, 10.0), 0.3)
     assert np.all((p.mu > 0) & (p.mu < 1))
     assert np.all(p.xi > 0)
 

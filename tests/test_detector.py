@@ -38,6 +38,51 @@ def test_gram_vs_naive_oracle(rng):
     assert np.all(G.diagonal().imag == 0.0)
 
 
+def _gram_reference(H):
+    """The Gram matrix with its triangles summed out of place: the upper
+    triangle of H^H H plus its conjugate transpose, the real diagonal."""
+    F = detector._hermitian(H) @ H
+    G = np.triu(F, 1)
+    G = G + detector._hermitian(G)
+    d = np.arange(H.shape[-1])
+    G[..., d, d] = F[..., d, d].real
+    return G
+
+
+def _orthogonal_signed_zero_channel():
+    """4x2, columns with disjoint supports whose zeros carry signs: H^H H
+    has a -0.0 real part above the diagonal."""
+    H = np.zeros((4, 2), dtype=complex)
+    H[0, 0], H[1, 0], H[2, 1] = -1.0, -1.0, -1.0
+    H.imag[0, 0] = -0.0
+    H[[0, 1, 3], 1] = -0.0
+    H.imag[[0, 1, 3], 1] = -0.0
+    F = detector._hermitian(H) @ H
+    assert F[0, 1] == 0 and np.signbit(F[0, 1].real)
+    return H
+
+
+@pytest.mark.parametrize("case", ["200x16x16", "2x128x16", "orthogonal",
+                                  "hadamard", "signed-zeros"])
+def test_gram_bit_identical_to_out_of_place_sum(case, rng):
+    # sign bits included: the in-place mirror adds 0.0 where the sum did
+    H = {
+        "200x16x16": lambda: random_channel(rng, 200 * 16, 16).reshape(
+            200, 16, 16),
+        "2x128x16": lambda: np.stack([random_channel(rng, 128, 16)
+                                      for _ in range(2)]),
+        "orthogonal": _orthogonal_signed_zero_channel,
+        # exactly orthogonal +-1 columns: every off-diagonal entry is zero
+        "hadamard": lambda: np.kron([[1, 1], [1, -1]], np.kron(
+            [[1, 1], [1, -1]], [[1, 1], [1, -1]])).astype(complex),
+        "signed-zeros": lambda: rng.choice([0.0, -0.0, 1.0, -1.0],
+                                           (500, 4, 3))
+        + 1j * rng.choice([0.0, -0.0], (500, 4, 3)),
+    }[case]()
+    got, want = detector.gram(H), _gram_reference(H)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_matched_filter_trivials(rng):
     q, _ = np.linalg.qr(random_channel(rng, 8, 3))
     assert np.allclose(detector.matched_filter(q, q[:, 1]),
@@ -219,6 +264,8 @@ def test_flat_gathers_match_take_along_axis(L, lead, rng):
         pre.perm[..., None, :])[..., 0, :, :].swapaxes(-1, -2)
     assert np.array_equal(got, want)
     assert got.strides == want.strides
+    assert np.array_equal(pre.Gp, want)
+    assert pre.Gp.strides == want.strides
     got = detector._gather(pre.G, pre.blocks[..., :, None],
                            pre.blocks[..., None, :])
     want = _block_submatrices_reference(pre.G, pre.blocks)

@@ -126,7 +126,7 @@ def test_preprocess_from_a_given_gram_matrix_equals_preprocess():
                                       numerics=numerics, G=G)
             want = detector.preprocess(Hq, N0, L=L, sort=sort,
                                        numerics=numerics)
-            for f in ("G", "inv_sinr", "blocks", "kinv", "N0"):
+            for f in ("G", "Gp", "inv_sinr", "blocks", "kinv", "N0"):
                 assert np.array_equal(getattr(got, f), getattr(want, f)), f
 
 
@@ -134,18 +134,20 @@ def test_preprocess_from_a_given_gram_matrix_equals_preprocess():
 # work per stack in the harness
 
 FRONT_END_WORK = ("detector.gram", "detector.matched_filter",
-                  "detector.preprocess")
+                  "detector.preprocess", "detector._permuted_gram")
 
-# (mode, detectors, fixed point) -> gram, matched filter and preprocess
-# calls per stack: one Gram matrix per numeric context, one matched filter
-# per context whose detectors read it, one preprocessing per (context, L,
-# sort); OCD reads the float (1, unsorted) preprocessing
+# (mode, detectors, fixed point) -> gram, matched filter, preprocess and
+# update-order Gram calls per stack: one Gram matrix per numeric context,
+# one matched filter per context whose detectors read it, one
+# preprocessing per (context, L, sort), each permuting its Gram matrix
+# once for every detector that equalizes on it (gbcd-box and gbcd-pme
+# share one); OCD reads the float (1, unsorted) preprocessing
 PER_STACK = [
-    ("sweep", ["gbcd-box", "gbcd-pme", "lmmse", "ocd"], False, (1, 1, 2)),
-    ("sweep", ["lmmse", "ocd", "gbcd-box", "gbcd-pme"], True, (2, 2, 2)),
-    ("sweep", ["ocd"], False, (1, 1, 1)),
-    ("ablate", None, False, (1, 1, 4)),
-    ("ablate", None, True, (1, 1, 4)),
+    ("sweep", ["gbcd-box", "gbcd-pme", "lmmse", "ocd"], False, (1, 1, 2, 2)),
+    ("sweep", ["lmmse", "ocd", "gbcd-box", "gbcd-pme"], True, (2, 2, 2, 2)),
+    ("sweep", ["ocd"], False, (1, 1, 1, 1)),
+    ("ablate", None, False, (1, 1, 4, 4)),
+    ("ablate", None, True, (1, 1, 4, 4)),
 ]
 
 

@@ -19,6 +19,10 @@ SCEN = {"B": 8, "U": 4, "K": 2, "Q": 16, "seed": 7, "T": 120,
 GOLDEN = {
     "train":
         "4a510296aefb54ea30be2e002c70035895e0d46c48bd20d3da7019ec0bbcf8c7",
+    "train_los":
+        "59181e32f474e83726c66444e422619f6abee6a4ea299d0d37f8b0c450b7995b",
+    "train_256qam":
+        "ef835713b7bf15a0c2062671c2f7a78bc25b4c230ae62756b1f79011f0ad7e60",
     "coded_all_detectors":
         "57d7fa0e9985d8c99ed8c316d7e40e514d551c5c66202d31749af4c70dca08cc",
     "uncoded_los":
@@ -68,6 +72,20 @@ def outputs(tmp_path_factory):
         "training": {"n_train": 60, "n_val": 60, "batch_size": 30,
                      "max_epochs": 2, "seed": 3}}))
     out["train"] = store
+
+    # the trainer on LOS channels and at the largest order
+    for name, scenario, K, batch_size, seed in (
+            ("train_los", {"B": 16, "U": 4, "Q": 16, "snr_db": 10.0,
+                           "condition": "los"}, 3, 20, 4),
+            ("train_256qam", {"B": 16, "U": 8, "Q": 256, "snr_db": 20.0,
+                              "condition": "nonlos"}, 2, 30, 5)):
+        out[name] = d / f"{name}_store.json"
+        _run("train", "--out", str(out[name]), "--config",
+             _write(d / f"{name}.json", {
+                 "scenario": scenario, "K": K,
+                 "training": {"n_train": 60, "n_val": 60,
+                              "batch_size": batch_size, "max_epochs": 2,
+                              "seed": seed}}))
 
     out["coded_all_detectors"] = d / "coded_all_detectors.csv"
     _run("simulate", "--out", str(out["coded_all_detectors"]), "--config",

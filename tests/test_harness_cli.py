@@ -615,6 +615,10 @@ def test_cli_config_error_exit_code(tmp_path):
     ("simulate", base_config(condition="los", U=4, min_sep_deg=40.0)),
     ("simulate", base_config(T=0, uncoded=True)),
     ("simulate", base_config(T=-4, uncoded=True)),
+    ("train", {"scenario": {"B": 256, "U": 128, "Q": 4, "snr_db": 6.0,
+                            "condition": "los"},
+               "K": 2, "training": {"n_train": 40, "n_val": 40,
+                                    "batch_size": 20, "max_epochs": 1}}),
 ], ids=["B<U", "U-odd", "Q32", "condition", "rate-misfit", "ablate-U-odd",
         "train-missing-file", "hwmodel-missing-file", "train-K0",
         "train-snr-30", "threads-key", "chunk-size-key", "trace-csv-key",
@@ -622,7 +626,7 @@ def test_cli_config_error_exit_code(tmp_path):
         "snr-minus-inf", "snr-nan-uncoded", "ablate-snr-minus-inf",
         "snr-string", "los-k-negative", "los-k-nan", "los-sep-90",
         "los-sep-nan", "los-sep-negative", "los-sep-at-span",
-        "T-zero-uncoded", "T-negative-uncoded"])
+        "T-zero-uncoded", "T-negative-uncoded", "train-los-crowded"])
 def test_cli_bad_config_exits_2_without_traceback(command, cfg, tmp_path):
     cfgp = tmp_path / "cfg.json"
     if cfg is not None:

@@ -398,7 +398,8 @@ def _detect_fixed_point_reference(H, y, N0, const, K, *, denoiser=None,
     regularized = []
     kinv = detector.block_inverses(G, blocks, recip_fn=lut,
                                    regularized=regularized)
-    pre = detector.PreprocOutput(G, inv_sinr, blocks, kinv, float(N0),
+    pre = detector.PreprocOutput(G, detector._permuted_gram(G, perm),
+                                 inv_sinr, blocks, kinv, float(N0),
                                  regularized)
     y_mf = q(detector.matched_filter(Hq, yq), formats["ymf"])
     base = denoise.box_denoiser(const) if denoiser is None else denoiser

@@ -125,7 +125,7 @@ def test_llrs_with_params_per_channel_alpha(Q, T, oracle):
         Hn = rng.standard_normal((8, U)) + 1j * rng.standard_normal((8, U))
         G[n] = detector.gram(Hn)
     alpha = rng.uniform(0.01, 1.0, N)
-    params = denoise.LlrParams.from_gram(G, alpha)
+    params = denoise.LlrParams.from_diagonal(G.diagonal(0, 1, 2).real, alpha)
     soft = denoise.compute_llrs_with_params(v, params, const)
     if oracle == "exhaustive":
         want = _llrs_exhaustive_reference(v, params, const)

@@ -1,17 +1,19 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gbcd import denoise, detector, unfolding
+from gbcd import cli, denoise, detector, unfolding
 from gbcd.channel import gen_channel, transmit
 from gbcd.constellation import make_constellation
 from gbcd.config import ConfigError, Scenario
 
 from channel_reference import _gen_channel_reference, _transmit_reference
-from unfolding_reference import forward_diagnostics
+from unfolding_reference import forward_diagnostics, ue_order_gram
 
 
 def small_batch(rng, n=12, B=8, U=4, snr=12.0, Q=16):
@@ -31,7 +33,8 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
     channel oracle, as make_batch did before it stacked channels."""
     M = U // L
     bits = np.empty((n, U, const.bits_per_symbol), dtype=np.uint8)
-    G = np.empty((n, U, U), dtype=np.complex128)
+    Gp = np.empty((n, U, U), dtype=np.complex128).swapaxes(1, 2)
+    diag = np.empty((n, U))
     y_mf = np.empty((n, U), dtype=np.complex128)
     blocks = np.empty((n, M, L), dtype=np.int64)
     kinv = np.empty((n, M, L, L), dtype=np.complex128)
@@ -41,15 +44,17 @@ def _make_batch_reference(B, U, const, snr_db, condition, n, rng, *, L=2,
         batch = _transmit_reference(H, const, 1, snr_db, rng)
         pre = detector.preprocess(H, batch.N0, L=L, sort=sort)
         bits[i] = batch.bits[:, 0, :]
-        G[i] = pre.G
+        Gp[i] = pre.Gp
+        diag[i] = pre.G.diagonal().real
         y_mf[i] = detector.matched_filter(H, batch.Y[:, 0])
         blocks[i] = pre.blocks
         kinv[i] = pre.kinv
         N0[i] = batch.N0
-    return unfolding.TrainBatch(const, bits, G, y_mf, blocks, kinv, N0)
+    return unfolding.TrainBatch(const, bits, Gp, diag, y_mf, blocks, kinv,
+                                N0)
 
 
-BATCH_FIELDS = ("bits", "G", "y_mf", "blocks", "kinv", "N0")
+BATCH_FIELDS = ("bits", "Gp", "diag", "y_mf", "blocks", "kinv", "N0")
 
 
 @pytest.mark.parametrize("Q, n, slice_, case", [
@@ -78,6 +83,11 @@ def test_make_batch_matches_per_sample_reference(Q, n, slice_, case,
     ref = _make_batch_reference(*args, ref_rng, **case)
     for f in BATCH_FIELDS:
         assert np.array_equal(getattr(new, f), getattr(ref, f)), f
+    # each sample's Gram matrix column-major, as preprocessing lays it out,
+    # also in the rows a minibatch takes
+    assert new.Gp.swapaxes(1, 2).flags.c_contiguous
+    assert new.Gp[[2, 0]].swapaxes(1, 2).flags.c_contiguous
+    assert np.array_equal(ue_order_gram(new).diagonal(0, 1, 2).real, new.diag)
     # the same draws, and no noise draws when noiseless
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -95,6 +105,41 @@ def test_make_batch_preprocesses_once_per_slice(monkeypatch):
     unfolding.make_batch(8, 4, make_constellation(4), 10.0, "nonlos", 10,
                          np.random.default_rng(0))
     assert calls == [4, 4, 2]
+
+
+def test_make_batch_memory_peak():
+    # one 200-sample slice of 16x16 channels: the traced peak stays within
+    # 64 KB of the 4538 KB that make_batch holds with the in-place Gram and
+    # one update-order Gram copy per sample (5240 KB with the out-of-place
+    # Gram and a UE-order copy)
+    const = make_constellation(4)
+    unfolding.make_batch(16, 16, const, 6.0, "nonlos", 8,
+                         np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        unfolding.make_batch(16, 16, const, 6.0, "nonlos", 200,
+                             np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4538 + 64) * 1024
+
+
+def test_train_permutes_each_gram_once_per_set_slice(count_calls,
+                                                   monkeypatch, tmp_path):
+    # the update-order Gram matrices are built by each make_batch slice's
+    # preprocessing; no epoch, minibatch or validation pass permutes again
+    monkeypatch.setattr(unfolding, "PREPROCESS_SLICE", 40)
+    calls = count_calls(["detector._permuted_gram"])
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"B": 8, "U": 4, "Q": 16, "snr_db": 12.0,
+                     "condition": "nonlos"},
+        "K": 2, "training": {"n_train": 100, "n_val": 60, "batch_size": 20,
+                             "max_epochs": 3}}))
+    assert cli.main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "store.json")]) == 0
+    assert calls == {"detector._permuted_gram": 3 + 2}
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +171,14 @@ def test_forward_loss_matches_detector_recomputation(rng):
     # the cross-entropy uses the numerically stable form of the clamped
     # -(X log P + (1-X) log(1-P)), which it equals exactly
     total = 0.0
+    G = ue_order_gram(batch)
     for i in range(batch.n):
-        pre = detector.PreprocOutput(batch.G[i], np.zeros(4),
+        pre = detector.PreprocOutput(G[i], batch.Gp[i], np.zeros(4),
                                      batch.blocks[i], batch.kinv[i],
                                      batch.N0[i])
         den = denoise.pme_denoiser(const, params["rho"], params["beta"])
         st = detector.gbcd_equalize(pre, batch.y_mf[i], K, den)
-        soft = denoise.compute_llrs(st.v_last, batch.G[i],
+        soft = denoise.compute_llrs(st.v_last, G[i],
                                     params["alpha"], const)
         X = batch.bits[i]
         terms = np.logaddexp(0.0, (1.0 - 2.0 * X) * soft.llrs)
@@ -340,11 +386,12 @@ def _grad_reference(params, batch, K):
         steps.append((v, *red_re, *red_im))
         return (const.scale * (raw_re + 1j * raw_im))[..., None]
 
-    pre = detector.PreprocOutput(batch.G, None, batch.blocks, batch.kinv,
+    G = ue_order_gram(batch)
+    pre = detector.PreprocOutput(G, batch.Gp, None, batch.blocks, batch.kinv,
                                  batch.N0)
     v_final = detector.gbcd_equalize(pre, batch.y_mf, K,
                                      SimpleNamespace(apply=apply)).v_last
-    gains = denoise.LlrParams.from_gram(batch.G, alpha)
+    gains = denoise.LlrParams.from_diagonal(G.diagonal(0, 1, 2).real, alpha)
     mu = gains.mu
     inv_xi = 1.0 / gains.xi
     metrics, mins = [], []
@@ -375,7 +422,7 @@ def _grad_reference(params, batch, K):
         target += gm * 2.0 * (e0 - e1)
         gmu += gm * 2.0 * (a1 * e1 - a0 * e0)
     gmu += gxi * np.where(gains.xi_floored, 0.0, 1.0 - 2.0 * mu)
-    dmu_dalpha = -mu / (batch.G.diagonal(0, 1, 2).real + alpha)
+    dmu_dalpha = -mu / (G.diagonal(0, 1, 2).real + alpha)
     galpha = float((gmu * dmu_dalpha).sum())
     gv_final = gx + 1j * gy
     gz = np.zeros((n, U), dtype=np.complex128)
@@ -386,7 +433,7 @@ def _grad_reference(params, batch, K):
         k, m = divmod(i, M)
         _, cnt_re, svb_re, s2t_re, cnt_im, svb_im, s2t_im = steps[i]
         A = batch.blocks[:, m]
-        Gcols = np.take_along_axis(batch.G, A[:, None, :], axis=2)
+        Gcols = np.take_along_axis(G, A[:, None, :], axis=2)
         gdz = -np.einsum("nul,nu->nl", Gcols.conj(), gr)
         gzn = np.take_along_axis(gz, A, axis=1) + gdz
         gre = gzn.real
@@ -427,7 +474,8 @@ def _regularized_batch(const):
     assert pre.regularized == [0]
     y = np.stack([t.Y[:, 0] for t in tx])
     return unfolding.TrainBatch(const, np.stack([t.bits[:, 0] for t in tx]),
-                                pre.G, detector.matched_filter(H, y),
+                                pre.Gp, pre.G.diagonal(0, 1, 2).real,
+                                detector.matched_filter(H, y),
                                 pre.blocks, pre.kinv, N0)
 
 

@@ -11,6 +11,17 @@ from gbcd import denoise
 from gbcd.unfolding import LOSS_CAP, _params_arrays, _unrolled_forward
 
 
+def ue_order_gram(batch) -> np.ndarray:
+    """The batch's Gram matrices (N, U, U) in UE order, from the copies in
+    update order it holds."""
+    n, U = batch.diag.shape
+    perm = batch.blocks.reshape(n, U)
+    G = np.empty((n, U, U), dtype=np.complex128)
+    G[np.arange(n)[:, None, None], perm[:, :, None], perm[:, None, :]] = \
+        batch.Gp
+    return G
+
+
 def forward_diagnostics(params, batch, K: int) -> dict:
     """Distances to the nearest nondifferentiable point of the loss.
 
