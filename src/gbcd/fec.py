@@ -117,15 +117,31 @@ def encode(payload: np.ndarray, cfg: CodeConfig) -> np.ndarray:
     return mother[..., _keep_mask(cfg)]
 
 
+def _check_llr_range(llrs: np.ndarray) -> None:
+    """Raise ValueError unless every LLR is finite and within +/-LLR_LIMIT,
+    naming the first offending block (row of the last axis, in C order)."""
+    # two reductions, false on NaN, with no temporary the size of llrs
+    ok = (llrs.max(axis=-1) <= LLR_LIMIT) & (llrs.min(axis=-1) >= -LLR_LIMIT)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not np.isfinite(llrs.reshape(-1, llrs.shape[-1])[i]).all():
+            raise ValueError(f"non-finite LLR in block {i}")
+        raise ValueError(f"LLR beyond +/-{LLR_LIMIT:g} in block {i}: float32 "
+                         "path metrics cannot carry it")
+
+
 def depuncture(llrs: np.ndarray, cfg: CodeConfig) -> np.ndarray:
     """Expand transmitted-position LLRs to the mother-code grid (zeros
-    inserted). Unpunctured (rate 1/2) LLRs are returned as they are."""
-    llrs = np.asarray(llrs, dtype=np.float64)
+    inserted), in float32 for float32 input and float64 otherwise.
+    Unpunctured (rate 1/2) LLRs are returned as they are."""
+    llrs = np.asarray(llrs)
+    if llrs.dtype != np.float32:
+        llrs = llrs.astype(np.float64, copy=False)
     if llrs.shape[-1] != cfg.n_coded:
         raise ValueError(f"llr length {llrs.shape[-1]} != {cfg.n_coded}")
     if cfg.n_coded == 2 * cfg.n_input:
         return llrs
-    full = np.zeros(llrs.shape[:-1] + (2 * cfg.n_input,), dtype=np.float64)
+    full = np.zeros(llrs.shape[:-1] + (2 * cfg.n_input,), dtype=llrs.dtype)
     full[..., _keep_mask(cfg)] = llrs
     return full
 
@@ -146,7 +162,9 @@ def interleave(bits: np.ndarray, seed: int) -> np.ndarray:
 def deinterleave_llrs(llrs: np.ndarray, seed: int,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Undo ``interleave`` along the last axis. ``out``, if given, must have
-    the shape of ``llrs`` and share no memory with it."""
+    the shape of ``llrs`` and share no memory with it. Into a narrower
+    ``out`` (a float32 decode group) the LLRs are range-checked as
+    ``decode_batch`` checks them, before the cast could make them inf."""
     llrs = np.asarray(llrs)
     perm = _interleaver_perm(llrs.shape[-1], seed)
     if out is None:
@@ -154,6 +172,8 @@ def deinterleave_llrs(llrs: np.ndarray, seed: int,
     elif out.shape != llrs.shape or np.shares_memory(out, llrs):
         raise ValueError("out must have the shape of llrs and share no "
                          "memory with it")
+    elif not np.can_cast(llrs.dtype, out.dtype):
+        _check_llr_range(llrs)
     out[..., perm] = llrs
     return out
 
@@ -215,11 +235,11 @@ def _viterbi_batch(llr_pairs: np.ndarray) -> np.ndarray:
     subtracts, then takes one compare and one maximum, whose output lands
     back in the (parity, state // 2) layout through a strided view.
 
-    Metrics, table and candidates are float32: s and d are formed from the
-    float64 LLRs and rounded once into the table. After each chunk every
-    metric drops by state 0's, which is finite from the first step on, so
-    the metrics stay within a few chunks' branch metrics of zero however long
-    the block. The survivors are not those of a float64 decoder by
+    Metrics, table and candidates are float32: s and d are formed in the
+    LLRs' own precision and rounded once into the table. After each chunk
+    every metric drops by state 0's, which is finite from the first step on,
+    so the metrics stay within a few chunks' branch metrics of zero however
+    long the block. The survivors are not those of a float64 decoder by
     construction, since a rounding near a tie can flip one; they equal the
     float64 per-state argmax oracle on every tested grid, and exactly for
     integer LLRs, whose sums float32 holds without rounding. Decisions are
@@ -290,18 +310,11 @@ def decode_batch(llrs: np.ndarray, cfg: CodeConfig,
 
     Returns (payload bits, block_ok); block_ok is None without ground truth.
     ``truth`` must hold one payload row per block. Every LLR must be finite
-    and within +/-LLR_LIMIT.
+    and within +/-LLR_LIMIT. float32 LLRs are decoded as float32, with no
+    float64 copy; any other dtype is read as float64.
     """
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    # two reductions, false on NaN, with no temporary the size of llrs
-    ok = (llrs.max(axis=1) <= LLR_LIMIT) & (llrs.min(axis=1) >= -LLR_LIMIT)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        if not np.isfinite(llrs[i]).all():
-            raise ValueError(f"non-finite LLR in block {i}")
-        raise ValueError(f"LLR beyond +/-{LLR_LIMIT:g} in block {i}: float32 "
-                         "path metrics cannot carry it")
-    full = depuncture(llrs, cfg)
+    full = depuncture(np.atleast_2d(llrs), cfg)
+    _check_llr_range(full)
     pairs = full.reshape(full.shape[0], cfg.n_input, 2)
     u = _viterbi_batch(pairs)
     payload = u[:, :cfg.payload_bits]

@@ -63,11 +63,10 @@ PME_SOURCES = ("store", "trained", "empirical")
 
 # Codeword blocks per fec.decode_batch call. The decoder's cost per block
 # falls as the batch grows, but the group's LLR buffer and the decoder's
-# per-call buffers grow with it; 128 blocks keep peak memory within about 2%
-# of decoding one trial per call (README, "FEC decoding"). The float32 path
-# metrics shrank the decoder's buffers but not the group's float64 LLRs, so
-# 256 blocks would still cost about 1 MB of peak RSS.
-DECODE_BLOCKS = 128
+# per-call buffers grow with it. The group buffer is float32, so 256 blocks
+# hold the bytes of 128 float64 ones and peak within about 0.2 MB of them
+# (README, "Group decode").
+DECODE_BLOCKS = 256
 
 # Receive samples (B * T per trial) stacked per detector call. Each call
 # pays the detectors' Python loops once for the whole stack, but every
@@ -296,7 +295,8 @@ def _run_point(cfg: ExperimentConfig, const, code, snr_idx: int,
     if code is None:
         llrs = truth = [None] * group
     else:
-        llrs = np.empty((group, n_rows, code.n_coded))
+        # float32, as the decoder rounds its branch metrics to float32
+        llrs = np.empty((group, n_rows, code.n_coded), dtype=np.float32)
         truth = np.empty((group, n_rows, code.payload_bits), dtype=np.uint8)
     block_errors, sym_errors = np.zeros((2, len(runners)), dtype=np.int64)
     trial, data_hash = 0, None

@@ -91,6 +91,16 @@ def test_unpunctured_llrs_pass_through(rng):
     assert fec.depuncture(llr, cfg) is llr
 
 
+@pytest.mark.parametrize("rate", fec.RATES)
+def test_depuncture_keeps_float32(rate, rng):
+    cfg = make_cfg(rate)
+    llr = rng.standard_normal((2, cfg.n_coded)).astype(np.float32)
+    full = fec.depuncture(llr, cfg)
+    assert full.dtype == np.float32
+    assert (full is llr) == (rate == "1/2")
+    assert np.array_equal(full[:, fec._keep_mask(cfg)], llr)
+
+
 def test_interleave_round_trip(rng):
     x = rng.standard_normal((100, 240))
     back = fec.deinterleave_llrs(fec.interleave(x, seed=5), seed=5)
@@ -103,6 +113,25 @@ def test_deinterleave_into_out_matches_allocating_call(rng):
     out = np.full_like(x, np.nan)
     assert fec.deinterleave_llrs(x, 5, out=out) is out
     assert np.array_equal(out, expect)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("big", [1e21, -1e21, 1e39, -1e39])
+def test_deinterleave_into_float32_checks_the_limit_before_the_cast(big, rng):
+    # 1e39 would become inf (with an overflow warning) in the cast, and
+    # decode_batch would then call it non-finite
+    x = rng.standard_normal((2, 3, 240))
+    x[1, 2, 17] = big
+    out = np.zeros(x.shape, dtype=np.float32)
+    with pytest.raises(ValueError, match="beyond .*1e\\+20 in block 5"):
+        fec.deinterleave_llrs(x, 5, out=out)
+    assert not out.any()
+    x[1, 2, 17] = np.nan
+    with pytest.raises(ValueError, match="non-finite LLR in block 5"):
+        fec.deinterleave_llrs(x, 5, out=out)
+    x[1, 2, 17] = np.copysign(fec.LLR_LIMIT, big)
+    fec.deinterleave_llrs(x, 5, out=out)
+    assert np.array_equal(out, fec.deinterleave_llrs(x, 5).astype(np.float32))
 
 
 def test_deinterleave_rejects_overlapping_or_misshapen_out(rng):
@@ -296,7 +325,7 @@ def test_butterfly_decoder_uneven_chunks(rng):
 @pytest.mark.parametrize("n_blocks", [128, 130])
 @pytest.mark.parametrize("kind", ["float", "wide", "integer", "zero"])
 def test_butterfly_decoder_matches_reference_at_design_size(kind, n_blocks, rng):
-    # a full decode group, and one past it, over an uneven last chunk
+    # half a default decode group, and a little more, over an uneven last chunk
     shape = (n_blocks, 483, 2)
     if kind == "float":
         pairs = 3.0 * rng.standard_normal(shape)
@@ -309,6 +338,42 @@ def test_butterfly_decoder_matches_reference_at_design_size(kind, n_blocks, rng)
     assert np.array_equal(fec._viterbi_batch(pairs), _viterbi_reference(pairs))
 
 
+@pytest.mark.parametrize("rate", fec.RATES)
+@pytest.mark.parametrize("scale", [3.0, 300.0])
+def test_float32_llrs_decode_as_reference_on_rounded_pairs(scale, rate, rng,
+                                                           monkeypatch):
+    # float32 input reaches the decoder as float32, and decodes as the
+    # float64 oracle does on the same, float32-rounded, pairs
+    cfg = make_cfg(rate, n_coded=960)
+    llrs = (scale * rng.standard_normal((96, cfg.n_coded))).astype(np.float32)
+    seen = []
+    viterbi_batch = fec._viterbi_batch
+
+    def recording_viterbi_batch(pairs):
+        seen.append(pairs)
+        return viterbi_batch(pairs)
+
+    monkeypatch.setattr(fec, "_viterbi_batch", recording_viterbi_batch)
+    payload, _ = fec.decode_batch(llrs, cfg)
+    (pairs,) = seen
+    assert pairs.dtype == np.float32
+    assert np.shares_memory(pairs, llrs) == (rate == "1/2")
+    expect = _viterbi_reference(pairs.astype(np.float64))
+    assert np.array_equal(payload, expect[:, :cfg.payload_bits])
+
+
+@pytest.mark.parametrize("rate", fec.RATES)
+@pytest.mark.parametrize("high", [2, 1000])
+def test_integer_llrs_decode_alike_in_float32_and_float64(high, rate, rng):
+    # integers float32 holds exactly: every table entry and candidate is
+    # the same in both precisions, ties included
+    cfg = make_cfg(rate, n_coded=960)
+    llrs = rng.integers(-high, high + 1, (64, cfg.n_coded)).astype(np.float64)
+    wide, _ = fec.decode_batch(llrs, cfg)
+    narrow, _ = fec.decode_batch(llrs.astype(np.float32), cfg)
+    assert np.array_equal(narrow, wide)
+
+
 def test_float32_metrics_match_reference_on_long_blocks(rng):
     # float32 metrics without the per-chunk rescale drift from the float64
     # oracle in a few of these blocks
@@ -316,19 +381,34 @@ def test_float32_metrics_match_reference_on_long_blocks(rng):
     assert np.array_equal(fec._viterbi_batch(pairs), _viterbi_reference(pairs))
 
 
-def test_decode_batch_memory_peak(rng):
-    # 128 blocks x 960 rate-1/2 LLRs, a full decode group at 256-QAM: the
-    # traced peak stays within 64 KB of the 868 KB the float32 decoder holds
-    cfg = make_cfg("1/2", n_coded=960)
-    llrs = 3.0 * rng.standard_normal((128, cfg.n_coded))
+def _traced_decode_peak(llrs, cfg):
+    """tracemalloc's peak over one decode_batch call, after a warm-up."""
     fec.decode_batch(llrs[:2], cfg)
     tracemalloc.start()
     try:
         fec.decode_batch(llrs, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (868 + 64) * 1024
+
+
+def test_decode_batch_memory_peak(rng):
+    # 128 blocks x 960 rate-1/2 LLRs, half a default decode group at
+    # 256-QAM: the traced peak stays within 64 KB of the 868 KB the float32
+    # decoder holds
+    cfg = make_cfg("1/2", n_coded=960)
+    llrs = 3.0 * rng.standard_normal((128, cfg.n_coded))
+    assert _traced_decode_peak(llrs, cfg) <= (868 + 64) * 1024
+
+
+def test_decode_batch_memory_peak_of_a_float32_group(rng):
+    # 256 blocks x 960 float32 LLRs, the default decode group at 256-QAM:
+    # every decoder buffer holds one slice per block, so the peak doubles
+    # the 868 KB of 128 blocks (1731.6 KB measured), and stays 64 KB within
+    # that; a float64 copy of the group would add 1920 KB, a float32 one 960
+    cfg = make_cfg("1/2", n_coded=960)
+    llrs = (3.0 * rng.standard_normal((256, cfg.n_coded))).astype(np.float32)
+    assert _traced_decode_peak(llrs, cfg) <= (2 * 868 + 64) * 1024
 
 
 def test_generators_must_tap_newest_and_oldest_bit(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbcd import cli, denoise, fec, harness, unfolding
+from gbcd import baselines, cli, denoise, fec, harness, unfolding
 from gbcd.channel import apply_channel, gen_channel, noise_variance_for_snr
 from gbcd.config import from_dict
 from gbcd.constellation import make_constellation, symbol_indices_from_bits
@@ -224,8 +224,8 @@ def test_each_trial_decoded_once_within_cap(cap, early, monkeypatch):
 
 
 def test_early_stop_draws_no_trial_past_the_stop(tmp_path, monkeypatch):
-    # one runner of U = 4 blocks fills a 128-block decode group with 32
-    # trials, but at 0 dB the stop at 10 block errors comes after 3
+    # one runner of U = 4 blocks fits more than 3 trials in the default
+    # decode group, but at 0 dB the stop at 10 block errors comes after 3
     cfg = base_config(detectors=["lmmse"], snr_db=[0.0], trials=200,
                       min_block_errors=10)
     monkeypatch.setattr(harness, "DECODE_BLOCKS", 4)
@@ -245,11 +245,30 @@ def test_early_stop_draws_no_trial_past_the_stop(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_draw_trial", recording_draw_trial)
     monkeypatch.setattr(fec, "decode_batch", recording_decode_batch)
     got, rows = _csv_bytes(tmp_path, "default", cfg)
-    assert harness.DECODE_BLOCKS == 128
+    assert harness.DECODE_BLOCKS // cfg["U"] > 3
     assert rows[0]["trials"] == 3
     assert drawn == [0, 1, 2]
     assert decoded == [3 * cfg["U"]]
     assert got == one_per_group
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("big", [1e21, 1e39])
+def test_llr_beyond_the_limit_fails_before_the_float32_group(big,
+                                                             monkeypatch):
+    # 1e39 is beyond float32's range: the cast into the decode group would
+    # make it inf and warn, so the limit is checked before the cast
+    lmmse_detect = baselines.lmmse_detect
+
+    def oversized_lmmse_detect(*args, **kwargs):
+        soft = lmmse_detect(*args, **kwargs)
+        soft.llrs[0, 1, 0, 5] = -big
+        return soft
+
+    monkeypatch.setattr(baselines, "lmmse_detect", oversized_lmmse_detect)
+    cfg = ExperimentConfig.from_dict(base_config(detectors=["lmmse"]))
+    with pytest.raises(ValueError, match="LLR beyond .*1e\\+20 in block 1"):
+        run_sweep(cfg)
 
 
 @pytest.mark.parametrize("fixed_point", [False, True], ids=["float", "fixed"])
